@@ -61,7 +61,6 @@ int main() {
 
   monitor::MonitorOptions opts;
   opts.threads = 1;
-  opts.pipeline = false;
   opts.epoch_ns = 10'000'000;  // 10 ms: the short trace spans many windows
   opts.delta_every = 1;
 

@@ -1,11 +1,10 @@
 // Monitor throughput + compiled-expression speedup.
 //
-// Two measurements, both archived in BENCH_monitor_throughput.json when
+// Five measurements, all archived in BENCH_monitor_throughput.json when
 // BOLT_BENCH_JSON is set (tools/bench_runner.sh / CI):
 //
 //  1. End-to-end monitor packets/sec on the NAT under heavy-tailed
-//     traffic, single-threaded and with one thread per core, with the
-//     compiled-expression VM and with the per-packet tree-walk baseline.
+//     traffic, over a 1/2/4/8-thread sweep and with one thread per core.
 //
 //  2. Expression-evaluation only: every contract entry's three bounds
 //     evaluated over a large batch of PCV rows, tree-walk vs compiled VM
@@ -18,6 +17,10 @@
 //     epoch clock on — packets/sec, flow-state high-water mark, and the
 //     p99 headroom sketch quantile, all archived per commit.
 //
+// Any unexpected violation or unattributed packet in a monitored run makes
+// the binary exit 1: the throughput of a monitor that mis-measures is
+// meaningless.
+//
 //  4. Telemetry overhead: monitor_pps_1thread with the obs layer's
 //     hot-path counters on vs off, measured as the median of interleaved
 //     off/on pairs. Archived as monitor_telemetry_overhead_pct and
@@ -28,6 +31,7 @@
 //     (`interp_decoded_speedup`, gated — the fast path must stay fast).
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -65,8 +69,7 @@ double best_seconds(int reps, F&& body) {
 double monitor_pps(const perf::Contract& contract,
                    const perf::PcvRegistry& reg,
                    const std::vector<net::Packet>& packets,
-                   std::size_t threads, bool compiled,
-                   std::size_t shards = 0,
+                   std::size_t threads, std::size_t shards = 0,
                    monitor::ShardGrouping grouping =
                        monitor::ShardGrouping::kRoundRobin,
                    bool telemetry = false, int reps = kReps,
@@ -75,20 +78,20 @@ double monitor_pps(const perf::Contract& contract,
   for (int rep = 0; rep < reps; ++rep) {
     monitor::MonitorOptions opts;
     opts.threads = threads;
-    opts.use_compiled_exprs = compiled;
     opts.shards = shards;
     opts.grouping = grouping;
     opts.telemetry = telemetry;
     opts.engine = engine;
-    monitor::MonitorEngine engine(contract, reg, opts);
+    const monitor::MonitorEngine monitor_engine(contract, reg, opts);
     obs::RunObservations observations;
     support::BenchTimer timer;
-    const monitor::MonitorReport report =
-        engine.run(packets, monitor::MonitorEngine::named_factory("nat"),
-                   nullptr, telemetry ? &observations : nullptr);
+    const monitor::MonitorReport report = monitor_engine.run(
+        packets, monitor::MonitorEngine::named_factory("nat"), nullptr,
+        telemetry ? &observations : nullptr);
     const double seconds = timer.elapsed_ms() / 1000.0;
     if (report.violations != 0 || report.unattributed != 0) {
       std::fprintf(stderr, "bench: unexpected violations/unattributed!\n");
+      std::exit(1);
     }
     best_pps = std::max(best_pps,
                         static_cast<double>(packets.size()) / seconds);
@@ -114,7 +117,7 @@ int main() {
   const std::vector<net::Packet> packets = net::zipf_traffic(spec);
 
   // --- end-to-end monitor throughput + thread-scaling sweep --------------
-  // Fixed 1/2/4/8-thread sweep of the staged pipeline (docs/PERFORMANCE.md
+  // Fixed 1/2/4/8-thread sweep of the monitor (docs/PERFORMANCE.md
   // explains how to read the curve; it saturates at the machine's core
   // count — `num_cpus` is archived alongside for exactly that reason).
   const std::size_t sweep[] = {1, 2, 4, 8};
@@ -126,7 +129,7 @@ int main() {
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::printf("monitor (NAT, %zu packets, 8 partitions):\n", packets.size());
   for (const std::size_t t : sweep) {
-    pps_at[t] = monitor_pps(result.contract, reg, packets, t, true);
+    pps_at[t] = monitor_pps(result.contract, reg, packets, t);
     std::printf("  %zu thread%s compiled exprs: %10.0f pps  (%.2fx)\n", t,
                 t == 1 ? ",  " : "s, ", pps_at[t], pps_at[t] / pps_at[1]);
     bench.metric("monitor_pps_" + std::to_string(t) + "thread", pps_at[t],
@@ -137,12 +140,9 @@ int main() {
     }
   }
   const double pps_1t = pps_at[1];
-  const double pps_nt = monitor_pps(result.contract, reg, packets, 0, true);
-  const double pps_1t_tw = monitor_pps(result.contract, reg, packets, 1, false);
+  const double pps_nt = monitor_pps(result.contract, reg, packets, 0);
   std::printf("  N threads, compiled exprs: %10.0f pps\n", pps_nt);
-  std::printf("  1 thread,  tree-walk eval: %10.0f pps\n", pps_1t_tw);
   bench.metric("monitor_pps_all_threads", pps_nt, "packets/s");
-  bench.metric("monitor_pps_1thread_treewalk", pps_1t_tw, "packets/s");
   bench.metric("monitor_thread_scaling", pps_nt / pps_1t, "x");
 
   // --- decoded-engine speedup over the reference interpreter -------------
@@ -151,7 +151,7 @@ int main() {
   // ratio is the execution fast path's headline number and is gated: the
   // decoded engine must stay decisively faster, not just not-slower.
   const double pps_1t_ref =
-      monitor_pps(result.contract, reg, packets, 1, true, 0,
+      monitor_pps(result.contract, reg, packets, 1, 0,
                   monitor::ShardGrouping::kRoundRobin, /*telemetry=*/false,
                   kReps, ir::EngineKind::kReference);
   std::printf("  1 thread,  reference engine:%9.0f pps  (decoded %.2fx)\n",
@@ -175,10 +175,10 @@ int main() {
   double pps_tel_on = 0;
   for (int i = 0; i < kTelemetryPairs; ++i) {
     const double off =
-        monitor_pps(result.contract, reg, packets, 1, true, 0,
+        monitor_pps(result.contract, reg, packets, 1, 0,
                     monitor::ShardGrouping::kRoundRobin, false, /*reps=*/1);
     const double on =
-        monitor_pps(result.contract, reg, packets, 1, true, 0,
+        monitor_pps(result.contract, reg, packets, 1, 0,
                     monitor::ShardGrouping::kRoundRobin, /*telemetry=*/true,
                     /*reps=*/1);
     pps_tel_on = std::max(pps_tel_on, on);
@@ -212,10 +212,10 @@ int main() {
   skewed_spec.packet_count = 200'000;
   const std::vector<net::Packet> skewed = net::zipf_traffic(skewed_spec);
   const double pps_skew_rr =
-      monitor_pps(result.contract, reg, skewed, 4, true, 4,
+      monitor_pps(result.contract, reg, skewed, 4, 4,
                   monitor::ShardGrouping::kRoundRobin);
   const double pps_skew_lqf =
-      monitor_pps(result.contract, reg, skewed, 4, true, 4,
+      monitor_pps(result.contract, reg, skewed, 4, 4,
                   monitor::ShardGrouping::kLongestQueueFirst);
   std::printf("\nskewed traffic (zipf 2.2, 8 partitions on 4 shards):\n");
   std::printf("  round-robin grouping:       %10.0f pps\n", pps_skew_rr);
@@ -373,6 +373,7 @@ int main() {
               static_cast<unsigned long long>(p99));
   if (lr_report.violations != 0 || lr_report.unattributed != 0) {
     std::fprintf(stderr, "bench: long-run violations/unattributed!\n");
+    return 1;
   }
   bench.metric("monitor_longrun_pps",
                static_cast<double>(week_packets.size()) / lr_s, "packets/s");

@@ -5,13 +5,13 @@
 #include <unordered_map>
 
 #include "core/bolt.h"
-#include "core/classkey.h"
 #include "core/scenarios.h"
 #include "core/targets.h"
 #include "dslib/bridge_state.h"
 #include "dslib/lb_state.h"
 #include "dslib/nat_state.h"
 #include "monitor/monitor.h"
+#include "monitor/partition.h"
 #include "net/flow.h"
 #include "net/headers.h"
 #include "net/packet_builder.h"
@@ -34,116 +34,77 @@ using perf::metric_index;
 constexpr std::uint64_t kSearchBudget = 64'000'000;
 
 // ---------------------------------------------------------------------------
-// Shadow: a bit-exact model of the monitor's measurement side. One NF
-// instance per flow-affine partition, advanced in emission order with the
-// same deterministic epoch clock MonitorEngine::run_partition uses, so the
-// class key and PCVs observed here are exactly what the replay will see.
+// Shadow: a bit-exact model of the monitor's measurement side. One
+// monitor::PartitionRunner per flow-affine partition — the very runner the
+// monitor steps its partitions through, cycle meter off — advanced in
+// emission order, so the class and PCVs observed here are exactly what the
+// replay will see.
 // ---------------------------------------------------------------------------
 class Shadow {
  public:
-  static constexpr std::uint32_t kUnmapped = ~0u;
-
   Shadow(const std::string& nf, const perf::Contract& contract,
          const perf::PcvRegistry& reg, const AdversaryOptions& opts)
-      : opts_(opts) {
-    for (std::size_t e = 0; e < contract.entries().size(); ++e) {
-      entry_index_.emplace(contract.entries()[e].input_class, e);
-    }
-    partitions_.reserve(opts.partitions);
-    for (std::size_t p = 0; p < opts.partitions; ++p) {
-      auto part = std::make_unique<Partition>();
-      BOLT_CHECK(core::make_named_target(nf, part->local_reg, part->target),
-                 "adversary: unknown target '" + nf + "'");
-      part->pcv_slot.assign(part->local_reg.size(), kUnmapped);
-      for (const perf::PcvId id : part->local_reg.all()) {
-        const std::string& name = part->local_reg.name(id);
-        if (reg.contains(name)) part->pcv_slot[id] = reg.require(name);
-      }
-      part->runner = part->target.make_runner(opts.framework, nullptr);
-      // Flat loop slot -> contract slot of the PCV named after the loop.
-      ir::RunLabels& labels = part->runner->labels();
-      part->loop_slot.assign(labels.loop_count(), kUnmapped);
-      for (std::size_t flat = 0; flat < labels.loop_count(); ++flat) {
-        const std::string& name = labels.loop_name(flat);
-        if (reg.contains(name)) part->loop_slot[flat] = reg.require(name);
-      }
-      partitions_.push_back(std::move(part));
+      : options_(monitor_options(opts)),
+        compiled_(contract, reg, options_),
+        row_(compiled_.slot_stride) {
+    const auto factory = monitor::MonitorEngine::named_factory(nf);
+    runners_.reserve(options_.partitions);
+    for (std::size_t p = 0; p < options_.partitions; ++p) {
+      runners_.push_back(std::make_unique<monitor::PartitionRunner>(
+          compiled_, options_, factory));
     }
   }
 
   struct Outcome {
     std::uint32_t entry = kNoEntry;
-    std::string class_key;
-    perf::PcvBinding pcvs;   ///< contract-registry ids
+    /// Contract bound per metric at the observed PCVs (attributed only).
+    std::array<std::int64_t, 3> predicted{};
     net::Packet processed;   ///< post-NF bytes (rewrites readable)
     net::NfVerdict verdict = net::NfVerdict::kDrop;
-    std::uint64_t out_port = 0;
   };
 
   std::size_t partition_of(const net::Packet& p) const {
-    return monitor::partition_of(p, opts_.partitions);
+    return monitor::partition_of(p, options_.partitions);
   }
 
   /// Processes `p` in its partition and COMMITS the state change — every
   /// committed packet must become part of the trace, or shadow and replay
   /// state histories diverge.
   Outcome commit(const net::Packet& p) {
-    Partition& part = *partitions_[partition_of(p)];
-    if (opts_.epoch_ns > 0 && part.target.has_state_observers()) {
-      const std::uint64_t epoch = p.timestamp_ns() / opts_.epoch_ns;
-      if (!part.have_epoch) {
-        part.have_epoch = true;
-        part.epoch = epoch;
-      } else if (epoch > part.epoch) {
-        part.target.expire_state(epoch * opts_.epoch_ns);
-        part.epoch = epoch;
-      }
-    }
-
+    monitor::PartitionRunner& part = *runners_[partition_of(p)];
     Outcome out;
-    out.processed = p;
-    const ir::RunResult run = part.runner->process(out.processed);
-    out.verdict = run.verdict;
-    out.out_port = run.out_port;
-
-    out.class_key = core::class_key_of(run, &part.target.methods());
-    const auto entry_it = entry_index_.find(out.class_key);
-    if (entry_it != entry_index_.end()) {
-      out.entry = static_cast<std::uint32_t>(entry_it->second);
-    }
-
-    for (const auto& [id, value] : run.pcvs.values()) {
-      if (id < part.pcv_slot.size() && part.pcv_slot[id] != kUnmapped) {
-        out.pcvs.set(part.pcv_slot[id], value);
-      }
-    }
-    for (std::size_t flat = 0; flat < run.loop_trips.size(); ++flat) {
-      const std::uint64_t trips = run.loop_trips[flat];
-      if (trips != 0 && part.loop_slot[flat] != kUnmapped) {
-        out.pcvs.set(part.loop_slot[flat], trips);
+    out.entry = part.step(p).entry;
+    out.processed = part.processed();
+    out.verdict = part.run().verdict;
+    if (out.entry != kNoEntry) {
+      part.fill_row(row_.data());
+      for (const Metric m : kAllMetrics) {
+        const int mi = metric_index(m);
+        out.predicted[mi] = compiled_.bounds[out.entry][mi].eval_slots(
+            row_.data());
       }
     }
     return out;
   }
 
   core::NfTarget& target(std::size_t partition) {
-    return partitions_[partition]->target;
+    return runners_[partition]->target();
   }
 
  private:
-  struct Partition {
-    perf::PcvRegistry local_reg;
-    core::NfTarget target;
-    std::vector<std::uint32_t> pcv_slot;
-    std::vector<std::uint32_t> loop_slot;  ///< by flat loop index
-    std::unique_ptr<core::NfRunner> runner;
-    bool have_epoch = false;
-    std::uint64_t epoch = 0;
-  };
+  static monitor::MonitorOptions monitor_options(const AdversaryOptions& o) {
+    monitor::MonitorOptions m;
+    m.partitions = o.partitions;
+    m.epoch_ns = o.epoch_ns;
+    m.framework = o.framework;
+    m.check_cycles = false;
+    return m;
+  }
 
-  AdversaryOptions opts_;
-  std::vector<std::unique_ptr<Partition>> partitions_;
-  std::unordered_map<std::string, std::size_t> entry_index_;
+  monitor::MonitorOptions options_;
+  monitor::CompiledContract compiled_;
+  std::vector<std::unique_ptr<monitor::PartitionRunner>> runners_;
+  std::vector<std::uint64_t> row_;  ///< reused dense PCV row
 };
 
 // ---------------------------------------------------------------------------
@@ -155,10 +116,9 @@ class Shadow {
 // ---------------------------------------------------------------------------
 class Emitter {
  public:
-  Emitter(Shadow& shadow, const perf::Contract& contract,
-          AdversarialTrace& trace, const AdversaryOptions& opts)
+  Emitter(Shadow& shadow, AdversarialTrace& trace,
+          const AdversaryOptions& opts)
       : shadow_(shadow),
-        contract_(contract),
         trace_(trace),
         opts_(opts),
         clock_(opts.start_ns) {}
@@ -169,11 +129,8 @@ class Emitter {
     Shadow::Outcome out = shadow_.commit(p);
     PacketPlan plan;
     plan.entry = out.entry;
+    plan.predicted = out.predicted;
     if (out.entry != kNoEntry) {
-      const perf::ContractEntry& entry = contract_.entries()[out.entry];
-      for (const Metric m : kAllMetrics) {
-        plan.predicted[metric_index(m)] = entry.perf.get(m).eval(out.pcvs);
-      }
       ClassPlan& cp = trace_.classes[out.entry];
       ++cp.packets;
       cp.reached = true;
@@ -203,7 +160,6 @@ class Emitter {
 
  private:
   Shadow& shadow_;
-  const perf::Contract& contract_;
   AdversarialTrace& trace_;
   AdversaryOptions opts_;
   net::TimestampNs clock_;
@@ -677,7 +633,7 @@ AdversarialTrace adversarial_traffic(
   const auto witnesses = witness_map(*path_reports);
 
   Shadow shadow(nf_name, contract, reg, opts);
-  Emitter emitter(shadow, contract, trace, opts);
+  Emitter emitter(shadow, trace, opts);
 
   if (nf_name == "bridge") {
     drive_bridge(emitter, opts);
@@ -729,11 +685,8 @@ AdversarialTrace plan_packets(const std::string& nf_name,
     const Shadow::Outcome out = shadow.commit(p);
     PacketPlan plan;
     plan.entry = out.entry;
+    plan.predicted = out.predicted;
     if (out.entry != kNoEntry) {
-      const perf::ContractEntry& entry = contract.entries()[out.entry];
-      for (const Metric m : kAllMetrics) {
-        plan.predicted[metric_index(m)] = entry.perf.get(m).eval(out.pcvs);
-      }
       ClassPlan& cp = trace.classes[out.entry];
       ++cp.packets;
       cp.reached = true;

@@ -79,6 +79,38 @@ void MetricAccum::merge(const MetricAccum& other) {
   }
 }
 
+void ClassAccum::add_row(std::uint64_t packet,
+                         const std::array<std::uint64_t, 3>& measured,
+                         const std::array<std::int64_t, 3>& predicted,
+                         bool check_cycles, std::size_t cap) {
+  ++packets;
+  Offender worst;
+  bool has_offender = false;
+  for (const Metric m : kAllMetrics) {
+    if (m == Metric::kCycles && !check_cycles) continue;
+    const int mi = metric_index(m);
+    const std::uint64_t value = measured[mi];
+    const std::int64_t bound = predicted[mi];
+    metrics[mi].record(packet, value, bound);
+    if (static_cast<std::int64_t>(value) > bound) {
+      // Violation margin in per-mille of the bound (how far past it).
+      violation_margin_pm.add(
+          bound > 0 ? (value - static_cast<std::uint64_t>(bound)) * 1000 /
+                          static_cast<std::uint64_t>(bound)
+                    : kDegenerateUtilPm);
+    }
+    if (!has_offender ||
+        util_cmp(value, bound, worst.measured, worst.predicted) > 0) {
+      has_offender = true;
+      worst.packet_index = packet;
+      worst.metric = m;
+      worst.predicted = bound;
+      worst.measured = value;
+    }
+  }
+  if (has_offender) add_offender(worst, cap);
+}
+
 void ClassAccum::add_offender(const Offender& o, std::size_t cap) {
   if (cap == 0) return;
   const auto pos =
@@ -95,6 +127,20 @@ void ClassAccum::merge(const ClassAccum& other, std::size_t cap) {
   }
   violation_margin_pm.merge(other.violation_margin_pm);
   for (const Offender& o : other.offenders) add_offender(o, cap);
+}
+
+void DeltaEntryAccum::add_row(const std::array<std::uint64_t, 3>& measured,
+                              const std::array<std::int64_t, 3>& predicted,
+                              bool check_cycles) {
+  ++packets;
+  for (const Metric m : kAllMetrics) {
+    if (m == Metric::kCycles && !check_cycles) continue;
+    const int mi = metric_index(m);
+    headroom_pm[mi].add(util_pm(measured[mi], predicted[mi]));
+    if (static_cast<std::int64_t>(measured[mi]) > predicted[mi]) {
+      ++violations[mi];
+    }
+  }
 }
 
 void DeltaEntryAccum::merge(const DeltaEntryAccum& other) {

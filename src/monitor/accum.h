@@ -70,6 +70,14 @@ struct ClassAccum {
   perf::QuantileSketch violation_margin_pm;
   std::vector<Offender> offenders;  ///< sorted by offender_before, bounded
 
+  /// Folds one validated packet: records every checked metric (cycles only
+  /// when `check_cycles`) against its bound, adds the violation margin of
+  /// each exceeded bound, and offers the packet's worst metric as an
+  /// offender. Arrays are indexed by perf::metric_index.
+  void add_row(std::uint64_t packet,
+               const std::array<std::uint64_t, 3>& measured,
+               const std::array<std::int64_t, 3>& predicted,
+               bool check_cycles, std::size_t cap);
   void add_offender(const Offender& o, std::size_t cap);
   void merge(const ClassAccum& other, std::size_t cap);
 };
@@ -83,6 +91,10 @@ struct DeltaEntryAccum {
   std::array<std::uint64_t, 3> violations{};
   std::array<perf::QuantileSketch, 3> headroom_pm;
 
+  /// The delta-window share of ClassAccum::add_row.
+  void add_row(const std::array<std::uint64_t, 3>& measured,
+               const std::array<std::int64_t, 3>& predicted,
+               bool check_cycles);
   void merge(const DeltaEntryAccum& other);
 };
 

@@ -1,7 +1,7 @@
 // Class attribution — resolving an observed run's class key to a contract
-// entry, allocation-free. Shared by the batch engine's execute/attribute
-// stage (monitor.cpp) and the streaming monitor (follow.cpp): both must
-// attribute byte-identically or fleet reports diverge from batch reports.
+// entry, allocation-free. Owned by monitor::PartitionRunner (partition.h),
+// the one per-partition core the batch engine, the streaming monitor and
+// the adversary's shadow all attribute through.
 #pragma once
 
 #include <cstdint>

@@ -3,62 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/runner.h"
-#include "monitor/attribute.h"
+#include "monitor/partition.h"
 #include "obs/delta.h"
 #include "support/assert.h"
 
 namespace bolt::monitor {
-
-namespace {
-
-using perf::Metric;
-using perf::kAllMetrics;
-using perf::metric_index;
-
-}  // namespace
-
-/// One flow-affine partition's live state: a fresh NF instance, its cycle
-/// model, the class resolver bound to it, the PCV/loop slot maps into the
-/// contract registry, and the deterministic epoch clock — exactly the
-/// per-partition state the batch engine's QueueTask::run_partition keeps
-/// on its stack, kept alive here because the stream never ends.
-struct StreamMonitor::Partition {
-  perf::PcvRegistry local_reg;
-  core::NfTarget target;
-  hw::ConservativeModel cycles;
-  std::unique_ptr<core::NfRunner> runner;
-  ClassResolver resolver;
-  std::vector<std::uint32_t> pcv_slot;
-  std::vector<std::uint32_t> loop_slot;
-  bool epochs_on = false;
-  bool have_epoch = false;
-  std::uint64_t next_boundary = 0;
-  net::Packet scratch_pkt;  ///< reused packet copy (the NF mutates headers)
-  ir::RunResult run;        ///< reused run result
-
-  Partition(const StreamMonitor& m)
-      : cycles(m.options_.cycle_costs), resolver(&m.entry_index_) {
-    constexpr std::uint32_t kUnmapped = ~0u;
-    target = m.factory_(local_reg);
-    pcv_slot.assign(local_reg.size(), kUnmapped);
-    for (const perf::PcvId id : local_reg.all()) {
-      const std::string& name = local_reg.name(id);
-      if (m.reg_.contains(name)) pcv_slot[id] = m.reg_.require(name);
-    }
-    resolver.bind(target);
-    runner = target.make_runner(
-        m.options_.framework, m.options_.check_cycles ? &cycles : nullptr,
-        m.options_.engine);
-    ir::RunLabels& labels = runner->labels();
-    loop_slot.assign(labels.loop_count(), kUnmapped);
-    for (std::size_t flat = 0; flat < labels.loop_count(); ++flat) {
-      const std::string& name = labels.loop_name(flat);
-      if (m.reg_.contains(name)) loop_slot[flat] = m.reg_.require(name);
-    }
-    epochs_on = m.options_.epoch_ns > 0 && target.has_state_observers();
-  }
-};
 
 struct StreamMonitor::WindowData {
   std::vector<ClassAccum> accums;  ///< per contract entry
@@ -70,12 +19,11 @@ StreamMonitor::StreamMonitor(const perf::Contract& contract,
                              const MonitorEngine::TargetFactory& factory,
                              MonitorOptions options, FleetOptions fleet,
                              WindowFn on_window)
-    : contract_(contract),
-      reg_(reg),
-      factory_(factory),
+    : factory_(factory),
       options_(options),
       fleet_(std::move(fleet)),
       on_window_(std::move(on_window)),
+      compiled_(contract, reg, options),
       detector_(options.drift) {
   if (options_.partitions == 0) options_.partitions = 1;
   if (fleet_.instances == 0) fleet_.instances = 1;
@@ -87,28 +35,9 @@ StreamMonitor::StreamMonitor(const perf::Contract& contract,
     BOLT_CHECK(owner < fleet_.instances,
                "stream monitor: partition owner out of range");
   }
-  // Compiled per-entry bounds + slot stride, same construction as
-  // MonitorEngine — identical predicted values by construction.
-  slot_stride_ = std::max<std::size_t>(reg_.size(), 1);
-  vms_.reserve(contract_.entries().size());
-  entry_names_.reserve(contract_.entries().size());
-  for (std::size_t i = 0; i < contract_.entries().size(); ++i) {
-    const perf::ContractEntry& entry = contract_.entries()[i];
-    std::array<perf::CompiledExpr, 3> exprs;
-    for (const Metric m : kAllMetrics) {
-      exprs[metric_index(m)] = perf::CompiledExpr::compile(entry.perf.get(m));
-      slot_stride_ = std::max(slot_stride_, exprs[metric_index(m)].slot_count());
-    }
-    vms_.push_back(std::move(exprs));
-    entry_index_.emplace(entry.input_class, i);
-    entry_names_.push_back(entry.input_class);
-  }
-  if (options_.delta_every > 0 && options_.epoch_ns > 0) {
-    delta_window_ns_ = options_.epoch_ns * options_.delta_every;
-  }
   partitions_.resize(options_.partitions);
-  total_accums_.assign(contract_.entries().size(), ClassAccum{});
-  row_buf_.assign(slot_stride_, 0);
+  total_accums_.assign(compiled_.bounds.size(), ClassAccum{});
+  row_buf_.assign(compiled_.slot_stride, 0);
   // Probe the factory once for the state-observer flag: the batch engine
   // reports state_tracked for every run regardless of traffic, and so
   // must an instance that happened to own only quiet partitions.
@@ -129,105 +58,44 @@ bool StreamMonitor::owned(std::size_t partition) const {
   return owner == fleet_.instance;
 }
 
-void StreamMonitor::validate_row(std::uint64_t index, std::uint64_t window,
-                                 std::uint32_t entry, const std::uint64_t* row,
-                                 const std::array<std::uint64_t, 3>& measured) {
-  (void)window;
-  ClassAccum& acc = open_->accums[entry];
-  ++acc.packets;
-  Offender worst;
-  bool has_offender = false;
-  std::int64_t predicted = 0;
-  for (const Metric m : kAllMetrics) {
-    const int mi = metric_index(m);
-    if (m == Metric::kCycles && !options_.check_cycles) continue;
-    vms_[entry][mi].eval_batch(row, slot_stride_, 1, &predicted, scratch_);
-    if (options_.telemetry) ++tel_.vm_batch_evals;
-    const std::uint64_t value = measured[mi];
-    acc.metrics[mi].record(index, value, predicted);
-    if (static_cast<std::int64_t>(value) > predicted) {
-      acc.violation_margin_pm.add(
-          predicted > 0 ? (value - static_cast<std::uint64_t>(predicted)) *
-                              1000 / static_cast<std::uint64_t>(predicted)
-                        : kDegenerateUtilPm);
-    }
-    if (!has_offender ||
-        util_cmp(value, predicted, worst.measured, worst.predicted) > 0) {
-      has_offender = true;
-      worst.packet_index = index;
-      worst.metric = m;
-      worst.predicted = predicted;
-      worst.measured = value;
-    }
-  }
-  if (has_offender) acc.add_offender(worst, options_.max_offenders);
-  if (options_.telemetry) ++tel_.rows_validated;
-}
-
 void StreamMonitor::feed(const net::Packet& packet) {
   BOLT_CHECK(!finished_, "stream monitor: feed after finish");
   const std::uint64_t index = next_index_++;
-  const std::uint64_t ts = packet.timestamp_ns();
-  const std::uint64_t w = delta_window_ns_ > 0 ? ts / delta_window_ns_ : 0;
+  const std::uint64_t window_ns = compiled_.delta_window_ns;
+  const std::uint64_t w =
+      window_ns > 0 ? packet.timestamp_ns() / window_ns : 0;
 
   // The window clock advances on *every* packet of the global stream
   // (owned or not), so all fleet instances close the same windows at the
   // same stream positions.
+  const std::size_t entries = compiled_.bounds.size();
   if (!have_open_) {
     open_ = std::make_unique<WindowData>();
-    open_->accums.assign(contract_.entries().size(), ClassAccum{});
+    open_->accums.assign(entries, ClassAccum{});
     have_open_ = true;
     open_window_ = w;
   } else if (w > open_window_) {
     close_open(/*provisional=*/false);
-    open_->accums.assign(contract_.entries().size(), ClassAccum{});
+    open_->accums.assign(entries, ClassAccum{});
     open_->stats = WindowStats{};
     open_window_ = w;
   }
 
   const std::size_t p = partition_of(packet, options_.partitions);
   if (!owned(p)) return;
-  if (w < open_window_) ++open_->stats.late_packets;
-  ++open_->stats.packets;
+  WindowStats& st = open_->stats;
+  if (w < open_window_) ++st.late_packets;
+  ++st.packets;
   open_dirty_ = true;
 
-  if (partitions_[p] == nullptr) {
-    partitions_[p] = std::make_unique<Partition>(*this);
+  PartitionRunner& part = partition(p);
+  const PartitionRunner::Step s = part.step(packet);
+  if (s.swept) {
+    ++st.epoch_sweeps;
+    st.expired_idle += s.expired;
   }
-  Partition& part = *partitions_[p];
-
-  std::uint64_t straddle_leak = 0;
-  if (part.epochs_on) {
-    if (!part.have_epoch) {
-      part.have_epoch = true;
-      part.next_boundary =
-          (ts / options_.epoch_ns + 1) * options_.epoch_ns;
-    } else if (ts >= part.next_boundary) {
-      const std::uint64_t epoch = ts / options_.epoch_ns;
-      open_->stats.expired_idle +=
-          part.target.expire_state(epoch * options_.epoch_ns);
-      ++open_->stats.epoch_sweeps;
-      part.next_boundary = (epoch + 1) * options_.epoch_ns;
-      if (options_.inject_straddle_bug && ts == epoch * options_.epoch_ns) {
-        straddle_leak = 1;
-      }
-    }
-  }
-
-  part.scratch_pkt = packet;
-  if (options_.check_cycles) part.cycles.begin_packet();
-  part.runner->process_into(part.scratch_pkt, part.run);
-  if (part.target.has_state_observers()) {
-    open_->stats.high_water = std::max<std::uint64_t>(
-        open_->stats.high_water, part.target.state_occupancy());
-  }
-  if (options_.telemetry) ++tel_.packets_executed;
-
-  const std::uint32_t entry = part.resolver.resolve(
-      part.run, part.runner->labels(), kUnattributedEntry,
-      options_.telemetry ? &tel_.attr_memo_hits : nullptr);
-  if (entry == kUnattributedEntry) {
-    WindowStats& st = open_->stats;
+  st.high_water = std::max(st.high_water, s.occupancy);
+  if (s.entry == kUnattributedEntry) {
     if (!st.any_unattributed || index < st.first_unattributed) {
       st.any_unattributed = true;
       st.first_unattributed = index;
@@ -236,25 +104,29 @@ void StreamMonitor::feed(const net::Packet& packet) {
     return;
   }
 
-  constexpr std::uint32_t kUnmapped = ~0u;
-  std::fill(row_buf_.begin(), row_buf_.end(), 0);
-  for (const auto& [id, value] : part.run.pcvs.values()) {
-    if (id < part.pcv_slot.size() && part.pcv_slot[id] != kUnmapped) {
-      row_buf_[part.pcv_slot[id]] = value;
-    }
+  // Validate the row on its own: the stream has no batch to amortise over.
+  part.fill_row(row_buf_.data());
+  std::array<std::int64_t, 3> predicted{};
+  for (const perf::Metric m : perf::kAllMetrics) {
+    if (m == perf::Metric::kCycles && !options_.check_cycles) continue;
+    const int mi = perf::metric_index(m);
+    compiled_.bounds[s.entry][mi].eval_batch(
+        row_buf_.data(), compiled_.slot_stride, 1, &predicted[mi], scratch_);
+    if (options_.telemetry) ++tel_.vm_batch_evals;
   }
-  for (std::size_t flat = 0; flat < part.run.loop_trips.size(); ++flat) {
-    const std::uint64_t trips = part.run.loop_trips[flat];
-    if (trips != 0 && part.loop_slot[flat] != kUnmapped) {
-      row_buf_[part.loop_slot[flat]] = trips;
-    }
+  open_->accums[s.entry].add_row(index, s.measured, predicted,
+                                 options_.check_cycles,
+                                 options_.max_offenders);
+  if (options_.telemetry) ++tel_.rows_validated;
+}
+
+PartitionRunner& StreamMonitor::partition(std::size_t p) {
+  if (partitions_[p] == nullptr) {
+    partitions_[p] = std::make_unique<PartitionRunner>(
+        compiled_, options_, factory_,
+        options_.telemetry ? &tel_ : nullptr);
   }
-  const std::array<std::uint64_t, 3> measured = {
-      part.run.instructions + straddle_leak,
-      part.run.mem_accesses,
-      options_.check_cycles ? part.cycles.packet_cycles() : 0,
-  };
-  validate_row(index, w, entry, row_buf_.data(), measured);
+  return *partitions_[p];
 }
 
 void StreamMonitor::close_open(bool provisional) {
@@ -263,7 +135,7 @@ void StreamMonitor::close_open(bool provisional) {
 
   ClosedWindow cw;
   cw.window = open_window_;
-  cw.window_ns = delta_window_ns_;
+  cw.window_ns = compiled_.delta_window_ns;
   cw.provisional = provisional;
   cw.accums = &open_->accums;
   cw.stats = &open_->stats;
@@ -272,7 +144,7 @@ void StreamMonitor::close_open(bool provisional) {
   // batch stream never contains a window without it.
   std::uint64_t attributed = 0;
   for (const ClassAccum& acc : open_->accums) attributed += acc.packets;
-  if (delta_window_ns_ > 0 && attributed > 0) {
+  if (cw.window_ns > 0 && attributed > 0) {
     std::vector<DeltaEntryAccum> slices;
     slices.reserve(open_->accums.size());
     for (const ClassAccum& acc : open_->accums) {
@@ -283,11 +155,11 @@ void StreamMonitor::close_open(bool provisional) {
       // authoritative close will); a throwaway detector with a single
       // window can never reach min_points, so alerts stay empty.
       obs::DriftDetector scratch(options_.drift);
-      cw.delta = build_delta_window(open_window_, delta_window_ns_,
-                                    entry_names_, slices, scratch, nullptr);
+      cw.delta = build_delta_window(open_window_, cw.window_ns,
+                                    entry_names(), slices, scratch, nullptr);
     } else {
-      cw.delta = build_delta_window(open_window_, delta_window_ns_,
-                                    entry_names_, slices, detector_, &alerts_);
+      cw.delta = build_delta_window(open_window_, cw.window_ns,
+                                    entry_names(), slices, detector_, &alerts_);
     }
     cw.has_delta = true;
   }
@@ -337,21 +209,17 @@ StreamResult StreamMonitor::finish() {
   // partition is counted exactly once, same as a single monitor.
   if (track_state_) {
     for (std::size_t p = 0; p < partitions_.size(); ++p) {
-      if (!owned(p)) continue;
-      if (partitions_[p] == nullptr) {
-        partitions_[p] = std::make_unique<Partition>(*this);
-      }
-      totals_.residents += partitions_[p]->target.state_occupancy();
+      if (owned(p)) totals_.residents += partition(p).occupancy();
     }
   }
 
   StreamResult out;
   std::vector<ClassAccum> merged = std::move(total_accums_);
-  total_accums_.assign(contract_.entries().size(), ClassAccum{});
-  out.report = build_report(contract_.nf_name(), next_index_,
+  total_accums_.assign(compiled_.bounds.size(), ClassAccum{});
+  out.report = build_report(compiled_.contract.nf_name(), next_index_,
                             options_.partitions, options_.check_cycles,
-                            options_.epoch_ns, entry_names_, std::move(merged),
-                            totals_);
+                            options_.epoch_ns, entry_names(),
+                            std::move(merged), totals_);
   out.observations.alerts = alerts_;
   // Merge-time facts are mirrored whether or not counter collection was on
   // — same as the batch engine (counters stay zero when telemetry is off).

@@ -32,11 +32,11 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "monitor/accum.h"
 #include "monitor/monitor.h"
+#include "monitor/partition.h"
 #include "net/packet.h"
 #include "obs/telemetry.h"
 #include "perf/expr_vm.h"
@@ -133,36 +133,29 @@ class StreamMonitor {
   /// execution-shaped and never byte-pinned, so a mid-run snapshot is fine.
   obs::MonitorTelemetry telemetry_snapshot() const;
 
-  const std::vector<std::string>& entry_names() const { return entry_names_; }
+  const std::vector<std::string>& entry_names() const {
+    return compiled_.entry_names;
+  }
   const MonitorOptions& options() const { return options_; }
   const FleetOptions& fleet() const { return fleet_; }
-  std::uint64_t delta_window_ns() const { return delta_window_ns_; }
+  std::uint64_t delta_window_ns() const { return compiled_.delta_window_ns; }
 
  private:
-  struct Partition;   ///< lazily built per-partition NF instance + clock
   struct WindowData;  ///< the open window's accumulators + stats
 
   bool owned(std::size_t partition) const;
+  /// The runner for partition `p`, built on first use.
+  PartitionRunner& partition(std::size_t p);
   void close_open(bool provisional);
-  void validate_row(std::uint64_t index, std::uint64_t window_hint,
-                    std::uint32_t entry, const std::uint64_t* row,
-                    const std::array<std::uint64_t, 3>& measured);
 
-  const perf::Contract& contract_;
-  const perf::PcvRegistry& reg_;
   MonitorEngine::TargetFactory factory_;
   MonitorOptions options_;
   FleetOptions fleet_;
   WindowFn on_window_;
-
-  std::vector<std::array<perf::CompiledExpr, 3>> vms_;
-  std::unordered_map<std::string, std::size_t> entry_index_;
-  std::vector<std::string> entry_names_;
-  std::size_t slot_stride_ = 0;
-  std::uint64_t delta_window_ns_ = 0;
+  const CompiledContract compiled_;
   bool track_state_ = false;
 
-  std::vector<std::unique_ptr<Partition>> partitions_;
+  std::vector<std::unique_ptr<PartitionRunner>> partitions_;
   std::unique_ptr<WindowData> open_;
   bool have_open_ = false;
   std::uint64_t open_window_ = 0;

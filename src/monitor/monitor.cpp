@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
-#include <thread>
 
-#include "core/classkey.h"
 #include "monitor/accum.h"
-#include "monitor/attribute.h"
+#include "monitor/partition.h"
 #include "net/flow.h"
 #include "net/headers.h"
 #include "obs/delta.h"
 #include "obs/drift.h"
 #include "perf/expr_vm.h"
-#include "perf/quantile_sketch.h"
 #include "support/assert.h"
-#include "support/spsc_ring.h"
 #include "support/thread_pool.h"
 
 namespace bolt::monitor {
@@ -26,377 +21,177 @@ namespace bolt::monitor {
 // the fleet merger (obs/fleet.cpp), which must produce byte-identical
 // output to this engine.
 
-namespace {
-
-using perf::Metric;
-using perf::kAllMetrics;
-using perf::metric_index;
-
-}  // namespace
-
-struct MonitorEngine::EntryVm {
-  std::array<perf::CompiledExpr, 3> exprs;
-};
-
 /// One batch of attributed packets for one contract entry, laid out
 /// structure-of-arrays: a dense (rows x stride) PCV slot matrix plus one
-/// column per measured metric and the global packet indices. This is both
-/// the unit the validate stage amortises over and the message type on the
-/// pipeline's SPSC rings.
+/// column per measured metric and the global packet indices — the unit
+/// bound evaluation is amortised over.
 struct MonitorEngine::SoaBatch {
   std::uint32_t entry = 0;  ///< contract entry all rows belong to
-  std::uint32_t queue = 0;  ///< work queue that produced the rows
   std::size_t rows = 0;
-  std::vector<std::uint64_t> slots;  ///< rows x slot_stride_ PCV values
+  std::vector<std::uint64_t> slots;  ///< rows x slot_stride PCV values
   std::array<std::vector<std::uint64_t>, 3> measured;  ///< per metric_index
   std::vector<std::uint64_t> indices;  ///< global packet indices
   std::vector<std::uint64_t> windows;  ///< delta window ids (delta mode only)
 };
 
-/// Everything one work queue accumulates. The execute/attribute stage owns
-/// the unattributed/state fields, the validate stage owns `classes`; in
-/// pipelined execution the two stages run on different threads and the
-/// field split is what keeps them race-free without locks.
+/// Everything one work queue accumulates, merged once at end of run.
 struct MonitorEngine::QueueResult {
-  std::vector<ClassAccum> classes;  // written by the validate stage
-  /// Delta-report mode: window id -> per-entry accumulation. Written by the
-  /// validate stage, like `classes`; std::map so the end-of-run merge walks
-  /// windows in order (node-based, so cached vector pointers stay valid).
+  std::vector<ClassAccum> classes;
+  /// Delta-report mode: window id -> per-entry accumulation; std::map so
+  /// the end-of-run merge walks windows in order (node-based, so cached
+  /// vector pointers stay valid).
   std::map<std::uint64_t, std::vector<DeltaEntryAccum>> delta_windows;
-  obs::MonitorTelemetry val_tel;   ///< validate-stage telemetry counters
-  // -- written by the execute/attribute stage --
-  obs::MonitorTelemetry exec_tel;  ///< execute-stage telemetry counters
-  std::uint64_t unattributed = 0;
-  std::uint64_t first_unattributed = 0;
-  bool any_unattributed = false;
-  std::uint64_t epoch_sweeps = 0;
-  std::uint64_t expired_idle = 0;
-  std::uint64_t high_water = 0;
-  std::uint64_t residents = 0;
-  bool state_tracked = false;
+  RunTotals totals;
+  obs::MonitorTelemetry tel;
 };
 
-/// The validate stage: evaluates a batch's compiled bounds and folds every
-/// row into the owning queue's ClassAccum. Holds the reusable expression
-/// scratch, so steady-state validation performs no allocations.
-class MonitorEngine::Validator {
- public:
-  Validator(const MonitorEngine& e, std::vector<QueueResult>& results)
-      : e_(e), results_(results) {}
-
-  void validate(const SoaBatch& b) {
-    const std::size_t rows = b.rows;
-    if (rows == 0) return;
-    const std::size_t stride = e_.slot_stride_;
-    ClassAccum& acc = results_[b.queue].classes[b.entry];
-    obs::MonitorTelemetry* tel =
-        e_.options_.telemetry ? &results_[b.queue].val_tel : nullptr;
-    for (const Metric m : kAllMetrics) {
-      const int mi = metric_index(m);
-      if (m == Metric::kCycles && !e_.options_.check_cycles) continue;
-      if (predicted_[mi].size() < rows) predicted_[mi].resize(rows);
-      if (e_.options_.use_compiled_exprs) {
-        e_.vms_[b.entry].exprs[mi].eval_batch(b.slots.data(), stride, rows,
-                                              predicted_[mi].data(), scratch_);
-        if (tel != nullptr) ++tel->vm_batch_evals;
-      } else {
-        // Tree-walk baseline: rebuild a binding per row.
-        const perf::PerfExpr& expr =
-            e_.contract_.entries()[b.entry].perf.get(m);
-        for (std::size_t r = 0; r < rows; ++r) {
-          perf::PcvBinding bind;
-          const std::uint64_t* row = b.slots.data() + r * stride;
-          for (std::size_t s = 0; s < stride; ++s) {
-            if (row[s] != 0) bind.set(static_cast<perf::PcvId>(s), row[s]);
-          }
-          predicted_[mi][r] = expr.eval(bind);
-        }
-      }
-    }
-    if (tel != nullptr) tel->rows_validated += rows;
-    acc.packets += rows;
-    const bool delta_on = e_.delta_window_ns_ > 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      DeltaEntryAccum* da =
-          delta_on ? delta_for(b.queue, b.windows[r], b.entry) : nullptr;
-      if (da != nullptr) ++da->packets;
-      Offender worst;
-      bool has_offender = false;
-      for (const Metric m : kAllMetrics) {
-        const int mi = metric_index(m);
-        if (m == Metric::kCycles && !e_.options_.check_cycles) continue;
-        const std::uint64_t measured = b.measured[mi][r];
-        const std::int64_t bound = predicted_[mi][r];
-        acc.metrics[mi].record(b.indices[r], measured, bound);
-        if (da != nullptr) {
-          da->headroom_pm[mi].add(util_pm(measured, bound));
-          if (static_cast<std::int64_t>(measured) > bound) {
-            ++da->violations[mi];
-          }
-        }
-        if (static_cast<std::int64_t>(measured) > bound) {
-          // Violation margin in per-mille of the bound (how far past it).
-          acc.violation_margin_pm.add(
-              bound > 0 ? (measured - static_cast<std::uint64_t>(bound)) *
-                              1000 / static_cast<std::uint64_t>(bound)
-                        : kDegenerateUtilPm);
-        }
-        if (!has_offender ||
-            util_cmp(measured, bound, worst.measured, worst.predicted) > 0) {
-          has_offender = true;
-          worst.packet_index = b.indices[r];
-          worst.metric = m;
-          worst.predicted = bound;
-          worst.measured = measured;
-        }
-      }
-      if (has_offender) acc.add_offender(worst, e_.options_.max_offenders);
-    }
-  }
-
- private:
-  /// The (queue, window) -> per-entry delta accumulators lookup, memoised:
-  /// consecutive batches overwhelmingly land in the same window, so the
-  /// common case is two compares. Map nodes are stable, so the cached
-  /// pointer survives later insertions.
-  DeltaEntryAccum* delta_for(std::uint32_t queue, std::uint64_t window,
-                             std::uint32_t entry) {
-    if (cached_accums_ == nullptr || queue != cached_queue_ ||
-        window != cached_window_) {
-      auto [it, inserted] = results_[queue].delta_windows.try_emplace(window);
-      if (inserted) it->second.resize(e_.contract_.entries().size());
-      cached_accums_ = &it->second;
-      cached_queue_ = queue;
-      cached_window_ = window;
-    }
-    return &(*cached_accums_)[entry];
-  }
-
-  const MonitorEngine& e_;
-  std::vector<QueueResult>& results_;
-  perf::BatchScratch scratch_;
-  std::array<std::vector<std::int64_t>, 3> predicted_;
-  std::vector<DeltaEntryAccum>* cached_accums_ = nullptr;
-  std::uint32_t cached_queue_ = 0;
-  std::uint64_t cached_window_ = 0;
-};
-
-/// The execute + attribute stages for one or more work queues: streams
-/// each partition's packets through a fresh NF instance, resolves every
-/// run's class key to a contract entry (allocation-free — a reused key
-/// buffer plus a last-key memo), and appends rows to per-entry SoaBatch
-/// buffers. Full batches go to the inline Validator, or over the SPSC
-/// ring to the validate thread (with emptied buffers recycled back).
+/// Runs one work queue to completion on the calling thread: steps each
+/// partition's packets through a fresh PartitionRunner, appends attributed
+/// rows to per-entry SoaBatch buffers, and validates each batch in place
+/// when it fills (evaluating the entry's compiled bounds over the whole
+/// batch) and at the end. Holds the reusable buffers and expression
+/// scratch, so steady-state monitoring performs no allocations.
 class MonitorEngine::QueueTask {
  public:
   QueueTask(const MonitorEngine& e, const std::vector<net::Packet>& packets,
             const TargetFactory& factory,
-            std::vector<std::uint32_t>* attribution,
-            std::vector<QueueResult>& results, Validator* inline_validator,
-            support::SpscRing<SoaBatch>* ring,
-            support::SpscRing<SoaBatch>* recycle)
+            std::vector<std::uint32_t>* attribution, QueueResult& out)
       : e_(e),
+        cc_(*e.compiled_),
         packets_(packets),
         factory_(factory),
         attribution_(attribution),
-        results_(results),
-        validator_(inline_validator),
-        ring_(ring),
-        recycle_(recycle),
+        out_(out),
+        tel_(e.options_.telemetry ? &out.tel : nullptr),
         capacity_(e.options_.batch) {
-    pending_.resize(e_.contract_.entries().size());
+    pending_.resize(cc_.bounds.size());
     for (std::size_t entry = 0; entry < pending_.size(); ++entry) {
       pending_[entry].entry = static_cast<std::uint32_t>(entry);
     }
+    // Unchecked cycles keep a zero bound column (never evaluated).
+    for (auto& col : predicted_) col.assign(capacity_, 0);
+    out_.classes.assign(cc_.bounds.size(), ClassAccum{});
   }
 
-  /// Processes every partition of work queue `queue` (partition ids in
-  /// `members`, per-partition packet index lists in `work`), then flushes
-  /// all pending batches — rows never cross a queue boundary.
-  void run_queue(std::uint32_t queue, const std::vector<std::size_t>& members,
-                 const std::vector<std::vector<std::uint64_t>>& work) {
-    queue_ = queue;
-    tel_ = e_.options_.telemetry ? &results_[queue].exec_tel : nullptr;
-    for (SoaBatch& b : pending_) b.queue = queue;
-    for (const std::size_t p : members) run_partition(work[p]);
+  void run_partition(const std::vector<std::uint64_t>& indices) {
+    PartitionRunner part(cc_, e_.options_, factory_, tel_);
+    const std::size_t stride = cc_.slot_stride;
+    RunTotals& totals = out_.totals;
+    for (const std::uint64_t index : indices) {
+      const PartitionRunner::Step s = part.step(packets_[index]);
+      if (s.swept) {
+        ++totals.epoch_sweeps;
+        totals.expired_idle += s.expired;
+      }
+      totals.high_water = std::max(totals.high_water, s.occupancy);
+      if (attribution_ != nullptr) (*attribution_)[index] = s.entry;
+      if (s.entry == kUnattributedEntry) {
+        if (!totals.any_unattributed || index < totals.first_unattributed) {
+          totals.any_unattributed = true;
+          totals.first_unattributed = index;
+        }
+        ++totals.unattributed;
+        continue;
+      }
+      SoaBatch& batch = pending_[s.entry];
+      ensure_buffers(batch);
+      part.fill_row(batch.slots.data() + batch.rows * stride);
+      for (std::size_t mi = 0; mi < 3; ++mi) {
+        batch.measured[mi][batch.rows] = s.measured[mi];
+      }
+      batch.indices[batch.rows] = index;
+      if (cc_.delta_window_ns > 0) {
+        // Semantic window id — a pure function of the packet timestamp, so
+        // the delta stream inherits the report's determinism.
+        batch.windows[batch.rows] =
+            packets_[index].timestamp_ns() / cc_.delta_window_ns;
+      }
+      if (++batch.rows >= capacity_) validate(batch);
+    }
+    totals.state_tracked = totals.state_tracked || part.tracks_state();
+    if (part.tracks_state()) totals.residents += part.occupancy();
+  }
+
+  /// Validates every partially filled batch — rows never cross a queue.
+  void flush() {
     for (SoaBatch& b : pending_) {
-      if (b.rows > 0) emit(b);
+      if (b.rows > 0) validate(b);
     }
   }
 
  private:
   void ensure_buffers(SoaBatch& b) {
     if (!b.slots.empty()) return;
-    b.slots.resize(capacity_ * e_.slot_stride_);
+    b.slots.resize(capacity_ * cc_.slot_stride);
     for (auto& col : b.measured) col.resize(capacity_);
     b.indices.resize(capacity_);
     b.windows.resize(capacity_);
   }
 
-  /// Hands a full (or final partial) batch to the validate stage. In
-  /// pipelined mode the batch buffer is replaced by a recycled one coming
-  /// back over the return ring (or a fresh one when the return ring is
-  /// momentarily empty); inline mode validates in place and reuses it.
-  void emit(SoaBatch& b) {
+  /// Evaluates the batch's compiled bounds and folds every row into the
+  /// queue's ClassAccum (and delta window), then empties the batch.
+  void validate(SoaBatch& b) {
+    const std::size_t rows = b.rows;
+    const bool check_cycles = e_.options_.check_cycles;
     if (tel_ != nullptr) {
       ++tel_->batches_emitted;
-      tel_->batch_rows += b.rows;
-      tel_->batch_fill.add(b.rows);
+      tel_->batch_rows += rows;
+      tel_->batch_fill.add(rows);
     }
-    if (ring_ != nullptr) {
-      SoaBatch fresh;
-      const bool recycled = recycle_->try_pop(fresh);
-      if (tel_ != nullptr) {
-        ++(recycled ? tel_->recycle_hits : tel_->recycle_misses);
+    for (const perf::Metric m : perf::kAllMetrics) {
+      if (m == perf::Metric::kCycles && !check_cycles) continue;
+      const int mi = perf::metric_index(m);
+      cc_.bounds[b.entry][mi].eval_batch(b.slots.data(), cc_.slot_stride,
+                                         rows, predicted_[mi].data(),
+                                         scratch_);
+      if (tel_ != nullptr) ++tel_->vm_batch_evals;
+    }
+    if (tel_ != nullptr) tel_->rows_validated += rows;
+    ClassAccum& acc = out_.classes[b.entry];
+    std::array<std::uint64_t, 3> measured{};
+    std::array<std::int64_t, 3> predicted{};
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t mi = 0; mi < 3; ++mi) {
+        measured[mi] = b.measured[mi][r];
+        predicted[mi] = predicted_[mi][r];
       }
-      fresh.entry = b.entry;
-      fresh.queue = queue_;
-      fresh.rows = 0;
-      ring_->push(std::move(b));
-      b = std::move(fresh);
-    } else {
-      validator_->validate(b);
-      b.rows = 0;
+      acc.add_row(b.indices[r], measured, predicted, check_cycles,
+                  e_.options_.max_offenders);
+      if (cc_.delta_window_ns > 0) {
+        delta_for(b.windows[r], b.entry)
+            .add_row(measured, predicted, check_cycles);
+      }
     }
+    b.rows = 0;
   }
 
-  void run_partition(const std::vector<std::uint64_t>& indices) {
-    QueueResult& out = results_[queue_];
-
-    // Fresh per-partition state, described by a partition-local PCV
-    // registry; map its ids onto the contract registry's by name once, up
-    // front.
-    perf::PcvRegistry local_reg;
-    const core::NfTarget target = factory_(local_reg);
-    constexpr std::uint32_t kUnmapped = ~0u;
-    std::vector<std::uint32_t> pcv_slot(local_reg.size(), kUnmapped);
-    for (const perf::PcvId id : local_reg.all()) {
-      const std::string& name = local_reg.name(id);
-      if (e_.reg_.contains(name)) pcv_slot[id] = e_.reg_.require(name);
+  /// The window -> per-entry delta accumulators lookup, memoised:
+  /// consecutive rows overwhelmingly land in the same window, so the
+  /// common case is one compare. Map nodes are stable, so the cached
+  /// pointer survives later insertions.
+  DeltaEntryAccum& delta_for(std::uint64_t window, std::uint32_t entry) {
+    if (cached_accums_ == nullptr || window != cached_window_) {
+      auto [it, inserted] = out_.delta_windows.try_emplace(window);
+      if (inserted) it->second.resize(cc_.bounds.size());
+      cached_accums_ = &it->second;
+      cached_window_ = window;
     }
-    resolver_.bind(target);
-
-    hw::ConservativeModel cycles(e_.options_.cycle_costs);
-    const bool check_cycles = e_.options_.check_cycles;
-    const auto runner =
-        target.make_runner(e_.options_.framework,
-                           check_cycles ? &cycles : nullptr,
-                           e_.options_.engine);
-    ir::RunLabels& labels = runner->labels();
-
-    // Loop-trip PCVs (linearised loop families): flat loop slot -> contract
-    // slot of the PCV named after the loop (kUnmapped when the contract
-    // does not price that loop).
-    std::vector<std::uint32_t> loop_slot(labels.loop_count(), kUnmapped);
-    for (std::size_t flat = 0; flat < labels.loop_count(); ++flat) {
-      const std::string& name = labels.loop_name(flat);
-      if (e_.reg_.contains(name)) loop_slot[flat] = e_.reg_.require(name);
-    }
-
-    // Deterministic epoch clock: driven purely by this partition's packet
-    // timestamps (never wall-clock), so every crossing — and therefore
-    // every idle-expiry sweep and occupancy sample — is a pure function of
-    // the trace and the partition count. The per-packet check is a single
-    // compare against the next boundary; the division only runs at
-    // crossings.
-    const bool track_state = target.has_state_observers();
-    const bool epochs_on = e_.options_.epoch_ns > 0 && track_state;
-    bool have_epoch = false;
-    std::uint64_t next_boundary = 0;
-
-    const std::size_t stride = e_.slot_stride_;
-    const std::uint64_t delta_window_ns = e_.delta_window_ns_;
-    for (const std::uint64_t index : indices) {
-      std::uint64_t straddle_leak = 0;
-      if (epochs_on) {
-        const std::uint64_t ts = packets_[index].timestamp_ns();
-        if (!have_epoch) {
-          have_epoch = true;
-          next_boundary = (ts / e_.options_.epoch_ns + 1) * e_.options_.epoch_ns;
-        } else if (ts >= next_boundary) {
-          // Sweep state stale as of the boundary the clock just crossed.
-          const std::uint64_t epoch = ts / e_.options_.epoch_ns;
-          out.expired_idle +=
-              target.expire_state(epoch * e_.options_.epoch_ns);
-          ++out.epoch_sweeps;
-          next_boundary = (epoch + 1) * e_.options_.epoch_ns;
-          // Test-only seeded bug (MonitorOptions::inject_straddle_bug):
-          // leak one instruction of sweep cost into a packet sitting
-          // exactly on the boundary it just triggered.
-          if (e_.options_.inject_straddle_bug &&
-              ts == epoch * e_.options_.epoch_ns) {
-            straddle_leak = 1;
-          }
-        }
-      }
-
-      scratch_pkt_ = packets_[index];  // the NF mutates headers
-      if (check_cycles) cycles.begin_packet();
-      runner->process_into(scratch_pkt_, run_);
-      if (track_state) {
-        out.high_water = std::max<std::uint64_t>(out.high_water,
-                                                 target.state_occupancy());
-      }
-
-      const std::uint32_t entry =
-          resolver_.resolve(run_, labels, kUnattributedEntry,
-                            tel_ != nullptr ? &tel_->attr_memo_hits : nullptr);
-      if (attribution_ != nullptr) (*attribution_)[index] = entry;
-      if (entry == kUnattributedEntry) {
-        if (!out.any_unattributed || index < out.first_unattributed) {
-          out.any_unattributed = true;
-          out.first_unattributed = index;
-        }
-        ++out.unattributed;
-        continue;
-      }
-
-      SoaBatch& b = pending_[entry];
-      ensure_buffers(b);
-      std::uint64_t* row = b.slots.data() + b.rows * stride;
-      std::fill_n(row, stride, 0);
-      for (const auto& [id, value] : run_.pcvs.values()) {
-        if (id < pcv_slot.size() && pcv_slot[id] != kUnmapped) {
-          row[pcv_slot[id]] = value;
-        }
-      }
-      for (std::size_t flat = 0; flat < run_.loop_trips.size(); ++flat) {
-        const std::uint64_t trips = run_.loop_trips[flat];
-        if (trips != 0 && loop_slot[flat] != kUnmapped) {
-          row[loop_slot[flat]] = trips;
-        }
-      }
-      b.measured[0][b.rows] = run_.instructions + straddle_leak;
-      b.measured[1][b.rows] = run_.mem_accesses;
-      b.measured[2][b.rows] = check_cycles ? cycles.packet_cycles() : 0;
-      b.indices[b.rows] = index;
-      if (delta_window_ns > 0) {
-        // Semantic window id — a pure function of the packet timestamp, so
-        // the delta stream inherits the report's determinism.
-        b.windows[b.rows] = packets_[index].timestamp_ns() / delta_window_ns;
-      }
-      if (++b.rows >= capacity_) emit(b);
-    }
-    if (tel_ != nullptr) tel_->packets_executed += indices.size();
-    out.state_tracked = out.state_tracked || track_state;
-    if (track_state) out.residents += target.state_occupancy();
+    return (*cached_accums_)[entry];
   }
 
   const MonitorEngine& e_;
+  const CompiledContract& cc_;
   const std::vector<net::Packet>& packets_;
   const TargetFactory& factory_;
   std::vector<std::uint32_t>* attribution_;
-  std::vector<QueueResult>& results_;
-  Validator* validator_;                 ///< inline mode
-  support::SpscRing<SoaBatch>* ring_;    ///< pipelined mode: to validate
-  support::SpscRing<SoaBatch>* recycle_; ///< pipelined mode: buffers back
-  const std::size_t capacity_;           ///< rows per batch
-  std::uint32_t queue_ = 0;
-  obs::MonitorTelemetry* tel_ = nullptr; ///< current queue's exec telemetry
-  std::vector<SoaBatch> pending_;        ///< one open batch per entry
-  net::Packet scratch_pkt_;              ///< reused packet copy
-  ir::RunResult run_;                    ///< reused run result
-  ClassResolver resolver_{&e_.entry_index_};  ///< class-key attribution
+  QueueResult& out_;
+  obs::MonitorTelemetry* tel_;  ///< null when telemetry is off
+  const std::size_t capacity_;  ///< rows per batch
+  std::vector<SoaBatch> pending_;  ///< one open batch per entry
+  perf::BatchScratch scratch_;
+  std::array<std::vector<std::int64_t>, 3> predicted_;  ///< bound columns
+  std::vector<DeltaEntryAccum>* cached_accums_ = nullptr;
+  std::uint64_t cached_window_ = 0;
 };
 
 std::size_t partition_of(const net::Packet& packet, std::size_t partitions) {
@@ -415,25 +210,10 @@ std::size_t partition_of(const net::Packet& packet, std::size_t partitions) {
 MonitorEngine::MonitorEngine(const perf::Contract& contract,
                              const perf::PcvRegistry& reg,
                              MonitorOptions options)
-    : contract_(contract), reg_(reg), options_(options) {
+    : options_(options) {
   if (options_.partitions == 0) options_.partitions = 1;
   if (options_.batch == 0) options_.batch = 1;
-  vms_.reserve(contract_.entries().size());
-  slot_stride_ = std::max<std::size_t>(reg_.size(), 1);
-  for (std::size_t i = 0; i < contract_.entries().size(); ++i) {
-    const perf::ContractEntry& entry = contract_.entries()[i];
-    EntryVm vm;
-    for (const Metric m : kAllMetrics) {
-      vm.exprs[metric_index(m)] = perf::CompiledExpr::compile(entry.perf.get(m));
-      slot_stride_ =
-          std::max(slot_stride_, vm.exprs[metric_index(m)].slot_count());
-    }
-    vms_.push_back(std::move(vm));
-    entry_index_.emplace(entry.input_class, i);
-  }
-  if (options_.delta_every > 0 && options_.epoch_ns > 0) {
-    delta_window_ns_ = options_.epoch_ns * options_.delta_every;
-  }
+  compiled_ = std::make_unique<const CompiledContract>(contract, reg, options_);
 }
 
 MonitorEngine::~MonitorEngine() = default;
@@ -496,108 +276,41 @@ MonitorReport MonitorEngine::run(const std::vector<net::Packet>& packets,
     }
   }
 
-  // Per-queue accumulation, merged exactly once at end of run.
+  // Each queue runs to completion on one pool thread; results are merged
+  // exactly once at end of run.
   std::vector<QueueResult> queue_results(shards);
-  for (QueueResult& qr : queue_results) {
-    qr.classes.assign(contract_.entries().size(), ClassAccum{});
-  }
-
-  const std::size_t resolved = support::resolve_threads(options_.threads);
-  const bool pipelined = options_.pipeline && resolved >= 2;
-  std::vector<support::SpscRingStats> ring_stats;
-  if (pipelined) {
-    // Staged execution: worker pairs, each an execute/attribute producer
-    // and a validate consumer connected by an SPSC ring (plus a return
-    // ring recycling emptied batch buffers). Pair w owns queues w, w+P,
-    // w+2P, ... — ownership is static, so every ring stays strictly
-    // single-producer/single-consumer.
-    const std::size_t pairs =
-        std::min(shards, std::max<std::size_t>(1, resolved / 2));
-    constexpr std::size_t kRingDepth = 8;
-    std::vector<std::unique_ptr<support::SpscRing<SoaBatch>>> rings;
-    std::vector<std::unique_ptr<support::SpscRing<SoaBatch>>> returns;
-    for (std::size_t w = 0; w < pairs; ++w) {
-      rings.push_back(std::make_unique<support::SpscRing<SoaBatch>>(kRingDepth));
-      returns.push_back(
-          std::make_unique<support::SpscRing<SoaBatch>>(kRingDepth));
-    }
-    if (options_.telemetry) {
-      // Attach producer-owned ring stats before the producers start.
-      ring_stats.resize(pairs);
-      for (std::size_t w = 0; w < pairs; ++w) {
-        rings[w]->set_stats(&ring_stats[w]);
-      }
-    }
-    std::vector<std::thread> stage_threads;
-    stage_threads.reserve(pairs * 2);
-    for (std::size_t w = 0; w < pairs; ++w) {
-      stage_threads.emplace_back([&, w] {
-        QueueTask task(*this, packets, factory, attribution, queue_results,
-                       nullptr, rings[w].get(), returns[w].get());
-        for (std::size_t s = w; s < shards; s += pairs) {
-          task.run_queue(static_cast<std::uint32_t>(s), queue[s], work);
-        }
-        rings[w]->close();
-      });
-      stage_threads.emplace_back([&, w] {
-        Validator validator(*this, queue_results);
-        SoaBatch b;
-        while (rings[w]->pop(b)) {
-          validator.validate(b);
-          b.rows = 0;
-          returns[w]->try_push(b);  // full return ring: drop, producer allocs
-        }
-      });
-    }
-    for (std::thread& t : stage_threads) t.join();
-  } else {
-    // Inline execution: each queue runs both stages on one pool thread.
-    support::ThreadPool pool(std::min(resolved, shards));
-    pool.parallel_for(0, shards, [&](std::size_t s) {
-      Validator validator(*this, queue_results);
-      QueueTask task(*this, packets, factory, attribution, queue_results,
-                     &validator, nullptr, nullptr);
-      task.run_queue(static_cast<std::uint32_t>(s), queue[s], work);
-    });
-  }
+  support::ThreadPool pool(
+      std::min(support::resolve_threads(options_.threads), shards));
+  pool.parallel_for(0, shards, [&](std::size_t s) {
+    QueueTask task(*this, packets, factory, attribution, queue_results[s]);
+    for (const std::size_t p : queue[s]) task.run_partition(work[p]);
+    task.flush();
+  });
 
   // Deterministic merge in queue order (order-independent accumulators, so
   // any queue composition yields the same bytes), rendered through the
   // shared build_report path (monitor/accum.h).
-  std::vector<std::string> entry_names;
-  entry_names.reserve(contract_.entries().size());
-  for (const perf::ContractEntry& entry : contract_.entries()) {
-    entry_names.push_back(entry.input_class);
-  }
-  std::vector<ClassAccum> merged(contract_.entries().size());
+  const CompiledContract& cc = *compiled_;
+  std::vector<ClassAccum> merged(cc.bounds.size());
   RunTotals totals;
   for (const QueueResult& qr : queue_results) {
     for (std::size_t e = 0; e < merged.size(); ++e) {
       merged[e].merge(qr.classes[e], options_.max_offenders);
     }
-    RunTotals qt;
-    qt.unattributed = qr.unattributed;
-    qt.first_unattributed = qr.first_unattributed;
-    qt.any_unattributed = qr.any_unattributed;
-    qt.epoch_sweeps = qr.epoch_sweeps;
-    qt.expired_idle = qr.expired_idle;
-    qt.high_water = qr.high_water;
-    qt.residents = qr.residents;
-    qt.state_tracked = qr.state_tracked;
-    totals.merge(qt);
+    totals.merge(qr.totals);
   }
   MonitorReport report =
-      build_report(contract_.nf_name(), packets.size(), partitions,
-                   options_.check_cycles, options_.epoch_ns, entry_names,
+      build_report(cc.contract.nf_name(), packets.size(), partitions,
+                   options_.check_cycles, options_.epoch_ns, cc.entry_names,
                    std::move(merged), totals);
 
   if (observations != nullptr) {
     *observations = obs::RunObservations{};
-    if (delta_window_ns_ > 0) {
+    if (cc.delta_window_ns > 0) {
       // Merge the per-queue window maps in queue order. Window ids are
       // semantic and every accumulator is order-independent, so the merged
       // stream is byte-deterministic across the execution knobs.
-      const std::size_t entries = contract_.entries().size();
+      const std::size_t entries = cc.bounds.size();
       std::map<std::uint64_t, std::vector<DeltaEntryAccum>> windows;
       for (const QueueResult& qr : queue_results) {
         for (const auto& [w, accums] : qr.delta_windows) {
@@ -612,23 +325,14 @@ MonitorReport MonitorEngine::run(const std::vector<net::Packet>& packets,
       observations->deltas.reserve(windows.size());
       for (const auto& [w, accums] : windows) {
         observations->deltas.push_back(
-            build_delta_window(w, delta_window_ns_, entry_names, accums,
+            build_delta_window(w, cc.delta_window_ns, cc.entry_names, accums,
                                detector, &observations->alerts));
       }
     }
-    // Fold the per-queue telemetry halves, then mirror the merge-time
-    // facts the report already computed.
+    // Fold the per-queue telemetry, then mirror the merge-time facts the
+    // report already computed.
     obs::MonitorTelemetry& tel = observations->telemetry;
-    for (const QueueResult& qr : queue_results) {
-      tel.merge(qr.exec_tel);
-      tel.merge(qr.val_tel);
-    }
-    for (const support::SpscRingStats& rs : ring_stats) {
-      tel.ring_pushes += rs.pushes;
-      tel.ring_stalls += rs.stalls;
-      tel.ring_occupancy_high_water =
-          std::max(tel.ring_occupancy_high_water, rs.occupancy_high_water);
-    }
+    for (const QueueResult& qr : queue_results) tel.merge(qr.tel);
     tel.epoch_sweeps = report.epoch_sweeps;
     tel.state_high_water = report.state_high_water;
     tel.delta_windows = observations->deltas.size();

@@ -15,24 +15,27 @@
 // through perf/contract_io (`bolt_cli monitor --contract FILE.json`), in
 // which case no symbolic execution happens at all.
 //
-// Three design points make it fast AND deterministic:
+// Four design points make it fast AND deterministic:
 //
-//  * A batched staged pipeline — packets flow through three stages,
+//  * Run-to-completion work queues — each queue runs on one pool thread
+//    and takes each of its partitions through the whole per-packet loop:
 //    execute (run the NF, collect PCVs/counters) -> attribute (resolve the
-//    observed class key to a contract entry, allocation-free) ->
-//    validate (evaluate the entry's compiled bounds over a whole batch of
-//    same-class packets and accumulate statistics). Rows land in
-//    structure-of-arrays batch buffers, so dispatch, attribution
-//    bookkeeping and expression evaluation are amortised per batch rather
-//    than paid per packet. With two or more worker threads the execute and
-//    validate stages run on separate threads per worker pair, hand-off by
-//    lock-free SPSC ring (support/spsc_ring.h) with batch-buffer recycling
-//    on the return path.
+//    observed class key to a contract entry, allocation-free) -> validate
+//    (evaluate the entry's compiled bounds over a batch of same-class
+//    packets and accumulate statistics). The per-partition part of that
+//    loop is monitor::PartitionRunner (monitor/partition.h), the same core
+//    the streaming monitor and the adversary's shadow step packets
+//    through. Rows land in per-entry structure-of-arrays batch buffers, so
+//    expression evaluation is amortised per batch rather than paid per
+//    packet. (An earlier staged variant handed batches to a separate
+//    validate thread over SPSC rings; it lost to run-to-completion on every
+//    measured workload and was removed — docs/PERFORMANCE.md.)
 //
 //  * Compiled expressions — contract polynomials are flattened once into
 //    perf::CompiledExpr bytecode and evaluated in batches over dense PCV
 //    rows instead of per-packet tree walks (bench/monitor_throughput.cpp
-//    measures the difference).
+//    measures the difference; PerfExpr::eval stays as the reference the
+//    VM is tested against in tests/test_expr_vm.cpp).
 //
 //  * Fixed state partitions — the stream is split into `partitions`
 //    flow-affine sub-streams (RSS-style: flows hash to partitions, so
@@ -40,14 +43,14 @@
 //    freshly built NF instance. The partition count is part of the
 //    *semantics*; `shards` (how partitions are grouped into work queues),
 //    `grouping` (the placement policy), `threads` (how many queues run
-//    concurrently), `batch` (rows per pipeline batch) and `pipeline`
-//    (staged or inline validation) are pure execution knobs. Statistics
-//    accumulate per work queue and are merged once at end of run; every
-//    accumulation is order-independent (sums, maxima under a total order,
-//    merge-order-independent quantile sketches), so reports are
-//    byte-identical at any shard x thread x grouping x batch combination —
-//    the same determinism contract the PR-1 pipeline enforces
-//    (tests/test_monitor.cpp, tests/test_monitor_longrun.cpp).
+//    concurrently) and `batch` (rows per validation batch) are pure
+//    execution knobs. Statistics accumulate per work queue and are merged
+//    once at end of run; every accumulation is order-independent (sums,
+//    maxima under a total order, merge-order-independent quantile
+//    sketches), so reports are byte-identical at any shard x thread x
+//    grouping x batch combination — the same determinism contract the
+//    contract generator enforces (tests/test_monitor.cpp,
+//    tests/test_monitor_longrun.cpp).
 //
 //  * A deterministic epoch clock — driven by packet timestamps, never by
 //    wall-clock: when a partition's traffic crosses an `epoch_ns`
@@ -61,8 +64,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -79,6 +82,8 @@ namespace bolt::monitor {
 
 /// Attribution slot value for packets no contract entry matched.
 inline constexpr std::uint32_t kUnattributedEntry = ~0u;
+
+struct CompiledContract;  // monitor/partition.h
 
 /// How partitions are grouped into work queues. Execution-only — grouping
 /// can change wall-clock, never report bytes (partitions compute the same
@@ -124,21 +129,13 @@ struct MonitorOptions {
   bool check_cycles = true;
   /// Worst offenders kept per class.
   std::size_t max_offenders = 4;
-  /// Rows per staged-pipeline batch: dispatch, attribution bookkeeping and
-  /// compiled-expression evaluation are amortised over this many packets
-  /// of one input class. Execution-only — like shards/threads/grouping,
-  /// the batch size can change wall-clock, never report bytes (rows are
-  /// validated independently and accumulation is order-independent).
+  /// Rows per validation batch: each work queue buffers attributed rows
+  /// per contract entry and evaluates the entry's compiled bounds over this
+  /// many packets of one input class at once. Execution-only — like
+  /// shards/threads/grouping, the batch size can change wall-clock, never
+  /// report bytes (rows are validated independently and accumulation is
+  /// order-independent).
   std::size_t batch = 64;
-  /// Run execute/attribute and validate as two pipeline stages on separate
-  /// threads per worker pair, connected by a lock-free SPSC ring
-  /// (support/spsc_ring.h). Takes effect when at least two worker threads
-  /// are available; execution-only, never changes report bytes.
-  bool pipeline = true;
-  /// Evaluate bounds through the compiled-expression VM (false = the
-  /// per-packet tree walk; exists as the benchmark baseline and as a
-  /// cross-check in tests).
-  bool use_compiled_exprs = true;
   /// Execution engine for the per-partition runners. Execution-only: the
   /// decoded fast path (default) is report-byte-identical to the reference
   /// interpreter — tests/test_decoded.cpp proves it over the knob grid —
@@ -184,7 +181,7 @@ class MonitorEngine {
   /// perf::load_contract. Both must outlive the engine.
   MonitorEngine(const perf::Contract& contract, const perf::PcvRegistry& reg,
                 MonitorOptions options = {});
-  ~MonitorEngine();  // out of line: EntryVm is incomplete here
+  ~MonitorEngine();  // out of line: CompiledContract is incomplete here
 
   /// Streams `packets` through per-partition instances built by `factory`
   /// and returns the merged report. The input is not mutated (partitions
@@ -214,19 +211,12 @@ class MonitorEngine {
   const MonitorOptions& options() const { return options_; }
 
  private:
-  struct EntryVm;      ///< per contract entry: 3 compiled metric bounds
   struct SoaBatch;     ///< one structure-of-arrays batch of attributed rows
   struct QueueResult;  ///< per-work-queue accumulation (merged at end)
-  class Validator;     ///< the validate stage (batch eval + accumulation)
-  class QueueTask;     ///< the execute+attribute stage for one work queue
+  class QueueTask;     ///< runs one work queue to completion
 
-  const perf::Contract& contract_;
-  const perf::PcvRegistry& reg_;
   MonitorOptions options_;
-  std::vector<EntryVm> vms_;       ///< per contract entry, 3 compiled exprs
-  std::unordered_map<std::string, std::size_t> entry_index_;
-  std::size_t slot_stride_ = 0;    ///< dense PCV row width (registry size)
-  std::uint64_t delta_window_ns_ = 0;  ///< epoch_ns * delta_every (0 = off)
+  std::unique_ptr<const CompiledContract> compiled_;
 };
 
 /// The partition a packet belongs to: a flow-affine hash over the Ethernet

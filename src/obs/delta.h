@@ -9,7 +9,7 @@
 // of run exactly like the main report's accumulators. Because the window
 // key is semantic and every accumulator is merge-order independent, the
 // delta stream is byte-deterministic across the execution-only knobs
-// (shards x threads x grouping x batch x pipeline), and merging all of a
+// (shards x threads x grouping x batch), and merging all of a
 // run's window sketches reproduces the final report's sketch state —
 // tests/test_obs.cpp locks both properties down.
 //

@@ -194,12 +194,6 @@ void telemetry_fields_to_json(std::string& out, const MonitorTelemetry& t) {
   out += ",\"batch_rows\":" + std::to_string(t.batch_rows);
   out += ",\"batch_fill\":";
   sketch_to_json(out, t.batch_fill);
-  out += ",\"ring_pushes\":" + std::to_string(t.ring_pushes);
-  out += ",\"ring_stalls\":" + std::to_string(t.ring_stalls);
-  out += ",\"ring_occupancy_high_water\":" +
-         std::to_string(t.ring_occupancy_high_water);
-  out += ",\"recycle_hits\":" + std::to_string(t.recycle_hits);
-  out += ",\"recycle_misses\":" + std::to_string(t.recycle_misses);
   out += ",\"vm_batch_evals\":" + std::to_string(t.vm_batch_evals);
   out += ",\"rows_validated\":" + std::to_string(t.rows_validated);
   out += ",\"epoch_sweeps\":" + std::to_string(t.epoch_sweeps);
@@ -227,16 +221,6 @@ MonitorTelemetry parse_telemetry_fields(JsonReader& r) {
   r.expect(',');
   r.key("batch_fill");
   t.batch_fill = parse_sketch(r);
-  r.expect(',');
-  t.ring_pushes = u64("ring_pushes");
-  r.expect(',');
-  t.ring_stalls = u64("ring_stalls");
-  r.expect(',');
-  t.ring_occupancy_high_water = u64("ring_occupancy_high_water");
-  r.expect(',');
-  t.recycle_hits = u64("recycle_hits");
-  r.expect(',');
-  t.recycle_misses = u64("recycle_misses");
   r.expect(',');
   t.vm_batch_evals = u64("vm_batch_evals");
   r.expect(',');

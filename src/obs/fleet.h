@@ -37,7 +37,7 @@
 namespace bolt::obs {
 
 /// Fleet partial schema version (bump on any key change).
-inline constexpr std::int64_t kFleetSchemaVersion = 1;
+inline constexpr std::int64_t kFleetSchemaVersion = 2;
 
 /// One instance's view of one closed delta window: per-class accumulators
 /// (only classes that saw traffic) plus the window's run bookkeeping.

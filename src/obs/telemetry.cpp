@@ -12,12 +12,6 @@ void MonitorTelemetry::merge(const MonitorTelemetry& other) {
   batches_emitted += other.batches_emitted;
   batch_rows += other.batch_rows;
   batch_fill.merge(other.batch_fill);
-  ring_pushes += other.ring_pushes;
-  ring_stalls += other.ring_stalls;
-  ring_occupancy_high_water =
-      std::max(ring_occupancy_high_water, other.ring_occupancy_high_water);
-  recycle_hits += other.recycle_hits;
-  recycle_misses += other.recycle_misses;
   vm_batch_evals += other.vm_batch_evals;
   rows_validated += other.rows_validated;
   epoch_sweeps += other.epoch_sweeps;
@@ -41,11 +35,6 @@ std::string telemetry_to_json(const MonitorTelemetry& t,
   field("batch_rows", t.batch_rows);
   out += ",\"batch_fill\":";
   perf::summary_to_json(out, perf::summarize(t.batch_fill));
-  field("ring_pushes", t.ring_pushes);
-  field("ring_stalls", t.ring_stalls);
-  field("ring_occupancy_high_water", t.ring_occupancy_high_water);
-  field("recycle_hits", t.recycle_hits);
-  field("recycle_misses", t.recycle_misses);
   field("vm_batch_evals", t.vm_batch_evals);
   field("rows_validated", t.rows_validated);
   field("epoch_sweeps", t.epoch_sweeps);
@@ -89,19 +78,8 @@ std::string telemetry_to_prometheus(const MonitorTelemetry& t,
   counter("bolt_monitor_attr_memo_hits_total",
           "Attribution class-key memo short-circuits.", t.attr_memo_hits);
   counter("bolt_monitor_batches_total",
-          "SoA batches handed from execute to validate.", t.batches_emitted);
-  counter("bolt_monitor_ring_pushes_total",
-          "Batches pushed onto validate-stage SPSC rings.", t.ring_pushes);
-  counter("bolt_monitor_ring_stalls_total",
-          "Ring pushes that found the ring full.", t.ring_stalls);
-  gauge("bolt_monitor_ring_occupancy_high_water",
-        "Maximum batches observed in flight on any ring.",
-        t.ring_occupancy_high_water);
-  counter("bolt_monitor_recycle_hits_total",
-          "Batch emits that reused a recycled buffer.", t.recycle_hits);
-  counter("bolt_monitor_recycle_misses_total",
-          "Batch emits that had to allocate a fresh buffer.",
-          t.recycle_misses);
+          "SoA batches evaluated against contract bounds.",
+          t.batches_emitted);
   counter("bolt_monitor_vm_batch_evals_total",
           "Compiled-expression batch evaluations.", t.vm_batch_evals);
   counter("bolt_monitor_rows_validated_total",

@@ -1,18 +1,18 @@
 // Hot-path telemetry — low-overhead execution counters for the monitor's
-// staged pipeline, plus the bundle the engine fills for one run.
+// per-packet loop, plus the bundle the engine fills for one run.
 //
-// The counters answer "what did the machine do" (ring stalls, batch fill,
-// buffer recycling, VM dispatches), never "what did the traffic do" — the
-// report answers that. The split is a hard invariant: telemetry is
-// *execution-only*, collected in per-worker locals along the same
-// stage-ownership boundaries that keep the pipeline race-free, folded
-// together after the workers join, and provably unable to change report
-// bytes (tests/test_obs.cpp compares reports with telemetry on and off,
-// byte for byte; bench/monitor_throughput.cpp gates the overhead at 5%).
+// The counters answer "what did the machine do" (attribution memo hits,
+// batch fill, VM dispatches), never "what did the traffic do" — the report
+// answers that. The split is a hard invariant: telemetry is
+// *execution-only*, collected in per-work-queue locals, folded together
+// after the workers join, and provably unable to change report bytes
+// (tests/test_obs.cpp compares reports with telemetry on and off, byte for
+// byte; bench/monitor_throughput.cpp gates the overhead at 5%).
 //
-// Unlike the report and the delta stream, a telemetry snapshot is NOT
-// deterministic — stalls and recycle hits depend on scheduling. That is
-// the point: it is the one place scheduling is allowed to show.
+// Unlike the report and the delta stream, a telemetry snapshot is not
+// knob-invariant — batch fill depends on the batch size and on how
+// partitions are grouped into queues. That is the point: it is the one
+// place execution shape is allowed to show.
 //
 // Exposition: JSON (one object) and the Prometheus text format, both
 // written by `bolt_cli monitor --metrics-out FILE [--metrics-format
@@ -31,19 +31,13 @@ namespace bolt::obs {
 /// Execution counters for one monitor run (or one worker's share of it —
 /// merge() folds worker-locals into the run snapshot).
 struct MonitorTelemetry {
-  // --- execute/attribute stage ---
+  // --- execute/attribute ---
   std::uint64_t packets_executed = 0;    ///< packets run through the NF
   std::uint64_t attr_memo_hits = 0;      ///< class-key memo short-circuits
-  std::uint64_t batches_emitted = 0;     ///< SoA batches handed to validate
+  std::uint64_t batches_emitted = 0;     ///< SoA batches validated
   std::uint64_t batch_rows = 0;          ///< total rows across those batches
-  perf::QuantileSketch batch_fill;       ///< rows per emitted batch
-  // --- SPSC rings (pipelined mode; support::SpscRingStats) ---
-  std::uint64_t ring_pushes = 0;         ///< batches pushed to validate rings
-  std::uint64_t ring_stalls = 0;         ///< pushes that found a ring full
-  std::uint64_t ring_occupancy_high_water = 0;  ///< max batches in flight
-  std::uint64_t recycle_hits = 0;        ///< emits reusing a returned buffer
-  std::uint64_t recycle_misses = 0;      ///< emits that had to allocate
-  // --- validate stage ---
+  perf::QuantileSketch batch_fill;       ///< rows per validated batch
+  // --- validate ---
   std::uint64_t vm_batch_evals = 0;      ///< compiled-expr eval_batch calls
   std::uint64_t rows_validated = 0;
   // --- maintenance + reporting (filled at merge time) ---

@@ -67,8 +67,8 @@ class CompiledExpr {
                   std::size_t count, std::int64_t* out) const;
 
   /// Same, but with a caller-owned register matrix: zero allocations once
-  /// `scratch` has warmed up. The batched monitor pipeline evaluates every
-  /// same-class batch through one scratch per validate worker.
+  /// `scratch` has warmed up. The monitor evaluates every same-class batch
+  /// through one scratch per work queue.
   void eval_batch(const std::uint64_t* slots, std::size_t stride,
                   std::size_t count, std::int64_t* out,
                   BatchScratch& scratch) const;

@@ -41,7 +41,7 @@ TEST(CliHelp, DocumentsEveryMonitorFlag) {
   const std::vector<std::string> flags = {
       "--contract", "--workload",  "--packets",  "--partitions",
       "--shards",   "--grouping",  "--threads",  "--batch",
-      "--no-pipeline", "--epoch-ns", "--violation-threshold",
+      "--epoch-ns", "--violation-threshold",
       "--inflate",  "--no-cycles", "--pcap",     "--json",
       "--report",   "--delta-every", "--delta-out", "--metrics-out",
       "--metrics-format", "--watch", "--follow", "--spool", "--fleet",

@@ -10,8 +10,7 @@
 //  * every registered NF target produces identical per-packet results and
 //    class keys under both engines;
 //  * monitor reports are byte-identical decoded-vs-reference across the
-//    full execution-knob grid (shards x threads x grouping x batch x
-//    pipeline).
+//    full execution-knob grid (shards x threads x grouping x batch).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -424,26 +423,23 @@ TEST(DecodedDifferential, MonitorReportsAreByteIdenticalAcrossTheKnobGrid) {
       for (const auto grouping : {monitor::ShardGrouping::kRoundRobin,
                                   monitor::ShardGrouping::kLongestQueueFirst}) {
         for (const std::size_t batch : {std::size_t(1), std::size_t(64)}) {
-          for (const bool pipeline : {false, true}) {
-            monitor::MonitorOptions opts;
-            opts.partitions = 8;
-            opts.shards = shards;
-            opts.threads = threads;
-            opts.grouping = grouping;
-            opts.batch = batch;
-            opts.pipeline = pipeline;
-            opts.engine = ir::EngineKind::kDecoded;
-            std::vector<std::uint32_t> attr;
-            const std::string json = monitor::report_to_json(
-                monitor::MonitorEngine(result.contract, reg, opts)
-                    .run(packets,
-                         monitor::MonitorEngine::named_factory("nat"), &attr));
-            EXPECT_EQ(json, ref_json)
-                << "shards=" << shards << " threads=" << threads
-                << " grouping=" << static_cast<int>(grouping)
-                << " batch=" << batch << " pipeline=" << pipeline;
-            EXPECT_EQ(attr, ref_attr);
-          }
+          monitor::MonitorOptions opts;
+          opts.partitions = 8;
+          opts.shards = shards;
+          opts.threads = threads;
+          opts.grouping = grouping;
+          opts.batch = batch;
+          opts.engine = ir::EngineKind::kDecoded;
+          std::vector<std::uint32_t> attr;
+          const std::string json = monitor::report_to_json(
+              monitor::MonitorEngine(result.contract, reg, opts)
+                  .run(packets, monitor::MonitorEngine::named_factory("nat"),
+                       &attr));
+          EXPECT_EQ(json, ref_json)
+              << "shards=" << shards << " threads=" << threads
+              << " grouping=" << static_cast<int>(grouping)
+              << " batch=" << batch;
+          EXPECT_EQ(attr, ref_attr);
         }
       }
     }

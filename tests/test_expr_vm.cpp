@@ -1,12 +1,19 @@
 // The compiled-expression VM's contract: bytecode evaluation (scalar and
 // batch) is bit-identical to the tree-walk PerfExpr::eval on any
 // polynomial — randomized shapes up to degree >= 3, empty and constant
-// expressions, negative and overflow-adjacent coefficients — and the
-// compiler actually folds/factors (instruction-count sanity checks).
+// expressions, negative and overflow-adjacent coefficients, and every
+// registered target's generated contract at the PCV rows the monitor
+// builds — and the compiler actually folds/factors (instruction-count
+// sanity checks). PerfExpr::eval is the reference; the monitor only ever
+// evaluates through the VM.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/bolt.h"
+#include "core/targets.h"
+#include "monitor/partition.h"
 #include "perf/expr_vm.h"
 #include "perf/perf_expr.h"
 #include "support/random.h"
@@ -135,6 +142,80 @@ TEST(ExprVm, CseSharesRepeatedStructure) {
   }
   EXPECT_LE(vm.instruction_count(), 9u) << vm.str();
 }
+
+/// The tree-walk binding of a dense PCV row (unset PCVs read as 0).
+PcvBinding binding_of(const std::uint64_t* row, std::size_t stride) {
+  PcvBinding b;
+  for (std::size_t s = 0; s < stride; ++s) {
+    if (row[s] != 0) b.set(static_cast<PcvId>(s), row[s]);
+  }
+  return b;
+}
+
+class ContractVm : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ContractVm, BatchEvalMatchesTreeWalkOnWitnessAndRandomRows) {
+  const std::string name = GetParam();
+  PcvRegistry reg;
+  core::NfTarget target;
+  ASSERT_TRUE(core::make_named_target(name, reg, target));
+  core::ContractGenerator gen(reg);
+  const core::GenerationResult result = gen.generate(target.analysis());
+  const monitor::MonitorOptions opts;
+  const monitor::CompiledContract compiled(result.contract, reg, opts);
+  const std::size_t stride = compiled.slot_stride;
+
+  // Witness rows: every solved path's witness packet stepped through the
+  // monitor's own partition runner, so the rows are exactly the dense PCV
+  // rows the monitor evaluates bounds over.
+  monitor::PartitionRunner runner(compiled, opts,
+                                  monitor::MonitorEngine::named_factory(name));
+  std::vector<std::uint64_t> slots;
+  for (const core::PathReport& path : result.path_reports) {
+    if (!path.solved) continue;
+    runner.step(path.input);
+    slots.resize(slots.size() + stride);
+    runner.fill_row(slots.data() + slots.size() - stride);
+  }
+  const std::size_t witness_rows = slots.size() / stride;
+  ASSERT_GT(witness_rows, 0u);
+  // Random rows on top, spanning small trip counts to large occupancies.
+  support::Rng rng(0xC0117AC7u);
+  for (std::size_t r = 0; r < 256; ++r) {
+    for (std::size_t s = 0; s < stride; ++s) {
+      slots.push_back(rng.chance(0.3) ? 0 : rng.below(std::uint64_t{1} << 16));
+    }
+  }
+  const std::size_t rows = slots.size() / stride;
+
+  std::vector<std::int64_t> out(rows);
+  BatchScratch scratch;
+  for (std::size_t e = 0; e < compiled.bounds.size(); ++e) {
+    const ContractEntry& entry = result.contract.entries()[e];
+    for (const Metric m : kAllMetrics) {
+      const int mi = metric_index(m);
+      compiled.bounds[e][mi].eval_batch(slots.data(), stride, rows,
+                                        out.data(), scratch);
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(out[r],
+                  entry.perf.get(m).eval(
+                      binding_of(slots.data() + r * stride, stride)))
+            << entry.input_class << " metric " << mi << " row " << r
+            << (r < witness_rows ? " (witness)" : " (random)");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTargets, ContractVm, ::testing::ValuesIn(core::named_targets()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string id = info.param;
+      for (char& c : id) {
+        if (c == '+' || c == '-') c = '_';
+      }
+      return id;
+    });
 
 }  // namespace
 }  // namespace bolt::perf

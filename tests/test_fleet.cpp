@@ -3,16 +3,20 @@
 //
 // The contracts pinned here are the operator-facing guarantees:
 //  * a StreamMonitor fed packet-by-packet produces a final report and a
-//    delta stream byte-identical to the batch engine over the same trace
-//    (so a drained daemon reports exactly what a batch re-run would);
+//    delta stream byte-identical to the batch engine over the same trace,
+//    for every registered target and at 1 and 4 batch threads (so a
+//    drained daemon reports exactly what a batch re-run would) — both step
+//    packets through the one monitor::PartitionRunner, and a seeded
+//    epoch-straddle measurement bug leaks identically on both paths;
 //  * an idle flush is provisional — it emits the open window early but
 //    never perturbs the authoritative stream or the final report;
 //  * N fleet instances over random partition-ownership splits, their
 //    partials merged in random order with a duplicated file thrown in,
 //    reconstruct the single-instance report and delta stream byte for
 //    byte (the property 'bolt_cli merge' ships on);
-//  * partials round-trip through their schema-versioned JSON exactly, and
-//    the spool reader picks up precisely the files the naming scheme owns;
+//  * partials round-trip through their schema-versioned JSON exactly, a
+//    partial of an older schema is refused, and the spool reader picks up
+//    precisely the files the naming scheme owns;
 //  * PcapTail sees records appended chunk-by-chunk, torn mid-record
 //    writes included — the --follow daemon's input contract.
 #include <gtest/gtest.h>
@@ -151,7 +155,7 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
 // ---------------------------------------------------------------------------
 // Streaming vs batch.
 
-TEST(StreamMonitor, MatchesBatchByteForByte) {
+TEST(StreamMonitor, DriftRunMatchesBatchAndAlertsWhileStreaming) {
   RouterFixture& f = router();
   monitor::MonitorEngine engine(f.gen.contract, f.reg, stream_options());
   RunObservations observations;
@@ -170,6 +174,137 @@ TEST(StreamMonitor, MatchesBatchByteForByte) {
   EXPECT_EQ(observations.alerts.size(), stream.alerts);
   ASSERT_GE(observations.deltas.size(), 10u);  // the run exercises windows
   EXPECT_GT(stream.alerts, 0u);  // and the drift detector fires streaming
+}
+
+// Every registered target, epochs and delta windows on. The workload's
+// 10 us packet spacing divides the 1 ms epoch, so packets land exactly on
+// epoch boundaries — the straddle case the seeded bug mis-measures.
+struct TargetRun {
+  std::string report_json;
+  std::string delta_jsonl;
+  std::size_t alerts = 0;
+};
+
+monitor::MonitorOptions all_target_options() {
+  monitor::MonitorOptions o;
+  o.epoch_ns = 1'000'000;
+  o.delta_every = 2;
+  return o;
+}
+
+std::vector<net::Packet> target_packets(const std::string& name) {
+  if (name == "bridge") {
+    net::BridgeSpec spec;
+    spec.stations = 300;
+    spec.broadcast_fraction = 0.1;
+    spec.packet_count = 3000;
+    return net::bridge_traffic(spec);
+  }
+  net::ZipfSpec spec;
+  spec.flow_pool = 512;
+  spec.skew = 1.1;
+  spec.packet_count = 3000;
+  return net::zipf_traffic(spec);
+}
+
+std::string deltas_to_jsonl(const std::vector<DeltaWindow>& deltas) {
+  std::string out;
+  for (const DeltaWindow& w : deltas) {
+    out += delta_window_to_json(w);
+    out += '\n';
+  }
+  return out;
+}
+
+TargetRun batch_run(const std::string& name, const core::GenerationResult& gen,
+                    const perf::PcvRegistry& reg,
+                    const std::vector<net::Packet>& packets,
+                    monitor::MonitorOptions opts) {
+  monitor::MonitorEngine engine(gen.contract, reg, opts);
+  RunObservations observations;
+  TargetRun out;
+  out.report_json = monitor::report_to_json(engine.run(
+      packets, monitor::MonitorEngine::named_factory(name), nullptr,
+      &observations));
+  out.delta_jsonl = deltas_to_jsonl(observations.deltas);
+  out.alerts = observations.alerts.size();
+  return out;
+}
+
+TargetRun stream_run(const std::string& name,
+                     const core::GenerationResult& gen,
+                     const perf::PcvRegistry& reg,
+                     const std::vector<net::Packet>& packets,
+                     const monitor::MonitorOptions& opts) {
+  std::vector<DeltaWindow> deltas;
+  monitor::StreamMonitor sm(gen.contract, reg,
+                            monitor::MonitorEngine::named_factory(name), opts,
+                            {}, [&](const monitor::ClosedWindow& cw) {
+                              if (cw.has_delta) deltas.push_back(cw.delta);
+                            });
+  for (const net::Packet& p : packets) sm.feed(p);
+  const monitor::StreamResult res = sm.finish();
+  TargetRun out;
+  out.report_json = monitor::report_to_json(res.report);
+  out.delta_jsonl = deltas_to_jsonl(deltas);
+  out.alerts = res.observations.alerts.size();
+  return out;
+}
+
+class StreamVsBatch : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StreamVsBatch, MatchesBatchByteForByte) {
+  const std::string name = GetParam();
+  perf::PcvRegistry reg;
+  core::NfTarget target;
+  ASSERT_TRUE(core::make_named_target(name, reg, target));
+  core::ContractGenerator g(reg);
+  const core::GenerationResult gen = g.generate(target.analysis());
+  const std::vector<net::Packet> packets = target_packets(name);
+  const monitor::MonitorOptions opts = all_target_options();
+
+  const TargetRun stream = stream_run(name, gen, reg, packets, opts);
+  EXPECT_FALSE(stream.delta_jsonl.empty());
+  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+    monitor::MonitorOptions batch_opts = opts;
+    batch_opts.threads = threads;
+    const TargetRun batch = batch_run(name, gen, reg, packets, batch_opts);
+    EXPECT_EQ(batch.report_json, stream.report_json) << "threads=" << threads;
+    EXPECT_EQ(batch.delta_jsonl, stream.delta_jsonl) << "threads=" << threads;
+    EXPECT_EQ(batch.alerts, stream.alerts) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTargets, StreamVsBatch, ::testing::ValuesIn(core::named_targets()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string id = info.param;
+      for (char& c : id) {
+        if (c == '+' || c == '-') c = '_';
+      }
+      return id;
+    });
+
+TEST(StreamVsBatch, StraddleBugLeaksIdenticallyOnBothPaths) {
+  perf::PcvRegistry reg;
+  core::NfTarget target;
+  ASSERT_TRUE(core::make_named_target("nat", reg, target));
+  core::ContractGenerator g(reg);
+  const core::GenerationResult gen = g.generate(target.analysis());
+  const std::vector<net::Packet> packets = target_packets("nat");
+  monitor::MonitorOptions buggy = all_target_options();
+  buggy.inject_straddle_bug = true;
+
+  const TargetRun stream = stream_run("nat", gen, reg, packets, buggy);
+  const TargetRun clean =
+      stream_run("nat", gen, reg, packets, all_target_options());
+  EXPECT_NE(stream.report_json, clean.report_json);  // the bug did leak
+  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+    buggy.threads = threads;
+    const TargetRun batch = batch_run("nat", gen, reg, packets, buggy);
+    EXPECT_EQ(batch.report_json, stream.report_json) << "threads=" << threads;
+    EXPECT_EQ(batch.delta_jsonl, stream.delta_jsonl) << "threads=" << threads;
+  }
 }
 
 TEST(StreamMonitor, IdleFlushIsProvisionalAndDoesNotPerturbTheRun) {
@@ -311,6 +446,29 @@ TEST(Fleet, PartialsRoundTripThroughJsonExactly) {
   }
   EXPECT_EQ(final_partial_to_json(parse_final_partial(run.final_partial)),
             run.final_partial);
+}
+
+TEST(FleetDeathTest, OlderSchemaPartialIsRejectedAtItsByteOffset) {
+  monitor::FleetOptions fleet;
+  fleet.instances = 2;
+  const StreamRun run = run_stream(drift_packets(), fleet);
+  ASSERT_FALSE(run.window_partials.empty());
+  // A v1 partial: the same bytes under the previous schema number.
+  const std::string current =
+      "{\"fleet_schema\":" + std::to_string(kFleetSchemaVersion);
+  const std::string v1_prefix = "{\"fleet_schema\":1";
+  ASSERT_EQ(kFleetSchemaVersion, 2);
+  std::string window = run.window_partials.front();
+  ASSERT_EQ(window.compare(0, current.size(), current), 0);
+  window.replace(0, current.size(), v1_prefix);
+  std::string final_partial = run.final_partial;
+  final_partial.replace(0, current.size(), v1_prefix);
+  // The reader stops right after the version number it refuses.
+  const std::string where =
+      "unsupported fleet partial schema v1 at byte " +
+      std::to_string(v1_prefix.size());
+  EXPECT_DEATH(parse_window_partial(window), where);
+  EXPECT_DEATH(parse_final_partial(final_partial), where);
 }
 
 TEST(Fleet, SpoolReaderPicksUpExactlyItsOwnFiles) {

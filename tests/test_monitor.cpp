@@ -5,8 +5,9 @@
 //  * an injected cost perturbation (measurement framework more expensive
 //    than the one the contract was generated for) is reported as a
 //    violation with class, packet index, and predicted vs measured values;
-//  * reports are byte-identical at 1, 2, and 8 threads, and identical
-//    between the compiled-expression VM and the tree-walk baseline;
+//  * reports are byte-identical at 1, 2, and 8 threads and at every batch
+//    size (the compiled-expression VM itself is checked against the
+//    tree-walk reference in tests/test_expr_vm.cpp);
 //  * sharding is flow-affine.
 #include <gtest/gtest.h>
 
@@ -169,66 +170,41 @@ TEST(Monitor, ShardGroupingPolicyNeverChangesReportBytes) {
   }
 }
 
-TEST(Monitor, BatchSizeAndPipelineModeNeverChangeReportBytes) {
-  // Batch size and staged-vs-inline validation are execution-only knobs of
-  // the batched pipeline: rows are validated independently and every
-  // accumulator is order-independent, so where a batch boundary falls —
-  // and which thread evaluates the batch — cannot leak into the report.
-  // batch=1 degenerates to per-packet validation; batch=1024 exceeds the
-  // whole per-partition packet count so everything validates in the final
-  // flush; batch=3 puts boundaries in awkward mid-class places.
+TEST(Monitor, BatchSizeNeverChangesReportBytes) {
+  // Batch size is an execution-only knob: rows are validated independently
+  // and every accumulator is order-independent, so where a batch boundary
+  // falls cannot leak into the report. batch=1 degenerates to per-packet
+  // validation; batch=1024 exceeds the whole per-partition packet count so
+  // everything validates in the final flush; batch=3 puts boundaries in
+  // awkward mid-class places.
   perf::PcvRegistry reg;
   const auto result = contract_for("nat", reg);
   const auto packets = workload_for("nat", 3000);
 
   std::string baseline;
   std::vector<std::uint32_t> baseline_attr;
-  for (const bool pipeline : {false, true}) {
-    for (const std::size_t batch :
-         {std::size_t(1), std::size_t(3), std::size_t(64),
-          std::size_t(1024)}) {
-      for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-        MonitorOptions opts;
-        opts.partitions = 8;
-        opts.batch = batch;
-        opts.pipeline = pipeline;
-        opts.threads = threads;
-        MonitorEngine engine(result.contract, reg, opts);
-        std::vector<std::uint32_t> attr;
-        const MonitorReport report =
-            engine.run(packets, MonitorEngine::named_factory("nat"), &attr);
-        const std::string json = report_to_json(report);
-        if (baseline.empty()) {
-          baseline = json;
-          baseline_attr = attr;
-        } else {
-          EXPECT_EQ(json, baseline) << "pipeline=" << pipeline
-                                    << " batch=" << batch
-                                    << " threads=" << threads;
-          EXPECT_EQ(attr, baseline_attr);
-        }
+  for (const std::size_t batch :
+       {std::size_t(1), std::size_t(3), std::size_t(64), std::size_t(1024)}) {
+    for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+      MonitorOptions opts;
+      opts.partitions = 8;
+      opts.batch = batch;
+      opts.threads = threads;
+      MonitorEngine engine(result.contract, reg, opts);
+      std::vector<std::uint32_t> attr;
+      const MonitorReport report =
+          engine.run(packets, MonitorEngine::named_factory("nat"), &attr);
+      const std::string json = report_to_json(report);
+      if (baseline.empty()) {
+        baseline = json;
+        baseline_attr = attr;
+      } else {
+        EXPECT_EQ(json, baseline) << "batch=" << batch
+                                  << " threads=" << threads;
+        EXPECT_EQ(attr, baseline_attr);
       }
     }
   }
-}
-
-TEST(Monitor, CompiledVmMatchesTreeWalkBaseline) {
-  perf::PcvRegistry reg;
-  const auto result = contract_for("bridge", reg);
-  const auto packets = workload_for("bridge", 2000);
-
-  MonitorOptions vm_opts;
-  vm_opts.partitions = 4;
-  MonitorOptions tw_opts = vm_opts;
-  tw_opts.use_compiled_exprs = false;
-
-  const MonitorReport vm_report =
-      MonitorEngine(result.contract, reg, vm_opts)
-          .run(packets, MonitorEngine::named_factory("bridge"));
-  const MonitorReport tw_report =
-      MonitorEngine(result.contract, reg, tw_opts)
-          .run(packets, MonitorEngine::named_factory("bridge"));
-  EXPECT_EQ(report_to_json(vm_report), report_to_json(tw_report));
 }
 
 TEST(Monitor, InjectedCostPerturbationIsReported) {

@@ -2,7 +2,7 @@
 //  * telemetry is execution-only — report bytes are byte-identical with
 //    the hot-path counters on or off, and at every --delta-every setting;
 //  * the delta stream is byte-deterministic across the execution knobs
-//    (shards x threads x grouping x batch x pipeline), because windows are
+//    (shards x threads x grouping x batch), because windows are
 //    keyed by packet timestamp and every accumulator merges
 //    order-independently;
 //  * merging all of a run's window sketches reproduces the final report's
@@ -200,11 +200,11 @@ TEST(Telemetry, JsonAndPrometheusExposition) {
   t.batch_rows = 5;
   t.batch_fill.add(2);
   t.batch_fill.add(3);
-  t.ring_stalls = 1;
+  t.vm_batch_evals = 1;
   const std::string json = telemetry_to_json(t, "nat");
   EXPECT_NE(json.find("\"nf\":\"nat\""), std::string::npos);
   EXPECT_NE(json.find("\"packets_executed\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"ring_stalls\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"vm_batch_evals\":1"), std::string::npos);
   EXPECT_NE(json.find("\"batch_fill\":{\"count\":2"), std::string::npos);
   const std::string prom = telemetry_to_prometheus(t, "nat");
   EXPECT_NE(prom.find("# TYPE bolt_monitor_packets_total counter"),
@@ -233,11 +233,6 @@ TEST(Telemetry, PrometheusExpositionMatchesGoldenByteForByte) {
   t.batch_fill.add(20);
   t.batch_fill.add(30);
   t.batch_fill.add(40);
-  t.ring_pushes = 4;
-  t.ring_stalls = 1;
-  t.ring_occupancy_high_water = 3;
-  t.recycle_hits = 3;
-  t.recycle_misses = 1;
   t.vm_batch_evals = 12;
   t.rows_validated = 100;
   t.epoch_sweeps = 2;
@@ -255,15 +250,14 @@ TEST(Telemetry, PrometheusExpositionMatchesGoldenByteForByte) {
 TEST(Telemetry, MergeSumsCountersAndKeepsHighWaters) {
   MonitorTelemetry a, b;
   a.packets_executed = 3;
-  a.ring_occupancy_high_water = 7;
-  a.state_high_water = 2;
+  a.state_high_water = 9;
   b.packets_executed = 4;
-  b.ring_occupancy_high_water = 5;
-  b.state_high_water = 9;
+  b.state_high_water = 2;
   a.merge(b);
   EXPECT_EQ(a.packets_executed, 7u);
-  EXPECT_EQ(a.ring_occupancy_high_water, 7u);
   EXPECT_EQ(a.state_high_water, 9u);
+  b.merge(a);
+  EXPECT_EQ(b.state_high_water, 9u);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,31 +314,27 @@ RunOutput run_drift(monitor::MonitorOptions opts) {
 TEST(DeltaDeterminism, GridOfExecutionKnobsIsByteIdentical) {
   monitor::MonitorOptions base;
   base.threads = 1;
-  base.pipeline = false;
   base.shards = 1;
   base.delta_every = 1;
   const RunOutput baseline = run_drift(base);
   ASSERT_GE(baseline.observations.deltas.size(), 10u);
   for (const std::size_t shards : {2, 5}) {
     for (const std::size_t batch : {1, 7, 64}) {
-      for (const bool pipeline : {false, true}) {
+      for (const bool lqf : {false, true}) {
         monitor::MonitorOptions o;
         o.threads = 3;
         o.shards = shards;
         o.batch = batch;
-        o.pipeline = pipeline;
         o.delta_every = 1;
         // Telemetry and grouping ride along as extra knobs under test.
-        o.telemetry = pipeline;
-        o.grouping = pipeline ? monitor::ShardGrouping::kLongestQueueFirst
-                              : monitor::ShardGrouping::kRoundRobin;
+        o.telemetry = lqf;
+        o.grouping = lqf ? monitor::ShardGrouping::kLongestQueueFirst
+                         : monitor::ShardGrouping::kRoundRobin;
         const RunOutput got = run_drift(o);
         EXPECT_EQ(baseline.report_json, got.report_json)
-            << "shards=" << shards << " batch=" << batch
-            << " pipeline=" << pipeline;
+            << "shards=" << shards << " batch=" << batch << " lqf=" << lqf;
         EXPECT_EQ(baseline.delta_jsonl, got.delta_jsonl)
-            << "shards=" << shards << " batch=" << batch
-            << " pipeline=" << pipeline;
+            << "shards=" << shards << " batch=" << batch << " lqf=" << lqf;
       }
     }
   }
@@ -443,7 +433,6 @@ TEST(Telemetry, CountersAreConsistentWithTheReport) {
   o.telemetry = true;
   o.delta_every = 1;
   o.threads = 1;
-  o.pipeline = false;
   const RunOutput run = run_drift(o);
   const MonitorTelemetry& t = run.observations.telemetry;
   EXPECT_EQ(t.packets_executed, drift_packets().size());

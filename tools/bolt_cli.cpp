@@ -276,7 +276,6 @@ struct MonitorCliArgs {
   std::uint64_t inflate_pct = 0;
   std::size_t batch = 64;
   monitor::ShardGrouping grouping = monitor::ShardGrouping::kRoundRobin;
-  bool pipeline = true;
   bool cycles = true;
   bool json = false;
   // Telemetry layer (src/obs/).
@@ -593,7 +592,6 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   options.grouping = args.grouping;
   options.threads = args.threads;
   options.batch = args.batch;
-  options.pipeline = args.pipeline;
   options.epoch_ns = args.epoch_ns;
   options.check_cycles = args.cycles;
   // Telemetry layer: --watch and --delta-out imply delta mode at the
@@ -1262,9 +1260,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       only_for(is_monitor, "--batch");
       margs.batch = numeric(i, "--batch");
-    } else if (std::strcmp(argv[i], "--no-pipeline") == 0) {
-      only_for(is_monitor, "--no-pipeline");
-      margs.pipeline = false;
     } else if (std::strcmp(argv[i], "--no-cycles") == 0) {
       only_for(is_monitor, "--no-cycles");
       margs.cycles = false;
