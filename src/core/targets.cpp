@@ -1,5 +1,8 @@
 #include "core/targets.h"
 
+#include <algorithm>
+
+#include "net/workload.h"
 #include "nf/firewall.h"
 
 namespace bolt::core {
@@ -67,6 +70,63 @@ const std::vector<std::string>& named_targets() {
       "bridge", "nat",    "nat-b",  "lb",        "lpm",
       "lpm-simple", "firewall", "router", "fw+router"};
   return kNames;
+}
+
+std::vector<net::Packet> monitor_workload(const std::string& nf,
+                                          std::string kind,
+                                          std::size_t count) {
+  if (kind.empty()) kind = nf == "bridge" ? "bridge" : "zipf";
+  if (kind == "uniform") {
+    net::UniformSpec spec;
+    spec.packet_count = count;
+    return net::uniform_random_traffic(spec);
+  }
+  if (kind == "churn") {
+    net::ChurnSpec spec;
+    spec.packet_count = count;
+    spec.churn = 0.05;
+    return net::churn_traffic(spec);
+  }
+  if (kind == "zipf") {
+    net::ZipfSpec spec;
+    spec.packet_count = count;
+    spec.flow_pool = 2048;
+    spec.skew = 1.1;
+    return net::zipf_traffic(spec);
+  }
+  if (kind == "bridge") {
+    net::BridgeSpec spec;
+    spec.packet_count = count;
+    spec.stations = 1000;
+    spec.broadcast_fraction = 0.05;
+    return net::bridge_traffic(spec);
+  }
+  if (kind == "attack") {
+    net::BridgeAttackSpec spec;
+    spec.packet_count = count;
+    return net::bridge_collision_attack(spec);
+  }
+  if (kind == "heartbeat") {
+    net::HeartbeatSpec spec;
+    spec.packet_count = count;
+    return net::heartbeat_traffic(spec);
+  }
+  if (kind == "longrun") {
+    net::LongRunSpec spec;
+    spec.packet_count = count;
+    return net::long_run_traffic(spec);
+  }
+  if (kind == "drift") {
+    net::DriftSpec spec;
+    // The erosion schedule (windows, ramp) is the spec's; --packets only
+    // scales the per-window density.
+    if (count > 0) {
+      spec.packets_per_window =
+          std::max<std::size_t>(std::size_t{1}, count / spec.windows);
+    }
+    return net::drift_traffic(spec);
+  }
+  return {};
 }
 
 }  // namespace bolt::core

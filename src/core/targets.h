@@ -16,6 +16,7 @@
 #include "core/scenarios.h"
 #include "dslib/method.h"
 #include "ir/program.h"
+#include "net/packet.h"
 #include "nf/framework.h"
 #include "perf/pcv.h"
 
@@ -80,5 +81,14 @@ bool make_named_target(const std::string& name, perf::PcvRegistry& reg,
 
 /// The names make_named_target accepts, for usage strings.
 const std::vector<std::string>& named_targets();
+
+/// The `bolt_cli monitor --workload KIND --packets COUNT` traffic for
+/// target `nf`: uniform | churn | zipf | bridge | attack | heartbeat |
+/// longrun | drift. An empty kind picks the target's default (bridge
+/// traffic for the bridge, heavy-tailed flows otherwise); an unknown kind
+/// returns no packets.
+std::vector<net::Packet> monitor_workload(const std::string& nf,
+                                          std::string kind,
+                                          std::size_t count);
 
 }  // namespace bolt::core

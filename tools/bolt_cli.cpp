@@ -203,65 +203,6 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
   return 0;
 }
 
-/// Workload for a monitor run: explicit kind, or a default that suits the
-/// target (bridge traffic for the bridge, heavy-tailed flows otherwise).
-std::vector<net::Packet> monitor_workload(const std::string& nf,
-                                          std::string kind,
-                                          std::size_t count) {
-  if (kind.empty()) kind = nf == "bridge" ? "bridge" : "zipf";
-  if (kind == "uniform") {
-    net::UniformSpec spec;
-    spec.packet_count = count;
-    return net::uniform_random_traffic(spec);
-  }
-  if (kind == "churn") {
-    net::ChurnSpec spec;
-    spec.packet_count = count;
-    spec.churn = 0.05;
-    return net::churn_traffic(spec);
-  }
-  if (kind == "zipf") {
-    net::ZipfSpec spec;
-    spec.packet_count = count;
-    spec.flow_pool = 2048;
-    spec.skew = 1.1;
-    return net::zipf_traffic(spec);
-  }
-  if (kind == "bridge") {
-    net::BridgeSpec spec;
-    spec.packet_count = count;
-    spec.stations = 1000;
-    spec.broadcast_fraction = 0.05;
-    return net::bridge_traffic(spec);
-  }
-  if (kind == "attack") {
-    net::BridgeAttackSpec spec;
-    spec.packet_count = count;
-    return net::bridge_collision_attack(spec);
-  }
-  if (kind == "heartbeat") {
-    net::HeartbeatSpec spec;
-    spec.packet_count = count;
-    return net::heartbeat_traffic(spec);
-  }
-  if (kind == "longrun") {
-    net::LongRunSpec spec;
-    spec.packet_count = count;
-    return net::long_run_traffic(spec);
-  }
-  if (kind == "drift") {
-    net::DriftSpec spec;
-    // The erosion schedule (windows, ramp) is the spec's; --packets only
-    // scales the per-window density.
-    if (count > 0) {
-      spec.packets_per_window =
-          std::max<std::size_t>(std::size_t{1}, count / spec.windows);
-    }
-    return net::drift_traffic(spec);
-  }
-  return {};
-}
-
 struct MonitorCliArgs {
   std::string workload;  // empty = target default
   std::string pcap;      // overrides workload when set
@@ -578,7 +519,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
     if (!args.pcap.empty()) {
       packets = net::read_pcap(args.pcap);
     } else {
-      packets = monitor_workload(nf, args.workload, args.packets);
+      packets = core::monitor_workload(nf, args.workload, args.packets);
     }
     if (packets.empty()) {
       std::fprintf(stderr, "error: no packets to monitor\n");
