@@ -1,6 +1,6 @@
 // Monitor throughput + compiled-expression speedup.
 //
-// Five measurements, all archived in BENCH_monitor_throughput.json when
+// Six measurements, all archived in BENCH_monitor_throughput.json when
 // BOLT_BENCH_JSON is set (tools/bench_runner.sh / CI):
 //
 //  1. End-to-end monitor packets/sec on the NAT under heavy-tailed
@@ -29,6 +29,11 @@
 //  5. Engine speedup: the same single-threaded monitor run on the
 //     reference interpreter vs the pre-decoded direct-threaded engine
 //     (`interp_decoded_speedup`, gated — the fast path must stay fast).
+//
+//  6. Cycle-meter share: the same single-threaded decoded run with the
+//     cycles metric off (`monitor_pps_1thread_nocycles`) and the share of
+//     the metered run it accounts for (`monitor_cycle_meter_share_pct`).
+//     Both informational.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -73,7 +78,8 @@ double monitor_pps(const perf::Contract& contract,
                    monitor::ShardGrouping grouping =
                        monitor::ShardGrouping::kRoundRobin,
                    bool telemetry = false, int reps = kReps,
-                   ir::EngineKind engine = ir::EngineKind::kDecoded) {
+                   ir::EngineKind engine = ir::EngineKind::kDecoded,
+                   bool check_cycles = true) {
   double best_pps = 0;
   for (int rep = 0; rep < reps; ++rep) {
     monitor::MonitorOptions opts;
@@ -82,6 +88,7 @@ double monitor_pps(const perf::Contract& contract,
     opts.grouping = grouping;
     opts.telemetry = telemetry;
     opts.engine = engine;
+    opts.check_cycles = check_cycles;
     const monitor::MonitorEngine monitor_engine(contract, reg, opts);
     obs::RunObservations observations;
     support::BenchTimer timer;
@@ -159,6 +166,24 @@ int main() {
   bench.metric("monitor_pps_1thread_reference", pps_1t_ref, "packets/s",
                /*gate=*/false);
   bench.metric("interp_decoded_speedup", pps_1t / pps_1t_ref, "x");
+
+  // --- cycle-meter share -------------------------------------------------
+  // The same decoded single-threaded run without the cycles metric: what
+  // the conservative meter (a cold must-hit L1 replay per packet) costs end
+  // to end. Informational — the boltbench trace's hw.cycle_meter_ns is the
+  // per-layer view of the same cost.
+  const double pps_1t_nocycles =
+      monitor_pps(result.contract, reg, packets, 1, 0,
+                  monitor::ShardGrouping::kRoundRobin, /*telemetry=*/false,
+                  kReps, ir::EngineKind::kDecoded, /*check_cycles=*/false);
+  const double meter_share_pct = (1.0 - pps_1t / pps_1t_nocycles) * 100.0;
+  std::printf("  1 thread,  no cycle meter: %10.0f pps  (meter %.1f%% of "
+              "the metered run)\n",
+              pps_1t_nocycles, meter_share_pct);
+  bench.metric("monitor_pps_1thread_nocycles", pps_1t_nocycles, "packets/s",
+               /*gate=*/false);
+  bench.metric("monitor_cycle_meter_share_pct", meter_share_pct, "%",
+               /*gate=*/false);
 
   // --- telemetry overhead ------------------------------------------------
   // The obs layer's hot-path counters must be execution-only in cost as

@@ -2,23 +2,23 @@
 
 namespace bolt::hw {
 
-ConservativeModel::ConservativeModel(const CycleCosts& costs)
-    : costs_(costs),
-      meter_(ir::ConservativeCycleMeter::Costs{costs.cons_alu, 5,
-                                               costs.cons_l1,
-                                               costs.cons_dram}) {}
+namespace {
 
-std::uint64_t ConservativeModel::op_cycles(ir::Op op, const CycleCosts& costs) {
-  switch (op) {
-    case ir::Op::kMul:
-      return 5;  // imul worst case
-    case ir::Op::kShl:
-    case ir::Op::kShr:
-      return costs.cons_alu;
-    default:
-      return costs.cons_alu;
-  }
+/// The meter's per-op costs are the one source for instruction pricing:
+/// CycleCosts calibrates ALU and memory, and imul keeps the meter's
+/// worst case.
+ir::ConservativeCycleMeter::Costs meter_costs(const CycleCosts& costs) {
+  ir::ConservativeCycleMeter::Costs out;
+  out.alu = costs.cons_alu;
+  out.l1 = costs.cons_l1;
+  out.dram = costs.cons_dram;
+  return out;
 }
+
+}  // namespace
+
+ConservativeModel::ConservativeModel(const CycleCosts& costs)
+    : meter_(meter_costs(costs)) {}
 
 RealisticSim::RealisticSim(const CycleCosts& costs)
     : costs_(costs),

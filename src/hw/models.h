@@ -27,7 +27,8 @@ namespace bolt::hw {
 
 /// Calibration constants shared by contracts and models.
 struct CycleCosts {
-  // Conservative model.
+  // Conservative model (imul's worst case is the meter's own
+  // ir::ConservativeCycleMeter::Costs::mul).
   std::uint64_t cons_alu = 2;    ///< worst-case cycles per instruction
   std::uint64_t cons_l1 = 4;     ///< proven-L1 access
   std::uint64_t cons_dram = 200; ///< any unproven access
@@ -75,10 +76,10 @@ class CycleModel : public ir::TraceSink {
 /// Conservative, contract-grade model (per-packet must-hit L1D only).
 ///
 /// A thin TraceSink adapter over ir::ConservativeCycleMeter: the meter owns
-/// all the arithmetic (per-op worst-case sums + the must-hit L1 stream), so
-/// the virtual event-stream path used by the reference interpreter and the
-/// inline path used by the decoded interpreter (via fast_meter()) cannot
-/// diverge — they are the same object.
+/// all the arithmetic (per-op worst-case sums + the must-hit L1 stream) and
+/// its per-op costs, so the virtual event-stream path and the inline paths
+/// that reach it through fast_meter() (the decoded interpreter, every
+/// ir::CostMeter) cannot diverge — they are the same object.
 class ConservativeModel final : public CycleModel {
  public:
   explicit ConservativeModel(const CycleCosts& costs = default_cycle_costs());
@@ -90,10 +91,10 @@ class ConservativeModel final : public CycleModel {
   }
 
   void on_instruction(ir::Op op) override {
-    meter_.add_cycles(op_cycles(op, costs_));
+    meter_.add_instructions(1, op == ir::Op::kMul ? 1 : 0);
   }
   void on_metered_instructions(std::uint64_t n) override {
-    meter_.add_cycles(n * costs_.cons_alu);
+    meter_.add_instructions(n);
   }
   void on_access(std::uint64_t addr, std::uint32_t size, bool /*is_write*/,
                  bool /*dependent*/) override {
@@ -101,11 +102,7 @@ class ConservativeModel final : public CycleModel {
   }
   ir::ConservativeCycleMeter* fast_meter() override { return &meter_; }
 
-  /// Worst-case cycles for one stateless IR instruction.
-  static std::uint64_t op_cycles(ir::Op op, const CycleCosts& costs);
-
  private:
-  CycleCosts costs_;
   ir::ConservativeCycleMeter meter_;
 };
 

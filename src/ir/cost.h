@@ -7,10 +7,17 @@
 // through `CostMeter` (they are the "pre-analysed" code whose cost the
 // manual contracts describe). Hardware models subscribe to the combined
 // stream through `TraceSink`.
+//
+// A sink that exposes a fast_meter() (the conservative model) is driven
+// inline: CostMeter looks the meter up once, at construction, and charges
+// metered instructions, stateless instructions and reads/writes straight
+// into it, with no virtual call per event. Sinks without one (the
+// realistic simulator) receive the unchanged virtual event stream.
 #pragma once
 
 #include <cstdint>
 
+#include "ir/cycle_meter.h"
 #include "ir/program.h"
 
 namespace bolt::ir {
@@ -26,8 +33,6 @@ inline constexpr std::uint64_t kScratchBase = 0x3000'0000ULL;
 inline constexpr std::uint64_t kArenaBase = 0x4000'0000ULL;
 inline constexpr std::uint64_t kArenaStride = 0x0100'0000ULL;  // 16 MiB each
 
-class ConservativeCycleMeter;  // ir/cycle_meter.h
-
 /// Receives the low-level event stream of one execution; implemented by the
 /// hardware models (conservative and realistic).
 class TraceSink {
@@ -42,42 +47,60 @@ class TraceSink {
   /// memory-level parallelism, which the realistic model cares about.
   virtual void on_access(std::uint64_t addr, std::uint32_t size, bool is_write,
                          bool dependent) = 0;
-  /// Devirtualization escape hatch for the decoded interpreter: a sink
-  /// whose cycle accounting is exactly the conservative meter's (order-
-  /// independent per-op sums + in-order must-hit access stream) returns its
-  /// meter here and the decoded engine drives it inline, bypassing the
-  /// three virtual calls per instruction. Sinks with richer semantics
+  /// Devirtualization escape hatch: a sink whose cycle accounting is
+  /// exactly the conservative meter's (order-independent per-op sums +
+  /// in-order must-hit access stream) returns its meter here, and the
+  /// decoded engine and every CostMeter drive it inline instead of making
+  /// one virtual call per event. Sinks with richer semantics
   /// (e.g. hw::RealisticSim's event-order-sensitive prefetch model) return
   /// nullptr and keep the exact event stream via the reference interpreter.
   virtual ConservativeCycleMeter* fast_meter() { return nullptr; }
 };
 
 /// Accumulates instruction and memory-access counts; forwards to an optional
-/// TraceSink. Passed into every dslib method so the structures can report
-/// the work they actually performed.
+/// TraceSink (inline into its fast_meter() when it has one). Passed into
+/// every dslib method so the structures can report the work they actually
+/// performed.
 class CostMeter {
  public:
-  explicit CostMeter(TraceSink* sink = nullptr) : sink_(sink) {}
+  explicit CostMeter(TraceSink* sink = nullptr)
+      : sink_(sink), fast_(sink != nullptr ? sink->fast_meter() : nullptr) {}
 
   void metered_instructions(std::uint64_t n) {
     instructions_ += n;
-    if (sink_ != nullptr) sink_->on_metered_instructions(n);
+    if (fast_ != nullptr) {
+      fast_->add_instructions(n);
+    } else if (sink_ != nullptr) {
+      sink_->on_metered_instructions(n);
+    }
   }
 
   void stateless_instruction(Op op) {
     ++instructions_;
     ++stateless_instructions_;
-    if (sink_ != nullptr) sink_->on_instruction(op);
+    if (fast_ != nullptr) {
+      fast_->add_instructions(1, op == Op::kMul ? 1 : 0);
+    } else if (sink_ != nullptr) {
+      sink_->on_instruction(op);
+    }
   }
 
   void mem_read(std::uint64_t addr, std::uint32_t size, bool dependent = false) {
     ++accesses_;
-    if (sink_ != nullptr) sink_->on_access(addr, size, false, dependent);
+    if (fast_ != nullptr) {
+      fast_->access(addr, size);
+    } else if (sink_ != nullptr) {
+      sink_->on_access(addr, size, false, dependent);
+    }
   }
 
   void mem_write(std::uint64_t addr, std::uint32_t size) {
     ++accesses_;
-    if (sink_ != nullptr) sink_->on_access(addr, size, true, false);
+    if (fast_ != nullptr) {
+      fast_->access(addr, size);
+    } else if (sink_ != nullptr) {
+      sink_->on_access(addr, size, true, false);
+    }
   }
 
   void stateless_mem_read(std::uint64_t addr, std::uint32_t size,
@@ -105,6 +128,7 @@ class CostMeter {
 
  private:
   TraceSink* sink_ = nullptr;
+  ConservativeCycleMeter* fast_ = nullptr;  ///< sink_->fast_meter()
   std::uint64_t instructions_ = 0;
   std::uint64_t accesses_ = 0;
   std::uint64_t stateless_instructions_ = 0;

@@ -144,7 +144,6 @@ DecodedProgram DecodedProgram::decode(const Program& program) {
       d.dst = code[pc + 1].dst;
       d.a = code[pc + 1].a;
       d.n_instr = 2;
-      d.n_mul = code[pc + 1].op == Op::kMul ? 1 : 0;
       len = 2;
     } else if (i0.op == Op::kConst && fusable(pc + 1) &&
                code[pc + 1].op == Op::kLoadPkt && code[pc + 1].a == i0.dst) {
@@ -192,7 +191,6 @@ DecodedProgram DecodedProgram::decode(const Program& program) {
       if (i0.t >= 0) d.t = static_cast<std::uint32_t>(i0.t);
       if (i0.f >= 0) d.f = static_cast<std::uint32_t>(i0.f);
       d.n_instr = is_annotation(i0.op) ? 0 : 1;
-      d.n_mul = i0.op == Op::kMul ? 1 : 0;
     }
 
     out.code.push_back(d);
@@ -241,14 +239,6 @@ DecodedInterpreter::DecodedInterpreter(const Program& program, StatefulEnv* env,
        i < std::min(options_.scratch_init.size(), scratch_.size()); ++i) {
     scratch_[i] = options_.scratch_init[i];
   }
-  if (fast_meter_ != nullptr) {
-    const ConservativeCycleMeter::Costs& c = fast_meter_->costs();
-    record_cycles_.reserve(dprog_.code.size());
-    for (const DInstr& d : dprog_.code) {
-      record_cycles_.push_back(static_cast<std::uint32_t>(
-          (d.n_instr - d.n_mul) * c.alu + d.n_mul * c.mul));
-    }
-  }
 }
 
 RunResult DecodedInterpreter::run(net::Packet& packet) {
@@ -271,17 +261,18 @@ void DecodedInterpreter::exec(net::Packet& packet, RunResult& result) {
   result.labels = labels_;
   result.loop_trips.resize(labels_->loop_count(), 0);
 
-  // Stateless counters live in registers; metered work (framing + dslib)
-  // still flows through a CostMeter so data structures see the interface
-  // they were written against — that path is per-call, not per-instruction.
+  // Stateless counters live in registers, and their cycles are charged
+  // once at `done` (instruction cycles are order-independent sums). Metered
+  // work (framing + dslib) still flows through a CostMeter so data
+  // structures see the interface they were written against; it drives the
+  // same fast meter inline.
   std::uint64_t sic = 0;   // stateless instructions
+  std::uint64_t smul = 0;  // ... of which kMul
   std::uint64_t sacc = 0;  // stateless accesses
   CostMeter call_meter(options_.sink);
   [[maybe_unused]] ConservativeCycleMeter* const fm = fast_meter_;
-  [[maybe_unused]] const std::uint32_t* const cyc = record_cycles_.data();
 
-  // Framework rx cost: identical event stream to the reference engine
-  // (constant per packet, so the virtual path costs nothing that scales).
+  // Framework rx cost: identical event stream to the reference engine.
   call_meter.metered_instructions(options_.rx_instructions);
   for (std::uint64_t i = 0; i < options_.rx_accesses; ++i) {
     call_meter.mem_read(kMbufBase + (i * 16) % 192, 8);
@@ -358,7 +349,6 @@ dispatch:
              name_ + ": step budget exceeded (infinite loop?)");
   I = &code[pc];
   sic += I->n_instr;
-  if constexpr (kMeter) fm->add_cycles(cyc[pc]);
 #ifdef BOLT_DIRECT_THREADED
   goto *kLabels[static_cast<std::size_t>(I->op)];
 #else
@@ -381,9 +371,10 @@ dispatch:
     regs[I->dst] = (expr);                  \
     BOLT_NEXT();                            \
   }
+  // The two multiply handlers also count the packet's imuls for the meter.
   BOLT_ALU(kAdd, av + bv)
   BOLT_ALU(kSub, av - bv)
-  BOLT_ALU(kMul, av * bv)
+  BOLT_ALU(kMul, (++smul, av * bv))
   BOLT_ALU(kAnd, av & bv)
   BOLT_ALU(kOr, av | bv)
   BOLT_ALU(kXor, av ^ bv)
@@ -509,7 +500,7 @@ dispatch:
   }
   BOLT_ALU_I(kAddI, av + bv)
   BOLT_ALU_I(kSubI, av - bv)
-  BOLT_ALU_I(kMulI, av * bv)
+  BOLT_ALU_I(kMulI, (++smul, av * bv))
   BOLT_ALU_I(kAndI, av & bv)
   BOLT_ALU_I(kOrI, av | bv)
   BOLT_ALU_I(kXorI, av ^ bv)
@@ -591,6 +582,7 @@ dispatch:
 #undef BOLT_NEXT_AT
 
 done:
+  if constexpr (kMeter) fm->add_instructions(sic, smul);
   // Framework tx/drop cost — same event stream as the reference engine.
   if (result.verdict == net::NfVerdict::kForward) {
     call_meter.metered_instructions(options_.tx_instructions);

@@ -3,20 +3,25 @@
 //
 // The reference Interpreter re-derives everything per instruction: it
 // switches on a loosely packed Instr, rebuilds branch targets from
-// signed fields, and pays three virtual TraceSink calls per instruction
-// for cost accounting. DecodedProgram flattens a Program once, ahead of
+// signed fields, and reports every instruction and access to its
+// CostMeter one event at a time. DecodedProgram flattens a Program once, ahead of
 // time, into dense operand records with:
 //
 //   * resolved branch targets (decoded-index space, unsigned),
 //   * superinstructions for the dominant static pairs/triples/quads
 //     (compare+branch, const+ALU, const+load/store/forward, and the
 //     const+load+const+and header-field idiom), and
-//   * per-record cost metadata (stateless instruction count, mul count)
-//     so accounting is table adds instead of per-op virtual dispatch.
+//   * a per-record stateless instruction count, so accounting is one
+//     register add per record instead of per-op virtual dispatch.
 //
 // DecodedInterpreter executes that form with computed-goto direct
 // threading (portable switch fallback behind BOLT_NO_COMPUTED_GOTO) and
 // drives the conservative cycle meter inline via TraceSink::fast_meter().
+// Instruction cycles are order-independent sums, so the engine keeps no
+// per-record cycle table: it counts the packet's stateless instructions
+// and multiplies in locals and charges them to the meter once, when the
+// packet finishes. Only memory accesses, whose cost depends on L1 state,
+// reach the meter in execution order.
 // It is byte-result-identical to the reference engine — enforced by
 // tests/test_decoded.cpp — but does no string work, no map work, and no
 // virtual dispatch on the per-packet path.
@@ -80,7 +85,6 @@ struct DInstr {
   DOp op{};
   std::uint8_t width = 0;
   std::uint8_t n_instr = 0;  ///< stateless instructions this record covers
-  std::uint8_t n_mul = 0;    ///< how many of those are kMul
   Reg dst = kNoReg;
   Reg dst2 = kNoReg;  ///< kCall's second result; fusions' const register
   Reg a = kNoReg;
@@ -130,9 +134,6 @@ class DecodedInterpreter final : public PacketEngine {
   InterpreterOptions options_;
   DecodedProgram dprog_;
   ConservativeCycleMeter* fast_meter_ = nullptr;  ///< from options_.sink
-  /// Per-record conservative cycles ((n_instr - n_mul)·alu + n_mul·mul),
-  /// precomputed from the meter's costs; empty when there is no meter.
-  std::vector<std::uint32_t> record_cycles_;
   std::shared_ptr<RunLabels> owned_labels_;  ///< when standalone
   RunLabels* labels_;
   std::uint32_t tag_base_ = 0;

@@ -10,8 +10,9 @@
 //
 //  * DecodedInterpreter (ir/decoded.h) — the hot-path engine: executes a
 //    pre-decoded, superinstruction-fused form of the program via
-//    direct-threaded dispatch, with cost accounting folded into per-opcode
-//    tables. Byte-identical results, several times faster.
+//    direct-threaded dispatch, with stateless cost accounting kept in
+//    local counters and charged once per packet. Byte-identical results,
+//    several times faster.
 //
 // Results carry interned ids (class-tag ids, per-method case ids, flat loop
 // indices) instead of strings; RunLabels materialises names only at report

@@ -6,6 +6,16 @@
 // above support/. Keeping the implementation inline also lets the decoded
 // engine's per-access must-hit lookup inline into its dispatch loop instead
 // of paying an out-of-line call per memory access.
+//
+// Each set has a header {epoch, used}: its live ways are exactly the first
+// `used` slots, and a header stamped with an older epoch reads as an empty
+// set. A probe therefore scans only the live ways, a miss fills the next
+// free way while there is one, and only a full set evicts its least
+// recently used way. That is the same hit/miss/victim sequence as scanning
+// every way for "the first way with the minimum LRU rank" with empty ways
+// ranking 0: empty ways only ever exist as a suffix, and live LRU ticks are
+// unique. clear() bumps the epoch, so it stays O(1) however many sets the
+// cache has — the conservative meter clears once per packet.
 #pragma once
 
 #include <cstdint>
@@ -31,66 +41,52 @@ class Cache {
     sets_ = lines / ways;
     BOLT_CHECK((sets_ & (sets_ - 1)) == 0,
                "cache set count must be a power of 2");
+    headers_.resize(sets_);
     slots_.resize(sets_ * ways_);
   }
 
   /// Looks up (and on miss inserts) the line; returns true on hit.
   bool access(std::uint64_t line) {
-    const std::size_t base = set_of(line) * ways_;
+    const std::size_t set = set_of(line);
+    const std::size_t used = live_ways(set);
+    Way* const ways = &slots_[set * ways_];
     ++tick_;
-    std::size_t victim = base;
-    std::uint64_t victim_lru = lru_of(slots_[base]);
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Way& way = slots_[base + w];
-      if (way.epoch == epoch_ && way.line == line) {
-        way.lru = tick_;
+    for (std::size_t w = 0; w < used; ++w) {
+      if (ways[w].line == line) {
+        ways[w].lru = tick_;
         return true;
       }
-      const std::uint64_t lru = lru_of(way);
-      if (lru < victim_lru) {
-        victim = base + w;
-        victim_lru = lru;
-      }
     }
-    slots_[victim] = Way{line, tick_, epoch_};
+    fill(set, used, ways, line);
     return false;
   }
 
   /// Inserts without counting as a demand access (prefetch fills).
   void insert(std::uint64_t line) {
-    const std::size_t base = set_of(line) * ways_;
+    const std::size_t set = set_of(line);
+    const std::size_t used = live_ways(set);
+    Way* const ways = &slots_[set * ways_];
     ++tick_;
-    std::size_t victim = base;
-    std::uint64_t victim_lru = lru_of(slots_[base]);
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Way& way = slots_[base + w];
-      if (way.epoch == epoch_ && way.line == line) {
-        return;  // already resident; prefetch is a no-op
-      }
-      const std::uint64_t lru = lru_of(way);
-      if (lru < victim_lru) {
-        victim = base + w;
-        victim_lru = lru;
-      }
+    for (std::size_t w = 0; w < used; ++w) {
+      if (ways[w].line == line) return;  // resident; prefetch is a no-op
     }
-    slots_[victim] = Way{line, tick_, epoch_};
+    fill(set, used, ways, line);
   }
 
   /// True if the line is currently resident (no LRU update).
   bool contains(std::uint64_t line) const {
-    const std::size_t base = set_of(line) * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      const Way& way = slots_[base + w];
-      if (way.epoch == epoch_ && way.line == line) return true;
+    const std::size_t set = set_of(line);
+    const std::size_t used = live_ways(set);
+    const Way* const ways = &slots_[set * ways_];
+    for (std::size_t w = 0; w < used; ++w) {
+      if (ways[w].line == line) return true;
     }
     return false;
   }
 
+  /// Empties every set in O(1): headers stamped with an older epoch read
+  /// as empty, exactly as if the whole array had been rewritten.
   void clear() {
-    // O(1) epoch invalidation: entries stamped with an older epoch read as
-    // empty (line ~0, LRU 0), exactly as if the array had been rewritten.
-    // The conservative model clears per packet/path, so an eager rewrite
-    // of sets*ways slots would be a real per-packet cost.
     ++epoch_;
     tick_ = 0;
   }
@@ -100,22 +96,41 @@ class Cache {
 
  private:
   struct Way {
-    std::uint64_t line = ~0ULL;
-    std::uint64_t lru = 0;    // higher = more recently used
-    std::uint64_t epoch = 0;  // valid only when == cache epoch (0 = never)
+    std::uint64_t line = 0;
+    std::uint64_t lru = 0;  // higher = more recently used; unique per epoch
+  };
+  struct SetHeader {
+    std::uint64_t epoch = 0;  // the set's ways are live only at this epoch
+    std::uint64_t used = 0;   // live ways: slots [0, used) of the set
   };
 
   std::size_t set_of(std::uint64_t line) const { return line & (sets_ - 1); }
-  /// LRU rank with stale (pre-clear) entries reading as empty.
-  std::uint64_t lru_of(const Way& w) const {
-    return w.epoch == epoch_ ? w.lru : 0;
+
+  std::size_t live_ways(std::size_t set) const {
+    const SetHeader& h = headers_[set];
+    return h.epoch == epoch_ ? static_cast<std::size_t>(h.used) : 0;
+  }
+
+  /// Places a missing line: the next free way, else the LRU way.
+  void fill(std::size_t set, std::size_t used, Way* ways, std::uint64_t line) {
+    if (used < ways_) {
+      ways[used] = Way{line, tick_};
+      headers_[set] = SetHeader{epoch_, used + 1};
+      return;
+    }
+    Way* victim = ways;
+    for (std::size_t w = 1; w < ways_; ++w) {
+      if (ways[w].lru < victim->lru) victim = &ways[w];
+    }
+    *victim = Way{line, tick_};
   }
 
   std::size_t sets_;
   std::size_t ways_;
   std::uint64_t tick_ = 0;
-  std::uint64_t epoch_ = 1;  // bumped by clear(); way.epoch 0 is pre-first-use
-  std::vector<Way> slots_;   // sets_ * ways_
+  std::uint64_t epoch_ = 1;  // bumped by clear(); header epoch 0 = never used
+  std::vector<SetHeader> headers_;  // sets_
+  std::vector<Way> slots_;          // sets_ * ways_
 };
 
 }  // namespace bolt::support
