@@ -58,7 +58,7 @@ bool StreamMonitor::owned(std::size_t partition) const {
   return owner == fleet_.instance;
 }
 
-void StreamMonitor::feed(const net::Packet& packet) {
+void StreamMonitor::feed(const net::PacketView& packet) {
   BOLT_CHECK(!finished_, "stream monitor: feed after finish");
   const std::uint64_t index = next_index_++;
   const std::uint64_t window_ns = compiled_.delta_window_ns;

@@ -114,7 +114,7 @@ class StreamMonitor {
   /// Feeds the next packet of the global stream (every instance of a fleet
   /// feeds the same stream; non-owned packets advance the window clock and
   /// the global index, nothing else).
-  void feed(const net::Packet& packet);
+  void feed(const net::PacketView& packet);
 
   /// Idle-flush hook: emits the open window provisionally (no drift
   /// detection, `provisional = true`) so a quiet input does not hold the

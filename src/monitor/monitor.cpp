@@ -1,6 +1,7 @@
 #include "monitor/monitor.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "monitor/accum.h"
@@ -53,7 +54,7 @@ struct MonitorEngine::QueueResult {
 /// scratch, so steady-state monitoring performs no allocations.
 class MonitorEngine::QueueTask {
  public:
-  QueueTask(const MonitorEngine& e, const std::vector<net::Packet>& packets,
+  QueueTask(const MonitorEngine& e, support::Span<const net::PacketView> packets,
             const TargetFactory& factory,
             std::vector<std::uint32_t>* attribution, QueueResult& out)
       : e_(e),
@@ -181,7 +182,7 @@ class MonitorEngine::QueueTask {
 
   const MonitorEngine& e_;
   const CompiledContract& cc_;
-  const std::vector<net::Packet>& packets_;
+  const support::Span<const net::PacketView> packets_;
   const TargetFactory& factory_;
   std::vector<std::uint32_t>* attribution_;
   QueueResult& out_;
@@ -194,17 +195,68 @@ class MonitorEngine::QueueTask {
   std::uint64_t cached_window_ = 0;
 };
 
-std::size_t partition_of(const net::Packet& packet, std::size_t partitions) {
-  if (partitions <= 1) return 0;
-  std::uint64_t h = 0;
-  if (const auto eth = net::parse_ethernet(packet.bytes())) {
-    h = net::mix64(eth->src.to_u64() * 0x9E3779B97F4A7C15ULL ^
-                   eth->dst.to_u64());
-  }
-  if (const auto tuple = net::extract_five_tuple(packet)) {
-    h = net::mix64(h ^ tuple->key());
+namespace {
+
+/// Big-endian loads (the caller has bounds-checked).
+std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return __builtin_bswap64(v);
+}
+std::uint32_t load_be32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return __builtin_bswap32(v);
+}
+std::uint16_t load_be16(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, 2);
+  return __builtin_bswap16(v);
+}
+
+/// h % partitions, without the division when partitions is a power of two
+/// (the default 8).
+std::size_t reduce(std::uint64_t h, std::size_t partitions) {
+  if ((partitions & (partitions - 1)) == 0) {
+    return static_cast<std::size_t>(h & (partitions - 1));
   }
   return static_cast<std::size_t>(h % partitions);
+}
+
+}  // namespace
+
+std::size_t partition_of(const net::PacketView& packet, std::size_t partitions) {
+  if (partitions <= 1) return 0;
+  // Fixed offsets, the bounds checks of the net::parse_* helpers.
+  const std::uint8_t* b = packet.bytes().data();
+  const std::size_t n = packet.size();
+  constexpr std::size_t kIp = net::kEthernetHeaderSize;
+  if (n < kIp) return 0;  // no Ethernet header: hash 0
+  // The 48-bit MACs, each read as part of a 64-bit word inside the header.
+  const std::uint64_t dst_mac = load_be64(b) >> 16;
+  const std::uint64_t src_mac = load_be64(b + 4) & 0xffffffffffffULL;
+  std::uint64_t h = net::mix64(src_mac * 0x9E3779B97F4A7C15ULL ^ dst_mac);
+  if (load_be16(b + 12) != net::kEtherTypeIpv4 ||
+      n < kIp + net::kIpv4MinHeaderSize) {
+    return reduce(h, partitions);
+  }
+  const std::uint8_t vihl = b[kIp];
+  const std::size_t l4 = kIp + std::size_t(vihl & 0x0f) * 4;
+  const std::uint8_t proto = b[kIp + 9];
+  const std::size_t l4_size = proto == net::kIpProtoTcp   ? net::kTcpMinHeaderSize
+                              : proto == net::kIpProtoUdp ? net::kUdpHeaderSize
+                                                          : 0;
+  if ((vihl >> 4) == 4 && (vihl & 0x0f) >= 5 && l4_size != 0 &&
+      l4 + l4_size <= n) {
+    net::FiveTuple t;
+    t.src_ip.value = load_be32(b + kIp + 12);
+    t.dst_ip.value = load_be32(b + kIp + 16);
+    t.src_port = load_be16(b + l4);
+    t.dst_port = load_be16(b + l4 + 2);
+    t.protocol = proto;
+    h = net::mix64(h ^ t.key());
+  }
+  return reduce(h, partitions);
 }
 
 MonitorEngine::MonitorEngine(const perf::Contract& contract,
@@ -228,6 +280,14 @@ MonitorEngine::TargetFactory MonitorEngine::named_factory(std::string name) {
 }
 
 MonitorReport MonitorEngine::run(const std::vector<net::Packet>& packets,
+                                 const TargetFactory& factory,
+                                 std::vector<std::uint32_t>* attribution,
+                                 obs::RunObservations* observations) const {
+  const std::vector<net::PacketView> views(packets.begin(), packets.end());
+  return run(views, factory, attribution, observations);
+}
+
+MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
                                  const TargetFactory& factory,
                                  std::vector<std::uint32_t>* attribution,
                                  obs::RunObservations* observations) const {

@@ -77,6 +77,7 @@
 #include "obs/telemetry.h"
 #include "perf/contract.h"
 #include "perf/pcv.h"
+#include "support/span.h"
 
 namespace bolt::monitor {
 
@@ -184,8 +185,10 @@ class MonitorEngine {
   ~MonitorEngine();  // out of line: CompiledContract is incomplete here
 
   /// Streams `packets` through per-partition instances built by `factory`
-  /// and returns the merged report. The input is not mutated (partitions
-  /// run on copies, as the NF rewrites headers).
+  /// and returns the merged report. The packets are views (a mapped pcap's
+  /// records, or Packets) and are never mutated: each partition copies one
+  /// packet at a time into its reused scratch packet, as the NF rewrites
+  /// headers.
   ///
   /// `attribution` (optional) receives one entry per packet: the contract
   /// entry index the packet was attributed to, or kUnattributedEntry. This
@@ -199,6 +202,11 @@ class MonitorEngine {
   /// (counters collected when options.telemetry is set), the delta window
   /// stream (when options.delta_every > 0), and any drift alerts. None of
   /// it can change the returned report's bytes.
+  MonitorReport run(support::Span<const net::PacketView> packets,
+                    const TargetFactory& factory,
+                    std::vector<std::uint32_t>* attribution = nullptr,
+                    obs::RunObservations* observations = nullptr) const;
+  /// The same run over owned packets (viewed in place, not copied).
   MonitorReport run(const std::vector<net::Packet>& packets,
                     const TargetFactory& factory,
                     std::vector<std::uint32_t>* attribution = nullptr,
@@ -221,7 +229,13 @@ class MonitorEngine {
 
 /// The partition a packet belongs to: a flow-affine hash over the Ethernet
 /// pair and the five-tuple (packets of one flow always land in the same
-/// partition). Exposed for tests.
-std::size_t partition_of(const net::Packet& packet, std::size_t partitions);
+/// partition). Reads both at fixed offsets without allocating, with the
+/// validity rules of net::parse_ethernet / parse_ipv4 / parse_tcp /
+/// parse_udp: the hash is mix64 over the MAC pair when the frame holds an
+/// Ethernet header, re-mixed with FiveTuple::key() when it holds a TCP or
+/// UDP over IPv4 five-tuple (net::extract_five_tuple's definition).
+/// Membership is report semantics (tests/test_monitor.cpp holds the
+/// parse-based formula as its oracle). Exposed for tests.
+std::size_t partition_of(const net::PacketView& packet, std::size_t partitions);
 
 }  // namespace bolt::monitor

@@ -69,7 +69,7 @@ PartitionRunner::PartitionRunner(const CompiledContract& compiled,
   epochs_on_ = options.epoch_ns > 0 && track_state_;
 }
 
-PartitionRunner::Step PartitionRunner::step(const net::Packet& packet) {
+PartitionRunner::Step PartitionRunner::step(const net::PacketView& packet) {
   Step out;
   // Deterministic epoch clock: driven purely by this partition's packet
   // timestamps (never wall-clock), so every crossing — and therefore every
@@ -99,7 +99,7 @@ PartitionRunner::Step PartitionRunner::step(const net::Packet& packet) {
     }
   }
 
-  packet_ = packet;
+  packet_.assign(packet);
   if (options_.check_cycles) cycles_.begin_packet();
   runner_->process_into(packet_, run_);
   if (track_state_) out.occupancy = target_.state_occupancy();

@@ -80,9 +80,11 @@ class PartitionRunner {
   PartitionRunner(const PartitionRunner&) = delete;
   PartitionRunner& operator=(const PartitionRunner&) = delete;
 
-  /// Advances the epoch clock to `packet`'s timestamp, then runs a copy of
-  /// the packet through the NF, measures it and attributes it.
-  Step step(const net::Packet& packet);
+  /// Advances the epoch clock to `packet`'s timestamp, then copies the
+  /// packet into the reused scratch packet (Packet::assign: no allocation
+  /// once it has held a frame as large), runs it through the NF, measures
+  /// it and attributes it.
+  Step step(const net::PacketView& packet);
 
   /// Writes the last stepped packet's PCVs (loop trips included) into
   /// `row` — slot_stride values, contract-registry slots, zeros elsewhere:

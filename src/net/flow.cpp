@@ -4,19 +4,6 @@
 
 namespace bolt::net {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t FiveTuple::key() const {
-  std::uint64_t a = (std::uint64_t(src_ip.value) << 32) | dst_ip.value;
-  std::uint64_t b = (std::uint64_t(src_port) << 24) |
-                    (std::uint64_t(dst_port) << 8) | protocol;
-  return mix64(a) ^ mix64(b + 0x9e3779b97f4a7c15ULL);
-}
-
 std::optional<FiveTuple> extract_five_tuple(const Packet& packet) {
   const auto buf = packet.bytes();
   const auto eth = parse_ethernet(buf);

@@ -13,6 +13,7 @@
 
 #include "net/addresses.h"
 #include "net/packet.h"
+#include "support/hash.h"
 
 namespace bolt::net {
 
@@ -37,7 +38,7 @@ struct FiveTuple {
   /// a 64-bit mix of the 104 tuple bits. Collisions of the *key* are
   /// astronomically unlikely for test workloads; collisions of the *bucket*
   /// are what the PCVs track.
-  std::uint64_t key() const;
+  inline std::uint64_t key() const;
 
   /// Reversed tuple (for return traffic).
   FiveTuple reversed() const {
@@ -56,8 +57,16 @@ struct FiveTuple {
 /// Returns nullopt for anything else (non-IPv4, other protocols, truncated).
 std::optional<FiveTuple> extract_five_tuple(const Packet& packet);
 
-/// The public 64 -> 64 bit mixing function used by dslib hash tables.
-/// (splitmix64 finaliser; fast, invertible, and well distributed.)
-std::uint64_t mix64(std::uint64_t x);
+/// The public 64 -> 64 bit mixing function used by dslib hash tables:
+/// the splitmix64 finaliser the symbolic side also uses (support/hash.h;
+/// fast, invertible, and well distributed).
+using support::mix64;
+
+std::uint64_t FiveTuple::key() const {
+  std::uint64_t a = (std::uint64_t(src_ip.value) << 32) | dst_ip.value;
+  std::uint64_t b = (std::uint64_t(src_port) << 24) |
+                    (std::uint64_t(dst_port) << 8) | protocol;
+  return mix64(a) ^ mix64(b + 0x9e3779b97f4a7c15ULL);
+}
 
 }  // namespace bolt::net

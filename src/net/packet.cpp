@@ -1,6 +1,5 @@
 #include "net/packet.h"
 
-// Packet is header-only today; this file anchors the translation unit so the
-// library has a stable archive member for the type (and room to grow, e.g.
-// reference-counted buffers for zero-copy chains).
+// Packet and PacketView are header-only; this file anchors the translation
+// unit so the library has a stable archive member for the types.
 namespace bolt::net {}

@@ -1,6 +1,11 @@
 #include "net/pcap.h"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "support/assert.h"
@@ -13,36 +18,99 @@ constexpr std::uint32_t kMagicNano = 0xa1b23c4d;
 constexpr std::uint32_t kMagicMicroSwapped = 0xd4c3b2a1;
 constexpr std::uint32_t kMagicNanoSwapped = 0x4d3cb2a1;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
+constexpr std::size_t kGlobalHeaderSize = 24;
+constexpr std::size_t kRecordHeaderSize = 16;
 
-std::uint32_t bswap32(std::uint32_t v) {
-  return ((v & 0xff) << 24) | ((v & 0xff00) << 8) | ((v >> 8) & 0xff00) |
-         (v >> 24);
+std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return swapped ? __builtin_bswap32(v) : v;
 }
 
-struct Cursor {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool swapped = false;
-
-  bool done() const { return pos >= size; }
-
-  std::uint32_t u32() {
-    BOLT_CHECK(pos + 4 <= size, "pcap: truncated file");
-    std::uint32_t v;
-    std::memcpy(&v, data + pos, 4);
-    pos += 4;
-    return swapped ? bswap32(v) : v;
+/// The one global-header parse: magic number (byte order, resolution) and
+/// link type. `where` names the input in error messages.
+PcapFormat parse_header(const std::uint8_t* data, std::size_t size,
+                        const std::string& where) {
+  BOLT_CHECK(size >= kGlobalHeaderSize,
+             where + ": file shorter than the 24-byte global header (" +
+                 std::to_string(size) + " bytes)");
+  PcapFormat fmt;
+  switch (load_u32(data, false)) {
+    case kMagicMicro: break;
+    case kMagicNano: fmt.nano = true; break;
+    case kMagicMicroSwapped: fmt.swapped = true; break;
+    case kMagicNanoSwapped:
+      fmt.swapped = true;
+      fmt.nano = true;
+      break;
+    default: BOLT_UNREACHABLE(where + ": bad magic number");
   }
+  // version (2+2), thiszone, sigfigs and snaplen are not used.
+  const std::uint32_t link_type = load_u32(data + 20, fmt.swapped);
+  BOLT_CHECK(link_type == kLinkTypeEthernet,
+             where + ": only EN10MB supported (link type " +
+                 std::to_string(link_type) + ")");
+  return fmt;
+}
 
-  std::uint16_t u16() {
-    BOLT_CHECK(pos + 2 <= size, "pcap: truncated file");
-    std::uint16_t v;
-    std::memcpy(&v, data + pos, 2);
-    pos += 2;
-    return swapped ? static_cast<std::uint16_t>((v << 8) | (v >> 8)) : v;
+/// The one record walk: visits every complete record in [pos, size) as a
+/// PacketView into `data`, numbering records from 0. A record cut
+/// short by the end of the bytes aborts with its byte offset and record
+/// index when `torn_ok` is false (a finished file), and ends the walk
+/// when it is true (a file still being written). Returns the offset just
+/// past the last complete record.
+template <typename Visit>
+std::size_t walk_records(const std::uint8_t* data, std::size_t size,
+                         std::size_t pos, PcapFormat fmt, bool torn_ok,
+                         const std::string& where, Visit&& visit) {
+  for (std::uint64_t index = 0; pos < size; ++index) {
+    const std::size_t left = size - pos;
+    if (left < kRecordHeaderSize) {
+      if (torn_ok) break;
+      BOLT_UNREACHABLE(where + ": truncated record header at byte offset " +
+                       std::to_string(pos) + " (record index " +
+                       std::to_string(index) + "): " + std::to_string(left) +
+                       " of 16 bytes");
+    }
+    const std::uint8_t* rec = data + pos;
+    const std::uint64_t ts_sec = load_u32(rec, fmt.swapped);
+    const std::uint64_t ts_frac = load_u32(rec + 4, fmt.swapped);
+    const std::uint32_t incl_len = load_u32(rec + 8, fmt.swapped);
+    if (left - kRecordHeaderSize < incl_len) {
+      if (torn_ok) break;
+      BOLT_UNREACHABLE(where + ": truncated record body at byte offset " +
+                       std::to_string(pos) + " (record index " +
+                       std::to_string(index) + "): " +
+                       std::to_string(incl_len) + " bytes declared, " +
+                       std::to_string(left - kRecordHeaderSize) + " left");
+    }
+    const TimestampNs ts =
+        ts_sec * 1'000'000'000ULL + (fmt.nano ? ts_frac : ts_frac * 1'000ULL);
+    visit(PacketView({rec + kRecordHeaderSize, incl_len}, ts));
+    pos += kRecordHeaderSize + incl_len;
   }
-};
+  return pos;
+}
+
+/// Indexes a finished capture's records as views into `data`, in one pass
+/// into a vector reserved once (to the most records the size admits).
+std::vector<PacketView> index_records(const std::uint8_t* data,
+                                      std::size_t size,
+                                      const std::string& where) {
+  const PcapFormat fmt = parse_header(data, size, where);
+  std::vector<PacketView> views;
+  views.reserve((size - kGlobalHeaderSize) / kRecordHeaderSize);
+  walk_records(data, size, kGlobalHeaderSize, fmt, /*torn_ok=*/false, where,
+               [&](const PacketView& v) { views.push_back(v); });
+  return views;
+}
+
+std::vector<Packet> to_packets(const std::vector<PacketView>& views) {
+  std::vector<Packet> packets;
+  packets.reserve(views.size());
+  for (const PacketView& v : views) packets.emplace_back(v);
+  return packets;
+}
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xff));
@@ -58,48 +126,47 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
 
 }  // namespace
 
+PcapMap::PcapMap(const std::string& path) {
+  const std::string where = "pcap '" + path + "'";
+  // O_NONBLOCK: opening a FIFO must not wait for a writer before fstat
+  // can reject it (no effect on regular files).
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  BOLT_CHECK(fd >= 0, where + ": cannot open: " + std::strerror(errno));
+  struct stat st {};
+  const bool stat_ok = ::fstat(fd, &st) == 0;
+  const int stat_errno = errno;
+  if (!stat_ok || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    BOLT_CHECK(stat_ok, where + ": cannot stat: " + std::strerror(stat_errno));
+    BOLT_UNREACHABLE(where +
+                     ": not a regular file (pcap input is mapped; tail a "
+                     "growing capture with --follow)");
+  }
+  length_ = static_cast<std::size_t>(st.st_size);
+  if (length_ >= kGlobalHeaderSize) {
+    base_ = ::mmap(nullptr, length_, PROT_READ, MAP_PRIVATE, fd, 0);
+  }
+  const int map_errno = errno;
+  ::close(fd);  // the mapping keeps the file referenced
+  if (base_ == MAP_FAILED) {
+    base_ = nullptr;
+    BOLT_UNREACHABLE(where + ": cannot map: " + std::strerror(map_errno));
+  }
+  packets_ = index_records(static_cast<const std::uint8_t*>(base_), length_,
+                           where);
+}
+
+PcapMap::~PcapMap() {
+  if (base_ != nullptr) ::munmap(base_, length_);
+}
+
+std::vector<Packet> read_pcap(const std::string& path) {
+  const PcapMap map(path);
+  return to_packets(map.packets());
+}
+
 std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes) {
-  Cursor cur{bytes.data(), bytes.size()};
-  BOLT_CHECK(bytes.size() >= 24, "pcap: file shorter than global header");
-
-  std::uint32_t magic;
-  std::memcpy(&magic, bytes.data(), 4);
-  bool nano = false;
-  switch (magic) {
-    case kMagicMicro: break;
-    case kMagicNano: nano = true; break;
-    case kMagicMicroSwapped: cur.swapped = true; break;
-    case kMagicNanoSwapped:
-      cur.swapped = true;
-      nano = true;
-      break;
-    default: BOLT_UNREACHABLE("pcap: bad magic number");
-  }
-  cur.pos = 4;
-  cur.u16();  // version major
-  cur.u16();  // version minor
-  cur.u32();  // thiszone
-  cur.u32();  // sigfigs
-  cur.u32();  // snaplen
-  const std::uint32_t link_type = cur.u32();
-  BOLT_CHECK(link_type == kLinkTypeEthernet, "pcap: only EN10MB supported");
-
-  std::vector<Packet> packets;
-  while (!cur.done()) {
-    const std::uint64_t ts_sec = cur.u32();
-    const std::uint64_t ts_frac = cur.u32();
-    const std::uint32_t incl_len = cur.u32();
-    const std::uint32_t orig_len = cur.u32();
-    (void)orig_len;
-    BOLT_CHECK(cur.pos + incl_len <= cur.size, "pcap: truncated record");
-    std::vector<std::uint8_t> data(bytes.begin() + std::ptrdiff_t(cur.pos),
-                                   bytes.begin() + std::ptrdiff_t(cur.pos + incl_len));
-    cur.pos += incl_len;
-    const TimestampNs ts =
-        ts_sec * 1'000'000'000ULL + (nano ? ts_frac : ts_frac * 1'000ULL);
-    packets.emplace_back(std::move(data), ts);
-  }
-  return packets;
+  return to_packets(index_records(bytes.data(), bytes.size(), "pcap"));
 }
 
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
@@ -119,19 +186,6 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
     out.insert(out.end(), p.bytes().begin(), p.bytes().end());
   }
   return out;
-}
-
-std::vector<Packet> read_pcap(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  BOLT_CHECK(f != nullptr, "pcap: cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long len = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(len));
-  const std::size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  BOLT_CHECK(got == bytes.size(), "pcap: short read on " + path);
-  return parse_pcap(bytes);
 }
 
 PcapTail::PcapTail(std::string path) : path_(std::move(path)) {}
@@ -161,44 +215,17 @@ std::vector<Packet> PcapTail::poll() {
     }
   }
 
+  const std::string where = "pcap tail '" + path_ + "'";
   std::size_t pos = 0;
   if (!header_done_) {
-    if (buf_.size() < 24) return out;
-    std::uint32_t magic;
-    std::memcpy(&magic, buf_.data(), 4);
-    switch (magic) {
-      case kMagicMicro: break;
-      case kMagicNano: nano_ = true; break;
-      case kMagicMicroSwapped: swapped_ = true; break;
-      case kMagicNanoSwapped:
-        swapped_ = true;
-        nano_ = true;
-        break;
-      default: BOLT_UNREACHABLE("pcap tail: bad magic number");
-    }
-    Cursor cur{buf_.data(), buf_.size(), 20, swapped_};
-    const std::uint32_t link_type = cur.u32();
-    BOLT_CHECK(link_type == kLinkTypeEthernet,
-               "pcap tail: only EN10MB supported");
+    if (buf_.size() < kGlobalHeaderSize) return out;
+    format_ = parse_header(buf_.data(), buf_.size(), where);
     header_done_ = true;
-    pos = 24;
+    pos = kGlobalHeaderSize;
   }
-
-  while (buf_.size() - pos >= 16) {
-    Cursor cur{buf_.data(), buf_.size(), pos, swapped_};
-    const std::uint64_t ts_sec = cur.u32();
-    const std::uint64_t ts_frac = cur.u32();
-    const std::uint32_t incl_len = cur.u32();
-    cur.u32();  // orig_len
-    if (buf_.size() - cur.pos < incl_len) break;  // partial record: retry
-    std::vector<std::uint8_t> data(
-        buf_.begin() + std::ptrdiff_t(cur.pos),
-        buf_.begin() + std::ptrdiff_t(cur.pos + incl_len));
-    const TimestampNs ts =
-        ts_sec * 1'000'000'000ULL + (nano_ ? ts_frac : ts_frac * 1'000ULL);
-    out.emplace_back(std::move(data), ts);
-    pos = cur.pos + incl_len;
-  }
+  pos = walk_records(buf_.data(), buf_.size(), pos, format_,
+                     /*torn_ok=*/true, where,
+                     [&](const PacketView& v) { out.emplace_back(v); });
   buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(pos));
   return out;
 }

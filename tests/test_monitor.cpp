@@ -8,7 +8,9 @@
 //  * reports are byte-identical at 1, 2, and 8 threads and at every batch
 //    size (the compiled-expression VM itself is checked against the
 //    tree-walk reference in tests/test_expr_vm.cpp);
-//  * sharding is flow-affine.
+//  * sharding is flow-affine, and the allocation-free partition hash puts
+//    every input — well-formed, truncated or malformed — where the
+//    parse-based formula does.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -18,8 +20,12 @@
 #include "core/targets.h"
 #include "monitor/monitor.h"
 #include "net/flow.h"
+#include "net/headers.h"
+#include "net/mutate.h"
+#include "net/packet_builder.h"
 #include "net/workload.h"
 #include "perf/contract_io.h"
+#include "support/random.h"
 
 namespace bolt::monitor {
 namespace {
@@ -324,6 +330,130 @@ TEST(Monitor, ShardingIsFlowAffine) {
     EXPECT_EQ(it->second, s);  // one flow never splits across shards
   }
   EXPECT_GT(used.size(), 4u);  // and flows actually spread out
+}
+
+/// The partition hash by definition: parse the Ethernet header and the
+/// five-tuple with the net:: parsers, then mix. partition_of must agree
+/// with it on every input — partition membership is report semantics.
+std::size_t reference_partition_of(const net::Packet& packet,
+                                   std::size_t partitions) {
+  if (partitions <= 1) return 0;
+  std::uint64_t h = 0;
+  if (const auto eth = net::parse_ethernet(packet.bytes())) {
+    h = net::mix64(eth->src.to_u64() * 0x9E3779B97F4A7C15ULL ^
+                   eth->dst.to_u64());
+  }
+  if (const auto tuple = net::extract_five_tuple(packet)) {
+    h = net::mix64(h ^ tuple->key());
+  }
+  return static_cast<std::size_t>(h % partitions);
+}
+
+void expect_oracle_partition(const net::Packet& p) {
+  for (std::size_t parts = 1; parts <= 16; ++parts) {
+    ASSERT_EQ(partition_of(p, parts), reference_partition_of(p, parts))
+        << "partitions=" << parts << " size=" << p.size();
+  }
+}
+
+void expect_oracle_partitions(const std::vector<net::Packet>& packets) {
+  for (const net::Packet& p : packets) expect_oracle_partition(p);
+}
+
+net::Packet with_bytes(const net::Packet& p, std::vector<std::uint8_t> bytes) {
+  return net::Packet(std::move(bytes), p.timestamp_ns(), p.in_port());
+}
+
+std::vector<std::uint8_t> bytes_of(const net::Packet& p) {
+  return {p.bytes().begin(), p.bytes().end()};
+}
+
+TEST(PartitionOracle, EveryMonitorWorkload) {
+  for (const char* kind : {"uniform", "churn", "zipf", "bridge", "attack",
+                           "heartbeat", "longrun", "drift"}) {
+    SCOPED_TRACE(kind);
+    const auto packets = core::monitor_workload("nat", kind, 600);
+    ASSERT_FALSE(packets.empty());
+    expect_oracle_partitions(packets);
+  }
+}
+
+TEST(PartitionOracle, MutatedTraces) {
+  std::vector<net::Packet> trace = core::monitor_workload("nat", "zipf", 200);
+  ASSERT_TRUE(net::snap_to_boundary(trace, 10, 1'000'000));
+  ASSERT_TRUE(net::stretch_gap(trace, 20, 5'000'000'000ULL));
+  ASSERT_TRUE(net::swap_contents(trace, 3, 150));
+  ASSERT_TRUE(net::rotate_window(trace, 40, 30));
+  ASSERT_TRUE(net::duplicate_at(trace, 77));
+  expect_oracle_partitions(trace);
+}
+
+TEST(PartitionOracle, MalformedAndTruncatedFrames) {
+  const net::MacAddress a = net::MacAddress::from_u64(0x0200000000a1);
+  const net::MacAddress b = net::MacAddress::from_u64(0x0200000000b2);
+  const net::Ipv4Address src{0x0a000001}, dst{0xc0a80002};
+  std::vector<net::Packet> bases = {
+      net::PacketBuilder().eth(a, b).ipv4(src, dst, net::kIpProtoUdp)
+          .udp(1234, 53).build(),
+      net::PacketBuilder().eth(a, b).ipv4(src, dst, net::kIpProtoTcp)
+          .tcp(40000, 80).build(),
+      net::PacketBuilder().eth(a, b).ipv4(src, dst, net::kIpProtoIcmp)
+          .build(),
+      net::PacketBuilder().eth(a, b).ipv4(src, dst, net::kIpProtoUdp)
+          .ip_nop_options(3).ip_timestamp_option(2).udp(7, 9).build(),
+      net::PacketBuilder().eth(a, b).ipv4(src, dst, net::kIpProtoTcp)
+          .ip_nop_options(40).tcp(1, 2).build(),
+      net::PacketBuilder().eth(a, b, net::kEtherTypeArp).build(),
+      net::PacketBuilder().eth(a, b, net::kEtherTypeVlan).build(),
+  };
+  std::vector<net::Packet> inputs;
+  for (const net::Packet& base : bases) {
+    const std::vector<std::uint8_t> full = bytes_of(base);
+    // Truncation at every byte, down to the empty frame.
+    for (std::size_t len = 0; len <= full.size(); ++len) {
+      inputs.push_back(with_bytes(base, {full.begin(), full.begin() + len}));
+    }
+    if (full.size() < 35) continue;
+    // Every version/IHL nibble pair: IHL < 5, IHL past the end, version != 4.
+    for (int vihl = 0; vihl < 256; ++vihl) {
+      std::vector<std::uint8_t> v = full;
+      v[14] = static_cast<std::uint8_t>(vihl);
+      inputs.push_back(with_bytes(base, v));
+      // Also cut just before and after where that IHL's L4 header ends.
+      const std::size_t l4 = 14 + std::size_t(vihl & 0x0f) * 4;
+      for (const std::size_t end : {l4 + 7, l4 + 8, l4 + 19, l4 + 20}) {
+        if (end <= v.size()) {
+          inputs.push_back(with_bytes(base, {v.begin(), v.begin() + end}));
+        }
+      }
+    }
+    // Every protocol number (ICMP, TCP, UDP and the rest).
+    for (int proto = 0; proto < 256; ++proto) {
+      std::vector<std::uint8_t> v = full;
+      v[23] = static_cast<std::uint8_t>(proto);
+      inputs.push_back(with_bytes(base, v));
+    }
+    // Ethertypes around IPv4.
+    for (const std::uint16_t et : {0x0800, 0x0801, 0x0008, 0x86dd, 0x8100}) {
+      std::vector<std::uint8_t> v = full;
+      v[12] = static_cast<std::uint8_t>(et >> 8);
+      v[13] = static_cast<std::uint8_t>(et & 0xff);
+      inputs.push_back(with_bytes(base, v));
+    }
+  }
+  // Random header corruption and truncation.
+  support::Rng rng(15);
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<std::uint8_t> v = bytes_of(bases[rng.below(bases.size())]);
+    const std::size_t flips = 1 + rng.below(4);
+    for (std::size_t f = 0; f < flips; ++f) {
+      v[rng.below(std::min<std::size_t>(v.size(), 64))] =
+          static_cast<std::uint8_t>(rng.next());
+    }
+    v.resize(rng.below(v.size() + 1));
+    inputs.push_back(net::Packet(std::move(v), 0));
+  }
+  expect_oracle_partitions(inputs);
 }
 
 }  // namespace

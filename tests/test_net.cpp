@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <set>
 
 #include "net/checksum.h"
@@ -312,6 +315,196 @@ TEST(Pcap, FileRoundTrip) {
   const auto loaded = read_pcap(path);
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].timestamp_ns(), 42u);
+}
+
+// --- Hand-built captures: every reader (parse_pcap, read_pcap, PcapMap,
+// PcapTail) goes through the one header parse and record walk. ----------
+
+struct Record {
+  std::uint32_t sec;
+  std::uint32_t frac;  ///< microseconds or nanoseconds, per the magic
+  std::vector<std::uint8_t> data;
+};
+
+void put32(std::vector<std::uint8_t>& out, std::uint32_t v, bool big_endian) {
+  for (int i = 0; i < 4; ++i) {
+    const int shift = big_endian ? 24 - 8 * i : 8 * i;
+    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  }
+}
+
+/// A capture written field by field in the chosen byte order.
+std::vector<std::uint8_t> hand_pcap(std::uint32_t magic, bool big_endian,
+                                    const std::vector<Record>& records,
+                                    std::uint32_t link_type = 1) {
+  std::vector<std::uint8_t> out;
+  put32(out, magic, big_endian);
+  put32(out, big_endian ? 0x00020004u : 0x00040002u, big_endian);  // 2.4
+  put32(out, 0, big_endian);       // thiszone
+  put32(out, 0, big_endian);       // sigfigs
+  put32(out, 65535, big_endian);   // snaplen
+  put32(out, link_type, big_endian);
+  for (const Record& r : records) {
+    put32(out, r.sec, big_endian);
+    put32(out, r.frac, big_endian);
+    put32(out, static_cast<std::uint32_t>(r.data.size()), big_endian);
+    put32(out, static_cast<std::uint32_t>(r.data.size()), big_endian);
+    out.insert(out.end(), r.data.begin(), r.data.end());
+  }
+  return out;
+}
+
+std::string write_temp(const std::string& name,
+                       const std::vector<std::uint8_t>& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return path;
+  if (!bytes.empty()) std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(seed + i * 7);
+  return v;
+}
+
+void expect_same(const PacketView& got, const Record& want,
+                 TimestampNs want_ts) {
+  EXPECT_EQ(got.timestamp_ns(), want_ts);
+  EXPECT_EQ(got.in_port(), 0u);
+  ASSERT_EQ(got.size(), want.data.size());
+  EXPECT_TRUE(std::equal(got.bytes().begin(), got.bytes().end(),
+                         want.data.begin()));
+}
+
+TEST(Pcap, HandBuiltMicroAndNanoInBothByteOrders) {
+  const std::vector<Record> records = {
+      {3, 250, pattern(60, 1)},
+      {4, 0, {}},  // zero-length record
+      {5, 999'999, pattern(kMaxFrameSize, 9)},
+  };
+  for (const bool nano : {false, true}) {
+    for (const bool big_endian : {false, true}) {
+      SCOPED_TRACE(std::string(nano ? "nano" : "micro") +
+                   (big_endian ? " big-endian" : " little-endian"));
+      const auto bytes =
+          hand_pcap(nano ? 0xa1b23c4d : 0xa1b2c3d4, big_endian, records);
+      auto ts = [&](const Record& r) {
+        return TimestampNs(r.sec) * 1'000'000'000ULL +
+               (nano ? r.frac : TimestampNs(r.frac) * 1'000ULL);
+      };
+      const std::string path = write_temp("bolt_hand.pcap", bytes);
+      const std::vector<Packet> parsed = parse_pcap(bytes);
+      const std::vector<Packet> read = read_pcap(path);
+      const PcapMap mapped(path);
+      PcapTail tail(path);
+      const std::vector<Packet> tailed = tail.poll();
+      ASSERT_EQ(parsed.size(), records.size());
+      ASSERT_EQ(read.size(), records.size());
+      ASSERT_EQ(mapped.packets().size(), records.size());
+      ASSERT_EQ(tailed.size(), records.size());
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_same(parsed[i], records[i], ts(records[i]));
+        expect_same(read[i], records[i], ts(records[i]));
+        expect_same(mapped.packets()[i], records[i], ts(records[i]));
+        expect_same(tailed[i], records[i], ts(records[i]));
+      }
+    }
+  }
+}
+
+TEST(Pcap, HeaderOnlyFileHasNoPackets) {
+  const auto bytes = hand_pcap(0xa1b23c4d, false, {});
+  ASSERT_EQ(bytes.size(), 24u);
+  const std::string path = write_temp("bolt_header_only.pcap", bytes);
+  EXPECT_TRUE(parse_pcap(bytes).empty());
+  EXPECT_TRUE(read_pcap(path).empty());
+  EXPECT_TRUE(PcapMap(path).packets().empty());
+}
+
+TEST(Pcap, MappedViewsEqualReadPackets) {
+  ZipfSpec spec;
+  spec.packet_count = 2000;
+  const std::vector<Packet> packets = zipf_traffic(spec);
+  const std::string path = ::testing::TempDir() + "/bolt_mapped.pcap";
+  write_pcap(path, packets);
+  const std::vector<Packet> read = read_pcap(path);
+  const PcapMap mapped(path);
+  ASSERT_EQ(read.size(), packets.size());
+  ASSERT_EQ(mapped.packets().size(), packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const PacketView& v = mapped.packets()[i];
+    EXPECT_EQ(v.timestamp_ns(), read[i].timestamp_ns());
+    EXPECT_EQ(v.in_port(), read[i].in_port());
+    ASSERT_EQ(v.size(), read[i].size());
+    EXPECT_TRUE(std::equal(v.bytes().begin(), v.bytes().end(),
+                           read[i].bytes().begin()));
+    EXPECT_TRUE(std::equal(v.bytes().begin(), v.bytes().end(),
+                           packets[i].bytes().begin()));
+  }
+}
+
+/// Each malformed capture must be rejected, with the same located message,
+/// by the in-memory parser, the copying file reader and the mapped reader.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     const std::string& message) {
+  const std::string path = write_temp("bolt_bad.pcap", bytes);
+  EXPECT_DEATH(parse_pcap(bytes), message);
+  EXPECT_DEATH(read_pcap(path), message);
+  EXPECT_DEATH(PcapMap{path}, message);
+}
+
+TEST(PcapDeathTest, ShortGlobalHeader) {
+  auto bytes = hand_pcap(0xa1b23c4d, false, {});
+  bytes.resize(10);
+  expect_rejected(bytes, "shorter than the 24-byte global header \\(10 bytes\\)");
+  expect_rejected({}, "shorter than the 24-byte global header \\(0 bytes\\)");
+}
+
+TEST(PcapDeathTest, BadMagic) {
+  expect_rejected(hand_pcap(0x12345678, false, {}), "bad magic number");
+}
+
+TEST(PcapDeathTest, NonEthernetLinkType) {
+  expect_rejected(hand_pcap(0xa1b2c3d4, true, {}, /*link_type=*/101),
+                  "only EN10MB supported \\(link type 101\\)");
+}
+
+TEST(PcapDeathTest, TruncatedRecordHeader) {
+  // Record 0 spans bytes 24..100; record 1's header is cut after 10 bytes.
+  auto bytes = hand_pcap(0xa1b23c4d, false,
+                         {{1, 0, pattern(60, 1)}, {2, 0, pattern(60, 2)}});
+  bytes.resize(24 + 76 + 10);
+  expect_rejected(bytes,
+                  "truncated record header at byte offset 100 \\(record "
+                  "index 1\\): 10 of 16 bytes");
+}
+
+TEST(PcapDeathTest, TruncatedRecordBody) {
+  auto bytes = hand_pcap(0xa1b2c3d4, true,
+                         {{1, 0, pattern(60, 1)}, {2, 0, pattern(60, 2)}});
+  bytes.resize(bytes.size() - 1);
+  expect_rejected(bytes,
+                  "truncated record body at byte offset 100 \\(record index "
+                  "1\\): 60 bytes declared, 59 left");
+}
+
+TEST(PcapDeathTest, NonRegularInputNamesItsPath) {
+  // A directory (ftell on one reports -1, never a usable size).
+  const std::string dir = ::testing::TempDir();
+  EXPECT_DEATH(PcapMap{dir}, "'" + dir + "': not a regular file");
+  EXPECT_DEATH(read_pcap(dir), "not a regular file");
+  // A FIFO is rejected without waiting for a writer.
+  const std::string fifo = ::testing::TempDir() + "/bolt_fifo.pcap";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_DEATH(PcapMap{fifo}, "bolt_fifo.pcap': not a regular file");
+  std::remove(fifo.c_str());
+  EXPECT_DEATH(PcapMap{fifo}, "bolt_fifo.pcap': cannot open");
 }
 
 TEST(Workload, UniformDeterministic) {

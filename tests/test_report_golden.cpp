@@ -7,7 +7,9 @@
 // meter, the cache simulation behind it, or the engines' event streams
 // that moves a single cycle fails here. Each golden is rebuilt through
 // MonitorEngine::run at 1 and 4 threads (threads are execution-only, so
-// both must reproduce the file).
+// both must reproduce the file), once over the generated packets and once
+// over views into a mapped pcap of them (the `monitor --pcap` ingest
+// path).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include "core/bolt.h"
 #include "core/targets.h"
 #include "monitor/monitor.h"
+#include "net/pcap.h"
 #include "obs/delta.h"
 #include "obs/telemetry.h"
 
@@ -72,26 +75,42 @@ TEST(ReportGolden, MonitorReproducesCommittedReports) {
         c.delta_file != nullptr ? read_golden(c.delta_file) : "";
     ASSERT_FALSE(want_report.empty());
 
+    // The mapped ingest path: the same packets written to a pcap (every
+    // golden workload keeps in_port 0, which pcap does not store) and
+    // monitored as views into the mapping.
+    const std::string path = testing::TempDir() + "bolt_golden_" +
+                             std::string(c.report_file) + ".pcap";
+    net::write_pcap(path, packets);
+    const net::PcapMap mapped(path);
+    ASSERT_EQ(mapped.packets().size(), packets.size());
+
     for (const std::size_t threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      MonitorOptions options;
-      options.threads = threads;
-      options.delta_every = c.delta_every;
-      const MonitorEngine engine(contract, reg, options);
-      obs::RunObservations observations;
-      const MonitorReport report =
-          engine.run(packets, MonitorEngine::named_factory(c.nf), nullptr,
-                     &observations);
-      EXPECT_EQ(report_to_json(report) + "\n", want_report);
-      if (c.delta_file != nullptr) {
-        std::string deltas;
-        for (const obs::DeltaWindow& w : observations.deltas) {
-          deltas += obs::delta_window_to_json(w) + "\n";
+      for (const bool from_map : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     (from_map ? " mapped pcap" : " packets"));
+        MonitorOptions options;
+        options.threads = threads;
+        options.delta_every = c.delta_every;
+        const MonitorEngine engine(contract, reg, options);
+        obs::RunObservations observations;
+        const MonitorEngine::TargetFactory factory =
+            MonitorEngine::named_factory(c.nf);
+        const MonitorReport report =
+            from_map ? engine.run(mapped.packets(), factory, nullptr,
+                                  &observations)
+                     : engine.run(packets, factory, nullptr, &observations);
+        EXPECT_EQ(report_to_json(report) + "\n", want_report);
+        if (c.delta_file != nullptr) {
+          std::string deltas;
+          for (const obs::DeltaWindow& w : observations.deltas) {
+            deltas += obs::delta_window_to_json(w) + "\n";
+          }
+          EXPECT_FALSE(observations.deltas.empty());
+          EXPECT_EQ(deltas, want_deltas);
         }
-        EXPECT_FALSE(observations.deltas.empty());
-        EXPECT_EQ(deltas, want_deltas);
       }
     }
+    std::remove(path.c_str());
   }
 }
 

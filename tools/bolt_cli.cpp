@@ -39,6 +39,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -55,7 +56,6 @@
 #include "monitor/follow.h"
 #include "monitor/monitor.h"
 #include "net/pcap.h"
-#include "net/workload.h"
 #include "obs/delta.h"
 #include "obs/fleet.h"
 #include "obs/telemetry.h"
@@ -285,14 +285,14 @@ int monitor_exit_code(const monitor::MonitorReport& report,
 }
 
 /// Streaming/fleet monitor path: one StreamMonitor fed packet-by-packet
-/// (from the preloaded trace, or by tailing --pcap in --follow mode),
-/// emitting delta lines, spool partials and metrics refreshes as windows
-/// close. The final report goes through the same gates as the batch path.
+/// (from the generated or mapped trace, or by tailing --pcap in --follow
+/// mode), emitting delta lines, spool partials and metrics refreshes as
+/// windows close. The final report goes through the same gates as the batch path.
 int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
                        const perf::PcvRegistry& reg,
                        monitor::MonitorOptions options,
                        const MonitorCliArgs& args,
-                       const std::vector<net::Packet>& packets) {
+                       support::Span<const net::PacketView> packets) {
   monitor::FleetOptions fleet;
   fleet.instance = args.fleet_instance;
   fleet.instances = args.fleet_instances;
@@ -417,7 +417,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
   } else {
-    for (const net::Packet& p : packets) sm.feed(p);
+    for (const net::PacketView& p : packets) sm.feed(p);
   }
 
   monitor::StreamResult result = sm.finish();
@@ -513,13 +513,20 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   }
 
   // Traffic side. --follow tails the pcap itself (the file may not even
-  // exist yet), so nothing is preloaded.
-  std::vector<net::Packet> packets;
+  // exist yet), so nothing is preloaded. A finished --pcap is mapped and
+  // monitored in place: its records are viewed, never copied whole.
+  std::optional<net::PcapMap> mapped;
+  std::vector<net::Packet> generated;
+  std::vector<net::PacketView> workload_views;
+  support::Span<const net::PacketView> packets;
   if (!args.follow) {
     if (!args.pcap.empty()) {
-      packets = net::read_pcap(args.pcap);
+      mapped.emplace(args.pcap);
+      packets = mapped->packets();
     } else {
-      packets = core::monitor_workload(nf, args.workload, args.packets);
+      generated = core::monitor_workload(nf, args.workload, args.packets);
+      workload_views.assign(generated.begin(), generated.end());
+      packets = workload_views;
     }
     if (packets.empty()) {
       std::fprintf(stderr, "error: no packets to monitor\n");
@@ -1023,45 +1030,12 @@ int cmd_scenarios(std::size_t threads) {
 
 int cmd_gen(const std::string& kind, const std::string& out,
             std::size_t count) {
-  std::vector<net::Packet> packets;
-  if (kind == "uniform") {
-    net::UniformSpec spec;
-    spec.packet_count = count;
-    packets = net::uniform_random_traffic(spec);
-  } else if (kind == "churn") {
-    net::ChurnSpec spec;
-    spec.packet_count = count;
-    spec.churn = 0.1;
-    packets = net::churn_traffic(spec);
-  } else if (kind == "zipf") {
-    net::ZipfSpec spec;
-    spec.packet_count = count;
-    packets = net::zipf_traffic(spec);
-  } else if (kind == "bridge") {
-    net::BridgeSpec spec;
-    spec.packet_count = count;
-    spec.broadcast_fraction = 0.1;
-    packets = net::bridge_traffic(spec);
-  } else if (kind == "attack") {
-    net::BridgeAttackSpec spec;
-    spec.packet_count = count;
-    packets = net::bridge_collision_attack(spec);
-  } else if (kind == "heartbeat") {
-    net::HeartbeatSpec spec;
-    spec.packet_count = count;
-    packets = net::heartbeat_traffic(spec);
-  } else if (kind == "longrun") {
-    net::LongRunSpec spec;
-    spec.packet_count = count;
-    packets = net::long_run_traffic(spec);
-  } else if (kind == "drift") {
-    net::DriftSpec spec;
-    if (count > 0) {
-      spec.packets_per_window =
-          std::max<std::size_t>(std::size_t{1}, count / spec.windows);
-    }
-    packets = net::drift_traffic(spec);
-  } else {
+  // The same traffic `monitor --workload KIND --packets COUNT` runs on.
+  const std::vector<net::Packet> packets =
+      core::monitor_workload("", kind, count);
+  if (packets.empty()) {
+    std::fprintf(stderr, "error: no packets for workload '%s' x %zu\n",
+                 kind.c_str(), count);
     return usage();
   }
   net::write_pcap(out, packets);
