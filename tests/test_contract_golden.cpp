@@ -31,7 +31,9 @@
 namespace bolt::perf {
 namespace {
 
-const std::vector<const char*> kReferenceNfs = {"bridge", "nat", "lb", "lpm"};
+const std::vector<const char*> kReferenceNfs = {
+    "bridge", "nat", "lb", "lpm", "router", "fw+router", "firewall", "nat-b",
+    "lpm-simple"};
 
 std::string golden_path(const std::string& nf) {
   return std::string(BOLT_TEST_DATA_DIR) + "/contract_" + nf + ".json";

@@ -19,7 +19,7 @@ if [[ ! -x "$CLI" ]]; then
   exit 1
 fi
 
-for nf in bridge nat lb lpm; do
+for nf in bridge nat lb lpm router fw+router firewall nat-b lpm-simple; do
   "$CLI" contract "$nf" --out "$REPO_ROOT/tests/data/contract_${nf}.json"
 done
 
