@@ -24,6 +24,7 @@
 // is cleared then), and an access that straddles lines always probes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "support/cache.h"
@@ -42,8 +43,15 @@ class ConservativeCycleMeter {
     std::uint64_t dram = 200; ///< any unproven access
   };
 
+  /// Geometry of the must-hit L1D (LRU within sets). The symbolic
+  /// executor's branch-join rule reasons about the same geometry.
+  static constexpr std::size_t kL1Bytes = 32 * 1024;
+  static constexpr std::size_t kL1Ways = 8;
+  static constexpr std::size_t kL1Sets =
+      kL1Bytes / (kL1Ways * support::kCacheLineBytes);
+
   explicit ConservativeCycleMeter(const Costs& costs)
-      : costs_(costs), l1_(32 * 1024, 8) {}
+      : costs_(costs), l1_(kL1Bytes, kL1Ways) {}
 
   /// The contract may assume nothing about state left by earlier packets:
   /// the must-hit analysis starts cold every packet.

@@ -12,7 +12,10 @@
 #include <thread>
 #include <utility>
 
+#include "ir/cost.h"
+#include "ir/cycle_meter.h"
 #include "support/assert.h"
+#include "support/cache.h"
 #include "support/random.h"
 #include "support/thread_pool.h"
 
@@ -51,6 +54,32 @@ struct Executor::State {
   std::map<std::pair<std::uint64_t, std::uint8_t>, SymId> field_syms;
   // Packet writes, newest last.
   std::vector<std::tuple<std::uint64_t, std::uint8_t, ExprPtr>> writes;
+
+  // What the branch-join rule compares besides path.symbex_instructions
+  // and path.symbex_accesses (counted from the path's start):
+  std::uint64_t muls = 0;           ///< kMul instructions
+  std::uint64_t probes = 0;         ///< L1 line probes of stateless accesses
+  std::uint64_t unsure_probes = 0;  ///< ... not provably L1 hits
+  /// Cache-line recency of the stateless accesses, LRU first. A marker
+  /// token stands for each stretch of accesses the executor cannot see
+  /// (framework rx/tx, stateful calls).
+  std::vector<std::uint64_t> recency;
+  std::uint64_t markers = 0;
+  /// Dropped arms this state stands in for (shared with every descendant).
+  std::vector<std::shared_ptr<Revival>> revivals;
+};
+
+/// An arm dropped at a branch join, kept aside until the state that
+/// dominated it touches what the two arms left different.
+struct Executor::Revival {
+  State dropped;  ///< the dominated arm, parked at the join
+  /// Poison: packet byte ranges [lo, hi) of fields and writes either arm
+  /// created, and (sorted) the symbols of either arm's constraints closed
+  /// over every constraint that shares a symbol with them.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  std::vector<SymId> syms;
+  bool len = false, port = false, time = false;  ///< poisoned input symbols
+  std::atomic<bool> revived{false};
 };
 
 // Shared state of one exploration run.
@@ -105,6 +134,8 @@ struct Executor::Explore {
   std::atomic<std::uint64_t> solver_calls{0};
   std::atomic<std::uint64_t> memo_hits{0};
   std::atomic<std::uint64_t> memo_misses{0};
+  std::atomic<std::size_t> merged{0};
+  std::atomic<std::size_t> revived{0};
 
   void push(std::size_t self, State s) {
     in_flight.fetch_add(1, std::memory_order_acq_rel);
@@ -288,6 +319,83 @@ std::string path_signature(const PathResult& p) {
 
 }  // namespace
 
+namespace {
+
+/// Tags the recency-list tokens that stand for unseen accesses (line
+/// numbers stay below 2^58).
+constexpr std::uint64_t kMarkerBit = 1ULL << 63;
+
+/// Instructions that end straight-line code for the branch-join rule: they
+/// fork, label the path, count a loop trip or end the program.
+bool ends_straight_line(ir::Op op) {
+  switch (op) {
+    case ir::Op::kBr: case ir::Op::kCall: case ir::Op::kClassTag:
+    case ir::Op::kLoopHead: case ir::Op::kForward: case ir::Op::kDrop:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Pcs that straight-line execution from `pc` visits, ending with the
+/// first instruction that ends straight-line code (included, not run).
+std::vector<std::size_t> straight_walk(const ir::Program& p, std::size_t pc) {
+  std::vector<std::size_t> out;
+  while (pc < p.code.size() && out.size() <= p.code.size()) {
+    out.push_back(pc);
+    const ir::Instr& ins = p.code[pc];
+    if (ends_straight_line(ins.op)) break;
+    pc = ins.op == ir::Op::kJmp ? static_cast<std::size_t>(ins.t) : pc + 1;
+  }
+  return out;
+}
+
+/// Registers live on entry to each pc (classic backward dataflow; every
+/// named operand counts as a use, which can only over-approximate).
+std::vector<std::vector<std::uint64_t>> live_in(const ir::Program& p) {
+  const std::size_t n = p.code.size();
+  const std::size_t words = (static_cast<std::size_t>(p.num_regs) + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> in(n, std::vector<std::uint64_t>(words));
+  auto bit = [](std::vector<std::uint64_t>& set, ir::Reg r, bool on) {
+    if (r == ir::kNoReg) return;
+    const std::uint64_t mask = 1ULL << (static_cast<std::size_t>(r) % 64);
+    std::uint64_t& w = set[static_cast<std::size_t>(r) / 64];
+    w = on ? (w | mask) : (w & ~mask);
+  };
+  std::vector<std::uint64_t> cur(words);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t pc = n; pc-- > 0;) {
+      const ir::Instr& ins = p.code[pc];
+      std::fill(cur.begin(), cur.end(), 0);
+      auto flow_from = [&](std::size_t succ) {
+        if (succ >= n) return;
+        for (std::size_t w = 0; w < words; ++w) cur[w] |= in[succ][w];
+      };
+      switch (ins.op) {
+        case ir::Op::kBr:
+          flow_from(static_cast<std::size_t>(ins.t));
+          flow_from(static_cast<std::size_t>(ins.f));
+          break;
+        case ir::Op::kJmp: flow_from(static_cast<std::size_t>(ins.t)); break;
+        case ir::Op::kForward: case ir::Op::kDrop: break;
+        default: flow_from(pc + 1); break;
+      }
+      bit(cur, ins.dst, false);
+      bit(cur, ins.dst2, false);
+      bit(cur, ins.a, true);
+      bit(cur, ins.b, true);
+      if (cur != in[pc]) {
+        in[pc] = cur;
+        changed = true;
+      }
+    }
+  }
+  return in;
+}
+
+}  // namespace
+
 Executor::Executor(std::vector<const ir::Program*> programs,
                    std::map<std::int64_t, SymbolicModel> models,
                    ExecutorOptions options)
@@ -296,6 +404,30 @@ Executor::Executor(std::vector<const ir::Program*> programs,
       options_(std::move(options)) {
   BOLT_CHECK(!programs_.empty(), "executor needs at least one program");
   for (const ir::Program* p : programs_) p->validate();
+
+  // Branch joins: the first pc both arms of a kBr reach through
+  // straight-line code, with the registers live there.
+  for (const ir::Program* p : programs_) {
+    std::vector<BranchJoin>& joins = joins_.emplace_back(p->code.size());
+    std::vector<std::vector<std::uint64_t>> live;  // computed on demand
+    for (std::size_t pc = 0; pc < p->code.size(); ++pc) {
+      const ir::Instr& ins = p->code[pc];
+      if (ins.op != ir::Op::kBr) continue;
+      const std::vector<std::size_t> t_walk =
+          straight_walk(*p, static_cast<std::size_t>(ins.t));
+      for (std::size_t at : straight_walk(*p, static_cast<std::size_t>(ins.f))) {
+        if (std::find(t_walk.begin(), t_walk.end(), at) == t_walk.end()) continue;
+        if (at == pc) break;  // both arms loop straight back: no join
+        if (live.empty()) live = live_in(*p);
+        joins[pc].join = static_cast<std::int32_t>(at);
+        for (ir::Reg r = 0; r < p->num_regs; ++r) {
+          const std::size_t i = static_cast<std::size_t>(r);
+          if ((live[at][i / 64] >> (i % 64)) & 1) joins[pc].live.push_back(r);
+        }
+        break;
+      }
+    }
+  }
 }
 
 void Executor::enter_program(State& s, std::size_t index) const {
@@ -311,34 +443,56 @@ void Executor::enter_program(State& s, std::size_t index) const {
       s.scratch[i] = Expr::constant(options_.scratch_init[i]);
     }
   }
+  add_marker(s);  // framework tx of the previous NF, rx of this one
 }
 
-void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
+/// One worker's view of the instruction semantics: every helper here acts
+/// on one state, with the worker's solver and deque.
+struct Executor::Stepper {
+  Executor& ex;
+  WorkerCtx& ctx;
+  Explore& sh;
+
+  /// Where a state stood when a branch forked it: the branch constraint is
+  /// the first arm constraint.
+  struct ArmMark {
+    std::uint64_t instructions, accesses, muls, probes, unsure_probes;
+    std::size_t constraints, fields, writes;
+  };
+  static ArmMark mark(const State& st) {
+    return ArmMark{st.path.symbex_instructions, st.path.symbex_accesses,
+                   st.muls, st.probes, st.unsure_probes,
+                   st.path.constraints.size() - 1, st.path.fields.size(),
+                   st.writes.size()};
+  }
+
   // Appends a constraint to a state's path AND folds it into the state's
   // cached solver domains, keeping the two in lockstep. Propagating here —
   // once, where the constraint is born — is what makes every later
   // feasibility check O(new constraint) instead of O(whole path).
-  auto add_constraint = [&](State& st, ExprPtr c) {
+  void add_constraint(State& st, ExprPtr c) {
+    touch_expr(st, c);
     st.path.constraints.push_back(c);
-    if (options_.prune_infeasible) ctx.solver.propagate_into(st.inc, c);
-  };
+    if (ex.options_.prune_infeasible) ctx.solver.propagate_into(st.inc, c);
+  }
 
-  auto ensure_len_sym = [&](State& st) {
+  void ensure_len_sym(State& st) {
+    touch_input(st, &Revival::len);
     if (!st.path.has_len_sym) {
-      st.path.len_sym = symbols_.fresh("pkt.len", 16);
+      st.path.len_sym = ex.symbols_.fresh("pkt.len", 16);
       st.path.has_len_sym = true;
       const ExprPtr len = Expr::symbol(st.path.len_sym);
       add_constraint(st, Expr::binary(ExprOp::kGeU, len, Expr::constant(60)));
       add_constraint(st, Expr::binary(ExprOp::kLeU, len, Expr::constant(1514)));
     }
-  };
+  }
 
   // Feasibility probe for a candidate extension of a path: the new
   // constraints were already folded into st.inc by add_constraint, so
   // propagation contradictions are already known, and the bounded
   // sat-search is memoized per constraint-set hash inside the solver.
-  auto feasible = [&](State& st) {
-    if (!options_.prune_infeasible) return true;
+  bool feasible(State& st) {
+    if (!ex.options_.prune_infeasible) return true;
     if (st.inc.const_false) return false;  // constant-false fast path
     if (st.inc.infeasible) {
       sh.pruned.fetch_add(1, std::memory_order_relaxed);
@@ -350,7 +504,7 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
       sh.unknowns.fetch_add(1, std::memory_order_relaxed);
     }
     return true;  // kSat and kUnknown both keep the path alive
-  };
+  }
 
   // Sinks a completed path into the signature-ordered result set. The
   // max_paths budget truncates *canonically*: the set keeps the
@@ -358,27 +512,265 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
   // so the final set is the same canonical prefix no matter which worker
   // finished which path first (the signature is computed outside the lock;
   // it only depends on the path's structure).
-  auto complete = [&](PathResult path) {
-    std::string sig = path_signature(path);
+  void complete(State& st) {
+    st.path.witness = std::move(st.inc.witness);
+    std::string sig = path_signature(st.path);
     std::lock_guard<std::mutex> lock(sh.results_mutex);
-    if (sh.results.size() >= options_.max_paths) {
+    if (sh.results.size() >= ex.options_.max_paths) {
       ++sh.truncated;
       if (sh.results.empty()) return;  // a zero budget keeps nothing
       auto last = std::prev(sh.results.end());
       if (sig >= last->first) return;  // beyond the canonical prefix
       sh.results.erase(last);
     }
-    sh.results.emplace(std::move(sig), std::move(path));
-  };
+    sh.results.emplace(std::move(sig), std::move(st.path));
+  }
 
-  bool alive = true;
-  while (alive) {
-    const ir::Program& prog = *programs_[s.prog_index];
+  // --- the conservative L1 as far as the executor can see it -------------
+
+  /// One stateless access: probes each line it spans, moving it to the
+  /// MRU end of the recency list. A probe is a sure hit when the line was
+  /// probed before with no unseen accesses since and fewer than `ways`
+  /// other lines of its set in between (LRU stack distance < ways).
+  static void access(State& st, std::uint64_t addr, std::uint32_t size) {
+    constexpr std::size_t kWays = ir::ConservativeCycleMeter::kL1Ways;
+    constexpr std::size_t kSets = ir::ConservativeCycleMeter::kL1Sets;
+    const std::uint64_t first = support::line_of(addr);
+    const std::uint64_t last = support::line_of(addr + size - 1);
+    for (std::uint64_t line = first; line <= last; ++line) {
+      ++st.probes;
+      bool sure = false;
+      bool unseen = false;
+      std::size_t same_set = 0;
+      for (std::size_t i = st.recency.size(); i-- > 0;) {
+        const std::uint64_t tok = st.recency[i];
+        if (tok == line) {
+          sure = !unseen && same_set < kWays;
+          st.recency.erase(st.recency.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        }
+        if (tok & kMarkerBit) {
+          unseen = true;
+        } else if (tok % kSets == line % kSets) {
+          ++same_set;
+        }
+      }
+      if (!sure) ++st.unsure_probes;
+      st.recency.push_back(line);
+    }
+  }
+
+  // --- revival -------------------------------------------------------------
+
+  void revive(Revival& r) {
+    if (r.revived.exchange(true, std::memory_order_acq_rel)) return;
+    sh.revived.fetch_add(1, std::memory_order_relaxed);
+    sh.push(ctx.index, std::move(r.dropped));
+  }
+
+  /// Revives every pending record of `st` whose poison `hit` reports
+  /// touched, and forgets records that are no longer pending.
+  template <typename Hit>
+  void touch(State& st, const Hit& hit) {
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < st.revivals.size(); ++i) {
+      Revival& r = *st.revivals[i];
+      if (!r.revived.load(std::memory_order_acquire) && hit(r)) revive(r);
+      if (r.revived.load(std::memory_order_acquire)) continue;
+      if (keep != i) st.revivals[keep] = std::move(st.revivals[i]);
+      ++keep;
+    }
+    st.revivals.resize(keep);
+  }
+
+  void touch_expr(State& st, ExprPtr e) {
+    if (st.revivals.empty() || e == nullptr) return;
+    std::vector<SymId> named;
+    e->collect_symbols(named);
+    if (named.empty()) return;
+    touch(st, [&named](const Revival& r) {
+      for (SymId id : named) {
+        if (std::binary_search(r.syms.begin(), r.syms.end(), id)) return true;
+      }
+      return false;
+    });
+  }
+
+  void touch_range(State& st, std::uint64_t offset, std::uint8_t width) {
+    if (st.revivals.empty()) return;
+    touch(st, [&](const Revival& r) {
+      for (const auto& [lo, hi] : r.ranges) {
+        if (offset < hi && lo < offset + width) return true;
+      }
+      return false;
+    });
+  }
+
+  void touch_input(State& st, bool Revival::*which) {
+    if (st.revivals.empty()) return;
+    touch(st, [which](const Revival& r) { return r.*which; });
+  }
+
+  // --- branch-join pruning -------------------------------------------------
+
+  /// Runs a state through its arm's straight-line code up to `join`.
+  /// False if the state died there (step budget).
+  bool run_arm(State& st, std::size_t join) {
+    while (st.pc != join) {
+      if (!step(st)) return false;
+    }
+    return true;
+  }
+
+  /// True if arm `a` (state `sa` forked at `ma`) costs at least what arm
+  /// `b` does under the conservative model, whatever the cycle costs:
+  /// no fewer plain instructions, multiplies, accesses or line probes, and
+  /// every probe of `b` a sure L1 hit (so `b` pays L1 at most per probe,
+  /// `a` at least).
+  static bool covers(const State& sa, const ArmMark& ma, const State& sb,
+                     const ArmMark& mb) {
+    const std::uint64_t a_mul = sa.muls - ma.muls, b_mul = sb.muls - mb.muls;
+    const std::uint64_t a_ic = sa.path.symbex_instructions - ma.instructions;
+    const std::uint64_t b_ic = sb.path.symbex_instructions - mb.instructions;
+    return a_ic - a_mul >= b_ic - b_mul && a_mul >= b_mul &&
+           sa.path.symbex_accesses - ma.accesses >=
+               sb.path.symbex_accesses - mb.accesses &&
+           sa.probes - ma.probes >= sb.probes - mb.probes &&
+           sb.unsure_probes == mb.unsure_probes;
+  }
+
+  /// Fills `r`'s poison from the arms of `kept` and `dropped`.
+  static void poison(Revival& r, const State& kept, const ArmMark& mk,
+                     const State& dropped, const ArmMark& md) {
+    // Symbols of either arm's constraints, closed over every constraint
+    // (shared prefix included) that mentions one of them: a prefix
+    // constraint can tie an arm symbol to one the continuation reads.
+    std::vector<std::vector<SymId>> named;
+    std::vector<bool> in_arm;
+    auto gather = [&](const std::vector<ExprPtr>& cs, std::size_t from,
+                      std::size_t arm_from) {
+      for (std::size_t i = from; i < cs.size(); ++i) {
+        cs[i]->collect_symbols(named.emplace_back());
+        in_arm.push_back(i >= arm_from);
+      }
+    };
+    gather(kept.path.constraints, 0, mk.constraints);
+    gather(dropped.path.constraints, md.constraints, md.constraints);
+    std::vector<bool> taken(named.size(), false);
+    std::vector<SymId>& syms = r.syms;
+    auto take = [&](std::size_t i) {
+      taken[i] = true;
+      for (SymId id : named[i]) {
+        if (std::find(syms.begin(), syms.end(), id) == syms.end()) syms.push_back(id);
+      }
+    };
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      if (in_arm[i]) take(i);
+    }
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (std::size_t i = 0; i < named.size(); ++i) {
+        if (taken[i]) continue;
+        for (SymId id : named[i]) {
+          if (std::find(syms.begin(), syms.end(), id) != syms.end()) {
+            take(i);
+            grew = true;
+            break;
+          }
+        }
+      }
+    }
+    std::sort(syms.begin(), syms.end());
+
+    auto arm_ranges = [&r](const State& st, const ArmMark& m) {
+      for (std::size_t i = m.fields; i < st.path.fields.size(); ++i) {
+        const PacketField& f = st.path.fields[i];
+        r.ranges.emplace_back(f.offset, f.offset + f.width);
+      }
+      for (std::size_t i = m.writes; i < st.writes.size(); ++i) {
+        const auto& [off, width, value] = st.writes[i];
+        r.ranges.emplace_back(off, off + width);
+      }
+    };
+    arm_ranges(kept, mk);
+    arm_ranges(dropped, md);
+
+    auto poisoned = [&syms](bool has, SymId id) {
+      return has && std::binary_search(syms.begin(), syms.end(), id);
+    };
+    for (const State* st : {&kept, &dropped}) {
+      r.len |= poisoned(st->path.has_len_sym, st->path.len_sym);
+      r.port |= poisoned(st->path.has_port_sym, st->path.port_sym);
+      r.time |= poisoned(st->path.has_time_sym, st->path.time_sym);
+    }
+  }
+
+  /// Both arms of a branch are feasible and rejoin at `bj.join`: runs each
+  /// inline to the join and, if one dominates, continues only that one
+  /// (in `s`) with the other parked in a revival record. False if `s` has
+  /// nothing left to run.
+  bool join_arms(State& s, State f, const BranchJoin& bj) {
+    ArmMark ms = mark(s), mf = mark(f);
+    const std::size_t join = static_cast<std::size_t>(bj.join);
+    const bool t_alive = run_arm(s, join);
+    const bool f_alive = run_arm(f, join);
+    if (!t_alive) {
+      if (f_alive) s = std::move(f);
+      return f_alive;
+    }
+    if (!f_alive) return true;
+
+    bool same = s.locals == f.locals && s.scratch == f.scratch &&
+                s.recency == f.recency;
+    for (std::size_t i = 0; same && i < bj.live.size(); ++i) {
+      const std::size_t r = static_cast<std::size_t>(bj.live[i]);
+      same = s.regs[r] == f.regs[r];
+    }
+    const bool keep_t = same && covers(s, ms, f, mf);
+    if (!keep_t && !(same && covers(f, mf, s, ms))) {
+      sh.push(ctx.index, std::move(f));
+      return true;
+    }
+    if (!keep_t) {
+      std::swap(s, f);
+      std::swap(ms, mf);
+    }
+    auto record = std::make_shared<Revival>();
+    poison(*record, s, ms, f, mf);
+    record->dropped = std::move(f);
+    s.revivals.push_back(std::move(record));
+    sh.merged.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  bool branch(State& s, const ir::Instr& ins, ExprPtr cond) {
+    if (cond->is_const()) {
+      s.pc = static_cast<std::size_t>(cond->const_value() != 0 ? ins.t : ins.f);
+      return true;
+    }
+    const BranchJoin& bj = ex.joins_[s.prog_index][s.pc];
+    State false_state = s;
+    add_constraint(false_state, logical_not(cond));
+    false_state.pc = static_cast<std::size_t>(ins.f);
+    const bool f_ok = feasible(false_state);
+    add_constraint(s, cond);
+    const bool t_ok = feasible(s);
+    s.pc = static_cast<std::size_t>(ins.t);
+    if (t_ok && f_ok && bj.join >= 0) return join_arms(s, std::move(false_state), bj);
+    if (f_ok) sh.push(ctx.index, std::move(false_state));
+    return t_ok;
+  }
+
+  // --- one instruction -----------------------------------------------------
+
+  /// Executes the instruction at s.pc. False when the state is finished:
+  /// completed, abandoned, infeasible, or consumed by a fork.
+  bool step(State& s) {
+    const ir::Program& prog = *ex.programs_[s.prog_index];
     BOLT_CHECK(s.pc < prog.code.size(), prog.name + ": symbolic pc escape");
-    if (++s.steps > options_.max_steps_per_path) {
+    if (++s.steps > ex.options_.max_steps_per_path) {
       sh.abandoned.fetch_add(1, std::memory_order_relaxed);
-      alive = false;
-      break;
+      return false;
     }
     const ir::Instr& ins = prog.code[s.pc];
     std::size_t next = s.pc + 1;
@@ -414,7 +806,10 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
         break;
       case ir::Op::kAdd: setR(ins.dst, Expr::binary(ExprOp::kAdd, R(ins.a), R(ins.b))); break;
       case ir::Op::kSub: setR(ins.dst, Expr::binary(ExprOp::kSub, R(ins.a), R(ins.b))); break;
-      case ir::Op::kMul: setR(ins.dst, Expr::binary(ExprOp::kMul, R(ins.a), R(ins.b))); break;
+      case ir::Op::kMul:
+        ++s.muls;
+        setR(ins.dst, Expr::binary(ExprOp::kMul, R(ins.a), R(ins.b)));
+        break;
       case ir::Op::kAnd: setR(ins.dst, Expr::binary(ExprOp::kAnd, R(ins.a), R(ins.b))); break;
       case ir::Op::kOr:  setR(ins.dst, Expr::binary(ExprOp::kOr, R(ins.a), R(ins.b))); break;
       case ir::Op::kXor: setR(ins.dst, Expr::binary(ExprOp::kXor, R(ins.a), R(ins.b))); break;
@@ -430,6 +825,8 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
       case ir::Op::kLoadPkt: {
         const std::uint64_t offset = concrete_u64(R(ins.a), "packet offset");
         const std::uint8_t width = ins.width;
+        touch_range(s, offset, width);
+        access(s, ir::kPacketBase + offset, width);
         // Most recent overlapping write wins; require exact ranges.
         ExprPtr from_write = nullptr;
         for (auto it = s.writes.rbegin(); it != s.writes.rend(); ++it) {
@@ -458,9 +855,9 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
             BOLT_CHECK(!overlap || (k.first == offset && k.second == width),
                        prog.name + ": partially overlapping packet fields");
           }
-          sym = symbols_.fresh("pkt[" + std::to_string(offset) + ":" +
-                                   std::to_string(width) + "]",
-                               8 * width);
+          sym = ex.symbols_.fresh("pkt[" + std::to_string(offset) + ":" +
+                                      std::to_string(width) + "]",
+                                  8 * width);
           s.field_syms.emplace(key, sym);
           s.path.fields.push_back(PacketField{offset, width, sym});
           if (offset + width > 60) {
@@ -475,6 +872,7 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
       }
       case ir::Op::kStorePkt: {
         const std::uint64_t offset = concrete_u64(R(ins.a), "packet offset");
+        access(s, ir::kPacketBase + offset, ins.width);
         s.writes.emplace_back(offset, ins.width, R(ins.b));
         break;
       }
@@ -484,31 +882,36 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
         break;
       }
       case ir::Op::kPktPort: {
+        touch_input(s, &Revival::port);
         if (!s.path.has_port_sym) {
-          s.path.port_sym = symbols_.fresh("pkt.port", 16);
+          s.path.port_sym = ex.symbols_.fresh("pkt.port", 16);
           s.path.has_port_sym = true;
         }
         setR(ins.dst, Expr::symbol(s.path.port_sym));
         break;
       }
       case ir::Op::kPktTime: {
+        touch_input(s, &Revival::time);
         if (!s.path.has_time_sym) {
-          s.path.time_sym = symbols_.fresh("pkt.time", 64);
+          s.path.time_sym = ex.symbols_.fresh("pkt.time", 64);
           s.path.has_time_sym = true;
         }
         setR(ins.dst, Expr::symbol(s.path.time_sym));
         break;
       }
       case ir::Op::kLoadLocal:
+        access(s, ir::kLocalsBase + 8 * static_cast<std::uint64_t>(ins.imm), 8);
         setR(ins.dst, s.locals[static_cast<std::size_t>(ins.imm)]);
         break;
       case ir::Op::kStoreLocal:
+        access(s, ir::kLocalsBase + 8 * static_cast<std::uint64_t>(ins.imm), 8);
         s.locals[static_cast<std::size_t>(ins.imm)] = R(ins.a);
         break;
       case ir::Op::kLoadMem: {
         const std::uint64_t slot = concrete_u64(R(ins.a), "scratch index");
         BOLT_CHECK(slot < s.scratch.size(),
                    prog.name + ": scratch load out of range");
+        access(s, ir::kScratchBase + 8 * slot, 8);
         setR(ins.dst, s.scratch[slot]);
         break;
       }
@@ -516,18 +919,22 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
         const std::uint64_t slot = concrete_u64(R(ins.a), "scratch index");
         BOLT_CHECK(slot < s.scratch.size(),
                    prog.name + ": scratch store out of range");
+        access(s, ir::kScratchBase + 8 * slot, 8);
         s.scratch[slot] = R(ins.b);
         break;
       }
 
       case ir::Op::kCall: {
-        auto mit = models_.find(ins.imm);
-        BOLT_CHECK(mit != models_.end(),
+        auto mit = ex.models_.find(ins.imm);
+        BOLT_CHECK(mit != ex.models_.end(),
                    prog.name + ": no symbolic model for method " +
                        std::to_string(ins.imm));
         const ExprPtr arg0 = ins.a != ir::kNoReg ? R(ins.a) : nullptr;
         const ExprPtr arg1 = ins.b != ir::kNoReg ? R(ins.b) : nullptr;
-        std::vector<ModelOutcome> outcomes = mit->second(symbols_, arg0, arg1);
+        touch_expr(s, arg0);
+        touch_expr(s, arg1);
+        add_marker(s);  // the method's own accesses
+        std::vector<ModelOutcome> outcomes = mit->second(ex.symbols_, arg0, arg1);
         BOLT_CHECK(!outcomes.empty(), "model produced no outcomes");
 
         // Fork one state per feasible outcome onto this worker's deque.
@@ -561,62 +968,35 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
           sh.push(ctx.index, std::move(candidate));
           continued = true;
         }
-        // All outcomes pushed onto the deque; current state is done.
-        alive = false;
-        break;
+        return false;  // all outcomes pushed onto the deque
       }
 
-      case ir::Op::kBr: {
-        const ExprPtr cond = R(ins.a);
-        if (cond->is_const()) {
-          next = cond->const_value() != 0 ? static_cast<std::size_t>(ins.t)
-                                          : static_cast<std::size_t>(ins.f);
-          break;
-        }
-        // Fork: true branch continues in place, false branch is pushed.
-        State false_state = s;
-        add_constraint(false_state, logical_not(cond));
-        false_state.pc = static_cast<std::size_t>(ins.f);
-        if (feasible(false_state)) {
-          sh.push(ctx.index, std::move(false_state));
-        }
-        add_constraint(s, cond);
-        if (!feasible(s)) {
-          alive = false;
-          break;
-        }
-        next = static_cast<std::size_t>(ins.t);
-        break;
-      }
+      case ir::Op::kBr:
+        return branch(s, ins, R(ins.a));
       case ir::Op::kJmp:
         next = static_cast<std::size_t>(ins.t);
         break;
 
       case ir::Op::kForward: {
-        if (s.prog_index + 1 < programs_.size()) {
+        if (s.prog_index + 1 < ex.programs_.size()) {
           // Chain hand-off: next NF sees the (possibly rewritten) packet.
-          enter_program(s, s.prog_index + 1);
-          next = 0;
-          break;
+          ex.enter_program(s, s.prog_index + 1);
+          return true;
         }
+        touch_expr(s, R(ins.a));
         s.path.action = PathAction::kForward;
         s.path.out_port = R(ins.a);
-        s.path.witness = std::move(s.inc.witness);
-        complete(std::move(s.path));
-        alive = false;
-        break;
+        complete(s);
+        return false;
       }
-      case ir::Op::kDrop: {
+      case ir::Op::kDrop:
         s.path.action = PathAction::kDrop;
-        s.path.witness = std::move(s.inc.witness);
-        complete(std::move(s.path));
-        alive = false;
-        break;
-      }
+        complete(s);
+        return false;
 
       case ir::Op::kClassTag: {
         std::string tag = prog.class_tags[static_cast<std::size_t>(ins.imm)];
-        if (programs_.size() > 1) tag = prog.name + ":" + tag;
+        if (ex.programs_.size() > 1) tag = prog.name + ":" + tag;
         s.path.class_tags.push_back(std::move(tag));
         break;
       }
@@ -625,15 +1005,27 @@ void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
         const std::int64_t loop_key =
             static_cast<std::int64_t>(s.prog_index) * 1000 + ins.imm;
         const std::uint64_t trips = ++s.path.loop_trips[loop_key];
-        if (trips > options_.max_loop_trips) {
+        if (trips > ex.options_.max_loop_trips) {
           sh.abandoned.fetch_add(1, std::memory_order_relaxed);
-          alive = false;
+          return false;
         }
         break;
       }
     }
-    if (alive && ins.op != ir::Op::kCall) s.pc = next;
-    if (ins.op == ir::Op::kCall) break;  // state consumed by forks
+    s.pc = next;
+    return true;
+  }
+};
+
+void Executor::add_marker(State& s) {
+  if (s.recency.empty() || !(s.recency.back() & kMarkerBit)) {
+    s.recency.push_back(kMarkerBit | s.markers++);
+  }
+}
+
+void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
+  Stepper stepper{*this, ctx, sh};
+  while (stepper.step(s)) {
   }
 }
 
@@ -715,6 +1107,8 @@ std::vector<PathResult> Executor::run() {
   stats_.solver_calls = sh.solver_calls.load();
   stats_.feas_cache_hits = sh.memo_hits.load();
   stats_.feas_cache_misses = sh.memo_misses.load();
+  stats_.merged_states = sh.merged.load();
+  stats_.revived_states = sh.revived.load();
 
   // The result sink already holds the paths in canonical signature order;
   // all that remains is the canonical symbol renumbering over that order.

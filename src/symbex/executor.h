@@ -7,6 +7,19 @@
 // counted per path so the contract generator can fold unrolled loop
 // families back into closed forms.
 //
+// Branch-join dominance pruning (docs/ARCHITECTURE.md, "Branch-join
+// pruning"): when both arms of a branch are feasible and rejoin through
+// straight-line code, both run inline to the join. If they leave identical
+// live registers, locals, scratch and cache-line recency, and one arm's
+// instruction, multiply and access counts each cover the other's (with
+// every access of the cheaper arm a proven L1 hit), only the costlier arm
+// continues. The dropped state rides along as a revival record, with the
+// packet ranges and symbols its arm made different as "poison"; if the
+// kept state or any descendant touches the poison, the dropped state is
+// explored after all. A loop that forks on a per-trip byte (the static
+// router's IP options) therefore grows its path count with the trip count,
+// not with 2^trips, and every contract stays the same.
+//
 // Hot-path architecture (the "recompute the contract after an NF change"
 // inner loop):
 //   * expressions are hash-consed (symbex/expr.h), so forking a state
@@ -20,7 +33,8 @@
 //     (owner pops newest — DFS-like memory use; thieves steal oldest —
 //     the biggest subtrees), not a single mutex+condvar queue.
 // Completed paths are canonicalized after exploration, so contracts stay
-// bit-identical at any thread count.
+// bit-identical at any thread count. Pruning and revival depend only on
+// the exploration tree, so the path set does too.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +86,9 @@ struct ExecutorStats {
   std::size_t feas_cache_hits = 0;   ///< settled by the carried witness
   std::size_t feas_cache_misses = 0; ///< required an actual bounded search
   std::size_t steal_count = 0;       ///< states stolen between workers
+  // Branch-join pruning (deterministic, like the solver counters).
+  std::size_t merged_states = 0;     ///< dominated arms dropped at a join
+  std::size_t revived_states = 0;    ///< dropped arms explored after all
 };
 
 class Executor {
@@ -108,10 +125,21 @@ class Executor {
 
  private:
   struct State;      // defined in executor.cpp
+  struct Revival;    // a dropped arm and its poison, in executor.cpp
   struct Explore;    // deques + result sink + termination, in executor.cpp
   struct WorkerCtx;  // per-worker solver/deque-index/rng, in executor.cpp
+  struct Stepper;    // one worker's instruction semantics, in executor.cpp
+
+  /// Static facts of one kBr for branch-join pruning.
+  struct BranchJoin {
+    std::int32_t join = -1;     ///< first pc both arms reach, or -1
+    std::vector<ir::Reg> live;  ///< registers live at `join`
+  };
 
   void enter_program(State& s, std::size_t index) const;
+  /// Records a stretch of accesses the executor cannot see in `s`'s
+  /// cache-line recency.
+  static void add_marker(State& s);
   /// Runs one state to completion (fork points push siblings onto the
   /// worker's own deque; completed paths land in the shared result sink).
   void execute_state(State s, WorkerCtx& ctx, Explore& sh);
@@ -124,6 +152,9 @@ class Executor {
   void canonicalize(std::vector<PathResult>& paths);
 
   std::vector<const ir::Program*> programs_;
+  /// joins_[program][pc]: the branch-join facts of each kBr (default
+  /// elsewhere), computed once at construction.
+  std::vector<std::vector<BranchJoin>> joins_;
   std::map<std::int64_t, SymbolicModel> models_;
   ExecutorOptions options_;
   SymbolTable symbols_;

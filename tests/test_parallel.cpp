@@ -347,6 +347,27 @@ TEST(ParallelExecutor, HotPathStatsAreSane) {
   EXPECT_EQ(s1.solver_unknowns, s8.solver_unknowns);
   EXPECT_EQ(s1.completed_paths, s8.completed_paths);
   EXPECT_EQ(s1.pruned_branches, s8.pruned_branches);
+  EXPECT_EQ(s1.merged_states, s8.merged_states);
+  EXPECT_EQ(s1.revived_states, s8.revived_states);
+
+  // Branch-join pruning and revival depend only on the exploration tree.
+  // The chain's firewall drops option packets, so the router alone is
+  // what exercises both.
+  auto router_stats_at = [&](std::size_t threads) {
+    symbex::ExecutorOptions opts;
+    opts.threads = threads;
+    symbex::Executor executor({&router}, {}, opts);
+    (void)executor.run();
+    return executor.stats();
+  };
+  const symbex::ExecutorStats r1 = router_stats_at(1);
+  const symbex::ExecutorStats r8 = router_stats_at(8);
+  EXPECT_GT(r1.merged_states, 0u) << "the option-kind arms rejoin";
+  EXPECT_GT(r1.revived_states, 0u) << "later option words re-read the length";
+  EXPECT_EQ(r1.merged_states, r8.merged_states);
+  EXPECT_EQ(r1.revived_states, r8.revived_states);
+  EXPECT_EQ(r1.completed_paths, r8.completed_paths);
+  EXPECT_EQ(r1.solver_calls, r8.solver_calls);
 }
 
 // A scenario sweep through the parallel driver matches the sequential

@@ -3,6 +3,10 @@
 // real execution, measured cost <= contract prediction at the induced PCVs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+
 #include "core/bolt.h"
 #include "core/distiller.h"
 #include "core/scenarios.h"
@@ -176,7 +180,9 @@ TEST(Pipeline, StaticRouterLoopLinearizes) {
   const GenerationResult result = gen.generate(analysis);
 
   EXPECT_EQ(result.unsolved_paths, 0u);
-  EXPECT_GT(result.total_paths, 20u);  // the unrolled option families
+  // Branch-join pruning keeps the costlier option arm per word, so paths
+  // grow with the word count, not with 2^words.
+  EXPECT_LT(result.total_paths, 100u);
 
   const auto* options = result.contract.find("ip_options");
   ASSERT_NE(options, nullptr);
@@ -189,6 +195,87 @@ TEST(Pipeline, StaticRouterLoopLinearizes) {
   const auto* no_options = result.contract.find("no_options");
   ASSERT_NE(no_options, nullptr);
   EXPECT_TRUE(no_options->perf.get(Metric::kInstructions).is_constant());
+}
+
+// Brute-force oracle for the pruned router: every IHL 6..15 packet with
+// every timestamp / non-timestamp pattern over its option words (2046
+// packets), measured by the reference interpreter under the conservative
+// cycle model. The contract must bound each one at its trip count, and the
+// worst measured packet per trip count must be exactly the worst path the
+// executor kept.
+TEST(Pipeline, StaticRouterPrunedPathsMatchBruteForce) {
+  perf::PcvRegistry reg;
+  const ir::Program router = nf::StaticRouter::program();
+  dslib::MethodTable no_methods;
+  NfAnalysis analysis;
+  analysis.name = "static_router";
+  analysis.programs = {&router};
+  analysis.methods = &no_methods;
+  const BoltOptions opts = quiet_options();
+  ContractGenerator gen(reg, opts);
+  const GenerationResult result = gen.generate(analysis);
+  const auto* options = result.contract.find("ip_options");
+  ASSERT_NE(options, nullptr);
+  const perf::PcvId n = reg.require("n");
+
+  using Worst = std::array<std::uint64_t, 3>;  // IC, MA, cycles
+  auto raise = [](Worst& w, std::uint64_t ic, std::uint64_t ma,
+                  std::uint64_t cycles) {
+    w = {std::max(w[0], ic), std::max(w[1], ma), std::max(w[2], cycles)};
+  };
+  std::map<std::uint64_t, Worst> kept;
+  for (const PathReport& r : result.path_reports) {
+    if (r.class_key != "ip_options") continue;
+    ASSERT_EQ(r.loop_trips.size(), 1u);
+    raise(kept[r.loop_trips.begin()->second], r.stateless_instructions,
+          r.stateless_accesses, r.stateless_cycles);
+  }
+
+  hw::ConservativeModel model(opts.cycle_costs);
+  ir::InterpreterOptions iopts;
+  nf::apply_framework(iopts, opts.framework);
+  iopts.engine = ir::EngineKind::kReference;
+  iopts.sink = &model;
+  NfRunner runner({&router}, nullptr, iopts);
+  std::map<std::uint64_t, Worst> measured;
+  std::size_t packets = 0;
+  for (std::uint64_t ihl = 6; ihl <= 15; ++ihl) {
+    const std::uint64_t words = ihl - 5;
+    for (std::uint64_t pattern = 0; pattern < (1ULL << words); ++pattern) {
+      std::array<std::uint8_t, 14 + 4 * 15> bytes{};  // room for 10 words
+      bytes[12] = 0x08;  // IPv4
+      bytes[14] = static_cast<std::uint8_t>(0x40 | ihl);
+      bytes[22] = 64;  // TTL
+      for (std::uint64_t w = 0; w < words; ++w) {
+        bytes[34 + 4 * w] = (pattern >> w) & 1 ? 68 : 1;  // timestamp or NOP
+      }
+      net::Packet packet(std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
+                         1'000'000'000ULL, 0);
+      model.begin_packet();
+      const ir::RunResult run = runner.process(packet);
+      ++packets;
+      ASSERT_EQ(run.class_tag_names(), std::vector<std::string>{"ip_options"});
+      const std::uint64_t trips = run.loop_trips_map().begin()->second;
+      ASSERT_EQ(trips, words + 1);
+      const std::uint64_t cycles = model.packet_cycles();
+      raise(measured[trips], run.instructions, run.mem_accesses, cycles);
+
+      perf::PcvBinding bind;
+      bind.set(n, trips);
+      EXPECT_GE(options->perf.get(Metric::kInstructions).eval(bind),
+                static_cast<std::int64_t>(run.instructions));
+      EXPECT_GE(options->perf.get(Metric::kMemoryAccesses).eval(bind),
+                static_cast<std::int64_t>(run.mem_accesses));
+      EXPECT_GE(options->perf.get(Metric::kCycles).eval(bind),
+                static_cast<std::int64_t>(cycles));
+    }
+  }
+  EXPECT_EQ(packets, 2046u);
+  for (const auto& [trips, worst] : measured) {
+    SCOPED_TRACE(trips);
+    ASSERT_EQ(kept.count(trips), 1u);
+    EXPECT_EQ(kept.at(trips), worst);
+  }
 }
 
 TEST(Pipeline, ChainPrunesMaskedPaths) {

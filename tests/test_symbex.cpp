@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
+#include "core/bolt.h"
+#include "core/targets.h"
+#include "hw/models.h"
 #include "ir/builder.h"
+#include "nf/framework.h"
 #include "symbex/executor.h"
 #include "symbex/expr.h"
 #include "symbex/solver.h"
@@ -332,6 +337,353 @@ TEST(Executor, SolveProducesRunnablePacketFields) {
     if (path.action == PathAction::kForward) {
       ASSERT_EQ(path.fields.size(), 1u);
       EXPECT_EQ(path.model.at(path.fields[0].sym), 0x0806u);
+    }
+  }
+}
+
+// --- branch-join pruning ----------------------------------------------------
+
+/// A program that loads packet byte 0, branches on `byte0 == 7` into two
+/// arms that rejoin, and forwards: `arm_a` builds the taken arm, `arm_b`
+/// the other. `prefix` runs before the load.
+template <typename Prefix, typename ArmA, typename ArmB>
+ir::Program two_arms(const Prefix& prefix, const ArmA& arm_a,
+                     const ArmB& arm_b) {
+  ir::IrBuilder b("two_arms");
+  prefix(b);
+  const ir::Reg x = b.load_pkt_at(0, 1);
+  ir::Label a = b.make_label();
+  ir::Label other = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), a, other);
+  b.bind(a);
+  arm_a(b, x);
+  b.jmp(join);
+  b.bind(other);
+  arm_b(b, x);
+  b.jmp(join);
+  b.bind(join);
+  b.forward_imm(0);
+  return b.finish();
+}
+
+const auto kNoPrefix = [](ir::IrBuilder&) {};
+const auto kAluWork = [](ir::IrBuilder& b, ir::Reg x) {
+  (void)b.add(b.add(b.add(x, x), x), x);
+};
+const auto kReloadByte0 = [](ir::IrBuilder& b, ir::Reg) {
+  (void)b.load_pkt_at(0, 1);
+};
+
+TEST(BranchJoin, DominatedArmIsDropped) {
+  // Same re-read of the (resident) byte in both arms, extra ALU work in
+  // one: that arm covers the other on every metric.
+  const ir::Program p = two_arms(
+      kNoPrefix,
+      [](ir::IrBuilder& b, ir::Reg x) { kReloadByte0(b, x); kAluWork(b, x); },
+      kReloadByte0);
+  Executor ex({&p}, {});
+  const auto paths = ex.run();
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(ex.stats().merged_states, 1u);
+  EXPECT_EQ(ex.stats().revived_states, 0u);
+  // The costlier arm is the one kept: load + compare + branch (5), reload
+  // + three adds + jump (6), forward (2).
+  EXPECT_EQ(paths[0].symbex_instructions, 13u);
+}
+
+TEST(BranchJoin, NeitherArmDominatesSoBothAreKept) {
+  // More instructions on one side, more memory accesses on the other.
+  const ir::Program p = two_arms(kNoPrefix, kAluWork, kReloadByte0);
+  Executor ex({&p}, {});
+  EXPECT_EQ(ex.run().size(), 2u);
+  EXPECT_EQ(ex.stats().merged_states, 0u);
+}
+
+TEST(BranchJoin, DifferentCacheLineOrderBlocksThePrune) {
+  // Both arms re-touch a resident line (each a sure L1 hit), but different
+  // ones: the packet line is most recent, so re-reading the local leaves a
+  // different LRU order than re-reading the packet. Every count alone
+  // would let the first arm (extra ALU work) dominate.
+  std::int32_t slot = -1;
+  const auto prefix = [&slot](ir::IrBuilder& b) {
+    slot = b.local("touched");
+    b.store_local(slot, b.imm(0));
+  };
+  const ir::Program p = two_arms(
+      prefix,
+      [&slot](ir::IrBuilder& b, ir::Reg x) {
+        (void)b.load_local(slot);
+        kAluWork(b, x);
+      },
+      kReloadByte0);
+  Executor ex({&p}, {});
+  EXPECT_EQ(ex.run().size(), 2u);
+  EXPECT_EQ(ex.stats().merged_states, 0u);
+}
+
+TEST(BranchJoin, LineProbesCountNotJustAccesses) {
+  // Packet lines 0 and 1 are resident. The taken arm reads one byte of
+  // line 1 and adds; the other arm reads two bytes straddling lines 0 and
+  // 1 — one access, but two L1 probes, which costs more cycles than the
+  // add. Neither arm covers the other.
+  const auto prefix = [](ir::IrBuilder& b) { (void)b.load_pkt_at(70, 1); };
+  const ir::Program p = two_arms(
+      prefix,
+      [](ir::IrBuilder& b, ir::Reg x) {
+        (void)b.add(b.load_pkt_at(70, 1), x);
+      },
+      [](ir::IrBuilder& b, ir::Reg) { (void)b.load_pkt_at(63, 2); });
+  Executor ex({&p}, {});
+  EXPECT_EQ(ex.run().size(), 2u);
+  EXPECT_EQ(ex.stats().merged_states, 0u);
+}
+
+TEST(BranchJoin, AnArmWhoseAccessMayMissIsNeverDropped) {
+  // Both arms touch the same fresh line (no earlier probe proves it
+  // resident), the taken arm with extra work. The cheaper arm might pay a
+  // DRAM access, so the rule does not argue about it and keeps both.
+  std::int32_t slot = -1;
+  const auto prefix = [&slot](ir::IrBuilder& b) { slot = b.local("fresh"); };
+  const ir::Program p = two_arms(
+      prefix,
+      [&slot](ir::IrBuilder& b, ir::Reg x) {
+        (void)b.load_local(slot);
+        kAluWork(b, x);
+      },
+      [&slot](ir::IrBuilder& b, ir::Reg) { (void)b.load_local(slot); });
+  Executor ex({&p}, {});
+  EXPECT_EQ(ex.run().size(), 2u);
+  EXPECT_EQ(ex.stats().merged_states, 0u);
+}
+
+TEST(BranchJoin, DifferentValuesInALocalBlockThePrune) {
+  std::int32_t slot = -1;
+  auto store = [&slot](std::uint64_t value) {
+    return [&slot, value](ir::IrBuilder& b, ir::Reg) {
+      b.store_local(slot, b.imm(value));
+    };
+  };
+  // The local's line is touched up front, so each arm's store is a sure
+  // L1 hit; only the stored value tells the arms apart.
+  const auto prefix = [&slot](ir::IrBuilder& b) {
+    slot = b.local("result");
+    b.store_local(slot, b.imm(0));
+  };
+  {
+    const ir::Program p = two_arms(prefix, store(1), store(2));
+    Executor ex({&p}, {});
+    EXPECT_EQ(ex.run().size(), 2u);
+    EXPECT_EQ(ex.stats().merged_states, 0u);
+  }
+  {
+    // The control: the same value in both arms merges.
+    const ir::Program p = two_arms(prefix, store(1), store(1));
+    Executor ex({&p}, {});
+    EXPECT_EQ(ex.run().size(), 1u);
+    EXPECT_EQ(ex.stats().merged_states, 1u);
+  }
+}
+
+TEST(BranchJoin, DifferentValuesInALiveRegisterBlockThePrune) {
+  for (const std::uint64_t other : {2, 1}) {
+    SCOPED_TRACE(other);
+    ir::IrBuilder b("live_register");
+    const ir::Reg port = b.reg();
+    const ir::Reg x = b.load_pkt_at(0, 1);
+    ir::Label a = b.make_label();
+    ir::Label not_a = b.make_label();
+    ir::Label join = b.make_label();
+    b.br(b.eq_imm(x, 7), a, not_a);
+    b.bind(a);
+    b.assign(port, b.imm(1));
+    b.jmp(join);
+    b.bind(not_a);
+    b.assign(port, b.imm(other));
+    b.jmp(join);
+    b.bind(join);
+    b.forward(port);  // `port` is live at the join
+    const ir::Program p = b.finish();
+    Executor ex({&p}, {});
+    EXPECT_EQ(ex.run().size(), other == 1 ? 1u : 2u);
+  }
+}
+
+TEST(BranchJoin, BranchingOnTheSameByteAgainRevivesTheDroppedArm) {
+  // byte0 == 7 takes the costlier arm, which is kept; after the join the
+  // program re-reads byte 0 and branches on byte0 == 9, which only the
+  // dropped arm (byte0 != 7) can satisfy. The branch names the poisoned
+  // symbol, so the dropped arm is explored after all and the "nine" class
+  // survives.
+  ir::IrBuilder b("revive");
+  const ir::Reg x = b.load_pkt_at(0, 1);             // 2 IC, 1 MA
+  ir::Label heavy = b.make_label();
+  ir::Label light = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), heavy, light);                // 3 IC
+  b.bind(heavy);
+  (void)b.add(b.add(b.add(x, x), x), x);             // 3 IC
+  b.jmp(join);                                       // 1 IC
+  b.bind(light);
+  b.jmp(join);                                       // 1 IC
+  b.bind(join);
+  const ir::Reg again = b.load_pkt_at(0, 1);         // 2 IC, 1 MA
+  ir::Label nine = b.make_label();
+  ir::Label other = b.make_label();
+  b.br(b.eq_imm(again, 9), nine, other);             // 3 IC
+  b.bind(nine);
+  b.class_tag("nine");
+  b.forward_imm(1);                                  // 2 IC
+  b.bind(other);
+  b.class_tag("other");
+  b.forward_imm(0);                                  // 2 IC
+  const ir::Program p = b.finish();
+
+  perf::PcvRegistry reg;
+  dslib::MethodTable no_methods;
+  core::NfAnalysis analysis;
+  analysis.name = "revive";
+  analysis.programs = {&p};
+  analysis.methods = &no_methods;
+  core::BoltOptions opts;
+  opts.framework = nf::framework_none();
+  core::ContractGenerator gen(reg, opts);
+  const core::GenerationResult result = gen.generate(analysis);
+  EXPECT_EQ(result.executor_stats.merged_states, 1u);
+  EXPECT_EQ(result.executor_stats.revived_states, 1u);
+  // heavy/other, light/other, light/nine (heavy/nine is infeasible).
+  EXPECT_EQ(result.total_paths, 3u);
+
+  // By hand: two accesses to one packet line, DRAM then L1.
+  const hw::CycleCosts cc;
+  auto expect_entry = [&](const std::string& cls, std::int64_t ic) {
+    SCOPED_TRACE(cls);
+    const perf::ContractEntry* e = result.contract.find(cls);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->perf.get(perf::Metric::kInstructions).constant_term(), ic);
+    EXPECT_EQ(e->perf.get(perf::Metric::kMemoryAccesses).constant_term(), 2);
+    EXPECT_EQ(e->perf.get(perf::Metric::kCycles).constant_term(),
+              ic * static_cast<std::int64_t>(cc.cons_alu) +
+                  static_cast<std::int64_t>(cc.cons_dram + cc.cons_l1));
+  };
+  expect_entry("nine", 2 + 3 + 1 + 2 + 3 + 2);       // light arm
+  expect_entry("other", 2 + 3 + 3 + 1 + 2 + 3 + 2);  // heavy arm, the max
+  ASSERT_EQ(result.contract.entries().size(), 2u);
+}
+
+/// Class tags of the solvable paths of `p`, sorted.
+std::vector<std::string> classes_of(const ir::Program& p, ExecutorStats* stats) {
+  Executor ex({&p}, {});
+  std::vector<PathResult> paths = ex.run();
+  ex.solve_inputs(paths);
+  std::vector<std::string> out;
+  for (const PathResult& path : paths) {
+    if (path.solved) out.push_back(path.class_label());
+  }
+  std::sort(out.begin(), out.end());
+  *stats = ex.stats();
+  return out;
+}
+
+TEST(BranchJoin, ReadingAByteOneArmWroteRevivesTheDroppedArm) {
+  // The costlier arm zeroes byte 1; after the join byte 1 is read and
+  // tested. In the kept state it is the constant 0, so only the dropped
+  // arm can reach "nine" — the read overlaps a poisoned range.
+  ir::IrBuilder b("write_then_read");
+  const ir::Reg x = b.load_pkt_at(0, 1);
+  ir::Label heavy = b.make_label();
+  ir::Label light = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), heavy, light);
+  b.bind(heavy);
+  b.store_pkt_at(0, b.imm(0), 1);  // byte 0's line is resident: a sure hit
+  b.store_pkt_at(1, b.imm(0), 1);
+  b.jmp(join);
+  b.bind(light);
+  b.jmp(join);
+  b.bind(join);
+  ir::Label nine = b.make_label();
+  b.br_true(b.eq_imm(b.load_pkt_at(1, 1), 9), nine);
+  b.class_tag("other");
+  b.forward_imm(0);
+  b.bind(nine);
+  b.class_tag("nine");
+  b.forward_imm(1);
+  const ir::Program p = b.finish();
+
+  ExecutorStats stats;
+  EXPECT_EQ(classes_of(p, &stats),
+            (std::vector<std::string>{"nine", "other", "other"}));
+  EXPECT_EQ(stats.merged_states, 1u);
+  EXPECT_EQ(stats.revived_states, 1u);
+}
+
+TEST(BranchJoin, PrefixConstraintsCarryThePoisonToTiedSymbols) {
+  // byte1 == byte0 is required up front; the arms split on byte0 == 7 and
+  // the continuation tests byte1 == 9. No arm constraint names byte 1, but
+  // the prefix ties it to byte 0, so the test on byte 1 must still revive
+  // the dropped arm (only it can have byte1 == 9).
+  ir::IrBuilder b("tied");
+  const ir::Reg y = b.load_pkt_at(1, 1);
+  const ir::Reg x = b.load_pkt_at(0, 1);
+  ir::Label untied = b.make_label();
+  b.br_false(b.eq(x, y), untied);
+  ir::Label heavy = b.make_label();
+  ir::Label light = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), heavy, light);
+  b.bind(heavy);
+  (void)b.add(b.add(x, x), x);
+  b.jmp(join);
+  b.bind(light);
+  b.jmp(join);
+  b.bind(join);
+  ir::Label nine = b.make_label();
+  b.br_true(b.eq_imm(y, 9), nine);
+  b.class_tag("other");
+  b.forward_imm(0);
+  b.bind(nine);
+  b.class_tag("nine");
+  b.forward_imm(1);
+  b.bind(untied);
+  b.class_tag("untied");
+  b.drop();
+  const ir::Program p = b.finish();
+
+  ExecutorStats stats;
+  EXPECT_EQ(classes_of(p, &stats),
+            (std::vector<std::string>{"nine", "other", "other", "untied"}));
+  EXPECT_EQ(stats.merged_states, 1u);
+  EXPECT_EQ(stats.revived_states, 1u);
+}
+
+TEST(BranchJoin, RouterPathReportsIdenticalAtAnyThreadCount) {
+  // What `bolt paths <nf>` prints: the uncoalesced per-path contract and
+  // the executor's deterministic counters (everything but steals).
+  for (const std::string nf : {"router", "fw+router"}) {
+    SCOPED_TRACE(nf);
+    auto report_at = [&nf](std::size_t threads) {
+      perf::PcvRegistry reg;
+      core::NfTarget target;
+      EXPECT_TRUE(core::make_named_target(nf, reg, target));
+      core::BoltOptions options;
+      options.coalesce = false;
+      options.threads = threads;
+      core::ContractGenerator gen(reg, options);
+      const core::GenerationResult r = gen.generate(target.analysis());
+      const ExecutorStats& s = r.executor_stats;
+      return r.contract.str_all(reg) + " paths " +
+             std::to_string(r.total_paths) + " pruned " +
+             std::to_string(s.pruned_branches) + " probes " +
+             std::to_string(s.solver_calls) + " hits " +
+             std::to_string(s.feas_cache_hits) + " misses " +
+             std::to_string(s.feas_cache_misses) + " merged " +
+             std::to_string(s.merged_states) + " revived " +
+             std::to_string(s.revived_states);
+    };
+    const std::string one = report_at(1);
+    for (std::size_t threads : {2, 4, 8}) {
+      EXPECT_EQ(report_at(threads), one) << threads << " threads";
     }
   }
 }

@@ -111,6 +111,9 @@ int cmd_contract(const std::string& nf, bool per_path, bool as_json,
               result.executor_stats.feas_cache_hits,
               result.executor_stats.feas_cache_misses,
               result.executor_stats.steal_count);
+  std::printf("branch joins: %zu dominated arms merged, %zu revived\n",
+              result.executor_stats.merged_states,
+              result.executor_stats.revived_states);
   if (result.executor_stats.truncated_paths > 0) {
     std::printf("truncated: %zu (canonical prefix kept; raise max_paths to"
                 " see all)\n",
