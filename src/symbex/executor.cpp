@@ -60,11 +60,10 @@ struct Executor::State {
   std::uint64_t muls = 0;           ///< kMul instructions
   std::uint64_t probes = 0;         ///< L1 line probes of stateless accesses
   std::uint64_t unsure_probes = 0;  ///< ... not provably L1 hits
-  /// Cache-line recency of the stateless accesses, LRU first. A marker
-  /// token stands for each stretch of accesses the executor cannot see
+  /// Cache-line recency of the stateless accesses, LRU first. kUnseen
+  /// stands for each stretch of accesses the executor cannot see
   /// (framework rx/tx, stateful calls).
   std::vector<std::uint64_t> recency;
-  std::uint64_t markers = 0;
   /// Dropped arms this state stands in for (shared with every descendant).
   std::vector<std::shared_ptr<Revival>> revivals;
 };
@@ -78,7 +77,9 @@ struct Executor::Revival {
   /// over every constraint that shares a symbol with them.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
   std::vector<SymId> syms;
-  bool len = false, port = false, time = false;  ///< poisoned input symbols
+  /// Poisoned inputs. `len` revives on any new length constraint;
+  /// `len_read` only when the length itself is read (see poison()).
+  bool len = false, len_read = false, port = false, time = false;
   std::atomic<bool> revived{false};
 };
 
@@ -317,13 +318,9 @@ std::string path_signature(const PathResult& p) {
   return sig;
 }
 
-}  // namespace
-
-namespace {
-
-/// Tags the recency-list tokens that stand for unseen accesses (line
-/// numbers stay below 2^58).
-constexpr std::uint64_t kMarkerBit = 1ULL << 63;
+/// The recency-list token for a stretch of unseen accesses (line numbers
+/// stay below 2^58).
+constexpr std::uint64_t kUnseen = ~0ULL;
 
 /// Instructions that end straight-line code for the branch-join rule: they
 /// fork, label the path, count a loop trip or end the program.
@@ -443,7 +440,7 @@ void Executor::enter_program(State& s, std::size_t index) const {
       s.scratch[i] = Expr::constant(options_.scratch_init[i]);
     }
   }
-  add_marker(s);  // framework tx of the previous NF, rx of this one
+  mark_unseen(s);  // framework tx of the previous NF, rx of this one
 }
 
 /// One worker's view of the instruction semantics: every helper here acts
@@ -477,7 +474,6 @@ struct Executor::Stepper {
   }
 
   void ensure_len_sym(State& st) {
-    touch_input(st, &Revival::len);
     if (!st.path.has_len_sym) {
       st.path.len_sym = ex.symbols_.fresh("pkt.len", 16);
       st.path.has_len_sym = true;
@@ -549,7 +545,7 @@ struct Executor::Stepper {
           st.recency.erase(st.recency.begin() + static_cast<std::ptrdiff_t>(i));
           break;
         }
-        if (tok & kMarkerBit) {
+        if (tok == kUnseen) {
           unseen = true;
         } else if (tok % kSets == line % kSets) {
           ++same_set;
@@ -563,7 +559,7 @@ struct Executor::Stepper {
   // --- revival -------------------------------------------------------------
 
   void revive(Revival& r) {
-    if (r.revived.exchange(true, std::memory_order_acq_rel)) return;
+    if (r.revived.exchange(true)) return;
     sh.revived.fetch_add(1, std::memory_order_relaxed);
     sh.push(ctx.index, std::move(r.dropped));
   }
@@ -575,8 +571,8 @@ struct Executor::Stepper {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < st.revivals.size(); ++i) {
       Revival& r = *st.revivals[i];
-      if (!r.revived.load(std::memory_order_acquire) && hit(r)) revive(r);
-      if (r.revived.load(std::memory_order_acquire)) continue;
+      if (!r.revived.load() && hit(r)) revive(r);
+      if (r.revived.load()) continue;
       if (keep != i) st.revivals[keep] = std::move(st.revivals[i]);
       ++keep;
     }
@@ -639,23 +635,34 @@ struct Executor::Stepper {
            sb.unsure_probes == mb.unsure_probes;
   }
 
+  /// True if `c` is `len >= k` or `len <= k` on `st`'s length symbol:
+  /// the bounds field loads past byte 60 and the length's creation add.
+  static bool is_len_bound(const State& st, ExprPtr c) {
+    return st.path.has_len_sym && c->kind() == ExprKind::kBinary &&
+           (c->op() == ExprOp::kGeU || c->op() == ExprOp::kLeU) &&
+           c->lhs()->kind() == ExprKind::kSym &&
+           c->lhs()->sym_id() == st.path.len_sym && c->rhs()->is_const();
+  }
+
   /// Fills `r`'s poison from the arms of `kept` and `dropped`.
   static void poison(Revival& r, const State& kept, const ArmMark& mk,
                      const State& dropped, const ArmMark& md) {
     // Symbols of either arm's constraints, closed over every constraint
     // (shared prefix included) that mentions one of them: a prefix
     // constraint can tie an arm symbol to one the continuation reads.
+    // Length bounds are left out of the seeds and handled below.
     std::vector<std::vector<SymId>> named;
-    std::vector<bool> in_arm;
-    auto gather = [&](const std::vector<ExprPtr>& cs, std::size_t from,
-                      std::size_t arm_from) {
+    std::vector<bool> in_arm, bound;
+    auto gather = [&](const State& st, std::size_t from, std::size_t arm_from) {
+      const std::vector<ExprPtr>& cs = st.path.constraints;
       for (std::size_t i = from; i < cs.size(); ++i) {
         cs[i]->collect_symbols(named.emplace_back());
         in_arm.push_back(i >= arm_from);
+        bound.push_back(is_len_bound(st, cs[i]));
       }
     };
-    gather(kept.path.constraints, 0, mk.constraints);
-    gather(dropped.path.constraints, md.constraints, md.constraints);
+    gather(kept, 0, mk.constraints);
+    gather(dropped, md.constraints, md.constraints);
     std::vector<bool> taken(named.size(), false);
     std::vector<SymId>& syms = r.syms;
     auto take = [&](std::size_t i) {
@@ -665,7 +672,7 @@ struct Executor::Stepper {
       }
     };
     for (std::size_t i = 0; i < named.size(); ++i) {
-      if (in_arm[i]) take(i);
+      if (in_arm[i] && !bound[i]) take(i);
     }
     for (bool grew = true; grew;) {
       grew = false;
@@ -703,6 +710,25 @@ struct Executor::Stepper {
       r.port |= poisoned(st->path.has_port_sym, st->path.port_sym);
       r.time |= poisoned(st->path.has_time_sym, st->path.time_sym);
     }
+    // Length bounds added in an arm. If every constraint on the kept
+    // path's length is a bound, an input that took the dropped arm still
+    // has a covering input after any later lower bound: the same input
+    // with its length raised to the kept arm's largest lower bound (and
+    // the arm's other poisoned symbols from the kept arm's model). So only
+    // reading the length revives. Any other constraint on the length makes
+    // every new length constraint revive.
+    bool arm_bounds = false;
+    bool only_bounds = true;
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      arm_bounds = arm_bounds || (in_arm[i] && bound[i]);
+      const bool on_kept_len =
+          i < kept.path.constraints.size() && kept.path.has_len_sym &&
+          std::find(named[i].begin(), named[i].end(), kept.path.len_sym) !=
+              named[i].end();
+      if (on_kept_len && !bound[i]) only_bounds = false;
+    }
+    r.len = r.len || (arm_bounds && !only_bounds);
+    r.len_read = r.len || arm_bounds;
   }
 
   /// Both arms of a branch are feasible and rejoin at `bj.join`: runs each
@@ -861,6 +887,7 @@ struct Executor::Stepper {
           s.field_syms.emplace(key, sym);
           s.path.fields.push_back(PacketField{offset, width, sym});
           if (offset + width > 60) {
+            touch_input(s, &Revival::len);
             ensure_len_sym(s);
             add_constraint(
                 s, Expr::binary(ExprOp::kGeU, Expr::symbol(s.path.len_sym),
@@ -877,6 +904,7 @@ struct Executor::Stepper {
         break;
       }
       case ir::Op::kPktLen: {
+        touch_input(s, &Revival::len_read);
         ensure_len_sym(s);
         setR(ins.dst, Expr::symbol(s.path.len_sym));
         break;
@@ -933,7 +961,7 @@ struct Executor::Stepper {
         const ExprPtr arg1 = ins.b != ir::kNoReg ? R(ins.b) : nullptr;
         touch_expr(s, arg0);
         touch_expr(s, arg1);
-        add_marker(s);  // the method's own accesses
+        mark_unseen(s);  // the method's own accesses
         std::vector<ModelOutcome> outcomes = mit->second(ex.symbols_, arg0, arg1);
         BOLT_CHECK(!outcomes.empty(), "model produced no outcomes");
 
@@ -1017,9 +1045,9 @@ struct Executor::Stepper {
   }
 };
 
-void Executor::add_marker(State& s) {
-  if (s.recency.empty() || !(s.recency.back() & kMarkerBit)) {
-    s.recency.push_back(kMarkerBit | s.markers++);
+void Executor::mark_unseen(State& s) {
+  if (s.recency.empty() || s.recency.back() != kUnseen) {
+    s.recency.push_back(kUnseen);
   }
 }
 

@@ -8,12 +8,12 @@
 // families back into closed forms.
 //
 // Branch-join dominance pruning (docs/ARCHITECTURE.md, "Branch-join
-// pruning"): when both arms of a branch are feasible and rejoin through
-// straight-line code, both run inline to the join. If they leave identical
-// live registers, locals, scratch and cache-line recency, and one arm's
-// instruction, multiply and access counts each cover the other's (with
-// every access of the cheaper arm a proven L1 hit), only the costlier arm
-// continues. The dropped state rides along as a revival record, with the
+// pruning in the executor"): when both arms of a branch are feasible and
+// rejoin through straight-line code, both run inline to the join. If they
+// leave identical live registers, locals, scratch and cache-line recency,
+// and one arm's instruction, multiply, access and line-probe counts each
+// cover the other's (with every probe of the cheaper arm a proven L1
+// hit), only the costlier arm continues. The dropped state rides along as a revival record, with the
 // packet ranges and symbols its arm made different as "poison"; if the
 // kept state or any descendant touches the poison, the dropped state is
 // explored after all. A loop that forks on a per-trip byte (the static
@@ -139,7 +139,7 @@ class Executor {
   void enter_program(State& s, std::size_t index) const;
   /// Records a stretch of accesses the executor cannot see in `s`'s
   /// cache-line recency.
-  static void add_marker(State& s);
+  static void mark_unseen(State& s);
   /// Runs one state to completion (fork points push siblings onto the
   /// worker's own deque; completed paths land in the shared result sink).
   void execute_state(State s, WorkerCtx& ctx, Explore& sh);

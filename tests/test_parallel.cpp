@@ -363,7 +363,6 @@ TEST(ParallelExecutor, HotPathStatsAreSane) {
   const symbex::ExecutorStats r1 = router_stats_at(1);
   const symbex::ExecutorStats r8 = router_stats_at(8);
   EXPECT_GT(r1.merged_states, 0u) << "the option-kind arms rejoin";
-  EXPECT_GT(r1.revived_states, 0u) << "later option words re-read the length";
   EXPECT_EQ(r1.merged_states, r8.merged_states);
   EXPECT_EQ(r1.revived_states, r8.revived_states);
   EXPECT_EQ(r1.completed_paths, r8.completed_paths);

@@ -657,6 +657,56 @@ TEST(BranchJoin, PrefixConstraintsCarryThePoisonToTiedSymbols) {
   EXPECT_EQ(stats.revived_states, 1u);
 }
 
+/// Branches on byte 0; the taken arm reads byte 61 (adding `len >= 62`)
+/// and adds; after the join, `tail` runs and the path forwards.
+template <typename Tail>
+ir::Program length_bound_in_arm(const Tail& tail) {
+  ir::IrBuilder b("length_bound");
+  const ir::Reg x = b.load_pkt_at(0, 1);
+  ir::Label heavy = b.make_label();
+  ir::Label light = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), heavy, light);
+  b.bind(heavy);
+  (void)b.add(b.load_pkt_at(61, 1), x);  // byte 61 shares byte 0's line
+  b.jmp(join);
+  b.bind(light);
+  b.jmp(join);
+  b.bind(join);
+  ir::Label big = b.make_label();
+  b.br_true(b.gtu(tail(b), b.imm(100)), big);
+  b.class_tag("small");
+  b.forward_imm(0);
+  b.bind(big);
+  b.class_tag("big");
+  b.forward_imm(1);
+  return b.finish();
+}
+
+TEST(BranchJoin, LaterLengthBoundsDoNotReviveTheDroppedArm) {
+  // Reading byte 62 adds `len >= 63`, which implies the kept arm's
+  // `len >= 62`: any input of the dropped arm, lengthened if need be, is
+  // covered by the kept arm.
+  const ir::Program p = length_bound_in_arm(
+      [](ir::IrBuilder& b) { return b.load_pkt_at(62, 1); });
+  ExecutorStats stats;
+  EXPECT_EQ(classes_of(p, &stats), (std::vector<std::string>{"big", "small"}));
+  EXPECT_EQ(stats.merged_states, 1u);
+  EXPECT_EQ(stats.revived_states, 0u);
+}
+
+TEST(BranchJoin, ReadingTheLengthAfterAnArmBoundedItRevives) {
+  // The kept arm requires len >= 62; the continuation tests the length
+  // itself, so dropped-arm inputs shorter than that need their own paths.
+  const ir::Program p =
+      length_bound_in_arm([](ir::IrBuilder& b) { return b.pkt_len(); });
+  ExecutorStats stats;
+  EXPECT_EQ(classes_of(p, &stats),
+            (std::vector<std::string>{"big", "big", "small", "small"}));
+  EXPECT_EQ(stats.merged_states, 1u);
+  EXPECT_EQ(stats.revived_states, 1u);
+}
+
 TEST(BranchJoin, RouterPathReportsIdenticalAtAnyThreadCount) {
   // What `bolt paths <nf>` prints: the uncoalesced per-path contract and
   // the executor's deterministic counters (everything but steals).
