@@ -108,6 +108,33 @@ void BM_GenerateContract_Lb(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateContract_Lb);
 
+/// The static router alone, at 1 and 4 threads. Its option walk forks on
+/// every option word's kind; branch-join pruning keeps the path count
+/// linear in the word count (`paths`, with `merged_states` dominated arms
+/// dropped and `revived_states` explored after all).
+void BM_GenerateContract_Router(benchmark::State& state) {
+  symbex::ExecutorStats last_stats;
+  std::size_t paths = 0;
+  for (auto _ : state) {
+    perf::PcvRegistry reg;
+    core::NfTarget target;
+    core::make_named_target("router", reg, target);
+    core::BoltOptions options;
+    options.threads = static_cast<std::size_t>(state.range(0));
+    core::ContractGenerator gen(reg, options);
+    const core::GenerationResult result = gen.generate(target.analysis());
+    paths = result.total_paths;
+    last_stats = result.executor_stats;
+    benchmark::DoNotOptimize(paths);
+  }
+  state.counters["paths"] = static_cast<double>(paths);
+  state.counters["merged_states"] =
+      static_cast<double>(last_stats.merged_states);
+  state.counters["revived_states"] =
+      static_cast<double>(last_stats.revived_states);
+}
+BENCHMARK(BM_GenerateContract_Router)->Arg(1)->Arg(4);
+
 /// Single-thread contract generation for the paper's firewall -> router
 /// chain (Table 5c) — the developer edit-compile-loop latency this PR's
 /// hot-path work targets. Regenerating this chain's contract on the
