@@ -774,6 +774,8 @@ struct Executor::Stepper {
       s.pc = static_cast<std::size_t>(cond->const_value() != 0 ? ins.t : ins.f);
       return true;
     }
+    // Fork: the true arm continues in place and the false arm is pushed,
+    // unless both are feasible and rejoin, in which case join_arms decides.
     const BranchJoin& bj = ex.joins_[s.prog_index][s.pc];
     State false_state = s;
     add_constraint(false_state, logical_not(cond));
