@@ -77,9 +77,9 @@ struct Executor::Revival {
   /// over every constraint that shares a symbol with them.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
   std::vector<SymId> syms;
-  /// Poisoned inputs. `len` revives on any new length constraint;
-  /// `len_read` only when the length itself is read (see poison()).
-  bool len = false, len_read = false, port = false, time = false;
+  /// An arm bounded the length but the bounds were left out of `syms`
+  /// (see poison()): reading the length revives.
+  bool len_read = false;
   std::atomic<bool> revived{false};
 };
 
@@ -487,20 +487,26 @@ struct Executor::Stepper {
   // constraints were already folded into st.inc by add_constraint, so
   // propagation contradictions are already known, and the bounded
   // sat-search is memoized per constraint-set hash inside the solver.
-  bool feasible(State& st) {
-    if (!ex.options_.prune_infeasible) return true;
-    if (st.inc.const_false) return false;  // constant-false fast path
+  // kUnsat only when propagation proved the path empty.
+  SolveStatus verdict(State& st) {
+    if (!ex.options_.prune_infeasible) return SolveStatus::kUnknown;
+    if (st.inc.const_false) return SolveStatus::kUnsat;  // constant-false fast path
     if (st.inc.infeasible) {
       sh.pruned.fetch_add(1, std::memory_order_relaxed);
-      return false;
+      return SolveStatus::kUnsat;
     }
+    // No constraint since the last check, which found a witness.
+    if (st.inc.checked_upto == st.path.constraints.size()) return SolveStatus::kSat;
     const SolveStatus status =
         ctx.solver.quick_check_incremental(st.inc, st.path.constraints);
     if (status == SolveStatus::kUnknown) {
       sh.unknowns.fetch_add(1, std::memory_order_relaxed);
     }
-    return true;  // kSat and kUnknown both keep the path alive
+    return status;
   }
+
+  // kSat and kUnknown both keep the path alive.
+  bool feasible(State& st) { return verdict(st) != SolveStatus::kUnsat; }
 
   // Sinks a completed path into the signature-ordered result set. The
   // max_paths budget truncates *canonically*: the set keeps the
@@ -602,9 +608,9 @@ struct Executor::Stepper {
     });
   }
 
-  void touch_input(State& st, bool Revival::*which) {
+  void touch_len_read(State& st) {
     if (st.revivals.empty()) return;
-    touch(st, [which](const Revival& r) { return r.*which; });
+    touch(st, [](const Revival& r) { return r.len_read; });
   }
 
   // --- branch-join pruning -------------------------------------------------
@@ -650,7 +656,6 @@ struct Executor::Stepper {
     // Symbols of either arm's constraints, closed over every constraint
     // (shared prefix included) that mentions one of them: a prefix
     // constraint can tie an arm symbol to one the continuation reads.
-    // Length bounds are left out of the seeds and handled below.
     std::vector<std::vector<SymId>> named;
     std::vector<bool> in_arm, bound;
     auto gather = [&](const State& st, std::size_t from, std::size_t arm_from) {
@@ -663,6 +668,27 @@ struct Executor::Stepper {
     };
     gather(kept, 0, mk.constraints);
     gather(dropped, md.constraints, md.constraints);
+
+    // Length bounds added in an arm. If every constraint on the kept
+    // path's length is a bound, an input that took the dropped arm still
+    // has a covering input after any later lower bound: the same input
+    // with its length raised to the kept arm's largest lower bound (and
+    // the arm's other poisoned symbols from the kept arm's model). So the
+    // bounds stay out of the seeds and only reading the length revives.
+    // Any other constraint on the length can tie it to other symbols, so
+    // the bounds then seed the closure like every other arm constraint.
+    bool arm_bounds = false;
+    bool only_bounds = true;
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      arm_bounds = arm_bounds || (in_arm[i] && bound[i]);
+      const bool on_kept_len =
+          i < kept.path.constraints.size() && kept.path.has_len_sym &&
+          std::find(named[i].begin(), named[i].end(), kept.path.len_sym) !=
+              named[i].end();
+      if (on_kept_len && !bound[i]) only_bounds = false;
+    }
+    r.len_read = arm_bounds && only_bounds;
+
     std::vector<bool> taken(named.size(), false);
     std::vector<SymId>& syms = r.syms;
     auto take = [&](std::size_t i) {
@@ -672,7 +698,7 @@ struct Executor::Stepper {
       }
     };
     for (std::size_t i = 0; i < named.size(); ++i) {
-      if (in_arm[i] && !bound[i]) take(i);
+      if (in_arm[i] && !(bound[i] && r.len_read)) take(i);
     }
     for (bool grew = true; grew;) {
       grew = false;
@@ -701,34 +727,6 @@ struct Executor::Stepper {
     };
     arm_ranges(kept, mk);
     arm_ranges(dropped, md);
-
-    auto poisoned = [&syms](bool has, SymId id) {
-      return has && std::binary_search(syms.begin(), syms.end(), id);
-    };
-    for (const State* st : {&kept, &dropped}) {
-      r.len |= poisoned(st->path.has_len_sym, st->path.len_sym);
-      r.port |= poisoned(st->path.has_port_sym, st->path.port_sym);
-      r.time |= poisoned(st->path.has_time_sym, st->path.time_sym);
-    }
-    // Length bounds added in an arm. If every constraint on the kept
-    // path's length is a bound, an input that took the dropped arm still
-    // has a covering input after any later lower bound: the same input
-    // with its length raised to the kept arm's largest lower bound (and
-    // the arm's other poisoned symbols from the kept arm's model). So only
-    // reading the length revives. Any other constraint on the length makes
-    // every new length constraint revive.
-    bool arm_bounds = false;
-    bool only_bounds = true;
-    for (std::size_t i = 0; i < named.size(); ++i) {
-      arm_bounds = arm_bounds || (in_arm[i] && bound[i]);
-      const bool on_kept_len =
-          i < kept.path.constraints.size() && kept.path.has_len_sym &&
-          std::find(named[i].begin(), named[i].end(), kept.path.len_sym) !=
-              named[i].end();
-      if (on_kept_len && !bound[i]) only_bounds = false;
-    }
-    r.len = r.len || (arm_bounds && !only_bounds);
-    r.len_read = r.len || arm_bounds;
   }
 
   /// Both arms of a branch are feasible and rejoin at `bj.join`: runs each
@@ -738,13 +736,15 @@ struct Executor::Stepper {
   bool join_arms(State& s, State f, const BranchJoin& bj) {
     ArmMark ms = mark(s), mf = mark(f);
     const std::size_t join = static_cast<std::size_t>(bj.join);
-    const bool t_alive = run_arm(s, join);
-    const bool f_alive = run_arm(f, join);
-    if (!t_alive) {
-      if (f_alive) s = std::move(f);
-      return f_alive;
+    // An arm dies on the step budget, or when a length bound one of its
+    // loads added since the fork empties its path.
+    const SolveStatus vs = run_arm(s, join) ? verdict(s) : SolveStatus::kUnsat;
+    const SolveStatus vf = run_arm(f, join) ? verdict(f) : SolveStatus::kUnsat;
+    if (vs == SolveStatus::kUnsat) {
+      if (vf != SolveStatus::kUnsat) s = std::move(f);
+      return vf != SolveStatus::kUnsat;
     }
-    if (!f_alive) return true;
+    if (vf == SolveStatus::kUnsat) return true;
 
     bool same = s.locals == f.locals && s.scratch == f.scratch &&
                 s.recency == f.recency;
@@ -752,8 +752,10 @@ struct Executor::Stepper {
       const std::size_t r = static_cast<std::size_t>(bj.live[i]);
       same = s.regs[r] == f.regs[r];
     }
-    const bool keep_t = same && covers(s, ms, f, mf);
-    if (!keep_t && !(same && covers(f, mf, s, ms))) {
+    // Only an arm with a witness may stand in for the other.
+    const bool keep_t = same && vs == SolveStatus::kSat && covers(s, ms, f, mf);
+    const bool keep_f = same && vf == SolveStatus::kSat && covers(f, mf, s, ms);
+    if (!keep_t && !keep_f) {
       sh.push(ctx.index, std::move(f));
       return true;
     }
@@ -889,7 +891,6 @@ struct Executor::Stepper {
           s.field_syms.emplace(key, sym);
           s.path.fields.push_back(PacketField{offset, width, sym});
           if (offset + width > 60) {
-            touch_input(s, &Revival::len);
             ensure_len_sym(s);
             add_constraint(
                 s, Expr::binary(ExprOp::kGeU, Expr::symbol(s.path.len_sym),
@@ -906,13 +907,12 @@ struct Executor::Stepper {
         break;
       }
       case ir::Op::kPktLen: {
-        touch_input(s, &Revival::len_read);
+        touch_len_read(s);
         ensure_len_sym(s);
         setR(ins.dst, Expr::symbol(s.path.len_sym));
         break;
       }
       case ir::Op::kPktPort: {
-        touch_input(s, &Revival::port);
         if (!s.path.has_port_sym) {
           s.path.port_sym = ex.symbols_.fresh("pkt.port", 16);
           s.path.has_port_sym = true;
@@ -921,7 +921,6 @@ struct Executor::Stepper {
         break;
       }
       case ir::Op::kPktTime: {
-        touch_input(s, &Revival::time);
         if (!s.path.has_time_sym) {
           s.path.time_sym = ex.symbols_.fresh("pkt.time", 64);
           s.path.has_time_sym = true;

@@ -13,10 +13,11 @@
 // leave identical live registers, locals, scratch and cache-line recency,
 // and one arm's instruction, multiply, access and line-probe counts each
 // cover the other's (with every probe of the cheaper arm a proven L1
-// hit), only the costlier arm continues. The dropped state rides along as a revival record, with the
-// packet ranges and symbols its arm made different as "poison"; if the
-// kept state or any descendant touches the poison, the dropped state is
-// explored after all. A loop that forks on a per-trip byte (the static
+// hit), only the costlier arm continues, provided the solver still finds
+// a witness for it at the join. The dropped state rides along as a
+// revival record, with the packet ranges and symbols its arm made
+// different as "poison"; if the kept state or any descendant touches the
+// poison, the dropped state is explored after all. A loop that forks on a per-trip byte (the static
 // router's IP options) therefore grows its path count with the trip count,
 // not with 2^trips, and every contract stays the same.
 //

@@ -707,6 +707,83 @@ TEST(BranchJoin, ReadingTheLengthAfterAnArmBoundedItRevives) {
   EXPECT_EQ(stats.revived_states, 1u);
 }
 
+TEST(BranchJoin, ArmLengthBoundsPoisonSymbolsTiedToTheLength) {
+  // A length field check up front ties len to `total` (len == total + 14),
+  // so the kept arm's len >= 62 means total >= 48. The continuation tests
+  // only `total`, never the length, yet "small" (total 46, len 60) is
+  // reachable through the dropped arm alone: the arm's bound must poison
+  // the length and, through the tie, `total`.
+  ir::IrBuilder b("length_field");
+  const ir::Reg total = b.load_pkt_at(16, 2);
+  ir::Label bad = b.make_label();
+  b.br_false(b.eq(b.pkt_len(), b.add_imm(total, 14)), bad);
+  const ir::Reg x = b.load_pkt_at(0, 1);
+  ir::Label heavy = b.make_label();
+  ir::Label light = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), heavy, light);
+  b.bind(heavy);
+  (void)b.add(b.load_pkt_at(61, 1), x);  // byte 61 shares byte 0's line
+  b.jmp(join);
+  b.bind(light);
+  b.jmp(join);
+  b.bind(join);
+  ir::Label small = b.make_label();
+  b.br_true(b.ltu(total, b.imm(47)), small);
+  b.class_tag("big");
+  b.forward_imm(0);
+  b.bind(small);
+  b.class_tag("small");
+  b.forward_imm(1);
+  b.bind(bad);
+  b.class_tag("bad");
+  b.drop();
+  const ir::Program p = b.finish();
+
+  ExecutorStats stats;
+  EXPECT_EQ(classes_of(p, &stats),
+            (std::vector<std::string>{"bad", "big", "big", "small"}));
+  EXPECT_EQ(stats.merged_states, 1u);
+  EXPECT_EQ(stats.revived_states, 1u);
+}
+
+TEST(BranchJoin, AnArmItsLengthBoundMakesInfeasibleNeverStandsIn) {
+  // Packets longer than 63 bytes are dropped up front. The costlier arm
+  // then reads byte 63, which needs len >= 64: it has no inputs at the
+  // join, so the cheaper arm must go on alone rather than be dropped.
+  ir::IrBuilder b("short_only");
+  ir::Label long_packet = b.make_label();
+  b.br_true(b.gtu(b.pkt_len(), b.imm(63)), long_packet);
+  const ir::Reg x = b.load_pkt_at(0, 1);
+  ir::Label heavy = b.make_label();
+  ir::Label light = b.make_label();
+  ir::Label join = b.make_label();
+  b.br(b.eq_imm(x, 7), heavy, light);
+  b.bind(heavy);
+  (void)b.add(b.load_pkt_at(63, 1), x);
+  b.jmp(join);
+  b.bind(light);
+  b.jmp(join);
+  b.bind(join);
+  b.class_tag("short");
+  b.forward_imm(0);
+  b.bind(long_packet);
+  b.class_tag("long");
+  b.drop();
+  const ir::Program p = b.finish();
+
+  Executor ex({&p}, {});
+  std::vector<PathResult> paths = ex.run();
+  ex.solve_inputs(paths);
+  ASSERT_EQ(paths.size(), 2u);
+  for (const PathResult& path : paths) {
+    SCOPED_TRACE(path.class_label());
+    EXPECT_TRUE(path.solved);
+  }
+  EXPECT_EQ(ex.stats().merged_states, 0u);
+  EXPECT_EQ(ex.stats().pruned_branches, 1u);
+}
+
 TEST(BranchJoin, RouterPathReportsIdenticalAtAnyThreadCount) {
   // What `bolt paths <nf>` prints: the uncoalesced per-path contract and
   // the executor's deterministic counters (everything but steals).
