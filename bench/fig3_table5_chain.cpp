@@ -127,8 +127,9 @@ int main() {
   // --- Parallel pipeline: sweep the chain's analysis configurations ---
   // The paper's workflow regenerates contracts under many configurations
   // (framework on/off x coalescing x loop linearisation). Each generation
-  // is independent, so the sweep fans out across a thread pool; a heavier
-  // solver budget makes each generation a realistic unit of work.
+  // is independent, so the sweep fans out across the shared pool (each
+  // generation runs inline on its sweep thread); a heavier solver budget
+  // makes each generation a realistic unit of work.
   std::vector<core::BoltOptions> configs;
   for (const bool full_framework : {false, true}) {
     for (const bool coalesce : {false, true}) {
@@ -137,20 +138,18 @@ int main() {
         o.framework = full_framework ? nf::framework_full() : nf::framework_none();
         o.coalesce = coalesce;
         o.linearize_loops = linearize;
-        o.threads = 1;  // the sweep is the parallelism
         o.executor.solver.random_probes = 16'000;
         configs.push_back(o);
       }
     }
   }
   constexpr int kGensPerConfig = 25;  // sized so a unit of work is ~10 ms
-  auto sweep_ms = [&](std::size_t pool_threads) {
-    support::ThreadPool pool(pool_threads);
+  auto sweep_ms = [&](std::size_t width) {
     std::atomic<std::size_t> total_entries{0};
     double best = 1e300;
     for (int rep = 0; rep < 3; ++rep) {  // min-of-3 to tame scheduler noise
       support::BenchTimer timer;
-      pool.parallel_for(0, configs.size(), [&](std::size_t i) {
+      support::parallel_for(0, configs.size(), width, [&](std::size_t i) {
         for (int g = 0; g < kGensPerConfig; ++g) {
           perf::PcvRegistry sweep_reg;
           core::ContractGenerator sweep_gen(sweep_reg, configs[i]);

@@ -12,11 +12,13 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 #include "core/bolt.h"
 #include "core/scenarios.h"
 #include "core/targets.h"
 #include "nf/firewall.h"
+#include "support/thread_pool.h"
 #include "symbex/solver.h"
 
 using namespace bolt;
@@ -66,6 +68,22 @@ void BM_SolverUnsatDetection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverUnsatDetection);
+
+/// The shared pool's per-batch cost on its own: 8 trivial indices at
+/// width 1 (the caller alone, no pool state touched) and width 4 (wake
+/// three persistent helpers, hand out indices, join). Every parallel
+/// generation stage pays this once per call.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const std::size_t width = static_cast<std::size_t>(state.range(0));
+  std::vector<std::size_t> slots(8);
+  for (auto _ : state) {
+    support::parallel_for(0, slots.size(), width,
+                          [&](std::size_t i) { slots[i] = i; });
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(4);
 
 void BM_GenerateContract_SimpleLpm(benchmark::State& state) {
   for (auto _ : state) {

@@ -121,12 +121,9 @@ GenerationResult ContractGenerator::generate(const NfAnalysis& nf) {
   const hw::CycleCosts& cc = options_.cycle_costs;
   result.path_reports.resize(paths.size());
   std::atomic<std::size_t> unsolved{0};
-  // The pipeline-wide knob sizes this pool (executor.threads only governs
-  // the exploration/solving stages above), capped at one worker per path.
-  support::ThreadPool pool(
-      std::min(support::resolve_threads(options_.threads),
-               std::max<std::size_t>(paths.size(), 1)));
-  pool.parallel_for(0, paths.size(), [&](std::size_t path_index) {
+  // The pipeline-wide knob sets this stage's width (executor.threads only
+  // governs the exploration/solving stages above).
+  support::parallel_for(0, paths.size(), options_.threads, [&](std::size_t path_index) {
     const symbex::PathResult& path = paths[path_index];
     PathReport& report = result.path_reports[path_index];
     report.action = path.action;

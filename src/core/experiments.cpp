@@ -284,19 +284,14 @@ ScenarioResult run_scenario(Scenario& scenario, perf::PcvRegistry& reg,
 std::vector<ScenarioResult> run_scenarios(const std::vector<std::string>& ids,
                                           const BoltOptions& options,
                                           std::size_t threads) {
-  // Scenario sweeps are parallel at the scenario level; keep each inner
-  // pipeline single-threaded unless the caller explicitly asked for more
-  // (an explicit executor.threads still applies to exploration only —
-  // without this clamp the auto default would spawn a full-width replay
-  // pool inside every concurrent scenario).
-  BoltOptions per_scenario = options;
-  if (per_scenario.threads == 0) per_scenario.threads = 1;
+  // Scenario sweeps are parallel at the scenario level; each scenario's
+  // own pipeline then runs inline on its sweep thread (the pool's nesting
+  // rule), so concurrent scenarios never oversubscribe.
   std::vector<ScenarioResult> results(ids.size());
-  support::ThreadPool pool(support::resolve_threads(threads));
-  pool.parallel_for(0, ids.size(), [&](std::size_t i) {
+  support::parallel_for(0, ids.size(), threads, [&](std::size_t i) {
     perf::PcvRegistry reg;
     Scenario scenario = make_scenario(ids[i], reg);
-    results[i] = run_scenario(scenario, reg, per_scenario);
+    results[i] = run_scenario(scenario, reg, options);
   });
   return results;
 }

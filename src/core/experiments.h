@@ -72,10 +72,10 @@ ScenarioResult run_scenario(Scenario& scenario, perf::PcvRegistry& reg,
 /// Parallel experiment driver: builds and runs each scenario concurrently
 /// (scenarios share nothing — each gets its own PcvRegistry and NF
 /// instance) and returns results in `ids` order, so sweeps are
-/// deterministic at any thread count. `threads` sizes the sweep pool
-/// (0 = one per hardware thread). Unless `options` asks otherwise, each
-/// scenario's inner pipeline runs single-threaded — the sweep is the
-/// parallelism, and nesting pools oversubscribes.
+/// deterministic at any thread count. `threads` is the sweep's width on
+/// the shared pool (0 = one per hardware thread). Each scenario's inner
+/// pipeline runs inline on its sweep thread (the pool's nesting rule):
+/// the sweep is the parallelism.
 std::vector<ScenarioResult> run_scenarios(const std::vector<std::string>& ids,
                                           const BoltOptions& options = {},
                                           std::size_t threads = 0);

@@ -339,9 +339,7 @@ MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
   // Each queue runs to completion on one pool thread; results are merged
   // exactly once at end of run.
   std::vector<QueueResult> queue_results(shards);
-  support::ThreadPool pool(
-      std::min(support::resolve_threads(options_.threads), shards));
-  pool.parallel_for(0, shards, [&](std::size_t s) {
+  support::parallel_for(0, shards, options_.threads, [&](std::size_t s) {
     QueueTask task(*this, packets, factory, attribution, queue_results[s]);
     for (const std::size_t p : queue[s]) task.run_partition(work[p]);
     task.flush();

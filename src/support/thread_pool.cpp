@@ -1,121 +1,148 @@
 #include "support/thread_pool.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <exception>
+#include <algorithm>
+#include <deque>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace bolt::support {
 
+namespace {
+/// True while this thread is inside a group: always on pool threads, and
+/// on an owner while its group is open.
+thread_local bool t_in_group = false;
+}  // namespace
+
 std::size_t resolve_threads(std::size_t requested) {
   if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
+  static const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-struct ThreadPool::Impl {
-  std::mutex mutex;
-  std::condition_variable work_cv;   // workers wait here for a batch
-  std::condition_variable done_cv;   // parallel_for waits here for drain
+namespace detail {
 
-  // Current batch. A new batch is published by bumping `generation`.
-  std::uint64_t generation = 0;
-  std::size_t end = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
-  std::atomic<std::size_t> next{0};
-  std::size_t in_flight = 0;  // workers still inside the current batch
-  std::exception_ptr first_error;
-  bool shutdown = false;
+/// The process-wide pool: its threads and the helpers queued for them.
+struct Pool {
+  struct Job {
+    TaskGroup* group;
+    std::size_t k;
+  };
 
-  std::vector<std::thread> workers;
-
-  void run_indices(const std::function<void(std::size_t)>& fn,
-                   std::size_t limit) {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= limit) break;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
+  static Pool& get() {
+    static Pool pool;
+    return pool;
   }
 
-  void worker_loop() {
-    std::uint64_t seen = 0;
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      shutdown = true;
+    }
+    work_cv.notify_all();
+    for (std::thread& t : threads) t.join();
+  }
+
+  void run() {
+    t_in_group = true;
     std::unique_lock<std::mutex> lock(mutex);
-    while (true) {
-      work_cv.wait(lock, [&] { return shutdown || generation != seen; });
-      if (shutdown) return;
-      seen = generation;
-      // The batch may have fully drained (and its body gone out of scope on
-      // the submitting thread) before this worker woke: skip it.
-      if (body == nullptr) continue;
-      const std::function<void(std::size_t)>* fn = body;
-      const std::size_t limit = end;
-      ++in_flight;
+    for (;;) {
+      work_cv.wait(lock, [this] { return shutdown || !queue.empty(); });
+      if (queue.empty()) return;
+      const Job job = queue.front();
+      queue.pop_front();
+      TaskGroup& g = *job.group;
+      ++g.running_;
       lock.unlock();
-      run_indices(*fn, limit);
+      std::exception_ptr error;
+      try {
+        g.helper_(job.k);
+      } catch (...) {
+        error = std::current_exception();
+      }
       lock.lock();
-      if (--in_flight == 0) done_cv.notify_all();
+      if (error && !g.error_) g.error_ = std::move(error);
+      // Notified under the lock: the owner cannot destroy the group until
+      // this thread lets go of it.
+      if (--g.running_ == 0) g.done_.notify_all();
     }
   }
+
+  std::mutex mutex;  // guards the members below and every group's batch state
+  std::condition_variable work_cv;
+  std::deque<Job> queue;
+  bool shutdown = false;
+  std::vector<std::thread> threads;  // last: joined before the rest dies
 };
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : impl_(new Impl), threads_(resolve_threads(threads)) {
-  // The submitting thread participates in every batch, so spawn one fewer.
-  for (std::size_t i = 1; i < threads_; ++i) {
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
+}  // namespace detail
+
+TaskGroup::TaskGroup(std::size_t width, std::function<void(std::size_t)> helper)
+    : helper_(std::move(helper)),
+      outer_(std::exchange(t_in_group, true)),
+      width_(outer_ ? 1 : resolve_threads(width)) {
+  if (width_ == 1) return;
+  detail::Pool& pool = detail::Pool::get();
+  std::lock_guard<std::mutex> lock(pool.mutex);
+  while (pool.threads.size() + 1 < width_) {
+    pool.threads.emplace_back([&pool] { pool.run(); });
   }
 }
 
-ThreadPool::~ThreadPool() {
+bool TaskGroup::add_helper() {
+  if (size() >= width_) return false;
+  detail::Pool& pool = detail::Pool::get();
   {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->shutdown = true;
+    std::lock_guard<std::mutex> lock(pool.mutex);
+    const std::size_t k = size();
+    if (closed_ || k >= width_) return false;
+    added_.store(k, std::memory_order_release);
+    pool.queue.push_back({this, k});
   }
-  impl_->work_cv.notify_all();
-  for (std::thread& t : impl_->workers) t.join();
-  delete impl_;
+  pool.work_cv.notify_one();
+  return true;
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
+std::exception_ptr TaskGroup::join() {
+  t_in_group = outer_;
+  if (width_ == 1) return nullptr;
+  detail::Pool& pool = detail::Pool::get();
+  std::unique_lock<std::mutex> lock(pool.mutex);
+  if (!closed_) {
+    closed_ = true;
+    auto& q = pool.queue;
+    q.erase(std::remove_if(q.begin(), q.end(),
+                           [this](const detail::Pool::Job& j) { return j.group == this; }),
+            q.end());
+  }
+  done_.wait(lock, [this] { return running_ == 0; });
+  return std::exchange(error_, nullptr);
+}
+
+void TaskGroup::wait() {
+  if (std::exception_ptr error = join()) std::rethrow_exception(error);
+}
+
+void parallel_for(std::size_t begin, std::size_t end, std::size_t width,
+                  const std::function<void(std::size_t)>& body) {
   if (end <= begin) return;
-  const std::size_t count = end - begin;
-  auto shifted = [&body, begin](std::size_t i) { body(begin + i); };
-  const std::function<void(std::size_t)> fn = shifted;
-
-  if (impl_->workers.empty() || count == 1) {
-    // Degenerate case: run inline (still honouring exception capture).
-    impl_->next.store(0, std::memory_order_relaxed);
-    impl_->run_indices(fn, count);
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(impl_->mutex);
-      impl_->next.store(0, std::memory_order_relaxed);
-      impl_->end = count;
-      impl_->body = &fn;
-      ++impl_->generation;
+  std::atomic<std::size_t> next{begin};
+  auto drain = [&](std::size_t) {
+    try {
+      for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < end;) {
+        body(i);
+      }
+    } catch (...) {
+      next.store(end, std::memory_order_relaxed);  // hand out no more
+      throw;
     }
-    impl_->work_cv.notify_all();
-    impl_->run_indices(fn, count);
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->done_cv.wait(lock, [&] { return impl_->in_flight == 0; });
-    impl_->body = nullptr;
+  };
+  TaskGroup group(std::min(resolve_threads(width), end - begin), drain);
+  while (group.add_helper()) {
   }
-
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (impl_->first_error) {
-    std::exception_ptr err = impl_->first_error;
-    impl_->first_error = nullptr;
-    std::rethrow_exception(err);
-  }
+  drain(0);
+  group.wait();
 }
 
 }  // namespace bolt::support

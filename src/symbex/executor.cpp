@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "ir/cost.h"
@@ -91,23 +90,19 @@ struct Executor::Revival {
 // the front, which holds the oldest forks and therefore the biggest
 // unexplored subtrees). `in_flight` counts states that are queued or
 // currently executing; exploration terminates exactly when it reaches
-// zero. Workers spawn on demand: the calling thread explores inline, and
-// extra workers are only started when a push leaves backlog behind. An NF
-// with two paths never pays for a 64-thread team; a big chain ramps up to
-// the configured width within a few forks.
+// zero. Workers join on demand: the calling thread explores inline, and a
+// helper on the shared pool (support/thread_pool.h) is only added when a
+// push leaves backlog behind. An NF with two paths never wakes a 64-wide
+// team; a big chain ramps up to the configured width within a few forks.
 struct Executor::Explore {
   struct alignas(64) WorkerQueue {
     std::mutex mutex;
     std::deque<State> deque;
   };
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues;  // max_workers entries
+  support::TaskGroup* team = nullptr;  // worker k > 0 is helper k
+  std::vector<std::unique_ptr<WorkerQueue>> queues;  // team->width() entries
   std::atomic<std::size_t> in_flight{0};  // queued + executing states
-  std::atomic<std::size_t> total_workers{1};  // spawned + inline caller
-  std::size_t max_workers = 1;
-  std::mutex spawn_mutex;
-  std::vector<std::thread> spawned;
-  Executor* owner = nullptr;
 
   // Starved workers block here until a push or termination wakes them —
   // no polling. `push_gen` ticks on every push; a worker snapshots it
@@ -140,7 +135,7 @@ struct Executor::Explore {
 
   void push(std::size_t self, State s) {
     in_flight.fetch_add(1, std::memory_order_acq_rel);
-    if (max_workers == 1) {
+    if (team->width() == 1) {
       // Serial exploration (the developer edit-compile loop): no other
       // worker can exist, so skip the deque lock and the wakeup.
       queues[self]->deque.push_back(std::move(s));
@@ -155,15 +150,7 @@ struct Executor::Explore {
     }
     push_gen.fetch_add(1);
     // Backlog beyond what this pusher will pop itself: grow the team.
-    if (backlog && total_workers.load(std::memory_order_relaxed) < max_workers) {
-      std::lock_guard<std::mutex> lock(spawn_mutex);
-      const std::size_t idx = total_workers.load(std::memory_order_relaxed);
-      if (idx < max_workers) {
-        total_workers.store(idx + 1, std::memory_order_relaxed);
-        Executor* exec = owner;
-        spawned.emplace_back([exec, this, idx] { exec->explore_worker(*this, idx); });
-      }
-    }
+    if (backlog) team->add_helper();
     if (sleepers.load() > 0) {
       std::lock_guard<std::mutex> lock(sleep_mutex);
       cv.notify_one();
@@ -172,7 +159,7 @@ struct Executor::Explore {
 
   bool pop_own(std::size_t self, State& out) {
     WorkerQueue& q = *queues[self];
-    if (max_workers == 1) {
+    if (team->width() == 1) {
       if (q.deque.empty()) return false;
       out = std::move(q.deque.back());
       q.deque.pop_back();
@@ -186,7 +173,7 @@ struct Executor::Explore {
   }
 
   bool steal(std::size_t self, support::Rng& rng, State& out) {
-    const std::size_t n = total_workers.load(std::memory_order_acquire);
+    const std::size_t n = team->size();
     if (n <= 1) return false;
     // Randomized victim selection: one full sweep from a random start.
     const std::size_t start = rng.below(n);
@@ -1101,10 +1088,11 @@ void Executor::explore_worker(Explore& sh, std::size_t self) {
 
 std::vector<PathResult> Executor::run() {
   Explore sh;
-  sh.owner = this;
-  sh.max_workers = support::resolve_threads(options_.threads);
-  sh.queues.reserve(sh.max_workers);
-  for (std::size_t i = 0; i < sh.max_workers; ++i) {
+  support::TaskGroup team(options_.threads,
+                          [this, &sh](std::size_t k) { explore_worker(sh, k); });
+  sh.team = &team;
+  sh.queues.reserve(team.width());
+  for (std::size_t i = 0; i < team.width(); ++i) {
     sh.queues.push_back(std::make_unique<Explore::WorkerQueue>());
   }
   {
@@ -1115,17 +1103,7 @@ std::vector<PathResult> Executor::run() {
   }
 
   explore_worker(sh, 0);
-  // Join demand-spawned workers; a straggler can spawn more while we join,
-  // so drain in batches until none remain.
-  for (;;) {
-    std::vector<std::thread> batch;
-    {
-      std::lock_guard<std::mutex> lock(sh.spawn_mutex);
-      batch.swap(sh.spawned);
-    }
-    if (batch.empty()) break;
-    for (std::thread& t : batch) t.join();
-  }
+  team.wait();
 
   stats_.completed_paths = sh.results.size();
   stats_.truncated_paths = sh.truncated;
@@ -1233,10 +1211,7 @@ void Executor::canonicalize(std::vector<PathResult>& paths) {
 }
 
 void Executor::solve_inputs(std::vector<PathResult>& paths) const {
-  // A pool wider than the number of paths is pure spawn/teardown cost.
-  support::ThreadPool pool(std::min(support::resolve_threads(options_.threads),
-                                    std::max<std::size_t>(paths.size(), 1)));
-  pool.parallel_for(0, paths.size(), [&](std::size_t i) {
+  support::parallel_for(0, paths.size(), options_.threads, [&](std::size_t i) {
     PathResult& path = paths[i];
     const Solver solver(symbols_, options_.solver);
     SolveResult solved = solver.solve(

@@ -104,10 +104,10 @@ class Executor {
   /// Exhaustively executes and returns all completed paths (unsolved;
   /// run `solve_inputs` afterwards or let the bolt pipeline do it).
   ///
-  /// Exploration fans out across `options.threads` workers, each owning a
-  /// deque (newest-first for the owner) and stealing from random victims
-  /// when its own deque drains; each worker runs its own Solver (with its
-  /// own feasibility memo) for pruning. Completed paths are then
+  /// Exploration fans out across up to `options.threads` pool workers,
+  /// each owning a deque (newest-first for the owner) and stealing from
+  /// random victims when its own deque drains; each runs its own Solver
+  /// (with its own feasibility memo) for pruning. Completed paths are then
   /// *canonicalized*: sorted by a scheduling-independent structural
   /// signature and their symbols renumbered in first-use order over that
   /// ordering, so the returned paths (and the symbol table) are

@@ -1,19 +1,30 @@
 // The parallel pipeline's contract: bit-identical results at any thread
 // count. Contracts for the NAT, the bridge, and the firewall->router chain
-// are generated at 1, 2, and 8 threads and compared byte-for-byte as JSON;
-// the executor's canonicalized paths are compared structurally; and the
-// thread pool itself is unit-tested (full index coverage, exception
-// propagation).
+// are generated at 1, 2, and 8 threads and compared byte-for-byte as JSON,
+// also with two generations sharing the pool at once; the executor's
+// canonicalized paths are compared structurally; and the shared pool
+// itself is unit-tested (full index coverage, exception propagation,
+// concurrent and nested callers, cancellation, thread persistence).
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bolt.h"
 #include "core/experiments.h"
 #include "core/scenarios.h"
+#include "core/targets.h"
 #include "nf/firewall.h"
 #include "perf/contract_io.h"
 #include "support/thread_pool.h"
@@ -23,55 +34,220 @@ namespace {
 
 // ---------------------------------------------------------------- pool --
 
+/// Threads in this process, or 0 where /proc is not mounted.
+std::size_t task_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
 TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(support::resolve_threads(0), 1u);
   EXPECT_EQ(support::resolve_threads(3), 3u);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  support::ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(1000);
   for (auto& h : hits) h.store(0);
-  pool.parallel_for(0, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  support::parallel_for(0, hits.size(), 8,
+                        [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, HonoursBeginOffset) {
-  support::ThreadPool pool(4);
   std::atomic<std::size_t> sum{0};
-  pool.parallel_for(10, 20, [&](std::size_t i) { sum.fetch_add(i); });
+  support::parallel_for(10, 20, 4, [&](std::size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 145u);  // 10 + 11 + ... + 19
 }
 
 TEST(ThreadPool, EmptyRangeIsANoop) {
-  support::ThreadPool pool(4);
   bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
+  support::parallel_for(5, 5, 4, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
-  support::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [&](std::size_t i) {
-                          if (i == 42) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(support::parallel_for(0, 100, 4,
+                                     [&](std::size_t i) {
+                                       if (i == 42) throw std::runtime_error("boom");
+                                     }),
+               std::runtime_error);
   // The pool survives a throwing batch.
   std::atomic<int> count{0};
-  pool.parallel_for(0, 10, [&](std::size_t) { count.fetch_add(1); });
+  support::parallel_for(0, 10, 4, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
-  support::ThreadPool pool(2);
   std::atomic<int> total{0};
   for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(0, 20, [&](std::size_t) { total.fetch_add(1); });
+    support::parallel_for(0, 20, 2, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 50 * 20);
+}
+
+/// Two callers on different threads share the pool at once; each batch
+/// keeps its own index counter, so every index of each runs exactly once.
+TEST(ThreadPool, ConcurrentCallersEachRunEveryIndexOnce) {
+  constexpr std::size_t kN = 2000;
+  std::vector<std::atomic<int>> a(kN), b(kN);
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t i = 0; i < kN; ++i) a[i].store(0), b[i].store(0);
+    std::thread ta([&] {
+      support::parallel_for(0, kN, 4, [&](std::size_t i) { a[i].fetch_add(1); });
+    });
+    std::thread tb([&] {
+      support::parallel_for(0, kN, 2, [&](std::size_t i) { b[i].fetch_add(1); });
+    });
+    ta.join();
+    tb.join();
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(a[i].load(), 1) << "round " << round << " index " << i;
+      ASSERT_EQ(b[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
+/// A parallel_for inside a task runs inline on the thread running that
+/// task, and completes.
+TEST(ThreadPool, NestedCallRunsInline) {
+  std::atomic<int> inner{0};
+  std::atomic<int> off_thread{0};
+  support::parallel_for(0, 8, 4, [&](std::size_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    support::parallel_for(0, 50, 4, [&](std::size_t) {
+      inner.fetch_add(1);
+      if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner.load(), 8 * 50);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+/// Width 1 is a plain loop on the calling thread: no pool thread starts.
+TEST(ThreadPool, WidthOneRunsOnCallingThread) {
+  const std::size_t before = task_count();
+  const std::thread::id self = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  support::parallel_for(0, 100, 1, [&](std::size_t) {
+    if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+  support::TaskGroup group(1, [](std::size_t) {});
+  EXPECT_EQ(group.width(), 1u);
+  EXPECT_FALSE(group.add_helper());
+  group.wait();
+  EXPECT_EQ(task_count(), before);
+}
+
+/// A throwing batch on one thread never leaks its error into a concurrent
+/// caller's batch.
+TEST(ThreadPool, ExceptionReachesOnlyItsCaller) {
+  for (int round = 0; round < 20; ++round) {
+    bool a_threw = false;
+    bool b_threw = false;
+    std::atomic<int> b_count{0};
+    std::thread ta([&] {
+      try {
+        support::parallel_for(0, 200, 4, [](std::size_t i) {
+          if (i % 7 == 3) throw std::runtime_error("boom");
+        });
+      } catch (const std::runtime_error&) {
+        a_threw = true;
+      }
+    });
+    std::thread tb([&] {
+      try {
+        support::parallel_for(0, 200, 2, [&](std::size_t) { b_count.fetch_add(1); });
+      } catch (...) {
+        b_threw = true;
+      }
+    });
+    ta.join();
+    tb.join();
+    EXPECT_TRUE(a_threw) << "round " << round;
+    EXPECT_FALSE(b_threw) << "round " << round;
+    EXPECT_EQ(b_count.load(), 200) << "round " << round;
+  }
+}
+
+/// A helper still queued when its owner closes the group is cancelled: the
+/// owner never waits on a pool thread that is busy for another caller.
+TEST(ThreadPool, QueuedHelpersAreCancelledNotAwaited) {
+  // Wider than any other group in this binary, so its helpers occupy
+  // every pool thread.
+  constexpr std::size_t kWide = 32;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t started = 0;
+  bool release = false;
+  support::TaskGroup blocker(kWide, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++started;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  while (blocker.add_helper()) {
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started == kWide - 1; });
+  }
+
+  std::atomic<bool> ran{false};
+  std::thread other([&] {
+    support::TaskGroup group(2, [&](std::size_t) { ran = true; });
+    EXPECT_TRUE(group.add_helper());
+    group.wait();  // must return although no pool thread is free
+  });
+  other.join();
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  blocker.wait();
+  EXPECT_FALSE(ran.load());
+}
+
+/// Helpers run on persistent threads: every thread that ran part of a
+/// batch is still alive once the batch is done.
+TEST(ThreadPool, HelperThreadsOutliveTheirBatches) {
+  if (task_count() == 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  std::mutex mutex;
+  std::set<long> tids;
+  for (int round = 0; round < 20; ++round) {
+    support::parallel_for(0, 16, 4, [&](std::size_t) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        tids.insert(static_cast<long>(::syscall(SYS_gettid)));
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+  }
+  EXPECT_GT(tids.size(), 1u) << "no helper ever ran";
+  for (const long tid : tids) {
+    EXPECT_TRUE(std::filesystem::exists("/proc/self/task/" + std::to_string(tid)))
+        << "thread " << tid << " exited after its batch";
+  }
+}
+
+/// Generation reuses the pool's threads: repeated generate() calls at
+/// width 4 start at most the 3 helpers the first call needs.
+TEST(ThreadPool, GenerationReusesPersistentThreads) {
+  const std::size_t before = task_count();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  for (int i = 0; i < 20; ++i) {
+    perf::PcvRegistry reg;
+    NfTarget target;
+    ASSERT_TRUE(make_named_target("router", reg, target));
+    BoltOptions opts;
+    opts.threads = 4;
+    (void)ContractGenerator(reg, opts).generate(target.analysis());
+  }
+  EXPECT_LE(task_count(), before + 3);
 }
 
 // ------------------------------------------------------------ executor --
@@ -256,6 +432,33 @@ INSTANTIATE_TEST_SUITE_P(NfSubjects, ContractDeterminism,
                            }
                            return "unknown";
                          });
+
+/// Two generations share the pool at once. Each caller gets whichever
+/// helpers are idle (the rest are cancelled, not awaited), and both
+/// contracts stay byte-identical to their 1-thread ones.
+TEST(ConcurrentGeneration, TwoCallersMatchOneThread) {
+  auto contract = [](const std::string& name, std::size_t threads) {
+    perf::PcvRegistry reg;
+    NfTarget target;
+    EXPECT_TRUE(make_named_target(name, reg, target));
+    BoltOptions opts;
+    opts.threads = threads;
+    const GenerationResult g =
+        ContractGenerator(reg, opts).generate(target.analysis());
+    return perf::contract_to_json(g.contract, reg);
+  };
+  const std::string router1 = contract("router", 1);
+  const std::string chain1 = contract("fw+router", 1);
+  for (int round = 0; round < 10; ++round) {
+    std::string router4, chain4;
+    std::thread a([&] { router4 = contract("router", 4); });
+    std::thread b([&] { chain4 = contract("fw+router", 4); });
+    a.join();
+    b.join();
+    EXPECT_EQ(router4, router1) << "round " << round;
+    EXPECT_EQ(chain4, chain1) << "round " << round;
+  }
+}
 
 /// Work stealing + canonical truncation: a tight path budget must yield
 /// byte-identical contracts at 1, 2, and 8 threads too (the budget keeps

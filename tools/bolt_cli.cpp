@@ -73,6 +73,17 @@ int usage() {
   return 2;
 }
 
+/// Parses a whole decimal argument; anything else ends the run with exit 2.
+std::uint64_t numeric_arg(const char* text, const char* what) {
+  char* end = nullptr;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0') {
+    std::fprintf(stderr, "error: bad %s value '%s'\n", what, text);
+    std::exit(2);
+  }
+  return v;
+}
+
 int cmd_contract(const std::string& nf, bool per_path, bool as_json,
                  std::size_t threads, const std::string& out_file) {
   perf::PcvRegistry reg;
@@ -186,8 +197,8 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
       std::fprintf(stderr, "bad PCV binding '%s'\n", arg.c_str());
       return 2;
     }
-    bind.set(reg.require(arg.substr(0, eq)),
-             std::strtoull(arg.c_str() + eq + 1, nullptr, 10));
+    const std::string pcv = arg.substr(0, eq);
+    bind.set(reg.require(pcv), numeric_arg(arg.c_str() + eq + 1, pcv.c_str()));
   }
 
   std::vector<std::vector<std::string>> rows;
@@ -1071,13 +1082,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s requires a value\n", flag);
       std::exit(2);
     }
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(argv[++i], &end, 10);
-    if (end == argv[i] || *end != '\0') {
-      std::fprintf(stderr, "error: bad %s value '%s'\n", flag, argv[i]);
-      std::exit(2);
-    }
-    return v;
+    return numeric_arg(argv[++i], flag);
   };
   AdversaryCliArgs aargs;
   HuntCliArgs hargs;
@@ -1282,7 +1287,7 @@ int main(int argc, char** argv) {
     // The count is positional; don't mistake a trailing flag for it.
     std::size_t count = 10'000;
     if (argc >= 5 && argv[4][0] != '-') {
-      count = std::strtoull(argv[4], nullptr, 10);
+      count = numeric_arg(argv[4], "count");
     }
     return cmd_gen(argv[2], argv[3], count);
   }
