@@ -74,18 +74,14 @@ double best_seconds(int reps, F&& body) {
 double monitor_pps(const perf::Contract& contract,
                    const perf::PcvRegistry& reg,
                    const std::vector<net::Packet>& packets,
-                   std::size_t threads, std::size_t shards = 0,
-                   monitor::ShardGrouping grouping =
-                       monitor::ShardGrouping::kRoundRobin,
-                   bool telemetry = false, int reps = kReps,
+                   std::size_t threads, bool telemetry = false,
+                   int reps = kReps,
                    ir::EngineKind engine = ir::EngineKind::kDecoded,
                    bool check_cycles = true) {
   double best_pps = 0;
   for (int rep = 0; rep < reps; ++rep) {
     monitor::MonitorOptions opts;
     opts.threads = threads;
-    opts.shards = shards;
-    opts.grouping = grouping;
     opts.telemetry = telemetry;
     opts.engine = engine;
     opts.check_cycles = check_cycles;
@@ -158,8 +154,7 @@ int main() {
   // ratio is the execution fast path's headline number and is gated: the
   // decoded engine must stay decisively faster, not just not-slower.
   const double pps_1t_ref =
-      monitor_pps(result.contract, reg, packets, 1, 0,
-                  monitor::ShardGrouping::kRoundRobin, /*telemetry=*/false,
+      monitor_pps(result.contract, reg, packets, 1, /*telemetry=*/false,
                   kReps, ir::EngineKind::kReference);
   std::printf("  1 thread,  reference engine:%9.0f pps  (decoded %.2fx)\n",
               pps_1t_ref, pps_1t / pps_1t_ref);
@@ -173,8 +168,7 @@ int main() {
   // to end. Informational — the boltbench trace's hw.cycle_meter_ns is the
   // per-layer view of the same cost.
   const double pps_1t_nocycles =
-      monitor_pps(result.contract, reg, packets, 1, 0,
-                  monitor::ShardGrouping::kRoundRobin, /*telemetry=*/false,
+      monitor_pps(result.contract, reg, packets, 1, /*telemetry=*/false,
                   kReps, ir::EngineKind::kDecoded, /*check_cycles=*/false);
   const double meter_share_pct = (1.0 - pps_1t / pps_1t_nocycles) * 100.0;
   std::printf("  1 thread,  no cycle meter: %10.0f pps  (meter %.1f%% of "
@@ -199,13 +193,10 @@ int main() {
   double deltas[kTelemetryPairs];
   double pps_tel_on = 0;
   for (int i = 0; i < kTelemetryPairs; ++i) {
-    const double off =
-        monitor_pps(result.contract, reg, packets, 1, 0,
-                    monitor::ShardGrouping::kRoundRobin, false, /*reps=*/1);
-    const double on =
-        monitor_pps(result.contract, reg, packets, 1, 0,
-                    monitor::ShardGrouping::kRoundRobin, /*telemetry=*/true,
-                    /*reps=*/1);
+    const double off = monitor_pps(result.contract, reg, packets, 1,
+                                   /*telemetry=*/false, /*reps=*/1);
+    const double on = monitor_pps(result.contract, reg, packets, 1,
+                                  /*telemetry=*/true, /*reps=*/1);
     pps_tel_on = std::max(pps_tel_on, on);
     deltas[i] = (off - on) / off * 100.0;
   }
@@ -223,77 +214,6 @@ int main() {
                  "bench: telemetry overhead %.2f%% exceeds the 5%% budget\n",
                  telemetry_overhead);
     return 1;
-  }
-
-  // --- shard grouping under skewed traffic -------------------------------
-  // Heavily skewed flow popularity concentrates packets on few partitions;
-  // with fewer shards than partitions, round-robin grouping can lump the
-  // hot partitions onto one queue while longest-queue-first (LPT) spreads
-  // them. Reports are byte-identical either way (tests enforce it); only
-  // the wall-clock may differ.
-  net::ZipfSpec skewed_spec;
-  skewed_spec.flow_pool = 64;
-  skewed_spec.skew = 2.2;
-  skewed_spec.packet_count = 200'000;
-  const std::vector<net::Packet> skewed = net::zipf_traffic(skewed_spec);
-  const double pps_skew_rr =
-      monitor_pps(result.contract, reg, skewed, 4, 4,
-                  monitor::ShardGrouping::kRoundRobin);
-  const double pps_skew_lqf =
-      monitor_pps(result.contract, reg, skewed, 4, 4,
-                  monitor::ShardGrouping::kLongestQueueFirst);
-  std::printf("\nskewed traffic (zipf 2.2, 8 partitions on 4 shards):\n");
-  std::printf("  round-robin grouping:       %10.0f pps\n", pps_skew_rr);
-  std::printf("  longest-queue-first (LPT):  %10.0f pps\n", pps_skew_lqf);
-  bench.metric("monitor_pps_skewed_roundrobin", pps_skew_rr, "packets/s",
-               /*gate=*/cores >= 4);
-  bench.metric("monitor_pps_skewed_lqf", pps_skew_lqf, "packets/s",
-               /*gate=*/cores >= 4);
-  // Wall-clock LQF/RR ratio is informational only: on machines where the
-  // four shard workers time-slice (or where per-queue setup dominates the
-  // imbalance), the ratio of two noisy wall-clocks jitters around 1.0 and
-  // once gated a 0.967 "regression" that was pure scheduler noise. The
-  // gated number is the deterministic makespan model below.
-  bench.metric("monitor_grouping_speedup", pps_skew_lqf / pps_skew_rr, "x",
-               /*gate=*/false);
-
-  // Deterministic grouping quality: the same per-partition packet counts
-  // and the same placement policies the engine uses, evaluated on the load
-  // model (packets on the fullest queue — the lower bound on any queue-
-  // parallel schedule) instead of wall-clock. Pure arithmetic on the
-  // workload, so it is identical on every host and safely gateable; LPT is
-  // never worse than round-robin on this model, so the ratio is >= 1 by
-  // construction and any drop means the placement policy itself regressed.
-  {
-    constexpr std::size_t kParts = 8, kShards = 4;
-    std::vector<std::size_t> load(kParts, 0);
-    for (const net::Packet& p : skewed) {
-      ++load[monitor::partition_of(p, kParts)];
-    }
-    std::size_t rr[kShards] = {}, lpt[kShards] = {};
-    for (std::size_t p = 0; p < kParts; ++p) rr[p % kShards] += load[p];
-    std::vector<std::size_t> order(kParts);
-    for (std::size_t p = 0; p < kParts; ++p) order[p] = p;
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                     std::size_t b) {
-      return load[a] > load[b];
-    });
-    for (const std::size_t p : order) {
-      std::size_t lightest = 0;
-      for (std::size_t s = 1; s < kShards; ++s) {
-        if (lpt[s] < lpt[lightest]) lightest = s;
-      }
-      lpt[lightest] += load[p];
-    }
-    const double rr_makespan =
-        static_cast<double>(*std::max_element(rr, rr + kShards));
-    const double lpt_makespan =
-        static_cast<double>(*std::max_element(lpt, lpt + kShards));
-    std::printf("  modeled makespan rr/lpt:    %10.3fx  (%0.f vs %0.f pkts "
-                "on the fullest shard)\n",
-                rr_makespan / lpt_makespan, rr_makespan, lpt_makespan);
-    bench.metric("monitor_grouping_makespan_ratio",
-                 rr_makespan / lpt_makespan, "x");
   }
 
   // --- expression evaluation only ----------------------------------------

@@ -68,7 +68,7 @@ struct HunterOptions {
   /// Seed-trace synthesis + shadow re-planning parameters.
   AdversaryOptions adversary;
   /// Replay knobs. partitions/epoch_ns are overridden per trace (they are
-  /// plan semantics); shards/threads/grouping/batch stay free, and the
+  /// plan semantics); threads and the engine stay free, and the
   /// test-only inject_straddle_bug flag rides here for the seeded hunt.
   monitor::MonitorOptions monitor;
 };

@@ -64,7 +64,7 @@ std::string gap_report_to_json(const GapReport& report);
 
 /// Replays `trace` through the monitor against `contract` and measures the
 /// gap. `options.partitions` and `options.epoch_ns` are overridden from the
-/// trace (they are part of the plan's semantics); shards/threads/grouping
+/// trace (they are part of the plan's semantics); threads and the engine
 /// remain free execution knobs — the report is byte-identical under all of
 /// them.
 GapReport replay(const AdversarialTrace& trace, const perf::Contract& contract,

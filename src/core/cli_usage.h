@@ -1,8 +1,7 @@
 // The bolt CLI's usage/help text, exported from the library so the help
 // output is testable: tests/test_cli_help.cpp locks it against a golden
 // file, which makes "added a knob but not its help line" a test failure
-// instead of a docs drift (PR 5 shipped --grouping's enum without a flag
-// or a help line; this is the lockdown that keeps that from recurring).
+// instead of a docs drift.
 #pragma once
 
 namespace bolt::core {

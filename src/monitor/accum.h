@@ -5,9 +5,9 @@
 // worsts are maxima under a *total* order (utilization, ties by packet
 // index), the bounded offender list is a top-k under the same total order,
 // and the sketches are merge-order independent by property test. That is
-// what lets statistics accumulate per work queue, per delta window, or per
-// fleet instance — whose composition depends on execution-only knobs or on
-// deployment shape — and still merge to byte-identical reports.
+// what lets statistics accumulate per partition, per delta window, or per
+// fleet instance — whose composition depends on deployment shape — and
+// still merge to byte-identical reports.
 //
 // build_report / build_delta_window are the single rendering paths: the
 // batch engine's end-of-run merge, the streaming monitor's finish(), and
@@ -106,7 +106,7 @@ DeltaEntryAccum delta_slice(const ClassAccum& acc);
 
 /// Everything a run accumulates outside the per-class statistics. Sums,
 /// minima (first unattributed packet) and maxima (state high water) — all
-/// order-independent, so queue results, closed windows and fleet partials
+/// order-independent, so partition results, closed windows and fleet partials
 /// fold through the same type.
 struct RunTotals {
   std::uint64_t unattributed = 0;

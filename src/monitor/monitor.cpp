@@ -16,6 +16,15 @@
 
 namespace bolt::monitor {
 
+namespace {
+
+/// Rows per validation batch: each partition buffers attributed rows per
+/// contract entry and evaluates the entry's compiled bounds over this many
+/// packets of one input class at once.
+constexpr std::size_t kBatchRows = 64;
+
+}  // namespace
+
 // The accumulators (MetricAccum/ClassAccum/DeltaEntryAccum), the exact
 // utilization arithmetic, and the report/delta-window rendering all live
 // in monitor/accum.h — shared with the streaming monitor (follow.cpp) and
@@ -35,8 +44,8 @@ struct MonitorEngine::SoaBatch {
   std::vector<std::uint64_t> windows;  ///< delta window ids (delta mode only)
 };
 
-/// Everything one work queue accumulates, merged once at end of run.
-struct MonitorEngine::QueueResult {
+/// Everything one partition accumulates, merged once at end of run.
+struct MonitorEngine::PartitionResult {
   std::vector<ClassAccum> classes;
   /// Delta-report mode: window id -> per-entry accumulation; std::map so
   /// the end-of-run merge walks windows in order (node-based, so cached
@@ -46,35 +55,37 @@ struct MonitorEngine::QueueResult {
   obs::MonitorTelemetry tel;
 };
 
-/// Runs one work queue to completion on the calling thread: steps each
-/// partition's packets through a fresh PartitionRunner, appends attributed
-/// rows to per-entry SoaBatch buffers, and validates each batch in place
-/// when it fills (evaluating the entry's compiled bounds over the whole
-/// batch) and at the end. Holds the reusable buffers and expression
-/// scratch, so steady-state monitoring performs no allocations.
-class MonitorEngine::QueueTask {
+/// Runs one partition to completion on the calling thread: steps its
+/// packets through a fresh PartitionRunner, appends attributed rows to
+/// per-entry SoaBatch buffers, and validates each batch in place when it
+/// fills (evaluating the entry's compiled bounds over the whole batch) and
+/// at the end. Holds the reusable buffers and expression scratch, so
+/// steady-state monitoring performs no allocations.
+class MonitorEngine::PartitionTask {
  public:
-  QueueTask(const MonitorEngine& e, support::Span<const net::PacketView> packets,
-            const TargetFactory& factory,
-            std::vector<std::uint32_t>* attribution, QueueResult& out)
+  PartitionTask(const MonitorEngine& e,
+                support::Span<const net::PacketView> packets,
+                const TargetFactory& factory,
+                std::vector<std::uint32_t>* attribution, PartitionResult& out)
       : e_(e),
         cc_(*e.compiled_),
         packets_(packets),
         factory_(factory),
         attribution_(attribution),
         out_(out),
-        tel_(e.options_.telemetry ? &out.tel : nullptr),
-        capacity_(e.options_.batch) {
+        tel_(e.options_.telemetry ? &out.tel : nullptr) {
     pending_.resize(cc_.bounds.size());
     for (std::size_t entry = 0; entry < pending_.size(); ++entry) {
       pending_[entry].entry = static_cast<std::uint32_t>(entry);
     }
     // Unchecked cycles keep a zero bound column (never evaluated).
-    for (auto& col : predicted_) col.assign(capacity_, 0);
+    for (auto& col : predicted_) col.assign(kBatchRows, 0);
     out_.classes.assign(cc_.bounds.size(), ClassAccum{});
   }
 
-  void run_partition(const std::vector<std::uint64_t>& indices) {
+  /// Steps the partition's packets (global indices, in order), then
+  /// validates every partially filled batch.
+  void run(const std::vector<std::uint64_t>& indices) {
     PartitionRunner part(cc_, e_.options_, factory_, tel_);
     const std::size_t stride = cc_.slot_stride;
     RunTotals& totals = out_.totals;
@@ -107,14 +118,10 @@ class MonitorEngine::QueueTask {
         batch.windows[batch.rows] =
             packets_[index].timestamp_ns() / cc_.delta_window_ns;
       }
-      if (++batch.rows >= capacity_) validate(batch);
+      if (++batch.rows >= kBatchRows) validate(batch);
     }
-    totals.state_tracked = totals.state_tracked || part.tracks_state();
-    if (part.tracks_state()) totals.residents += part.occupancy();
-  }
-
-  /// Validates every partially filled batch — rows never cross a queue.
-  void flush() {
+    totals.state_tracked = part.tracks_state();
+    if (part.tracks_state()) totals.residents = part.occupancy();
     for (SoaBatch& b : pending_) {
       if (b.rows > 0) validate(b);
     }
@@ -123,14 +130,14 @@ class MonitorEngine::QueueTask {
  private:
   void ensure_buffers(SoaBatch& b) {
     if (!b.slots.empty()) return;
-    b.slots.resize(capacity_ * cc_.slot_stride);
-    for (auto& col : b.measured) col.resize(capacity_);
-    b.indices.resize(capacity_);
-    b.windows.resize(capacity_);
+    b.slots.resize(kBatchRows * cc_.slot_stride);
+    for (auto& col : b.measured) col.resize(kBatchRows);
+    b.indices.resize(kBatchRows);
+    b.windows.resize(kBatchRows);
   }
 
   /// Evaluates the batch's compiled bounds and folds every row into the
-  /// queue's ClassAccum (and delta window), then empties the batch.
+  /// partition's ClassAccum (and delta window), then empties the batch.
   void validate(SoaBatch& b) {
     const std::size_t rows = b.rows;
     const bool check_cycles = e_.options_.check_cycles;
@@ -185,9 +192,8 @@ class MonitorEngine::QueueTask {
   const support::Span<const net::PacketView> packets_;
   const TargetFactory& factory_;
   std::vector<std::uint32_t>* attribution_;
-  QueueResult& out_;
+  PartitionResult& out_;
   obs::MonitorTelemetry* tel_;  ///< null when telemetry is off
-  const std::size_t capacity_;  ///< rows per batch
   std::vector<SoaBatch> pending_;  ///< one open batch per entry
   perf::BatchScratch scratch_;
   std::array<std::vector<std::int64_t>, 3> predicted_;  ///< bound columns
@@ -264,7 +270,6 @@ MonitorEngine::MonitorEngine(const perf::Contract& contract,
                              MonitorOptions options)
     : options_(options) {
   if (options_.partitions == 0) options_.partitions = 1;
-  if (options_.batch == 0) options_.batch = 1;
   compiled_ = std::make_unique<const CompiledContract>(contract, reg, options_);
 }
 
@@ -304,58 +309,27 @@ MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
     attribution->assign(packets.size(), kUnattributedEntry);
   }
 
-  // Execution: partitions are grouped into `shards` work queues by the
-  // configured policy and queues run concurrently. None of these knobs
-  // can change report bytes — every partition computes the same rows
-  // regardless of which queue or thread ran it, and all accumulation is
-  // order-independent.
-  const std::size_t shards =
-      options_.shards == 0 ? partitions
-                           : std::min(options_.shards, partitions);
-  std::vector<std::vector<std::size_t>> queue(shards);
-  if (options_.grouping == ShardGrouping::kLongestQueueFirst) {
-    // LPT: heaviest partitions placed first, each on the lightest queue.
-    std::vector<std::size_t> order(partitions);
-    for (std::size_t p = 0; p < partitions; ++p) order[p] = p;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return work[a].size() > work[b].size();
-                     });
-    std::vector<std::size_t> load(shards, 0);
-    for (const std::size_t p : order) {
-      std::size_t lightest = 0;
-      for (std::size_t s = 1; s < shards; ++s) {
-        if (load[s] < load[lightest]) lightest = s;
-      }
-      queue[lightest].push_back(p);
-      load[lightest] += work[p].size();
-    }
-  } else {
-    for (std::size_t p = 0; p < partitions; ++p) {
-      queue[p % shards].push_back(p);
-    }
-  }
-
-  // Each queue runs to completion on one pool thread; results are merged
-  // exactly once at end of run.
-  std::vector<QueueResult> queue_results(shards);
-  support::parallel_for(0, shards, options_.threads, [&](std::size_t s) {
-    QueueTask task(*this, packets, factory, attribution, queue_results[s]);
-    for (const std::size_t p : queue[s]) task.run_partition(work[p]);
-    task.flush();
+  // One task per partition, each run to completion on one pool thread;
+  // results are merged exactly once at end of run. Threads are
+  // execution-only: every partition computes the same rows wherever it
+  // runs, and all accumulation is order-independent.
+  std::vector<PartitionResult> results(partitions);
+  support::parallel_for(0, partitions, options_.threads, [&](std::size_t p) {
+    PartitionTask(*this, packets, factory, attribution, results[p])
+        .run(work[p]);
   });
 
-  // Deterministic merge in queue order (order-independent accumulators, so
-  // any queue composition yields the same bytes), rendered through the
-  // shared build_report path (monitor/accum.h).
+  // Deterministic merge in partition order (order-independent accumulators,
+  // so any thread count yields the same bytes), rendered through the shared
+  // build_report path (monitor/accum.h).
   const CompiledContract& cc = *compiled_;
   std::vector<ClassAccum> merged(cc.bounds.size());
   RunTotals totals;
-  for (const QueueResult& qr : queue_results) {
+  for (const PartitionResult& pr : results) {
     for (std::size_t e = 0; e < merged.size(); ++e) {
-      merged[e].merge(qr.classes[e], options_.max_offenders);
+      merged[e].merge(pr.classes[e], options_.max_offenders);
     }
-    totals.merge(qr.totals);
+    totals.merge(pr.totals);
   }
   MonitorReport report =
       build_report(cc.contract.nf_name(), packets.size(), partitions,
@@ -365,13 +339,13 @@ MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
   if (observations != nullptr) {
     *observations = obs::RunObservations{};
     if (cc.delta_window_ns > 0) {
-      // Merge the per-queue window maps in queue order. Window ids are
-      // semantic and every accumulator is order-independent, so the merged
-      // stream is byte-deterministic across the execution knobs.
+      // Merge the per-partition window maps in partition order. Window ids
+      // are semantic and every accumulator is order-independent, so the
+      // merged stream is byte-deterministic across the execution knobs.
       const std::size_t entries = cc.bounds.size();
       std::map<std::uint64_t, std::vector<DeltaEntryAccum>> windows;
-      for (const QueueResult& qr : queue_results) {
-        for (const auto& [w, accums] : qr.delta_windows) {
+      for (const PartitionResult& pr : results) {
+        for (const auto& [w, accums] : pr.delta_windows) {
           auto [it, inserted] = windows.try_emplace(w);
           if (inserted) it->second.resize(entries);
           for (std::size_t e = 0; e < entries; ++e) {
@@ -387,10 +361,10 @@ MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
                                detector, &observations->alerts));
       }
     }
-    // Fold the per-queue telemetry, then mirror the merge-time facts the
-    // report already computed.
+    // Fold the per-partition telemetry, then mirror the merge-time facts
+    // the report already computed.
     obs::MonitorTelemetry& tel = observations->telemetry;
-    for (const QueueResult& qr : queue_results) tel.merge(qr.tel);
+    for (const PartitionResult& pr : results) tel.merge(pr.tel);
     tel.epoch_sweeps = report.epoch_sweeps;
     tel.state_high_water = report.state_high_water;
     tel.delta_windows = observations->deltas.size();

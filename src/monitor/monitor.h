@@ -17,8 +17,8 @@
 //
 // Four design points make it fast AND deterministic:
 //
-//  * Run-to-completion work queues — each queue runs on one pool thread
-//    and takes each of its partitions through the whole per-packet loop:
+//  * Run-to-completion partitions — each partition runs on one pool thread
+//    and goes through the whole per-packet loop:
 //    execute (run the NF, collect PCVs/counters) -> attribute (resolve the
 //    observed class key to a contract entry, allocation-free) -> validate
 //    (evaluate the entry's compiled bounds over a batch of same-class
@@ -40,17 +40,15 @@
 //  * Fixed state partitions — the stream is split into `partitions`
 //    flow-affine sub-streams (RSS-style: flows hash to partitions, so
 //    per-flow state in a partition sees a coherent history), each with a
-//    freshly built NF instance. The partition count is part of the
-//    *semantics*; `shards` (how partitions are grouped into work queues),
-//    `grouping` (the placement policy), `threads` (how many queues run
-//    concurrently) and `batch` (rows per validation batch) are pure
-//    execution knobs. Statistics accumulate per work queue and are merged
-//    once at end of run; every accumulation is order-independent (sums,
-//    maxima under a total order, merge-order-independent quantile
-//    sketches), so reports are byte-identical at any shard x thread x
-//    grouping x batch combination — the same determinism contract the
-//    contract generator enforces (tests/test_monitor.cpp,
-//    tests/test_monitor_longrun.cpp).
+//    freshly built NF instance. The partition is the only unit of work:
+//    the partition count is part of the *semantics*, and `threads` (how
+//    many partitions run concurrently) is a pure execution knob.
+//    Statistics accumulate per partition and are merged once at end of
+//    run in partition order; every accumulation is order-independent
+//    (sums, maxima under a total order, merge-order-independent quantile
+//    sketches), so reports are byte-identical at any thread count — the
+//    same determinism contract the contract generator enforces
+//    (tests/test_monitor.cpp, tests/test_monitor_longrun.cpp).
 //
 //  * A deterministic epoch clock — driven by packet timestamps, never by
 //    wall-clock: when a partition's traffic crosses an `epoch_ns`
@@ -86,32 +84,11 @@ inline constexpr std::uint32_t kUnattributedEntry = ~0u;
 
 struct CompiledContract;  // monitor/partition.h
 
-/// How partitions are grouped into work queues. Execution-only — grouping
-/// can change wall-clock, never report bytes (partitions compute the same
-/// result wherever they run; the merge is in partition order).
-enum class ShardGrouping : std::uint8_t {
-  /// Partition p joins queue p % shards. Fine for uniform traffic.
-  kRoundRobin = 0,
-  /// LPT scheduling: partitions sorted by queue length (descending, ties by
-  /// lower partition id) are each placed on the currently-lightest queue —
-  /// the classic longest-processing-time heuristic. Under skewed traffic
-  /// (one hot partition, e.g. an adversarial trace hammering a single RSS
-  /// queue) round-robin can lump hot partitions onto one shard; this
-  /// spreads them.
-  kLongestQueueFirst = 1,
-};
-
 struct MonitorOptions {
   /// Flow-affine state partitions, each with its own NF instance. Part of
   /// the monitor's semantics (reports at different partition counts
-  /// legitimately differ; reports at different shard or *thread* counts
-  /// never do).
+  /// legitimately differ; reports at different *thread* counts never do).
   std::size_t partitions = 8;
-  /// Work queues the partitions are grouped into. Execution only — it
-  /// affects scheduling, never report bytes. 0 = one queue per partition.
-  std::size_t shards = 0;
-  /// Partition -> queue placement policy (execution only, like `shards`).
-  ShardGrouping grouping = ShardGrouping::kRoundRobin;
   /// Worker threads (0 = one per hardware thread). Execution only.
   std::size_t threads = 0;
   /// Deterministic epoch clock granularity (packet-timestamp time). At
@@ -130,13 +107,6 @@ struct MonitorOptions {
   bool check_cycles = true;
   /// Worst offenders kept per class.
   std::size_t max_offenders = 4;
-  /// Rows per validation batch: each work queue buffers attributed rows
-  /// per contract entry and evaluates the entry's compiled bounds over this
-  /// many packets of one input class at once. Execution-only — like
-  /// shards/threads/grouping, the batch size can change wall-clock, never
-  /// report bytes (rows are validated independently and accumulation is
-  /// order-independent).
-  std::size_t batch = 64;
   /// Execution engine for the per-partition runners. Execution-only: the
   /// decoded fast path (default) is report-byte-identical to the reference
   /// interpreter — tests/test_decoded.cpp proves it over the knob grid —
@@ -220,8 +190,8 @@ class MonitorEngine {
 
  private:
   struct SoaBatch;     ///< one structure-of-arrays batch of attributed rows
-  struct QueueResult;  ///< per-work-queue accumulation (merged at end)
-  class QueueTask;     ///< runs one work queue to completion
+  struct PartitionResult;  ///< per-partition accumulation (merged at end)
+  class PartitionTask;     ///< runs one partition to completion
 
   MonitorOptions options_;
   std::unique_ptr<const CompiledContract> compiled_;

@@ -1,7 +1,7 @@
 // One flow-affine monitor partition — the single implementation of the
 // measurement side every contract consumer shares:
 //
-//  * MonitorEngine::run runs each partition of a work queue to completion;
+//  * MonitorEngine::run runs each partition to completion as one task;
 //  * StreamMonitor::feed steps one lazily built runner per owned partition;
 //  * the adversarial synthesiser's shadow commits its packets through the
 //    same runner (cycle meter off) to learn what the replay will observe.

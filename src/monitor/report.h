@@ -16,8 +16,8 @@
 // Reports are deterministic by construction: every field is derived from
 // integer aggregation over fixed flow-affine state partitions, merged in
 // partition order — so a report for a given (contract, traffic, partition
-// count) is byte-identical no matter how many shards or threads computed
-// it. That property is enforced by tests/test_monitor.cpp and
+// count) is byte-identical no matter how many threads computed it. That
+// property is enforced by tests/test_monitor.cpp and
 // tests/test_monitor_longrun.cpp.
 #pragma once
 
@@ -32,8 +32,7 @@
 namespace bolt::monitor {
 
 /// Monitor report JSON schema version (bumped to 2 by the operator-mode
-/// work: partitions replace shards, state/epoch fields, quantile
-/// summaries). Keep in lockstep with README "Monitor report schema".
+/// work: the partition count, state/epoch fields, quantile summaries). Keep in lockstep with README "Monitor report schema".
 inline constexpr std::int64_t kReportSchemaVersion = 2;
 
 /// Utilization histogram shape: deciles [0,10%) .. [90,100%] of the bound,

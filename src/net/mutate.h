@@ -14,9 +14,9 @@
 //     cost attribution can leak.
 //   * stretch_gap — idle gaps that force epoch crossings (and therefore
 //     sweeps) where the seed trace had none.
-//   * swap_contents / rotate_window — cross-class interleavings and
-//     shard-grouping-sensitive orderings: packet contents move against a
-//     fixed clock, so state histories interleave differently.
+//   * swap_contents / rotate_window — cross-class and cross-partition
+//     interleavings: packet contents move against a fixed clock, so state
+//     histories interleave differently.
 //   * duplicate_at — bursts: occupancy ramps that rekey/fill mid-burst.
 #pragma once
 

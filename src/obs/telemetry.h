@@ -4,14 +4,14 @@
 // The counters answer "what did the machine do" (attribution memo hits,
 // batch fill, VM dispatches), never "what did the traffic do" — the report
 // answers that. The split is a hard invariant: telemetry is
-// *execution-only*, collected in per-work-queue locals, folded together
+// *execution-only*, collected in per-partition locals, folded together
 // after the workers join, and provably unable to change report bytes
 // (tests/test_obs.cpp compares reports with telemetry on and off, byte for
 // byte; bench/monitor_throughput.cpp gates the overhead at 5%).
 //
 // Unlike the report and the delta stream, a telemetry snapshot is not
-// knob-invariant — batch fill depends on the batch size and on how
-// partitions are grouped into queues. That is the point: it is the one
+// invariant across execution paths — the streaming monitor validates one
+// row at a time and fills no batches. That is the point: it is the one
 // place execution shape is allowed to show.
 //
 // Exposition: JSON (one object) and the Prometheus text format, both

@@ -68,7 +68,7 @@ class CompiledExpr {
 
   /// Same, but with a caller-owned register matrix: zero allocations once
   /// `scratch` has warmed up. The monitor evaluates every same-class batch
-  /// through one scratch per work queue.
+  /// through one scratch per partition.
   void eval_batch(const std::uint64_t* slots, std::size_t stride,
                   std::size_t count, std::int64_t* out,
                   BatchScratch& scratch) const;

@@ -1,5 +1,7 @@
 #include "support/io.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 
 #include "support/assert.h"
@@ -13,7 +15,12 @@ bool write_file(const std::string& path, const std::string& content) {
       std::fwrite(content.data(), 1, content.size(), f) == content.size();
   // fclose can surface the real write error (buffered I/O, disk full).
   if (std::fclose(f) != 0 || !wrote) {
-    std::remove(path.c_str());
+    // Only a regular file can hold a truncated artifact. A device node
+    // (/dev/full) or a symlink is never removed.
+    struct stat st;
+    if (::lstat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+      std::remove(path.c_str());
+    }
     return false;
   }
   return true;

@@ -7,8 +7,9 @@
 namespace bolt::support {
 
 /// Writes `content` to `path`, returning false on any failure. A failed or
-/// short write removes the file: artifact consumers (CI, a later deploy)
-/// must never find a truncated file where a valid one is expected.
+/// short write removes the file when `path` is a regular file: artifact
+/// consumers (CI, a later deploy) must never find a truncated file where a
+/// valid one is expected. Devices and symlinks are left in place.
 bool write_file(const std::string& path, const std::string& content);
 
 /// Reads the whole file. Aborts on a missing file, a read error, or an

@@ -1,6 +1,6 @@
 // One process-wide pool of persistent worker threads, shared by every
 // parallel stage of the Bolt pipeline (exploration, per-path solving,
-// concrete replay, monitor shards, scenario sweeps).
+// concrete replay, monitor partitions, scenario sweeps).
 //
 //   * persistent — the pool starts on the first call wider than one thread
 //     and grows to the widest width requested so far; it never shrinks.

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdlib>
 #include <set>
+#include <string>
 
+#include "support/io.h"
 #include "support/random.h"
 #include "support/strings.h"
 
@@ -86,6 +91,28 @@ TEST(Strings, RenderTableAligns) {
   EXPECT_NE(t.find("h1"), std::string::npos);
   EXPECT_NE(t.find("long-cell"), std::string::npos);
   EXPECT_NE(t.find("---"), std::string::npos);
+}
+
+TEST(Io, FailedWriteKeepsASymlinkInPlace) {
+  // A failed write removes a truncated regular file, never what a symlink
+  // or a device node is: the link below must survive, and so must the
+  // device behind it. The test never names /dev/full directly.
+  struct stat dev;
+  if (::stat("/dev/full", &dev) != 0 || !S_ISCHR(dev.st_mode)) {
+    GTEST_SKIP() << "/dev/full is not a character device here";
+  }
+  std::string dir = ::testing::TempDir() + "/bolt_io_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string link = dir + "/full.json";
+  ASSERT_EQ(::symlink("/dev/full", link.c_str()), 0);
+
+  EXPECT_FALSE(write_file(link, "{\"x\":1}\n"));
+
+  struct stat st;
+  ASSERT_EQ(::lstat(link.c_str(), &st), 0) << "write_file removed the link";
+  EXPECT_TRUE(S_ISLNK(st.st_mode));
+  ::unlink(link.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

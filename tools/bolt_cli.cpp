@@ -224,13 +224,10 @@ struct MonitorCliArgs {
   std::string report;    // also write the report JSON here
   std::size_t packets = 100'000;
   std::size_t partitions = 8;
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   std::uint64_t violation_threshold = 0;
   std::uint64_t inflate_pct = 0;
-  std::size_t batch = 64;
-  monitor::ShardGrouping grouping = monitor::ShardGrouping::kRoundRobin;
   bool cycles = true;
   bool json = false;
   // Telemetry layer (src/obs/).
@@ -266,6 +263,68 @@ bool write_metrics_file(const MonitorCliArgs& args,
     return false;
   }
   return true;
+}
+
+/// The delta stream of 'monitor' (batch + streaming) and 'merge': one JSON
+/// line per window, written whole and flushed — to stdout with --watch, to
+/// the --delta-out file, or both — so a reader tailing either only ever
+/// sees complete lines. Every file write is checked.
+class DeltaStream {
+ public:
+  explicit DeltaStream(const MonitorCliArgs& args) : args_(args) {}
+  ~DeltaStream() {
+    if (file_ != nullptr) std::fclose(file_);
+  }
+  DeltaStream(const DeltaStream&) = delete;
+  DeltaStream& operator=(const DeltaStream&) = delete;
+
+  /// Opens --delta-out, if set; false (after printing the error) on failure.
+  bool open() {
+    if (args_.delta_out.empty()) return true;
+    file_ = std::fopen(args_.delta_out.c_str(), "wb");
+    return file_ != nullptr || fail();
+  }
+
+  void write(const obs::DeltaWindow& window) {
+    const std::string line = obs::delta_window_to_json(window) + "\n";
+    if (args_.watch) {
+      std::fputs(line.c_str(), stdout);
+      std::fflush(stdout);
+    }
+    if (file_ != nullptr && ok_) {
+      ok_ = std::fputs(line.c_str(), file_) >= 0 && std::fflush(file_) == 0;
+    }
+  }
+
+  /// Closes the file; false (after printing the error) if any write to it
+  /// failed.
+  bool close() {
+    if (file_ == nullptr) return true;
+    const bool ok = ok_ && std::ferror(file_) == 0;
+    const bool closed = std::fclose(file_) == 0;
+    file_ = nullptr;
+    return (ok && closed) || fail();
+  }
+
+ private:
+  bool fail() const {
+    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
+                 args_.delta_out.c_str());
+    return false;
+  }
+
+  const MonitorCliArgs& args_;
+  std::FILE* file_ = nullptr;
+  bool ok_ = true;  ///< every write to file_ so far succeeded
+};
+
+/// Writes a finished run's delta windows; false after printing the error.
+bool write_delta_stream(const MonitorCliArgs& args,
+                        const std::vector<obs::DeltaWindow>& windows) {
+  DeltaStream out(args);
+  if (!out.open()) return false;
+  for (const obs::DeltaWindow& w : windows) out.write(w);
+  return out.close();
 }
 
 /// Shared gate tail for 'monitor' (batch + streaming) and 'merge': exit 1
@@ -321,15 +380,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     }
   }
 
-  std::FILE* delta_file = nullptr;
-  if (!args.delta_out.empty()) {
-    delta_file = std::fopen(args.delta_out.c_str(), "wb");
-    if (delta_file == nullptr) {
-      std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                   args.delta_out.c_str());
-      return 1;
-    }
-  }
+  DeltaStream deltas(args);
+  if (!deltas.open()) return 1;
 
   // Contract entry names in contract order — same layout entry_names()
   // reports, available before the monitor exists (the callback needs them).
@@ -341,19 +393,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   bool spool_write_failed = false;
   auto on_window = [&](const monitor::ClosedWindow& cw) {
     // Delta lines are authoritative-only (a provisional flush has no drift
-    // pass and would duplicate the window); each line is flushed whole so
-    // a tail -f never sees a torn JSON object.
-    if (cw.has_delta && !cw.provisional) {
-      const std::string line = obs::delta_window_to_json(cw.delta) + "\n";
-      if (args.watch) {
-        std::fputs(line.c_str(), stdout);
-        std::fflush(stdout);
-      }
-      if (delta_file != nullptr) {
-        std::fputs(line.c_str(), delta_file);
-        std::fflush(delta_file);
-      }
-    }
+    // pass and would duplicate the window).
+    if (cw.has_delta && !cw.provisional) deltas.write(cw.delta);
     // Spool partials upsert by filename: a provisional emission is
     // overwritten by the authoritative close of the same window.
     if (!args.spool.empty() && cw.stats->packets > 0) {
@@ -438,11 +479,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   const double elapsed_ms = timer.elapsed_ms();
   const std::uint64_t fed = sm.packets_fed();
 
-  if (delta_file != nullptr && std::fclose(delta_file) != 0) {
-    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                 args.delta_out.c_str());
-    return 1;
-  }
+  if (!deltas.close()) return 1;
   if (!args.spool.empty()) {
     obs::FinalPartial fp;
     fp.nf = contract.nf_name();
@@ -550,10 +587,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
 
   monitor::MonitorOptions options;
   options.partitions = args.partitions;
-  options.shards = args.shards;
-  options.grouping = args.grouping;
   options.threads = args.threads;
-  options.batch = args.batch;
   options.epoch_ns = args.epoch_ns;
   options.check_cycles = args.cycles;
   // Telemetry layer: --watch and --delta-out imply delta mode at the
@@ -593,35 +627,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
                  want_obs ? &observations : nullptr);
   const double elapsed_ms = timer.elapsed_ms();
 
-  // Delta stream: one JSON line per window, written and flushed per line —
-  // stdout in watch mode (the tail-able operator view), a file via
-  // --delta-out, or both. A reader tailing either stream only ever sees
-  // complete JSON lines, exactly as in --follow mode.
-  std::FILE* delta_file = nullptr;
-  if (!args.delta_out.empty()) {
-    delta_file = std::fopen(args.delta_out.c_str(), "wb");
-    if (delta_file == nullptr) {
-      std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                   args.delta_out.c_str());
-      return 1;
-    }
-  }
-  for (const obs::DeltaWindow& w : observations.deltas) {
-    const std::string line = obs::delta_window_to_json(w) + "\n";
-    if (args.watch) {
-      std::fputs(line.c_str(), stdout);
-      std::fflush(stdout);
-    }
-    if (delta_file != nullptr) {
-      std::fputs(line.c_str(), delta_file);
-      std::fflush(delta_file);
-    }
-  }
-  if (delta_file != nullptr && std::fclose(delta_file) != 0) {
-    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                 args.delta_out.c_str());
-    return 1;
-  }
+  if (!write_delta_stream(args, observations.deltas)) return 1;
   if (!args.metrics_out.empty() &&
       !write_metrics_file(args, observations.telemetry, report.nf)) {
     return 1;
@@ -680,31 +686,7 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
   const obs::FleetMergeResult merged =
       obs::merge_partials(windows, finals, obs::DriftOptions{});
 
-  std::FILE* delta_file = nullptr;
-  if (!args.delta_out.empty()) {
-    delta_file = std::fopen(args.delta_out.c_str(), "wb");
-    if (delta_file == nullptr) {
-      std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                   args.delta_out.c_str());
-      return 1;
-    }
-  }
-  for (const obs::DeltaWindow& w : merged.observations.deltas) {
-    const std::string line = obs::delta_window_to_json(w) + "\n";
-    if (args.watch) {
-      std::fputs(line.c_str(), stdout);
-      std::fflush(stdout);
-    }
-    if (delta_file != nullptr) {
-      std::fputs(line.c_str(), delta_file);
-      std::fflush(delta_file);
-    }
-  }
-  if (delta_file != nullptr && std::fclose(delta_file) != 0) {
-    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                 args.delta_out.c_str());
-    return 1;
-  }
+  if (!write_delta_stream(args, merged.observations.deltas)) return 1;
   if (!args.metrics_out.empty() &&
       !write_metrics_file(args, merged.observations.telemetry,
                           merged.report.nf)) {
@@ -736,7 +718,6 @@ struct AdversaryCliArgs {
   std::uint64_t seed = 1;
   std::size_t probes = 12;
   std::size_t partitions = 8;
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   std::uint64_t min_reached_pct = 1;
@@ -797,7 +778,6 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   }
 
   monitor::MonitorOptions mopts;
-  mopts.shards = args.shards;
   mopts.threads = args.threads;
   const adversary::GapReport gap =
       adversary::replay(trace, contract, reg, mopts);
@@ -849,7 +829,6 @@ struct HuntCliArgs {
   std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
   std::size_t probes = 12;
   std::size_t partitions = 8;
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   bool inject_straddle_bug = false;  // test-only measurement fault
@@ -944,7 +923,6 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
   opts.adversary.epoch_ns = args.epoch_ns;
   opts.adversary.probes_per_class = args.probes;
   opts.adversary.threads = args.threads;
-  opts.monitor.shards = args.shards;
   opts.monitor.threads = args.threads;
   opts.monitor.inject_straddle_bug = args.inject_straddle_bug;
 
@@ -1114,9 +1092,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--packets") == 0) {
       only_for(is_monitor, "--packets");
       margs.packets = numeric(i, "--packets");
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--shards");
-      margs.shards = aargs.shards = hargs.shards = numeric(i, "--shards");
     } else if (std::strcmp(argv[i], "--partitions") == 0) {
       only_for(is_monitor || is_adversary || is_hunt, "--partitions");
       margs.partitions = aargs.partitions = hargs.partitions =
@@ -1167,22 +1142,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--inflate") == 0) {
       only_for(is_monitor, "--inflate");
       margs.inflate_pct = numeric(i, "--inflate");
-    } else if (std::strcmp(argv[i], "--grouping") == 0) {
-      only_for(is_monitor, "--grouping");
-      if (i + 1 >= argc) return usage();
-      const std::string policy = argv[++i];
-      if (policy == "roundrobin") {
-        margs.grouping = monitor::ShardGrouping::kRoundRobin;
-      } else if (policy == "lqf") {
-        margs.grouping = monitor::ShardGrouping::kLongestQueueFirst;
-      } else {
-        std::fprintf(stderr, "error: bad --grouping value '%s' (roundrobin"
-                     " | lqf)\n", policy.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      only_for(is_monitor, "--batch");
-      margs.batch = numeric(i, "--batch");
     } else if (std::strcmp(argv[i], "--no-cycles") == 0) {
       only_for(is_monitor, "--no-cycles");
       margs.cycles = false;
