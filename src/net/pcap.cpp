@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "support/assert.h"
@@ -20,6 +21,13 @@ constexpr std::uint32_t kMagicNanoSwapped = 0x4d3cb2a1;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
 constexpr std::size_t kGlobalHeaderSize = 24;
 constexpr std::size_t kRecordHeaderSize = 16;
+/// The largest record any reader accepts (libpcap's MAXIMUM_SNAPLEN).
+constexpr std::uint32_t kMaxRecordBytes = 262144;
+/// PcapTail's read window. It holds the global header plus the largest
+/// record, so a full window always contains a complete record.
+constexpr std::size_t kTailWindowBytes = std::size_t{1} << 20;
+static_assert(kTailWindowBytes >=
+              kGlobalHeaderSize + kRecordHeaderSize + kMaxRecordBytes);
 
 std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
   std::uint32_t v;
@@ -54,33 +62,41 @@ PcapFormat parse_header(const std::uint8_t* data, std::size_t size,
 }
 
 /// The one record walk: visits every complete record in [pos, size) as a
-/// PacketView into `data`, numbering records from 0. A record cut
-/// short by the end of the bytes aborts with its byte offset and record
-/// index when `torn_ok` is false (a finished file), and ends the walk
-/// when it is true (a file still being written). Returns the offset just
-/// past the last complete record.
+/// PacketView into `data`. Errors locate a record by its absolute byte
+/// offset (`data` begins at file offset `base_offset`) and record index
+/// (the first record walked is `base_index`). A record cut short by the
+/// end of the bytes aborts when `torn_ok` is false (a finished file), and
+/// ends the walk when it is true (a file still being written). A record
+/// longer than kMaxRecordBytes always aborts: framing is lost, and a
+/// reader must never size anything from that length. Returns the offset
+/// just past the last complete record.
 template <typename Visit>
 std::size_t walk_records(const std::uint8_t* data, std::size_t size,
                          std::size_t pos, PcapFormat fmt, bool torn_ok,
-                         const std::string& where, Visit&& visit) {
-  for (std::uint64_t index = 0; pos < size; ++index) {
+                         const std::string& where, std::uint64_t base_offset,
+                         std::uint64_t base_index, Visit&& visit) {
+  for (std::uint64_t index = base_index; pos < size; ++index) {
     const std::size_t left = size - pos;
+    auto at = [&] {
+      return " at byte offset " + std::to_string(base_offset + pos) +
+             " (record index " + std::to_string(index) + ")";
+    };
     if (left < kRecordHeaderSize) {
       if (torn_ok) break;
-      BOLT_UNREACHABLE(where + ": truncated record header at byte offset " +
-                       std::to_string(pos) + " (record index " +
-                       std::to_string(index) + "): " + std::to_string(left) +
-                       " of 16 bytes");
+      BOLT_UNREACHABLE(where + ": truncated record header" + at() + ": " +
+                       std::to_string(left) + " of 16 bytes");
     }
     const std::uint8_t* rec = data + pos;
     const std::uint64_t ts_sec = load_u32(rec, fmt.swapped);
     const std::uint64_t ts_frac = load_u32(rec + 4, fmt.swapped);
     const std::uint32_t incl_len = load_u32(rec + 8, fmt.swapped);
+    BOLT_CHECK(incl_len <= kMaxRecordBytes,
+               where + ": oversized record" + at() + ": " +
+                   std::to_string(incl_len) + " bytes declared, more than " +
+                   std::to_string(kMaxRecordBytes));
     if (left - kRecordHeaderSize < incl_len) {
       if (torn_ok) break;
-      BOLT_UNREACHABLE(where + ": truncated record body at byte offset " +
-                       std::to_string(pos) + " (record index " +
-                       std::to_string(index) + "): " +
+      BOLT_UNREACHABLE(where + ": truncated record body" + at() + ": " +
                        std::to_string(incl_len) + " bytes declared, " +
                        std::to_string(left - kRecordHeaderSize) + " left");
     }
@@ -101,11 +117,12 @@ std::vector<PacketView> index_records(const std::uint8_t* data,
   std::vector<PacketView> views;
   views.reserve((size - kGlobalHeaderSize) / kRecordHeaderSize);
   walk_records(data, size, kGlobalHeaderSize, fmt, /*torn_ok=*/false, where,
+               /*base_offset=*/0, /*base_index=*/0,
                [&](const PacketView& v) { views.push_back(v); });
   return views;
 }
 
-std::vector<Packet> to_packets(const std::vector<PacketView>& views) {
+std::vector<Packet> to_packets(support::Span<const PacketView> views) {
   std::vector<Packet> packets;
   packets.reserve(views.size());
   for (const PacketView& v : views) packets.emplace_back(v);
@@ -166,7 +183,9 @@ std::vector<Packet> read_pcap(const std::string& path) {
 }
 
 std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes) {
-  return to_packets(index_records(bytes.data(), bytes.size(), "pcap"));
+  const std::vector<PacketView> views =
+      index_records(bytes.data(), bytes.size(), "pcap");
+  return to_packets(views);
 }
 
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
@@ -191,44 +210,53 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
 PcapTail::PcapTail(std::string path) : path_(std::move(path)) {}
 
 PcapTail::~PcapTail() {
-  if (f_ != nullptr) std::fclose(f_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
-std::vector<Packet> PcapTail::poll() {
-  std::vector<Packet> out;
-  if (f_ == nullptr) {
-    f_ = std::fopen(path_.c_str(), "rb");
-    if (f_ == nullptr) return out;  // not created yet
+support::Span<const PacketView> PcapTail::poll_views() {
+  views_.clear();
+  if (fd_ < 0) {
+    fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) return views_;  // not created yet
+    window_.reset(new std::uint8_t[kTailWindowBytes]);
   }
-  // Append everything currently readable to the carry-over buffer. The
-  // writer may be mid-record; whatever does not parse as complete records
-  // stays buffered for the next poll.
-  char chunk[1 << 16];
-  for (;;) {
-    const std::size_t got = std::fread(chunk, 1, sizeof chunk, f_);
-    if (got > 0) {
-      buf_.insert(buf_.end(), chunk, chunk + got);
-    }
-    if (got < sizeof chunk) {
-      std::clearerr(f_);  // clear EOF so the next poll sees appended bytes
-      break;
-    }
-  }
-
   const std::string where = "pcap tail '" + path_ + "'";
-  std::size_t pos = 0;
-  if (!header_done_) {
-    if (buf_.size() < kGlobalHeaderSize) return out;
-    format_ = parse_header(buf_.data(), buf_.size(), where);
-    header_done_ = true;
-    pos = kGlobalHeaderSize;
+  // Keep the torn tail (less than one record) and fill the rest of the
+  // window with whatever the writer has appended since.
+  std::memmove(window_.get(), window_.get() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
+  while (end_ < kTailWindowBytes) {
+    const ssize_t got =
+        ::read(fd_, window_.get() + end_, kTailWindowBytes - end_);
+    if (got == 0) break;  // EOF for now; the next poll reads on from here
+    if (got < 0) {
+      BOLT_CHECK(errno == EINTR,
+                 where + ": cannot read: " + std::strerror(errno));
+      continue;
+    }
+    end_ += static_cast<std::size_t>(got);
   }
-  pos = walk_records(buf_.data(), buf_.size(), pos, format_,
-                     /*torn_ok=*/true, where,
-                     [&](const PacketView& v) { out.emplace_back(v); });
-  buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(pos));
-  return out;
+
+  if (!header_done_) {
+    if (end_ < kGlobalHeaderSize) return views_;
+    format_ = parse_header(window_.get(), end_, where);
+    header_done_ = true;
+    begin_ = kGlobalHeaderSize;
+    consumed_bytes_ = kGlobalHeaderSize;
+  }
+  const std::size_t pos = walk_records(
+      window_.get(), end_, begin_, format_, /*torn_ok=*/true, where,
+      /*base_offset=*/consumed_bytes_ - begin_,
+      /*base_index=*/consumed_records_,
+      [&](const PacketView& v) { views_.push_back(v); });
+  consumed_bytes_ += pos - begin_;
+  consumed_records_ += views_.size();
+  begin_ = pos;
+  return views_;
 }
+
+std::vector<Packet> PcapTail::poll() { return to_packets(poll_views()); }
 
 void write_pcap(const std::string& path, const std::vector<Packet>& packets) {
   const std::vector<std::uint8_t> bytes = serialize_pcap(packets);

@@ -17,16 +17,25 @@
 //    the mapped reader.
 //  * read_pcap maps the file the same way and copies each record into an
 //    owned Packet; parse_pcap does the same over bytes in memory.
-//  * PcapTail reads a growing file incrementally and stops at a torn
-//    trailing record instead of rejecting it.
+//  * PcapTail reads a growing file through one fixed 1 MiB read window
+//    that it reuses for the life of the tail, so its memory does not grow
+//    with the capture. Each poll moves the torn tail (less than one
+//    record) to the front of the window, reads until the window is full
+//    or the file ends, and hands out views into the window. The views
+//    stay valid until the next poll. A torn trailing record is "not
+//    written yet", never an error.
 //
 // Malformed input aborts with a message that locates it: a short global
-// header, a bad magic number, a non-EN10MB link type, or a record whose
-// header or body runs past the end of a finished file (byte offset and
-// record index).
+// header, a bad magic number, a non-EN10MB link type, a record whose
+// header or body runs past the end of a finished file, or a record that
+// declares more than 262144 bytes (libpcap's MAXIMUM_SNAPLEN). Framing is
+// lost after an oversized length, so every reader, PcapTail included,
+// rejects it rather than skip it or wait for it. Errors give the absolute
+// byte offset and record index.
 #pragma once
 
-#include <cstdio>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,14 +80,15 @@ std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets);
 
 /// Incremental reader for a pcap file that is still being written — the
-/// daemon-mode (`bolt_cli monitor --follow`) input path. Each poll() reads
-/// whatever complete records have been appended since the last poll and
-/// returns them; a partially-written trailing record (or a file that does
-/// not exist yet, or one shorter than its global header) is simply "no
-/// data yet" and is retried on the next poll. Both timestamp resolutions
-/// and byte orders are accepted; a *malformed* header (bad magic, non-
-/// Ethernet link type) still aborts loudly, exactly like read_pcap — a
-/// tailed file must be a pcap, it is only allowed to be unfinished.
+/// daemon-mode (`bolt_cli monitor --follow`) input path. Each poll reads
+/// what has been appended since the last poll, up to one read window, and
+/// returns the complete records in it; a partially-written trailing record
+/// (or a file that does not exist yet, or one shorter than its global
+/// header) is simply "no data yet" and is retried on the next poll. Both
+/// timestamp resolutions and byte orders are accepted; a *malformed*
+/// header (bad magic, non-Ethernet link type) or an oversized record still
+/// aborts loudly, exactly like read_pcap — a tailed file must be a pcap,
+/// it is only allowed to be unfinished.
 class PcapTail {
  public:
   explicit PcapTail(std::string path);
@@ -86,8 +96,12 @@ class PcapTail {
   PcapTail(const PcapTail&) = delete;
   PcapTail& operator=(const PcapTail&) = delete;
 
-  /// Drains newly completed records. Returns an empty vector when nothing
-  /// new is available (not yet created / no new complete records).
+  /// Views of the next complete records, in file order, into the read
+  /// window; valid until the next poll. Empty only when no complete record
+  /// is available (not yet created / nothing new appended).
+  support::Span<const PacketView> poll_views();
+
+  /// poll_views() copied into owned packets.
   std::vector<Packet> poll();
 
   /// True once the global header has been read and validated.
@@ -95,10 +109,15 @@ class PcapTail {
 
  private:
   std::string path_;
-  std::FILE* f_ = nullptr;
+  int fd_ = -1;
   bool header_done_ = false;
   PcapFormat format_;
-  std::vector<std::uint8_t> buf_;  ///< carried-over partial record bytes
+  std::unique_ptr<std::uint8_t[]> window_;  ///< fixed size, reused
+  std::size_t begin_ = 0;  ///< window offset of the first unused byte
+  std::size_t end_ = 0;    ///< window offset just past the bytes read
+  std::uint64_t consumed_bytes_ = 0;    ///< file offset of window_[begin_]
+  std::uint64_t consumed_records_ = 0;  ///< records handed out so far
+  std::vector<PacketView> views_;       ///< reused across polls
 };
 
 }  // namespace bolt::net

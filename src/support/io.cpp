@@ -1,7 +1,9 @@
 #include "support/io.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 
 #include "support/assert.h"
@@ -9,18 +11,28 @@
 namespace bolt::support {
 
 bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // A missing target or a regular file is published whole: the bytes go to
+  // a hidden temp file beside it, which is renamed over the target. Any
+  // other target (a device, a symlink, a FIFO) is written in place.
+  struct stat st;
+  const bool publish = ::lstat(path.c_str(), &st) == 0 ? S_ISREG(st.st_mode)
+                                                       : errno == ENOENT;
+  std::string target = path;
+  if (publish) {
+    const std::size_t slash = path.rfind('/');
+    const std::size_t name = slash == std::string::npos ? 0 : slash + 1;
+    target = path.substr(0, name) + "." + path.substr(name) + ".tmp." +
+             std::to_string(::getpid());
+  }
+  std::FILE* f = std::fopen(target.c_str(), "wb");
   if (f == nullptr) return false;
   const bool wrote =
       std::fwrite(content.data(), 1, content.size(), f) == content.size();
   // fclose can surface the real write error (buffered I/O, disk full).
-  if (std::fclose(f) != 0 || !wrote) {
-    // Only a regular file can hold a truncated artifact. A device node
-    // (/dev/full) or a symlink is never removed.
-    struct stat st;
-    if (::lstat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-      std::remove(path.c_str());
-    }
+  const bool closed = std::fclose(f) == 0;
+  if (!publish) return wrote && closed;
+  if (!wrote || !closed || std::rename(target.c_str(), path.c_str()) != 0) {
+    std::remove(target.c_str());
     return false;
   }
   return true;

@@ -6,10 +6,13 @@
 
 namespace bolt::support {
 
-/// Writes `content` to `path`, returning false on any failure. A failed or
-/// short write removes the file when `path` is a regular file: artifact
-/// consumers (CI, a later deploy) must never find a truncated file where a
-/// valid one is expected. Devices and symlinks are left in place.
+/// Writes `content` to `path`, returning false on any failure. When `path`
+/// is missing or a regular file, the bytes are written to `.<name>.tmp.<pid>`
+/// in the same directory and renamed over `path`, so a concurrent reader
+/// (`bolt merge` beside a live fleet, a scraper of `--metrics-out`) sees the
+/// old file or the new one, never a half-written one; a failed write removes
+/// the temp file and leaves `path` as it was. Any other target (a device, a
+/// symlink, a FIFO) is written in place and never removed.
 bool write_file(const std::string& path, const std::string& content);
 
 /// Reads the whole file. Aborts on a missing file, a read error, or an

@@ -18,12 +18,16 @@
 //    partial of an older schema is refused, and the spool reader picks up
 //    precisely the files the naming scheme owns;
 //  * PcapTail sees records appended chunk-by-chunk, torn mid-record
-//    writes included — the --follow daemon's input contract.
+//    writes included — the --follow daemon's input contract — and a
+//    stream fed from its window views, over a capture several windows
+//    long, equals one fed from the batch reader's packets, fleet
+//    instances included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -84,9 +88,13 @@ struct StreamRun {
   std::size_t alerts = 0;
 };
 
-StreamRun run_stream(const std::vector<net::Packet>& packets,
-                     monitor::FleetOptions fleet,
-                     std::size_t idle_flush_every = 0) {
+using PacketFeed = std::function<void(const net::PacketView&)>;
+/// Calls its argument once per packet of a stream, in order.
+using PacketSource = std::function<void(const PacketFeed&)>;
+
+StreamRun run_stream_from(const PacketSource& source,
+                          monitor::FleetOptions fleet,
+                          std::size_t idle_flush_every = 0) {
   RouterFixture& f = router();
   const monitor::MonitorOptions opts = stream_options();
   std::vector<std::string> names;
@@ -127,12 +135,12 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
                             monitor::MonitorEngine::named_factory("router"),
                             opts, fleet, on_window);
   std::size_t fed = 0;
-  for (const net::Packet& p : packets) {
+  source([&](const net::PacketView& p) {
     sm.feed(p);
     if (idle_flush_every > 0 && ++fed % idle_flush_every == 0) {
       sm.idle_flush();
     }
-  }
+  });
   monitor::StreamResult res = sm.finish();
   out.report_json = monitor::report_to_json(res.report);
   out.alerts = res.observations.alerts.size();
@@ -150,6 +158,16 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
   fp.state_tracked = res.report.state_tracked;
   out.final_partial = final_partial_to_json(fp);
   return out;
+}
+
+StreamRun run_stream(const std::vector<net::Packet>& packets,
+                     monitor::FleetOptions fleet,
+                     std::size_t idle_flush_every = 0) {
+  return run_stream_from(
+      [&](const PacketFeed& feed) {
+        for (const net::Packet& p : packets) feed(p);
+      },
+      fleet, idle_flush_every);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,6 +559,42 @@ TEST(PcapTail, SeesRecordsAppendedAcrossTornWrites) {
   EXPECT_TRUE(tail.poll().empty());  // drained
   ASSERT_EQ(got.size(), packets.size());
   EXPECT_EQ(net::serialize_pcap(got), bytes);
+  std::remove(path.c_str());
+}
+
+TEST(PcapTail, StreamFedFromWindowViewsEqualsBatchPackets) {
+  // 13,200 drift packets are about 1.3 MB of records: the tail hands them
+  // out over two reads of its 1 MiB window, and each view must stay valid
+  // until the monitor has stepped it.
+  net::DriftSpec spec;
+  spec.packets_per_window = 1'200;
+  const std::string path = testing::TempDir() + "bolt_tail_stream.pcap";
+  net::write_pcap(path, net::drift_traffic(spec));
+  const std::vector<net::Packet> batch = net::read_pcap(path);
+  auto tailed = [&](const PacketFeed& feed) {
+    net::PcapTail tail(path);
+    std::size_t polls = 0;
+    for (auto views = tail.poll_views(); !views.empty();
+         views = tail.poll_views()) {
+      ++polls;
+      for (const net::PacketView& v : views) feed(v);
+    }
+    EXPECT_GE(polls, 2u);
+  };
+  for (const std::uint32_t instances : {1u, 2u}) {
+    for (std::uint32_t instance = 0; instance < instances; ++instance) {
+      SCOPED_TRACE(std::to_string(instance) + "/" + std::to_string(instances));
+      monitor::FleetOptions fleet;
+      fleet.instance = instance;
+      fleet.instances = instances;
+      const StreamRun want = run_stream(batch, fleet);
+      const StreamRun got = run_stream_from(tailed, fleet);
+      EXPECT_EQ(got.report_json, want.report_json);
+      EXPECT_EQ(got.delta_jsonl, want.delta_jsonl);
+      EXPECT_EQ(got.window_partials, want.window_partials);
+      EXPECT_EQ(got.final_partial, want.final_partial);
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -417,6 +417,87 @@ TEST(Pcap, HandBuiltMicroAndNanoInBothByteOrders) {
   }
 }
 
+/// PcapTail's read window and the record cap (constants of
+/// src/net/pcap.cpp).
+constexpr std::size_t kTailWindow = std::size_t{1} << 20;
+constexpr std::size_t kRecordCap = 262144;
+
+/// Records of mixed sizes, some at the cap, filling at least `min_bytes`
+/// of capture.
+std::vector<Record> mixed_records(std::size_t min_bytes) {
+  const std::size_t sizes[] = {60, 1514, 0, 333, 9001, 77, 4096};
+  std::vector<Record> records;
+  std::size_t bytes = 24;
+  for (std::uint32_t i = 0; bytes < min_bytes; ++i) {
+    const std::size_t n = i % 300 == 150 ? kRecordCap : sizes[i % 7];
+    records.push_back({i, i % 1000, pattern(n, static_cast<std::uint8_t>(i))});
+    bytes += 16 + n;
+  }
+  return records;
+}
+
+void append_bytes(const std::string& path, const std::uint8_t* data,
+                  std::size_t n) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(data, 1, n, f), n);
+  std::fclose(f);
+}
+
+TEST(PcapTail, ViewsAndPollsEqualParseAcrossWindowEdges) {
+  const std::vector<Record> records = mixed_records(3 * kTailWindow + 4096);
+  std::vector<std::size_t> ends;  // file offset just past each record
+  std::size_t end = 24;
+  for (const Record& r : records) ends.push_back(end += 16 + r.data.size());
+  // Odd-sized appends, with cuts 1 byte either side of each window edge
+  // and inside the global header.
+  std::set<std::size_t> cuts = {7, 23, 24, 25, end};
+  for (std::size_t k = 1; k <= 3; ++k) {
+    cuts.insert({k * kTailWindow - 1, k * kTailWindow, k * kTailWindow + 1});
+  }
+  for (std::size_t c = 1; c < end; c += 299'993) cuts.insert(c);
+
+  for (const bool nano : {false, true}) {
+    for (const bool big_endian : {false, true}) {
+      SCOPED_TRACE(std::string(nano ? "nano" : "micro") +
+                   (big_endian ? " big-endian" : " little-endian"));
+      const auto bytes =
+          hand_pcap(nano ? 0xa1b23c4d : 0xa1b2c3d4, big_endian, records);
+      ASSERT_EQ(bytes.size(), end);
+      const std::vector<Packet> want = parse_pcap(bytes);
+      ASSERT_EQ(want.size(), records.size());
+      const std::string path =
+          ::testing::TempDir() + "/bolt_tail_windows.pcap";
+      std::remove(path.c_str());
+      PcapTail by_view(path);
+      PcapTail by_copy(path);
+      std::vector<Packet> viewed;
+      std::vector<Packet> copied;
+      std::size_t written = 0;
+      for (const std::size_t cut : cuts) {
+        append_bytes(path, bytes.data() + written, cut - written);
+        written = cut;
+        // Each drain stops at its first empty poll, which must come only
+        // once every complete record written so far has been handed out.
+        const std::size_t complete = static_cast<std::size_t>(
+            std::upper_bound(ends.begin(), ends.end(), written) - ends.begin());
+        for (auto v = by_view.poll_views(); !v.empty();
+             v = by_view.poll_views()) {
+          for (const PacketView& p : v) viewed.emplace_back(p);
+        }
+        for (auto c = by_copy.poll(); !c.empty(); c = by_copy.poll()) {
+          copied.insert(copied.end(), c.begin(), c.end());
+        }
+        ASSERT_EQ(viewed.size(), complete) << "after " << written << " bytes";
+        ASSERT_EQ(copied.size(), complete) << "after " << written << " bytes";
+      }
+      EXPECT_EQ(serialize_pcap(viewed), serialize_pcap(want));
+      EXPECT_EQ(serialize_pcap(copied), serialize_pcap(want));
+      std::remove(path.c_str());
+    }
+  }
+}
+
 TEST(Pcap, HeaderOnlyFileHasNoPackets) {
   const auto bytes = hand_pcap(0xa1b23c4d, false, {});
   ASSERT_EQ(bytes.size(), 24u);
@@ -491,6 +572,44 @@ TEST(PcapDeathTest, TruncatedRecordBody) {
   expect_rejected(bytes,
                   "truncated record body at byte offset 100 \\(record index "
                   "1\\): 60 bytes declared, 59 left");
+}
+
+TEST(PcapDeathTest, OversizedRecord) {
+  // Record 1 at byte offset 100 declares, and holds, one byte over the cap.
+  const auto bytes =
+      hand_pcap(0xa1b2c3d4, true,
+                {{1, 0, pattern(60, 1)}, {2, 0, pattern(kRecordCap + 1, 2)}});
+  expect_rejected(bytes,
+                  "oversized record at byte offset 100 \\(record index 1\\): "
+                  "262145 bytes declared, more than 262144");
+}
+
+TEST(PcapDeathTest, TailRejectsOversizedRecordPastTheFirstWindow) {
+  // A record declaring 2 GiB is never "not written yet": the tail rejects
+  // it with its absolute offset, not its offset in the read window.
+  const std::vector<Record> records = mixed_records(kTailWindow + 5000);
+  auto bytes = hand_pcap(0xa1b23c4d, false, records);
+  const std::size_t offset = bytes.size();
+  ASSERT_GT(offset, kTailWindow);
+  put32(bytes, 9, false);
+  put32(bytes, 0, false);
+  put32(bytes, 0x7fffffff, false);
+  put32(bytes, 0x7fffffff, false);
+  const std::vector<std::uint8_t> tail_bytes = pattern(60, 3);
+  bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
+  const std::string message =
+      "oversized record at byte offset " + std::to_string(offset) +
+      " \\(record index " + std::to_string(records.size()) +
+      "\\): 2147483647 bytes declared";
+  expect_rejected(bytes, message);
+  const std::string path = write_temp("bolt_bad_tail.pcap", bytes);
+  EXPECT_DEATH(
+      {
+        PcapTail tail(path);
+        while (!tail.poll_views().empty()) {
+        }
+      },
+      "pcap tail '.*bolt_bad_tail.pcap': " + message);
 }
 
 TEST(PcapDeathTest, NonRegularInputNamesItsPath) {

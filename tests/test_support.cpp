@@ -1,7 +1,9 @@
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -93,10 +95,60 @@ TEST(Strings, RenderTableAligns) {
   EXPECT_NE(t.find("---"), std::string::npos);
 }
 
+/// The entries of `dir`, without "." and "..".
+std::set<std::string> list_dir(const std::string& dir) {
+  std::set<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") names.insert(name);
+  }
+  ::closedir(d);
+  return names;
+}
+
+TEST(Io, WriteFilePublishesByRenameAndLeavesNoTempFile) {
+  std::string dir = ::testing::TempDir() + "/bolt_io_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/report.json";
+  const std::set<std::string> only_report = {"report.json"};
+  ASSERT_TRUE(write_file(path, "first\n"));
+  EXPECT_EQ(list_dir(dir), only_report);
+
+  // A reader that opened the old file keeps reading the old bytes: the
+  // new ones arrive as a different file renamed over the name.
+  std::FILE* reader = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(reader, nullptr);
+  ASSERT_TRUE(write_file(path, "second, longer\n"));
+  char buf[32] = {};
+  EXPECT_EQ(std::fread(buf, 1, sizeof buf - 1, reader), 6u);
+  EXPECT_STREQ(buf, "first\n");
+  std::fclose(reader);
+  EXPECT_EQ(read_file_or_die(path, "report"), "second, longer\n");
+  EXPECT_EQ(list_dir(dir), only_report);
+
+  // A write that fails leaves the published file as it was: here the temp
+  // file's name is taken by a directory.
+  const std::string tmp =
+      dir + "/.report.json.tmp." + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  EXPECT_FALSE(write_file(path, "third\n"));
+  EXPECT_EQ(read_file_or_die(path, "report"), "second, longer\n");
+  ::rmdir(tmp.c_str());
+  EXPECT_EQ(list_dir(dir), only_report);
+
+  // A target in a missing directory fails and creates nothing.
+  EXPECT_FALSE(write_file(dir + "/missing/x.json", "x"));
+  EXPECT_EQ(list_dir(dir), only_report);
+  ::unlink(path.c_str());
+  ::rmdir(dir.c_str());
+}
+
 TEST(Io, FailedWriteKeepsASymlinkInPlace) {
-  // A failed write removes a truncated regular file, never what a symlink
-  // or a device node is: the link below must survive, and so must the
-  // device behind it. The test never names /dev/full directly.
+  // A symlink or a device node is written in place and never removed or
+  // renamed over: the link below must survive a failed write, and so must
+  // the device behind it. The test never names /dev/full directly.
   struct stat dev;
   if (::stat("/dev/full", &dev) != 0 || !S_ISCHR(dev.st_mode)) {
     GTEST_SKIP() << "/dev/full is not a character device here";

@@ -448,7 +448,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     std::uint64_t idle_ns = 0;
     bool flushed_idle = false;
     while (g_stop == 0) {
-      const std::vector<net::Packet> chunk = tail.poll();
+      const support::Span<const net::PacketView> chunk = tail.poll_views();
       if (chunk.empty()) {
         if (args.idle_exit_ms > 0 &&
             idle_ns >= args.idle_exit_ms * 1'000'000) {
@@ -466,7 +466,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
       }
       idle_ns = 0;
       flushed_idle = false;
-      for (const net::Packet& p : chunk) sm.feed(p);
+      for (const net::PacketView& p : chunk) sm.feed(p);
       refresh_metrics();
     }
     std::signal(SIGINT, SIG_DFL);
@@ -634,7 +634,8 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   }
 
   // Never leave a truncated report behind for CI to archive as valid
-  // (support::write_file removes the file on a failed or short write).
+  // (support::write_file publishes by rename, so a failed or short write
+  // never replaces the target).
   if (!args.report.empty() &&
       !support::write_file(args.report,
                            monitor::report_to_json(report) + "\n")) {
