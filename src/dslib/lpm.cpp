@@ -1,9 +1,21 @@
 #include "dslib/lpm.h"
 
+#include <sys/mman.h>
+
+#include <cerrno>
+#include <cstring>
+
 #include "dslib/costs.h"
 #include "support/assert.h"
 
 namespace bolt::dslib {
+namespace {
+
+constexpr std::size_t kTbl24Entries = std::size_t{1} << 24;
+/// tbl24 (2-byte entries) followed by depth24 (1 byte each).
+constexpr std::size_t kTbl24MapBytes = kTbl24Entries * 3;
+
+}  // namespace
 
 LpmTrie::LpmTrie() : arena_base_(ir::ArenaAllocator::next_base()) {
   Node root;
@@ -49,9 +61,22 @@ LpmTrie::LookupResult LpmTrie::lookup(std::uint32_t addr,
   return result;
 }
 
+void LpmDir24_8::Unmap::operator()(std::uint16_t* tbl24) const {
+  ::munmap(tbl24, kTbl24MapBytes);
+}
+
 LpmDir24_8::LpmDir24_8() : arena_base_(ir::ArenaAllocator::next_base()) {
-  tbl24_.assign(1u << 24, 0);
-  depth24_.assign(1u << 24, 0);
+  // Anonymous pages are zero until written, so no fill is needed. Not
+  // calloc: glibc raises its mmap threshold after the first large free,
+  // and a later table would come from the heap and be zeroed by memset.
+  void* map = ::mmap(nullptr, kTbl24MapBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  BOLT_CHECK(map != MAP_FAILED, std::string("LpmDir24_8: cannot map tbl24: ") +
+                                    std::strerror(errno));
+  // Advisory: a huge page would commit 2 MB around each written entry.
+  ::madvise(map, kTbl24MapBytes, MADV_NOHUGEPAGE);
+  tbl24_.reset(static_cast<std::uint16_t*>(map));
+  depth24_ = reinterpret_cast<std::uint8_t*>(tbl24_.get() + kTbl24Entries);
 }
 
 std::uint16_t LpmDir24_8::allocate_tbl8(std::uint16_t fill_port,
@@ -122,7 +147,7 @@ LpmDir24_8::LookupResult LpmDir24_8::lookup(std::uint32_t addr,
   }
   meter.metered_instructions(cost::kDir8Lookup);
   const std::size_t t8 = std::size_t(entry & 0x7fff) * 256 + (addr & 0xff);
-  meter.mem_read(arena_base_ + 2ULL * (1u << 24) + 2ULL * t8, 2);
+  meter.mem_read(arena_base_ + 2ULL * kTbl24Entries + 2ULL * t8, 2);
   result.port = tbl8_[t8];
   result.tier = LookupCase::kTwoLookups;
   return result;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ir/cost.h"
@@ -44,6 +45,16 @@ class LpmTrie {
 };
 
 /// DPDK-style DIR-24-8 LPM: tbl24 (2^24 entries) + tbl8 groups.
+///
+/// tbl24 and its depth array (48 MB together) live in one private
+/// anonymous mapping, so building a table commits only the pages its
+/// routes write: untouched pages read as the kernel's shared zero page,
+/// which is also an empty slot. Every target, monitor partition and hunt
+/// replay builds one, and zero-filling 48 MB each time dominated their
+/// setup. The simulated layout the meter sees is unchanged: tbl24 at
+/// `arena_base_`, tbl8 right after its 2^24 2-byte entries.
+///
+/// Move-only: the mapping has one owner.
 class LpmDir24_8 {
  public:
   LpmDir24_8();
@@ -68,9 +79,14 @@ class LpmDir24_8 {
   };
   std::uint16_t allocate_tbl8(std::uint16_t fill_port, std::uint8_t fill_depth);
 
+  /// Unmaps the one mapping that holds tbl24 followed by depth24.
+  struct Unmap {
+    void operator()(std::uint16_t* tbl24) const;
+  };
+
   std::uint64_t arena_base_;
-  std::vector<std::uint16_t> tbl24_;
-  std::vector<std::uint8_t> depth24_;
+  std::unique_ptr<std::uint16_t[], Unmap> tbl24_;
+  std::uint8_t* depth24_;  ///< points into tbl24_'s mapping
   std::vector<std::uint16_t> tbl8_;
   std::vector<std::uint8_t> depth8_;
 };

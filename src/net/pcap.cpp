@@ -141,13 +141,16 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
-}  // namespace
-
-PcapMap::PcapMap(const std::string& path) {
-  const std::string where = "pcap '" + path + "'";
-  // O_NONBLOCK: opening a FIFO must not wait for a writer before fstat
-  // can reject it (no effect on regular files).
+/// Opens `path` read-only, checks that it is a regular file and stores its
+/// size in `*size`. Returns -1 only when the file does not exist and
+/// `missing_ok`; any other failure aborts naming `where`, and a
+/// non-regular file aborts with `hint`. O_NONBLOCK: opening a FIFO must
+/// not wait for a writer before fstat can reject it (no effect on reads
+/// of a regular file).
+int open_regular(const std::string& path, const std::string& where,
+                 bool missing_ok, const char* hint, std::size_t* size) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0 && missing_ok && errno == ENOENT) return -1;
   BOLT_CHECK(fd >= 0, where + ": cannot open: " + std::strerror(errno));
   struct stat st {};
   const bool stat_ok = ::fstat(fd, &st) == 0;
@@ -155,11 +158,20 @@ PcapMap::PcapMap(const std::string& path) {
   if (!stat_ok || !S_ISREG(st.st_mode)) {
     ::close(fd);
     BOLT_CHECK(stat_ok, where + ": cannot stat: " + std::strerror(stat_errno));
-    BOLT_UNREACHABLE(where +
-                     ": not a regular file (pcap input is mapped; tail a "
-                     "growing capture with --follow)");
+    BOLT_UNREACHABLE(where + ": not a regular file (" + hint + ")");
   }
-  length_ = static_cast<std::size_t>(st.st_size);
+  *size = static_cast<std::size_t>(st.st_size);
+  return fd;
+}
+
+}  // namespace
+
+PcapMap::PcapMap(const std::string& path) {
+  const std::string where = "pcap '" + path + "'";
+  const int fd = open_regular(
+      path, where, /*missing_ok=*/false,
+      "pcap input is mapped; tail a growing capture with --follow",
+      &length_);
   if (length_ >= kGlobalHeaderSize) {
     base_ = ::mmap(nullptr, length_, PROT_READ, MAP_PRIVATE, fd, 0);
   }
@@ -215,12 +227,14 @@ PcapTail::~PcapTail() {
 
 support::Span<const PacketView> PcapTail::poll_views() {
   views_.clear();
+  const std::string where = "pcap tail '" + path_ + "'";
   if (fd_ < 0) {
-    fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    std::size_t size = 0;
+    fd_ = open_regular(path_, where, /*missing_ok=*/true,
+                       "--follow tails a growing capture file", &size);
     if (fd_ < 0) return views_;  // not created yet
     window_.reset(new std::uint8_t[kTailWindowBytes]);
   }
-  const std::string where = "pcap tail '" + path_ + "'";
   // Keep the torn tail (less than one record) and fill the rest of the
   // window with whatever the writer has appended since.
   std::memmove(window_.get(), window_.get() + begin_, end_ - begin_);

@@ -88,7 +88,9 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets);
 /// timestamp resolutions and byte orders are accepted; a *malformed*
 /// header (bad magic, non-Ethernet link type) or an oversized record still
 /// aborts loudly, exactly like read_pcap — a tailed file must be a pcap,
-/// it is only allowed to be unfinished.
+/// it is only allowed to be unfinished. Only a missing path waits: a path
+/// that cannot be opened, or is not a regular file (a FIFO, a directory),
+/// aborts on the first poll naming it.
 class PcapTail {
  public:
   explicit PcapTail(std::string path);

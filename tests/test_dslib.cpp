@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 
+#include "core/scenarios.h"
 #include "dslib/bridge_state.h"
 #include "dslib/contract_exprs.h"
 #include "dslib/flow_table.h"
@@ -316,20 +319,62 @@ TEST(LpmDir, AgreesWithTrieOnRandomRoutes) {
   LpmDir24_8 lpm;
   LpmTrie trie;
   support::Rng rng(77);
+  std::vector<std::uint32_t> probes;
   for (int i = 0; i < 100; ++i) {
-    const int len = static_cast<int>(rng.range(8, 28));
+    const int len = static_cast<int>(rng.range(1, 32));
     const std::uint32_t mask = len == 32 ? ~0u : ~((1u << (32 - len)) - 1);
     const std::uint32_t prefix = static_cast<std::uint32_t>(rng.next()) & mask;
     const std::uint16_t port = static_cast<std::uint16_t>(rng.range(1, 100));
     lpm.insert(prefix, len, port);
     trie.insert(prefix, len, port);
+    // First and last address of the prefix and one either side: the
+    // edges of short-prefix mass writes and of tbl8 groups.
+    const std::uint32_t last = prefix | ~mask;
+    for (std::uint32_t addr : {prefix - 1, prefix, last, last + 1}) {
+      probes.push_back(addr);
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    probes.push_back(static_cast<std::uint32_t>(rng.next()));
   }
   ir::CostMeter m;
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint32_t addr = static_cast<std::uint32_t>(rng.next());
+  for (const std::uint32_t addr : probes) {
     EXPECT_EQ(lpm.lookup(addr, m).port, trie.lookup(addr, m).port)
         << "addr=" << addr;
   }
+}
+
+/// Resident pages of this process, from /proc/self/statm (0 if unreadable).
+std::size_t resident_pages() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0;
+  std::size_t resident = 0;
+  statm >> size >> resident;
+  return resident;
+}
+
+TEST(LpmDir, BuildingCommitsOnlyTheWrittenPages) {
+  // The tables are 48 MB of address space, but a table holding the
+  // canonical routes plus a /8 writes under 200 KB of it; lookups of
+  // unrouted addresses read the shared zero page.
+  const std::size_t before = resident_pages();
+  if (before == 0) GTEST_SKIP() << "/proc/self/statm is not readable";
+  std::vector<LpmDir24_8> tables(2);
+  ir::CostMeter m;
+  for (LpmDir24_8& lpm : tables) {
+    for (const core::DirLpmRoute& r : core::dir_lpm_routes()) {
+      lpm.insert(r.prefix, r.length, r.port);
+    }
+    lpm.insert(0x0a000000u, 8, 7);  // 10.0.0.0/8
+    EXPECT_EQ(lpm.lookup(0x0a010203u, m).port, 7);
+    EXPECT_EQ(lpm.lookup(0xc6120741u, m).port, 5);  // the /30
+    for (std::uint32_t addr = 0; addr < 0xff000000u; addr += 0x01000100u) {
+      lpm.lookup(addr, m);
+    }
+  }
+  const double grown_mb = (double(resident_pages()) - double(before)) *
+                          double(::sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+  EXPECT_LT(grown_mb, 4.0);
 }
 
 TEST(Maglev, TableIsFullAndBalanced) {

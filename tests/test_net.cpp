@@ -626,6 +626,25 @@ TEST(PcapDeathTest, NonRegularInputNamesItsPath) {
   EXPECT_DEATH(PcapMap{fifo}, "bolt_fifo.pcap': cannot open");
 }
 
+TEST(PcapDeathTest, TailRejectsAFifoWithoutWaitingForAWriter) {
+  // The daemon's input: a FIFO with no writer must fail the first poll
+  // with its path, not block in open(2) where no idle timeout can fire.
+  const std::string fifo = ::testing::TempDir() + "/bolt_tail_fifo.pcap";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_DEATH(PcapTail(fifo).poll_views(),
+               "pcap tail '.*bolt_tail_fifo.pcap': not a regular file");
+  std::remove(fifo.c_str());
+  // A path that does not exist yet is still just "no data yet"; any other
+  // open failure (here ENOTDIR) aborts instead of idling.
+  PcapTail missing(fifo);
+  EXPECT_TRUE(missing.poll_views().empty());
+  EXPECT_FALSE(missing.header_seen());
+  const std::string file = write_temp("bolt_tail_notdir.pcap", {});
+  EXPECT_DEATH(PcapTail(file + "/x").poll_views(),
+               "bolt_tail_notdir.pcap/x': cannot open: Not a directory");
+}
+
 TEST(Workload, UniformDeterministic) {
   UniformSpec spec;
   spec.packet_count = 100;
