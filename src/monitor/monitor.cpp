@@ -1,8 +1,13 @@
 #include "monitor/monitor.h"
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <mutex>
+#include <optional>
 
 #include "monitor/accum.h"
 #include "monitor/partition.h"
@@ -22,6 +27,9 @@ namespace {
 /// contract entry and evaluates the entry's compiled bounds over this many
 /// packets of one input class at once.
 constexpr std::size_t kBatchRows = 64;
+
+/// Packets per chunk when run() slices an input held in memory.
+constexpr std::size_t kSlicePackets = std::size_t{1} << 16;
 
 }  // namespace
 
@@ -55,23 +63,20 @@ struct MonitorEngine::PartitionResult {
   obs::MonitorTelemetry tel;
 };
 
-/// Runs one partition to completion on the calling thread: steps its
-/// packets through a fresh PartitionRunner, appends attributed rows to
-/// per-entry SoaBatch buffers, and validates each batch in place when it
-/// fills (evaluating the entry's compiled bounds over the whole batch) and
-/// at the end. Holds the reusable buffers and expression scratch, so
-/// steady-state monitoring performs no allocations.
+/// One partition for the whole run: steps its share of each chunk through
+/// its PartitionRunner (built on its first packet), appends attributed
+/// rows to per-entry SoaBatch buffers, and validates each batch in place
+/// when it fills (evaluating the entry's compiled bounds over the whole
+/// batch). Batches stay open across chunks, so a row's batch does not
+/// depend on where the chunks break. Holds the reusable buffers and
+/// expression scratch, so steady-state monitoring performs no allocations.
 class MonitorEngine::PartitionTask {
  public:
-  PartitionTask(const MonitorEngine& e,
-                support::Span<const net::PacketView> packets,
-                const TargetFactory& factory,
-                std::vector<std::uint32_t>* attribution, PartitionResult& out)
+  PartitionTask(const MonitorEngine& e, const TargetFactory& factory,
+                PartitionResult& out)
       : e_(e),
         cc_(*e.compiled_),
-        packets_(packets),
         factory_(factory),
-        attribution_(attribution),
         out_(out),
         tel_(e.options_.telemetry ? &out.tel : nullptr) {
     pending_.resize(cc_.bounds.size());
@@ -83,20 +88,25 @@ class MonitorEngine::PartitionTask {
     out_.classes.assign(cc_.bounds.size(), ClassAccum{});
   }
 
-  /// Steps the partition's packets (global indices, in order), then
-  /// validates every partially filled batch.
-  void run(const std::vector<std::uint64_t>& indices) {
-    PartitionRunner part(cc_, e_.options_, factory_, tel_);
+  /// Steps the partition's packets of one chunk: `local` indexes `chunk`
+  /// in order, and the chunk's first packet has global index `base`.
+  /// `attribution` (optional) has one slot per packet of the chunk.
+  void run(support::Span<const net::PacketView> chunk, std::uint64_t base,
+           const std::vector<std::uint32_t>& local,
+           std::uint32_t* attribution) {
+    PartitionRunner& part = runner();
     const std::size_t stride = cc_.slot_stride;
     RunTotals& totals = out_.totals;
-    for (const std::uint64_t index : indices) {
-      const PartitionRunner::Step s = part.step(packets_[index]);
+    for (const std::uint32_t i : local) {
+      const net::PacketView& packet = chunk[i];
+      const std::uint64_t index = base + i;
+      const PartitionRunner::Step s = part.step(packet);
       if (s.swept) {
         ++totals.epoch_sweeps;
         totals.expired_idle += s.expired;
       }
       totals.high_water = std::max(totals.high_water, s.occupancy);
-      if (attribution_ != nullptr) (*attribution_)[index] = s.entry;
+      if (attribution != nullptr) attribution[i] = s.entry;
       if (s.entry == kUnattributedEntry) {
         if (!totals.any_unattributed || index < totals.first_unattributed) {
           totals.any_unattributed = true;
@@ -115,19 +125,29 @@ class MonitorEngine::PartitionTask {
       if (cc_.delta_window_ns > 0) {
         // Semantic window id — a pure function of the packet timestamp, so
         // the delta stream inherits the report's determinism.
-        batch.windows[batch.rows] =
-            packets_[index].timestamp_ns() / cc_.delta_window_ns;
+        batch.windows[batch.rows] = packet.timestamp_ns() / cc_.delta_window_ns;
       }
       if (++batch.rows >= kBatchRows) validate(batch);
     }
-    totals.state_tracked = part.tracks_state();
-    if (part.tracks_state()) totals.residents = part.occupancy();
+  }
+
+  /// Ends the run: records the state facts (building the runner if the
+  /// partition saw no packet) and validates every partially filled batch.
+  void finish() {
+    PartitionRunner& part = runner();
+    out_.totals.state_tracked = part.tracks_state();
+    if (part.tracks_state()) out_.totals.residents = part.occupancy();
     for (SoaBatch& b : pending_) {
       if (b.rows > 0) validate(b);
     }
   }
 
  private:
+  PartitionRunner& runner() {
+    if (!runner_) runner_.emplace(cc_, e_.options_, factory_, tel_);
+    return *runner_;
+  }
+
   void ensure_buffers(SoaBatch& b) {
     if (!b.slots.empty()) return;
     b.slots.resize(kBatchRows * cc_.slot_stride);
@@ -189,11 +209,10 @@ class MonitorEngine::PartitionTask {
 
   const MonitorEngine& e_;
   const CompiledContract& cc_;
-  const support::Span<const net::PacketView> packets_;
   const TargetFactory& factory_;
-  std::vector<std::uint32_t>* attribution_;
   PartitionResult& out_;
   obs::MonitorTelemetry* tel_;  ///< null when telemetry is off
+  std::optional<PartitionRunner> runner_;
   std::vector<SoaBatch> pending_;  ///< one open batch per entry
   perf::BatchScratch scratch_;
   std::array<std::vector<std::int64_t>, 3> predicted_;  ///< bound columns
@@ -288,36 +307,176 @@ MonitorReport MonitorEngine::run(const std::vector<net::Packet>& packets,
                                  const TargetFactory& factory,
                                  std::vector<std::uint32_t>* attribution,
                                  obs::RunObservations* observations) const {
-  const std::vector<net::PacketView> views(packets.begin(), packets.end());
-  return run(views, factory, attribution, observations);
+  std::array<std::vector<net::PacketView>, kChunksInFlight> slices;
+  std::size_t next = 0;
+  std::size_t calls = 0;
+  return run(
+      [&]() -> support::Span<const net::PacketView> {
+        const std::size_t n = std::min(kSlicePackets, packets.size() - next);
+        std::vector<net::PacketView>& slice = slices[calls++ % kChunksInFlight];
+        slice.assign(packets.begin() + next, packets.begin() + next + n);
+        next += n;
+        return slice;
+      },
+      factory, attribution, observations);
 }
 
 MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
                                  const TargetFactory& factory,
                                  std::vector<std::uint32_t>* attribution,
                                  obs::RunObservations* observations) const {
-  // Fixed flow-affine partition: membership depends only on packet
-  // contents and the partition count, never on scheduling. Partitions
-  // carry indices only — packets are copied one at a time as each is
-  // processed, so monitoring never duplicates the whole trace.
-  const std::size_t partitions = options_.partitions;
-  std::vector<std::vector<std::uint64_t>> work(partitions);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    work[partition_of(packets[i], partitions)].push_back(i);
-  }
-  if (attribution != nullptr) {
-    attribution->assign(packets.size(), kUnattributedEntry);
-  }
+  std::size_t next = 0;
+  return run(
+      [&] {
+        const std::size_t n = std::min(kSlicePackets, packets.size() - next);
+        next += n;
+        return packets.subspan(next - n, n);
+      },
+      factory, attribution, observations);
+}
 
-  // One task per partition, each run to completion on one pool thread;
-  // results are merged exactly once at end of run. Threads are
-  // execution-only: every partition computes the same rows wherever it
-  // runs, and all accumulation is order-independent.
+MonitorReport MonitorEngine::run(const ChunkSource& next,
+                                 const TargetFactory& factory,
+                                 std::vector<std::uint32_t>* attribution,
+                                 obs::RunObservations* observations) const {
+  // One task per partition for the whole run; results are merged exactly
+  // once at the end. Threads are execution-only: every partition computes
+  // the same rows wherever it runs, and all accumulation is
+  // order-independent.
+  const std::size_t partitions = options_.partitions;
   std::vector<PartitionResult> results(partitions);
-  support::parallel_for(0, partitions, options_.threads, [&](std::size_t p) {
-    PartitionTask(*this, packets, factory, attribution, results[p])
-        .run(work[p]);
+  std::vector<std::unique_ptr<PartitionTask>> tasks;
+  tasks.reserve(partitions);
+  for (PartitionResult& out : results) {
+    tasks.push_back(std::make_unique<PartitionTask>(*this, factory, out));
+  }
+  if (attribution != nullptr) attribution->clear();
+
+  // Up to kChunksInFlight chunks are in use at once, each in its own slot:
+  // a partition steps through its share of chunk k + 1 while others still
+  // work on chunk k, so no thread waits at a chunk boundary unless some
+  // partition falls a whole chunk behind. Reading chunk k (which ends the
+  // life of chunk k - kChunksInFlight's views) waits until every partition
+  // is done with that chunk. Fixed flow-affine partition: membership
+  // depends only on packet contents and the partition count, never on
+  // scheduling or on where the chunks break. Partitions carry chunk-local
+  // indices only — packets are copied one at a time as each is processed.
+  struct Slot {
+    support::Span<const net::PacketView> chunk;
+    std::uint64_t base = 0;  ///< global index of the chunk's first packet
+    std::vector<std::vector<std::uint32_t>> work;  ///< per partition
+    std::vector<std::uint32_t> attribution;  ///< per packet, when asked for
+  };
+  std::array<Slot, kChunksInFlight> slots;
+  for (Slot& slot : slots) slot.work.resize(partitions);
+  std::mutex mutex;  // guards everything below, not the slots' contents
+  std::condition_variable changed;
+  std::uint64_t chunks_read = 0;
+  std::uint64_t chunks_attributed = 0;  ///< appended to *attribution
+  std::uint64_t packets = 0;
+  bool reading = false;  ///< one thread at a time reads the next chunk
+  bool at_end = false;
+  bool failed = false;   ///< a thread threw; the others stop
+  std::vector<std::uint64_t> chunks_done(partitions, 0);
+  std::vector<char> busy(partitions, 0);
+  auto all_done = [&] {
+    return *std::min_element(chunks_done.begin(), chunks_done.end());
+  };
+  // Appends the attribution of every chunk all partitions are done with.
+  auto append_attribution = [&] {
+    for (const std::uint64_t done = all_done(); chunks_attributed < done;
+         ++chunks_attributed) {
+      const Slot& slot = slots[chunks_attributed % kChunksInFlight];
+      attribution->insert(attribution->end(), slot.attribution.begin(),
+                          slot.attribution.end());
+    }
+  };
+  // Reads the next chunk into `slot` and buckets it; false at the end.
+  auto read_chunk = [&](Slot& slot) {
+    slot.chunk = next();
+    if (slot.chunk.empty()) return false;
+    BOLT_CHECK(slot.chunk.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "monitor: a chunk holds 2^32 packets or more");
+    slot.base = packets;
+    packets += slot.chunk.size();
+    for (std::vector<std::uint32_t>& w : slot.work) w.clear();
+    for (std::size_t i = 0; i < slot.chunk.size(); ++i) {
+      slot.work[partition_of(slot.chunk[i], partitions)].push_back(
+          static_cast<std::uint32_t>(i));
+    }
+    if (attribution != nullptr) {
+      slot.attribution.assign(slot.chunk.size(), kUnattributedEntry);
+    }
+    return true;
+  };
+  // Every thread runs this loop until the input is read and stepped: read
+  // the next chunk when its slot is free, step the partition furthest
+  // behind that has a chunk to step, or wait. With several threads the
+  // read comes first, so the next chunk is ready before the current one
+  // runs out; a lone thread steps first, so it holds one chunk at a time.
+  const std::size_t threads =
+      std::min(support::resolve_threads(options_.threads), partitions);
+  auto drive = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!failed) {
+      const bool can_read = !reading && !at_end &&
+                            chunks_read - all_done() < kChunksInFlight;
+      std::size_t p = partitions;
+      if (!can_read || threads == 1) {
+        for (std::size_t q = 0; q < partitions; ++q) {
+          if (!busy[q] && chunks_done[q] < chunks_read &&
+              (p == partitions || chunks_done[q] < chunks_done[p])) {
+            p = q;
+          }
+        }
+      }
+      if (p < partitions) {
+        busy[p] = 1;
+        Slot& slot = slots[chunks_done[p] % kChunksInFlight];
+        lock.unlock();
+        tasks[p]->run(slot.chunk, slot.base, slot.work[p],
+                      attribution != nullptr ? slot.attribution.data()
+                                             : nullptr);
+        lock.lock();
+        busy[p] = 0;
+        ++chunks_done[p];
+      } else if (can_read) {
+        reading = true;
+        if (attribution != nullptr) append_attribution();
+        Slot& slot = slots[chunks_read % kChunksInFlight];
+        lock.unlock();
+        const bool got = read_chunk(slot);
+        lock.lock();
+        reading = false;
+        if (got) {
+          ++chunks_read;
+        } else {
+          at_end = true;
+        }
+      } else if (at_end && all_done() == chunks_read) {
+        return;
+      } else {
+        changed.wait(lock);
+        continue;
+      }
+      changed.notify_all();
+    }
+  };
+  support::parallel_for(0, threads, threads, [&](std::size_t) {
+    try {
+      drive();
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        failed = true;
+      }
+      changed.notify_all();
+      throw;
+    }
   });
+  if (attribution != nullptr) append_attribution();
+  support::parallel_for(0, partitions, options_.threads,
+                        [&](std::size_t p) { tasks[p]->finish(); });
 
   // Deterministic merge in partition order (order-independent accumulators,
   // so any thread count yields the same bytes), rendered through the shared
@@ -332,7 +491,7 @@ MonitorReport MonitorEngine::run(support::Span<const net::PacketView> packets,
     totals.merge(pr.totals);
   }
   MonitorReport report =
-      build_report(cc.contract.nf_name(), packets.size(), partitions,
+      build_report(cc.contract.nf_name(), packets, partitions,
                    options_.check_cycles, options_.epoch_ns, cc.entry_names,
                    std::move(merged), totals);
 

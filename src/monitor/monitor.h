@@ -17,8 +17,10 @@
 //
 // Four design points make it fast AND deterministic:
 //
-//  * Run-to-completion partitions — each partition runs on one pool thread
-//    and goes through the whole per-packet loop:
+//  * Run-to-completion partitions — the input arrives in chunks (one pcap
+//    read window, or a slice of packets in memory); for each chunk, each
+//    partition runs on one pool thread and goes through the whole
+//    per-packet loop for its share of the chunk:
 //    execute (run the NF, collect PCVs/counters) -> attribute (resolve the
 //    observed class key to a contract entry, allocation-free) -> validate
 //    (evaluate the entry's compiled bounds over a batch of same-class
@@ -154,17 +156,35 @@ class MonitorEngine {
                 MonitorOptions options = {});
   ~MonitorEngine();  // out of line: CompiledContract is incomplete here
 
-  /// Streams `packets` through per-partition instances built by `factory`
-  /// and returns the merged report. The packets are views (a mapped pcap's
-  /// records, or Packets) and are never mutated: each partition copies one
-  /// packet at a time into its reused scratch packet, as the NF rewrites
-  /// headers.
+  /// How many chunks of its input run() keeps in use at once.
+  static constexpr std::size_t kChunksInFlight = 2;
+
+  /// The next chunk of packets to monitor; empty at the end of the input.
+  /// A chunk's views need stay valid only until the source has been
+  /// called kChunksInFlight more times (a PcapTail with that many read
+  /// windows hands out exactly such chunks), and a chunk holds fewer than
+  /// 2^32 packets.
+  using ChunkSource = std::function<support::Span<const net::PacketView>()>;
+
+  /// Streams the packets `next` hands out through per-partition instances
+  /// built by `factory`, and returns the merged report. The run goes chunk
+  /// by chunk, so its memory does not grow with the input: each chunk's
+  /// packets are bucketed by partition into reused vectors of chunk-local
+  /// indices, and the pool's threads step each partition over its share
+  /// of each chunk, in order. A partition may run one chunk ahead of
+  /// another, so no thread waits at a chunk boundary unless a partition
+  /// falls a whole chunk behind. A partition's runner, open validation
+  /// batches and accumulators live for the whole run, so where the chunks
+  /// break never changes a byte of the result (tests/test_monitor.cpp).
+  /// Packets are never mutated: each partition copies one packet at a
+  /// time into its reused scratch packet, as the NF rewrites headers.
   ///
-  /// `attribution` (optional) receives one entry per packet: the contract
-  /// entry index the packet was attributed to, or kUnattributedEntry. This
-  /// is the pre-attributed replay mode the adversarial synthesiser closes
-  /// its loop with: a trace whose every packet carries an *intended* class
-  /// can be checked packet-by-packet against what the monitor actually
+  /// `attribution` (optional) receives one entry per packet, indexed by
+  /// the packet's position in the whole input: the contract entry index
+  /// the packet was attributed to, or kUnattributedEntry. This is the
+  /// pre-attributed replay mode the adversarial synthesiser closes its
+  /// loop with: a trace whose every packet carries an *intended* class can
+  /// be checked packet-by-packet against what the monitor actually
   /// observed. Deterministic like the report (each partition writes only
   /// its own packet slots).
   ///
@@ -172,11 +192,16 @@ class MonitorEngine {
   /// (counters collected when options.telemetry is set), the delta window
   /// stream (when options.delta_every > 0), and any drift alerts. None of
   /// it can change the returned report's bytes.
+  MonitorReport run(const ChunkSource& next, const TargetFactory& factory,
+                    std::vector<std::uint32_t>* attribution = nullptr,
+                    obs::RunObservations* observations = nullptr) const;
+  /// The same run over packets in memory, handed to the chunk loop in
+  /// fixed slices.
   MonitorReport run(support::Span<const net::PacketView> packets,
                     const TargetFactory& factory,
                     std::vector<std::uint32_t>* attribution = nullptr,
                     obs::RunObservations* observations = nullptr) const;
-  /// The same run over owned packets (viewed in place, not copied).
+  /// The same over owned packets (viewed in place, one slice at a time).
   MonitorReport run(const std::vector<net::Packet>& packets,
                     const TargetFactory& factory,
                     std::vector<std::uint32_t>* attribution = nullptr,

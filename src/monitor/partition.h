@@ -1,7 +1,8 @@
 // One flow-affine monitor partition — the single implementation of the
 // measurement side every contract consumer shares:
 //
-//  * MonitorEngine::run runs each partition to completion as one task;
+//  * MonitorEngine::run keeps one runner per partition for the whole run
+//    and steps each partition's share of every input chunk as one task;
 //  * StreamMonitor::feed steps one lazily built runner per owned partition;
 //  * the adversarial synthesiser's shadow commits its packets through the
 //    same runner (cycle meter off) to learn what the replay will observe.

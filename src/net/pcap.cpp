@@ -1,7 +1,6 @@
 #include "net/pcap.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -23,7 +22,7 @@ constexpr std::size_t kGlobalHeaderSize = 24;
 constexpr std::size_t kRecordHeaderSize = 16;
 /// The largest record any reader accepts (libpcap's MAXIMUM_SNAPLEN).
 constexpr std::uint32_t kMaxRecordBytes = 262144;
-/// PcapTail's read window. It holds the global header plus the largest
+/// One PcapTail read window. It holds the global header plus the largest
 /// record, so a full window always contains a complete record.
 constexpr std::size_t kTailWindowBytes = std::size_t{1} << 20;
 static_assert(kTailWindowBytes >=
@@ -35,13 +34,18 @@ std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
   return swapped ? __builtin_bswap32(v) : v;
 }
 
+/// Aborts unless `size` bytes hold the global header.
+void check_header_size(std::size_t size, const std::string& where) {
+  BOLT_CHECK(size >= kGlobalHeaderSize,
+             where + ": file shorter than the 24-byte global header (" +
+                 std::to_string(size) + " bytes)");
+}
+
 /// The one global-header parse: magic number (byte order, resolution) and
 /// link type. `where` names the input in error messages.
 PcapFormat parse_header(const std::uint8_t* data, std::size_t size,
                         const std::string& where) {
-  BOLT_CHECK(size >= kGlobalHeaderSize,
-             where + ": file shorter than the 24-byte global header (" +
-                 std::to_string(size) + " bytes)");
+  check_header_size(size, where);
   PcapFormat fmt;
   switch (load_u32(data, false)) {
     case kMagicMicro: break;
@@ -108,20 +112,6 @@ std::size_t walk_records(const std::uint8_t* data, std::size_t size,
   return pos;
 }
 
-/// Indexes a finished capture's records as views into `data`, in one pass
-/// into a vector reserved once (to the most records the size admits).
-std::vector<PacketView> index_records(const std::uint8_t* data,
-                                      std::size_t size,
-                                      const std::string& where) {
-  const PcapFormat fmt = parse_header(data, size, where);
-  std::vector<PacketView> views;
-  views.reserve((size - kGlobalHeaderSize) / kRecordHeaderSize);
-  walk_records(data, size, kGlobalHeaderSize, fmt, /*torn_ok=*/false, where,
-               /*base_offset=*/0, /*base_index=*/0,
-               [&](const PacketView& v) { views.push_back(v); });
-  return views;
-}
-
 std::vector<Packet> to_packets(support::Span<const PacketView> views) {
   std::vector<Packet> packets;
   packets.reserve(views.size());
@@ -141,16 +131,13 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
-/// Opens `path` read-only, checks that it is a regular file and stores its
-/// size in `*size`. Returns -1 only when the file does not exist and
-/// `missing_ok`; any other failure aborts naming `where`, and a
-/// non-regular file aborts with `hint`. O_NONBLOCK: opening a FIFO must
-/// not wait for a writer before fstat can reject it (no effect on reads
-/// of a regular file).
-int open_regular(const std::string& path, const std::string& where,
-                 bool missing_ok, const char* hint, std::size_t* size) {
+/// Opens `path` read-only and checks that it is a regular file. Returns -1
+/// only when the file does not exist; any other failure aborts naming
+/// `where`. O_NONBLOCK: opening a FIFO must not wait for a writer before
+/// fstat can reject it (no effect on reads of a regular file).
+int open_regular(const std::string& path, const std::string& where) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
-  if (fd < 0 && missing_ok && errno == ENOENT) return -1;
+  if (fd < 0 && errno == ENOENT) return -1;
   BOLT_CHECK(fd >= 0, where + ": cannot open: " + std::strerror(errno));
   struct stat st {};
   const bool stat_ok = ::fstat(fd, &st) == 0;
@@ -158,46 +145,41 @@ int open_regular(const std::string& path, const std::string& where,
   if (!stat_ok || !S_ISREG(st.st_mode)) {
     ::close(fd);
     BOLT_CHECK(stat_ok, where + ": cannot stat: " + std::strerror(stat_errno));
-    BOLT_UNREACHABLE(where + ": not a regular file (" + hint + ")");
+    BOLT_UNREACHABLE(where +
+                     ": not a regular file (pcap input is read from a "
+                     "regular file; --follow tails one as it grows)");
   }
-  *size = static_cast<std::size_t>(st.st_size);
   return fd;
 }
 
 }  // namespace
 
-PcapMap::PcapMap(const std::string& path) {
-  const std::string where = "pcap '" + path + "'";
-  const int fd = open_regular(
-      path, where, /*missing_ok=*/false,
-      "pcap input is mapped; tail a growing capture with --follow",
-      &length_);
-  if (length_ >= kGlobalHeaderSize) {
-    base_ = ::mmap(nullptr, length_, PROT_READ, MAP_PRIVATE, fd, 0);
-  }
-  const int map_errno = errno;
-  ::close(fd);  // the mapping keeps the file referenced
-  if (base_ == MAP_FAILED) {
-    base_ = nullptr;
-    BOLT_UNREACHABLE(where + ": cannot map: " + std::strerror(map_errno));
-  }
-  packets_ = index_records(static_cast<const std::uint8_t*>(base_), length_,
-                           where);
-}
-
-PcapMap::~PcapMap() {
-  if (base_ != nullptr) ::munmap(base_, length_);
-}
-
 std::vector<Packet> read_pcap(const std::string& path) {
-  const PcapMap map(path);
-  return to_packets(map.packets());
+  PcapTail tail(path);
+  std::vector<Packet> packets;
+  // Room for a record per minimum-size Ethernet frame (60 bytes), so the
+  // vector does not regrow on an ordinary capture.
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 && st.st_size > 0) {
+    packets.reserve(static_cast<std::size_t>(st.st_size) /
+                    (kRecordHeaderSize + 60));
+  }
+  for (auto views = tail.poll_views(); !views.empty();
+       views = tail.poll_views()) {
+    for (const PacketView& v : views) packets.emplace_back(v);
+  }
+  tail.finish();
+  return packets;
 }
 
 std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes) {
-  const std::vector<PacketView> views =
-      index_records(bytes.data(), bytes.size(), "pcap");
-  return to_packets(views);
+  const std::string where = "pcap";
+  const PcapFormat fmt = parse_header(bytes.data(), bytes.size(), where);
+  std::vector<Packet> packets;
+  walk_records(bytes.data(), bytes.size(), kGlobalHeaderSize, fmt,
+               /*torn_ok=*/false, where, /*base_offset=*/0, /*base_index=*/0,
+               [&](const PacketView& v) { packets.emplace_back(v); });
+  return packets;
 }
 
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
@@ -219,58 +201,82 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
   return out;
 }
 
-PcapTail::PcapTail(std::string path) : path_(std::move(path)) {}
+PcapTail::PcapTail(std::string path, std::size_t windows)
+    : path_(std::move(path)), where_("pcap '" + path_ + "'") {
+  BOLT_CHECK(windows >= 1, where_ + ": a reader needs a read window");
+  windows_.resize(windows);
+}
 
 PcapTail::~PcapTail() {
   if (fd_ >= 0) ::close(fd_);
 }
 
 support::Span<const PacketView> PcapTail::poll_views() {
-  views_.clear();
-  const std::string where = "pcap tail '" + path_ + "'";
   if (fd_ < 0) {
-    std::size_t size = 0;
-    fd_ = open_regular(path_, where, /*missing_ok=*/true,
-                       "--follow tails a growing capture file", &size);
-    if (fd_ < 0) return views_;  // not created yet
-    window_.reset(new std::uint8_t[kTailWindowBytes]);
+    fd_ = open_regular(path_, where_);
+    if (fd_ < 0) return {};  // not created yet
+    for (Window& w : windows_) w.bytes.reset(new std::uint8_t[kTailWindowBytes]);
   }
-  // Keep the torn tail (less than one record) and fill the rest of the
-  // window with whatever the writer has appended since.
-  std::memmove(window_.get(), window_.get() + begin_, end_ - begin_);
+  // Carry the torn tail (less than one record) to the front of the next
+  // window and fill the rest with whatever the writer has appended since.
+  const std::uint8_t* tail = windows_[current_].bytes.get() + begin_;
+  current_ = (current_ + 1) % windows_.size();
+  std::uint8_t* window = windows_[current_].bytes.get();
+  std::vector<PacketView>& views = windows_[current_].views;
+  views.clear();
+  std::memmove(window, tail, end_ - begin_);
   end_ -= begin_;
   begin_ = 0;
   while (end_ < kTailWindowBytes) {
-    const ssize_t got =
-        ::read(fd_, window_.get() + end_, kTailWindowBytes - end_);
+    const ssize_t got = ::read(fd_, window + end_, kTailWindowBytes - end_);
     if (got == 0) break;  // EOF for now; the next poll reads on from here
     if (got < 0) {
       BOLT_CHECK(errno == EINTR,
-                 where + ": cannot read: " + std::strerror(errno));
+                 where_ + ": cannot read: " + std::strerror(errno));
       continue;
     }
     end_ += static_cast<std::size_t>(got);
   }
 
   if (!header_done_) {
-    if (end_ < kGlobalHeaderSize) return views_;
-    format_ = parse_header(window_.get(), end_, where);
+    if (end_ < kGlobalHeaderSize) return views;
+    format_ = parse_header(window, end_, where_);
     header_done_ = true;
     begin_ = kGlobalHeaderSize;
     consumed_bytes_ = kGlobalHeaderSize;
   }
   const std::size_t pos = walk_records(
-      window_.get(), end_, begin_, format_, /*torn_ok=*/true, where,
+      window, end_, begin_, format_, /*torn_ok=*/true, where_,
       /*base_offset=*/consumed_bytes_ - begin_,
       /*base_index=*/consumed_records_,
-      [&](const PacketView& v) { views_.push_back(v); });
+      [&](const PacketView& v) { views.push_back(v); });
   consumed_bytes_ += pos - begin_;
-  consumed_records_ += views_.size();
+  consumed_records_ += views.size();
   begin_ = pos;
-  return views_;
+  return views;
 }
 
 std::vector<Packet> PcapTail::poll() { return to_packets(poll_views()); }
+
+void PcapTail::finish() {
+  BOLT_CHECK(fd_ >= 0, where_ + ": cannot open: " + std::strerror(ENOENT));
+  // An empty poll read to the end of the file (a full window always holds
+  // a complete record), so the file ends where the bytes read so far end.
+  struct stat st {};
+  BOLT_CHECK(::fstat(fd_, &st) == 0,
+             where_ + ": cannot stat: " + std::strerror(errno));
+  const std::uint64_t read_to = consumed_bytes_ + (end_ - begin_);
+  BOLT_CHECK(static_cast<std::uint64_t>(st.st_size) <= read_to,
+             where_ + ": finish() before the last poll (" +
+                 std::to_string(st.st_size - read_to) + " bytes unread)");
+  // What is left in the window is less than one record: the file ends
+  // inside it, unless nothing is left.
+  if (!header_done_) check_header_size(end_, where_);
+  walk_records(windows_[current_].bytes.get(), end_, begin_, format_,
+               /*torn_ok=*/false, where_,
+               /*base_offset=*/consumed_bytes_ - begin_,
+               /*base_index=*/consumed_records_, [](const PacketView&) {});
+}
 
 void write_pcap(const std::string& path, const std::vector<Packet>& packets) {
   const std::vector<std::uint8_t> bytes = serialize_pcap(packets);

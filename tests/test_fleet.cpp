@@ -20,8 +20,8 @@
 //  * PcapTail sees records appended chunk-by-chunk, torn mid-record
 //    writes included — the --follow daemon's input contract — and a
 //    stream fed from its window views, over a capture several windows
-//    long, equals one fed from the batch reader's packets, fleet
-//    instances included.
+//    long, equals one fed from the parsed packets, fleet instances
+//    included; so does the batch engine fed one window per chunk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -563,14 +563,17 @@ TEST(PcapTail, SeesRecordsAppendedAcrossTornWrites) {
 }
 
 TEST(PcapTail, StreamFedFromWindowViewsEqualsBatchPackets) {
-  // 13,200 drift packets are about 1.3 MB of records: the tail hands them
-  // out over two reads of its 1 MiB window, and each view must stay valid
+  // 35,200 drift packets are about 3.5 MB of records: the tail hands them
+  // out over four reads of its 1 MiB window, and each view must stay valid
   // until the monitor has stepped it.
   net::DriftSpec spec;
-  spec.packets_per_window = 1'200;
+  spec.packets_per_window = 3'200;
+  const std::vector<net::Packet> traffic = net::drift_traffic(spec);
+  const std::vector<std::uint8_t> bytes = net::serialize_pcap(traffic);
+  ASSERT_GT(bytes.size(), std::size_t{3} << 20);
   const std::string path = testing::TempDir() + "bolt_tail_stream.pcap";
-  net::write_pcap(path, net::drift_traffic(spec));
-  const std::vector<net::Packet> batch = net::read_pcap(path);
+  net::write_pcap(path, traffic);
+  const std::vector<net::Packet> batch = net::parse_pcap(bytes);
   auto tailed = [&](const PacketFeed& feed) {
     net::PcapTail tail(path);
     std::size_t polls = 0;
@@ -579,7 +582,8 @@ TEST(PcapTail, StreamFedFromWindowViewsEqualsBatchPackets) {
       ++polls;
       for (const net::PacketView& v : views) feed(v);
     }
-    EXPECT_GE(polls, 2u);
+    tail.finish();
+    EXPECT_GE(polls, 4u);
   };
   for (const std::uint32_t instances : {1u, 2u}) {
     for (std::uint32_t instance = 0; instance < instances; ++instance) {
@@ -595,6 +599,38 @@ TEST(PcapTail, StreamFedFromWindowViewsEqualsBatchPackets) {
       EXPECT_EQ(got.final_partial, want.final_partial);
     }
   }
+
+  // The batch engine, one window per chunk, against one run over the
+  // parsed packets.
+  RouterFixture& f = router();
+  const monitor::MonitorEngine engine(f.gen.contract, f.reg, stream_options());
+  const auto factory = monitor::MonitorEngine::named_factory("router");
+  auto render = [](const monitor::MonitorReport& report,
+                   const RunObservations& observations) {
+    std::string out = monitor::report_to_json(report) + "\n";
+    for (const DeltaWindow& w : observations.deltas) {
+      out += delta_window_to_json(w) + "\n";
+    }
+    return out;
+  };
+  RunObservations want_obs;
+  const monitor::MonitorReport want =
+      engine.run(batch, factory, nullptr, &want_obs);
+  ASSERT_EQ(want.packets, traffic.size());
+  net::PcapTail tail(path, monitor::MonitorEngine::kChunksInFlight);
+  std::size_t chunks = 0;
+  RunObservations got_obs;
+  const monitor::MonitorReport got = engine.run(
+      [&] {
+        const auto views = tail.poll_views();
+        if (views.empty()) tail.finish();
+        chunks += views.empty() ? 0 : 1;
+        return views;
+      },
+      factory, nullptr, &got_obs);
+  EXPECT_GE(chunks, 4u);
+  EXPECT_EQ(render(got, got_obs), render(want, want_obs));
+  EXPECT_EQ(got_obs.alerts.size(), want_obs.alerts.size());
   std::remove(path.c_str());
 }
 

@@ -7,12 +7,14 @@
 //    violation with class, packet index, and predicted vs measured values;
 //  * reports are byte-identical at 1, 2, and 8 threads and at every batch
 //    size (the compiled-expression VM itself is checked against the
-//    tree-walk reference in tests/test_expr_vm.cpp);
+//    tree-walk reference in tests/test_expr_vm.cpp), and wherever the
+//    engine's input chunks break;
 //  * sharding is flow-affine, and the allocation-free partition hash puts
 //    every input — well-formed, truncated or malformed — where the
 //    parse-based formula does.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 
@@ -24,6 +26,7 @@
 #include "net/mutate.h"
 #include "net/packet_builder.h"
 #include "net/workload.h"
+#include "obs/delta.h"
 #include "perf/contract_io.h"
 #include "support/random.h"
 
@@ -243,6 +246,119 @@ TEST(Monitor, ViolationMarginSketchTracksViolations) {
     margins += c.violation_margin_pm.count;
   }
   EXPECT_EQ(margins, report.violations);
+}
+
+/// Everything one run produces, rendered to bytes.
+struct ChunkedRun {
+  std::string report;
+  std::string deltas;
+  std::string alerts;
+  std::vector<std::uint32_t> attribution;
+  std::uint64_t expired_idle = 0;  ///< entries the epoch sweeps reclaimed
+};
+
+/// Runs `packets` through `engine` in chunks of `chunk` packets. Each
+/// chunk's views live in one of kChunksInFlight buffers, reused in turn, so
+/// a view the engine kept past the chunk's promised life would read a
+/// later packet and change the bytes.
+ChunkedRun run_in_chunks(const MonitorEngine& engine, const std::string& nf,
+                         const std::vector<net::Packet>& packets,
+                         std::size_t chunk) {
+  ChunkedRun out;
+  obs::RunObservations observations;
+  std::array<std::vector<net::PacketView>, MonitorEngine::kChunksInFlight>
+      buffers;
+  std::size_t next = 0;
+  std::size_t calls = 0;
+  const MonitorReport report = engine.run(
+      [&]() -> support::Span<const net::PacketView> {
+        const std::size_t n = std::min(chunk, packets.size() - next);
+        std::vector<net::PacketView>& views = buffers[calls++ % buffers.size()];
+        views.assign(packets.begin() + next, packets.begin() + next + n);
+        next += n;
+        return views;
+      },
+      MonitorEngine::named_factory(nf), &out.attribution, &observations);
+  out.report = report_to_json(report);
+  out.expired_idle = report.state_expired_idle;
+  for (const obs::DeltaWindow& w : observations.deltas) {
+    out.deltas += obs::delta_window_to_json(w) + "\n";
+  }
+  for (const obs::DriftAlert& a : observations.alerts) {
+    out.alerts += std::to_string(a.window) + " " + a.input_class + " " +
+                  std::to_string(perf::metric_index(a.metric)) + " " +
+                  std::to_string(a.p99_pm) + " " +
+                  std::to_string(a.slope_mpm) + " " +
+                  std::to_string(a.eta_windows) + "\n";
+  }
+  return out;
+}
+
+TEST(Monitor, ChunkBoundariesNeverChangeBytes) {
+  // run() goes chunk by chunk, but each partition's runner, epoch clock,
+  // open validation batches and delta accumulators live for the whole
+  // run. So wherever the chunks break — single packets, either side of a
+  // 64-row batch, or one chunk for the whole trace — the report, delta
+  // stream, drift alerts and attribution are the same bytes. Router drift
+  // traffic closes delta windows and raises drift alerts; NAT long-run
+  // traffic crosses epochs and expires stale flows in bulk.
+  net::DriftSpec drift;
+  drift.packets_per_window = 300;
+  net::LongRunSpec longrun;
+  longrun.seed = 3;
+  longrun.flow_pool = 256;
+  longrun.packet_count = 4000;
+  longrun.bursts = 32;
+  longrun.rotation_bursts = 1;
+  const std::pair<const char*, std::vector<net::Packet>> traces[] = {
+      {"router", net::drift_traffic(drift)},
+      {"nat", net::long_run_traffic(longrun)}};
+  for (const auto& [nf, packets] : traces) {
+    SCOPED_TRACE(nf);
+    perf::PcvRegistry reg;
+    const auto result = contract_for(nf, reg);
+    ChunkedRun want;
+    for (const std::size_t threads : {1u, 4u}) {
+      MonitorOptions opts;
+      opts.threads = threads;
+      opts.delta_every = 1;
+      const MonitorEngine engine(result.contract, reg, opts);
+      if (want.report.empty()) {
+        want = run_in_chunks(engine, nf, packets, packets.size());
+        ASSERT_EQ(want.attribution.size(), packets.size());
+        ASSERT_FALSE(want.deltas.empty());
+        if (std::string(nf) == "router") {
+          EXPECT_FALSE(want.alerts.empty());
+        } else {
+          EXPECT_GT(want.expired_idle, 0u);
+        }
+      }
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+            std::size_t{1000}, packets.size()}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " chunk=" + std::to_string(chunk));
+        const ChunkedRun got = run_in_chunks(engine, nf, packets, chunk);
+        EXPECT_EQ(got.report, want.report);
+        EXPECT_EQ(got.deltas, want.deltas);
+        EXPECT_EQ(got.alerts, want.alerts);
+        EXPECT_EQ(got.attribution, want.attribution);
+      }
+    }
+  }
+}
+
+TEST(Monitor, EmptyInputStillBuildsEveryPartition) {
+  // A partition that sees no packet still builds its NF, so the report
+  // says whether the target tracks state and how much it holds.
+  perf::PcvRegistry reg;
+  const auto result = contract_for("nat", reg);
+  const MonitorEngine engine(result.contract, reg, MonitorOptions{});
+  const MonitorReport report = engine.run(
+      std::vector<net::Packet>{}, MonitorEngine::named_factory("nat"));
+  EXPECT_EQ(report.packets, 0u);
+  EXPECT_TRUE(report.state_tracked);
+  EXPECT_EQ(report.state_residents, 0u);
 }
 
 TEST(Monitor, ShardingIsFlowAffine) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -399,18 +400,15 @@ TEST(Pcap, HandBuiltMicroAndNanoInBothByteOrders) {
       const std::string path = write_temp("bolt_hand.pcap", bytes);
       const std::vector<Packet> parsed = parse_pcap(bytes);
       const std::vector<Packet> read = read_pcap(path);
-      const PcapMap mapped(path);
       PcapTail tail(path);
       const std::vector<Packet> tailed = tail.poll();
       ASSERT_EQ(parsed.size(), records.size());
       ASSERT_EQ(read.size(), records.size());
-      ASSERT_EQ(mapped.packets().size(), records.size());
       ASSERT_EQ(tailed.size(), records.size());
       for (std::size_t i = 0; i < records.size(); ++i) {
         SCOPED_TRACE(i);
         expect_same(parsed[i], records[i], ts(records[i]));
         expect_same(read[i], records[i], ts(records[i]));
-        expect_same(mapped.packets()[i], records[i], ts(records[i]));
         expect_same(tailed[i], records[i], ts(records[i]));
       }
     }
@@ -498,27 +496,60 @@ TEST(PcapTail, ViewsAndPollsEqualParseAcrossWindowEdges) {
   }
 }
 
+TEST(PcapTail, TwoWindowsKeepThePreviousPollValid) {
+  // With two read windows, a poll's views survive the next poll (the
+  // batch engine steps one chunk while the next is read) and the records
+  // still arrive exactly once, in order.
+  const std::vector<Record> records = mixed_records(3 * kTailWindow + 4096);
+  const auto bytes = hand_pcap(0xa1b2c3d4, false, records);
+  const std::string path = write_temp("bolt_two_windows.pcap", bytes);
+  const std::vector<Packet> want = parse_pcap(bytes);
+  PcapTail tail(path, 2);
+  std::vector<Packet> got;
+  support::Span<const PacketView> previous;
+  std::size_t polls = 0;
+  for (auto views = tail.poll_views(); !views.empty();
+       views = tail.poll_views(), ++polls) {
+    // The previous poll's views, checked after this poll read its window.
+    for (std::size_t i = 0; i < previous.size(); ++i) {
+      const std::size_t at = got.size() - previous.size() + i;
+      ASSERT_EQ(serialize_pcap({Packet(previous[i])}),
+                serialize_pcap({want[at]}));
+    }
+    for (const PacketView& v : views) got.emplace_back(v);
+    previous = views;
+  }
+  tail.finish();
+  EXPECT_GE(polls, 4u);
+  EXPECT_EQ(serialize_pcap(got), serialize_pcap(want));
+  std::remove(path.c_str());
+}
+
 TEST(Pcap, HeaderOnlyFileHasNoPackets) {
   const auto bytes = hand_pcap(0xa1b23c4d, false, {});
   ASSERT_EQ(bytes.size(), 24u);
   const std::string path = write_temp("bolt_header_only.pcap", bytes);
   EXPECT_TRUE(parse_pcap(bytes).empty());
   EXPECT_TRUE(read_pcap(path).empty());
-  EXPECT_TRUE(PcapMap(path).packets().empty());
+  PcapTail tail(path);
+  EXPECT_TRUE(tail.poll_views().empty());
+  tail.finish();  // a complete header and no record: a clean end
+  EXPECT_TRUE(tail.header_seen());
 }
 
-TEST(Pcap, MappedViewsEqualReadPackets) {
+TEST(Pcap, WindowViewsEqualReadPackets) {
   ZipfSpec spec;
   spec.packet_count = 2000;
   const std::vector<Packet> packets = zipf_traffic(spec);
-  const std::string path = ::testing::TempDir() + "/bolt_mapped.pcap";
+  const std::string path = ::testing::TempDir() + "/bolt_windowed.pcap";
   write_pcap(path, packets);
   const std::vector<Packet> read = read_pcap(path);
-  const PcapMap mapped(path);
+  PcapTail tail(path);
+  const support::Span<const PacketView> views = tail.poll_views();
   ASSERT_EQ(read.size(), packets.size());
-  ASSERT_EQ(mapped.packets().size(), packets.size());
+  ASSERT_EQ(views.size(), packets.size());
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    const PacketView& v = mapped.packets()[i];
+    const PacketView& v = views[i];
     EXPECT_EQ(v.timestamp_ns(), read[i].timestamp_ns());
     EXPECT_EQ(v.in_port(), read[i].in_port());
     ASSERT_EQ(v.size(), read[i].size());
@@ -530,13 +561,13 @@ TEST(Pcap, MappedViewsEqualReadPackets) {
 }
 
 /// Each malformed capture must be rejected, with the same located message,
-/// by the in-memory parser, the copying file reader and the mapped reader.
+/// by the in-memory parser and by the file reader (PcapTail polled until
+/// empty, then finish()), which also names the file.
 void expect_rejected(const std::vector<std::uint8_t>& bytes,
                      const std::string& message) {
   const std::string path = write_temp("bolt_bad.pcap", bytes);
   EXPECT_DEATH(parse_pcap(bytes), message);
-  EXPECT_DEATH(read_pcap(path), message);
-  EXPECT_DEATH(PcapMap{path}, message);
+  EXPECT_DEATH(read_pcap(path), "pcap '" + path + "': .*" + message);
 }
 
 TEST(PcapDeathTest, ShortGlobalHeader) {
@@ -574,6 +605,65 @@ TEST(PcapDeathTest, TruncatedRecordBody) {
                   "1\\): 60 bytes declared, 59 left");
 }
 
+TEST(PcapDeathTest, TruncatedRecordPastTheFirstWindow) {
+  // The finished-file check locates a cut record by its absolute offset,
+  // not by its offset in the read window.
+  const std::vector<Record> records = mixed_records(kTailWindow + 5000);
+  const auto whole = hand_pcap(0xa1b23c4d, false, records);
+  const std::size_t offset = whole.size();
+  ASSERT_GT(offset, kTailWindow);
+  const std::string at = "at byte offset " + std::to_string(offset) +
+                         " \\(record index " +
+                         std::to_string(records.size()) + "\\)";
+  auto cut_header = whole;
+  put32(cut_header, 9, false);
+  put32(cut_header, 0, false);
+  put32(cut_header, 60, false);
+  cut_header.resize(offset + 10);
+  expect_rejected(cut_header,
+                  "truncated record header " + at + ": 10 of 16 bytes");
+  auto cut_body = hand_pcap(0xa1b23c4d, false, records);
+  put32(cut_body, 9, false);
+  put32(cut_body, 0, false);
+  put32(cut_body, 60, false);
+  put32(cut_body, 60, false);
+  const std::vector<std::uint8_t> body = pattern(59, 4);
+  cut_body.insert(cut_body.end(), body.begin(), body.end());
+  expect_rejected(cut_body,
+                  "truncated record body " + at + ": 60 bytes declared, 59 left");
+}
+
+TEST(PcapDeathTest, FinishLocatesAFileCutShortWhileBeingRead) {
+  // A finished capture shrinks after the first window was read. The reader
+  // holds no mapping of it, so finish() reports the record the cut left
+  // incomplete, by absolute offset, where a mapped reader took SIGBUS.
+  const std::vector<Record> records = mixed_records(3 * kTailWindow + 4096);
+  const std::string path = write_temp(
+      "bolt_cut_short.pcap", hand_pcap(0xa1b2c3d4, false, records));
+  // The first poll hands out every record that ends inside the window; the
+  // next one straddles its end.
+  std::size_t index = 0;
+  std::size_t offset = 24;
+  while (offset + 16 + records[index].data.size() <= kTailWindow) {
+    offset += 16 + records[index++].data.size();
+  }
+  const std::size_t left = kTailWindow - offset;
+  ASSERT_GE(left, 16u);  // the straddling record's header is whole
+  EXPECT_DEATH(
+      {
+        PcapTail tail(path);
+        if (tail.poll_views().size() != index) std::abort();
+        if (::truncate(path.c_str(), kTailWindow / 2) != 0) std::abort();
+        tail.finish();
+      },
+      "pcap '.*bolt_cut_short.pcap': truncated record body at byte offset " +
+          std::to_string(offset) + " \\(record index " +
+          std::to_string(index) + "\\): " +
+          std::to_string(records[index].data.size()) + " bytes declared, " +
+          std::to_string(left - 16) + " left");
+  std::remove(path.c_str());
+}
+
 TEST(PcapDeathTest, OversizedRecord) {
   // Record 1 at byte offset 100 declares, and holds, one byte over the cap.
   const auto bytes =
@@ -609,21 +699,22 @@ TEST(PcapDeathTest, TailRejectsOversizedRecordPastTheFirstWindow) {
         while (!tail.poll_views().empty()) {
         }
       },
-      "pcap tail '.*bolt_bad_tail.pcap': " + message);
+      "pcap '.*bolt_bad_tail.pcap': " + message);
 }
 
 TEST(PcapDeathTest, NonRegularInputNamesItsPath) {
   // A directory (ftell on one reports -1, never a usable size).
   const std::string dir = ::testing::TempDir();
-  EXPECT_DEATH(PcapMap{dir}, "'" + dir + "': not a regular file");
-  EXPECT_DEATH(read_pcap(dir), "not a regular file");
+  EXPECT_DEATH(read_pcap(dir), "'" + dir + "': not a regular file");
   // A FIFO is rejected without waiting for a writer.
   const std::string fifo = ::testing::TempDir() + "/bolt_fifo.pcap";
   std::remove(fifo.c_str());
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
-  EXPECT_DEATH(PcapMap{fifo}, "bolt_fifo.pcap': not a regular file");
+  EXPECT_DEATH(read_pcap(fifo), "bolt_fifo.pcap': not a regular file");
   std::remove(fifo.c_str());
-  EXPECT_DEATH(PcapMap{fifo}, "bolt_fifo.pcap': cannot open");
+  // A finished file must exist: missing is an error, not "not yet".
+  EXPECT_DEATH(read_pcap(fifo),
+               "bolt_fifo.pcap': cannot open: No such file or directory");
 }
 
 TEST(PcapDeathTest, TailRejectsAFifoWithoutWaitingForAWriter) {
@@ -633,7 +724,7 @@ TEST(PcapDeathTest, TailRejectsAFifoWithoutWaitingForAWriter) {
   std::remove(fifo.c_str());
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
   EXPECT_DEATH(PcapTail(fifo).poll_views(),
-               "pcap tail '.*bolt_tail_fifo.pcap': not a regular file");
+               "pcap '.*bolt_tail_fifo.pcap': not a regular file");
   std::remove(fifo.c_str());
   // A path that does not exist yet is still just "no data yet"; any other
   // open failure (here ENOTDIR) aborts instead of idling.

@@ -8,8 +8,8 @@
 // that moves a single cycle fails here. Each golden is rebuilt through
 // MonitorEngine::run at 1 and 4 threads (threads are execution-only, so
 // both must reproduce the file), once over the generated packets and once
-// over views into a mapped pcap of them (the `monitor --pcap` ingest
-// path).
+// over a pcap of them read one PcapTail window at a time (the
+// `monitor --pcap` ingest path).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -75,19 +75,17 @@ TEST(ReportGolden, MonitorReproducesCommittedReports) {
         c.delta_file != nullptr ? read_golden(c.delta_file) : "";
     ASSERT_FALSE(want_report.empty());
 
-    // The mapped ingest path: the same packets written to a pcap (every
-    // golden workload keeps in_port 0, which pcap does not store) and
-    // monitored as views into the mapping.
+    // The ingest path: the same packets written to a pcap (every golden
+    // workload keeps in_port 0, which pcap does not store) and monitored
+    // as views into the reader's window, one poll per chunk.
     const std::string path = testing::TempDir() + "bolt_golden_" +
                              std::string(c.report_file) + ".pcap";
     net::write_pcap(path, packets);
-    const net::PcapMap mapped(path);
-    ASSERT_EQ(mapped.packets().size(), packets.size());
 
     for (const std::size_t threads : {1, 4}) {
-      for (const bool from_map : {false, true}) {
+      for (const bool from_pcap : {false, true}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     (from_map ? " mapped pcap" : " packets"));
+                     (from_pcap ? " pcap windows" : " packets"));
         MonitorOptions options;
         options.threads = threads;
         options.delta_every = c.delta_every;
@@ -95,10 +93,16 @@ TEST(ReportGolden, MonitorReproducesCommittedReports) {
         obs::RunObservations observations;
         const MonitorEngine::TargetFactory factory =
             MonitorEngine::named_factory(c.nf);
+        net::PcapTail tail(path, MonitorEngine::kChunksInFlight);
+        const MonitorEngine::ChunkSource windows = [&] {
+          const auto views = tail.poll_views();
+          if (views.empty()) tail.finish();
+          return views;
+        };
         const MonitorReport report =
-            from_map ? engine.run(mapped.packets(), factory, nullptr,
-                                  &observations)
-                     : engine.run(packets, factory, nullptr, &observations);
+            from_pcap ? engine.run(windows, factory, nullptr, &observations)
+                      : engine.run(packets, factory, nullptr, &observations);
+        EXPECT_EQ(report.packets, packets.size());
         EXPECT_EQ(report_to_json(report) + "\n", want_report);
         if (c.delta_file != nullptr) {
           std::string deltas;

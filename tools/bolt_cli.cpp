@@ -42,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "adversary/adversary.h"
 #include "adversary/hunter.h"
@@ -218,11 +219,11 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
 }
 
 struct MonitorCliArgs {
-  std::string workload;  // empty = target default
-  std::string pcap;      // overrides workload when set
+  std::optional<std::string> workload;  // unset = target default
+  std::string pcap;      // the traffic when set (excludes the two above)
   std::string contract;  // stored artifact; empty = regenerate in-process
   std::string report;    // also write the report JSON here
-  std::size_t packets = 100'000;
+  std::optional<std::size_t> packets;   // unset = 100'000
   std::size_t partitions = 8;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
@@ -358,14 +359,15 @@ int monitor_exit_code(const monitor::MonitorReport& report,
 }
 
 /// Streaming/fleet monitor path: one StreamMonitor fed packet-by-packet
-/// (from the generated or mapped trace, or by tailing --pcap in --follow
-/// mode), emitting delta lines, spool partials and metrics refreshes as
-/// windows close. The final report goes through the same gates as the batch path.
+/// from `next_chunk` (the generated trace, the windows of a finished
+/// --pcap, or in --follow mode the windows of a growing one), emitting
+/// delta lines, spool partials and metrics refreshes as windows close. The
+/// final report goes through the same gates as the batch path.
 int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
                        const perf::PcvRegistry& reg,
                        monitor::MonitorOptions options,
                        const MonitorCliArgs& args,
-                       support::Span<const net::PacketView> packets) {
+                       const monitor::MonitorEngine::ChunkSource& next_chunk) {
   monitor::FleetOptions fleet;
   fleet.instance = args.fleet_instance;
   fleet.instances = args.fleet_instances;
@@ -443,12 +445,11 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     // Daemon: tail the pcap as it grows; SIGINT/SIGTERM drains cleanly.
     std::signal(SIGINT, handle_stop);
     std::signal(SIGTERM, handle_stop);
-    net::PcapTail tail(args.pcap);
     constexpr std::uint64_t kPollNs = 20'000'000;  // 20 ms
     std::uint64_t idle_ns = 0;
     bool flushed_idle = false;
     while (g_stop == 0) {
-      const support::Span<const net::PacketView> chunk = tail.poll_views();
+      const support::Span<const net::PacketView> chunk = next_chunk();
       if (chunk.empty()) {
         if (args.idle_exit_ms > 0 &&
             idle_ns >= args.idle_exit_ms * 1'000'000) {
@@ -472,7 +473,9 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
   } else {
-    for (const net::PacketView& p : packets) sm.feed(p);
+    for (auto chunk = next_chunk(); !chunk.empty(); chunk = next_chunk()) {
+      for (const net::PacketView& p : chunk) sm.feed(p);
+    }
   }
 
   monitor::StreamResult result = sm.finish();
@@ -530,6 +533,19 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
 }
 
 int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
+  // A capture is the traffic: a traffic-generator flag next to it would be
+  // ignored, so the pair is rejected.
+  const char* generator_flag = args.packets  ? "--packets"
+                               : args.workload ? "--workload"
+                                               : nullptr;
+  if (!args.pcap.empty() && generator_flag != nullptr) {
+    std::fprintf(stderr,
+                 "error: --pcap and %s cannot be combined (the capture is "
+                 "the traffic)\n",
+                 generator_flag);
+    return 2;
+  }
+
   perf::PcvRegistry reg;
   perf::Contract contract("");
 
@@ -563,27 +579,51 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
     return 2;
   }
 
-  // Traffic side. --follow tails the pcap itself (the file may not even
-  // exist yet), so nothing is preloaded. A finished --pcap is mapped and
-  // monitored in place: its records are viewed, never copied whole.
-  std::optional<net::PcapMap> mapped;
+  // Traffic side: one chunk source for every path. A --pcap is read
+  // through one PcapTail window at a time, so memory does not grow with the
+  // capture; a finished file is checked for a clean end (finish()), while
+  // --follow keeps polling a growing one (it may not even exist yet), so
+  // nothing is read here. A generated workload is one chunk.
+  // Daemon / fleet runs go through the streaming monitor: it feeds one
+  // packet at a time, closes windows on packet timestamps and emits delta
+  // lines / spool partials as it goes, then drains through the same
+  // build_report path as the batch engine (byte-identical final report).
+  // It steps each window's packets before the next poll, so one read
+  // window is enough; the batch engine keeps more chunks in flight.
+  const bool streaming =
+      args.follow || !args.spool.empty() || args.fleet_instances > 1;
+  std::optional<net::PcapTail> tail;
+  if (!args.pcap.empty()) {
+    tail.emplace(args.pcap,
+                 streaming ? 1 : monitor::MonitorEngine::kChunksInFlight);
+  }
+  auto next_window = [&]() -> support::Span<const net::PacketView> {
+    const support::Span<const net::PacketView> chunk = tail->poll_views();
+    if (chunk.empty() && !args.follow) tail->finish();
+    return chunk;
+  };
   std::vector<net::Packet> generated;
-  std::vector<net::PacketView> workload_views;
-  support::Span<const net::PacketView> packets;
+  std::vector<net::PacketView> generated_views;
+  support::Span<const net::PacketView> first;  // read ahead, not yet handed out
   if (!args.follow) {
-    if (!args.pcap.empty()) {
-      mapped.emplace(args.pcap);
-      packets = mapped->packets();
+    if (tail) {
+      first = next_window();
     } else {
-      generated = core::monitor_workload(nf, args.workload, args.packets);
-      workload_views.assign(generated.begin(), generated.end());
-      packets = workload_views;
+      generated = core::monitor_workload(nf, args.workload.value_or(""),
+                                         args.packets.value_or(100'000));
+      generated_views.assign(generated.begin(), generated.end());
+      first = generated_views;
     }
-    if (packets.empty()) {
+    if (first.empty()) {
       std::fprintf(stderr, "error: no packets to monitor\n");
       return usage();
     }
   }
+  const monitor::MonitorEngine::ChunkSource next_chunk =
+      [&]() -> support::Span<const net::PacketView> {
+    if (!first.empty()) return std::exchange(first, {});
+    return tail ? next_window() : support::Span<const net::PacketView>{};
+  };
 
   monitor::MonitorOptions options;
   options.partitions = args.partitions;
@@ -607,14 +647,8 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
     options.framework.tx_accesses +=
         options.framework.tx_accesses * args.inflate_pct / 100;
   }
-  // Daemon / fleet runs go through the streaming monitor: it feeds one
-  // packet at a time, closes windows on packet timestamps and emits delta
-  // lines / spool partials as it goes, then drains through the same
-  // build_report path as the batch engine (byte-identical final report).
-  const bool streaming =
-      args.follow || !args.spool.empty() || args.fleet_instances > 1;
   if (streaming) {
-    return run_stream_monitor(nf, contract, reg, options, args, packets);
+    return run_stream_monitor(nf, contract, reg, options, args, next_chunk);
   }
 
   monitor::MonitorEngine engine(contract, reg, options);
@@ -623,8 +657,8 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   const bool want_obs = options.delta_every > 0 || options.telemetry;
   support::BenchTimer timer;
   const monitor::MonitorReport report =
-      engine.run(packets, monitor::MonitorEngine::named_factory(nf), nullptr,
-                 want_obs ? &observations : nullptr);
+      engine.run(next_chunk, monitor::MonitorEngine::named_factory(nf),
+                 nullptr, want_obs ? &observations : nullptr);
   const double elapsed_ms = timer.elapsed_ms();
 
   if (!write_delta_stream(args, observations.deltas)) return 1;
@@ -650,11 +684,12 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
     // --json appends the report as one more JSON line.
     std::printf("%s", report.str().c_str());
     const double pps = elapsed_ms > 0.0
-                           ? static_cast<double>(packets.size()) /
+                           ? static_cast<double>(report.packets) /
                                  (elapsed_ms / 1000.0)
                            : 0.0;
-    std::printf("\nprocessed %zu packets in %.1f ms (%.2f Mpps)\n",
-                packets.size(), elapsed_ms, pps / 1e6);
+    std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
+                static_cast<unsigned long long>(report.packets), elapsed_ms,
+                pps / 1e6);
   }
   // Drift alerts get their own exit code so CI can distinguish "about to
   // violate" (3) from "violating" (1) and "clean" (0).
