@@ -1,6 +1,7 @@
 #include "core/runner.h"
 
 #include "ir/decoded.h"
+#include "ir/native.h"
 #include "support/assert.h"
 
 namespace bolt::core {
@@ -10,17 +11,23 @@ NfRunner::NfRunner(std::vector<const ir::Program*> programs,
     : programs_(std::move(programs)) {
   BOLT_CHECK(!programs_.empty(), "NfRunner needs at least one program");
   labels_ = std::make_unique<ir::RunLabels>(programs_);
-  // The decoded engine folds conservative cycle accounting into per-record
-  // tables; a sink without a fast_meter() needs the exact per-event trace
-  // and silently falls back to the reference interpreter.
-  decoded_ = options.engine == ir::EngineKind::kDecoded &&
-             (options.sink == nullptr ||
-              options.sink->fast_meter() != nullptr);
+  // A sink without a fast_meter() needs the exact per-event trace, so it
+  // falls back to the reference interpreter. On the fast path a registered
+  // program runs its native code, any other program the decoded engine.
+  fast_ = options.engine == ir::EngineKind::kDecoded &&
+          (options.sink == nullptr || options.sink->fast_meter() != nullptr);
+  native_ = fast_;
   engines_.reserve(programs_.size());
   for (std::size_t i = 0; i < programs_.size(); ++i) {
     ir::LabelBinding binding{labels_.get(), labels_->tag_base(i),
                              labels_->loop_base(i)};
-    if (decoded_) {
+    const ir::NativeEntry* native =
+        fast_ ? ir::find_native(*programs_[i]) : nullptr;
+    native_ = native_ && native != nullptr;
+    if (native != nullptr) {
+      engines_.push_back(std::make_unique<ir::NativeEngine>(
+          *native, *programs_[i], env, options, binding));
+    } else if (fast_) {
       engines_.push_back(std::make_unique<ir::DecodedInterpreter>(
           *programs_[i], env, options, binding));
     } else {

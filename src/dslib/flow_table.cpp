@@ -252,42 +252,37 @@ FlowTable::EraseResult FlowTable::erase(std::uint64_t key,
   return result;
 }
 
-FlowTable::ExpireResult FlowTable::expire(std::uint64_t now_ns,
-                                          ir::CostMeter& meter,
-                                          const EvictCallback& on_evict) {
-  ExpireResult result;
-  std::uint64_t total_walk = 0;
-  std::uint64_t total_collisions = 0;
-  while (true) {
-    meter.metered_instructions(cost::kExpireCheck);
-    if (lru_head_ == kNil) break;
-    meter.mem_read(entry_addr(lru_head_, kFieldStamp), 8, true);
-    if (stamps_[lru_head_] + config_.ttl_ns > now_ns) break;
+bool FlowTable::evict_stale_head(std::uint64_t now_ns, ir::CostMeter& meter,
+                                 ExpireResult& result, std::uint64_t& key,
+                                 std::uint64_t& value) {
+  meter.metered_instructions(cost::kExpireCheck);
+  if (lru_head_ == kNil) return false;
+  meter.mem_read(entry_addr(lru_head_, kFieldStamp), 8, true);
+  if (stamps_[lru_head_] + config_.ttl_ns > now_ns) return false;
 
-    const std::int32_t idx = lru_head_;
-    const std::uint64_t key = keys_[idx];
-    const std::uint64_t value = values_[idx];
-    const OpStats walk = erase_entry(idx, meter);
-    total_walk += walk.traversals;
-    total_collisions += walk.collisions;
-    lru_unlink(idx);
-    next_[idx] = free_head_;
-    free_head_ = idx;
-    --occupancy_;
-    ++result.expired;
-    meter.metered_instructions(cost::kExpirePer);
-    meter.mem_write(entry_addr(idx, kFieldStamp), 8);
-    if (on_evict) on_evict(key, value, meter);
-  }
-  result.total_walk = total_walk;
-  result.total_collisions = total_collisions;
+  const std::int32_t idx = lru_head_;
+  key = keys_[idx];
+  value = values_[idx];
+  const OpStats walk = erase_entry(idx, meter);
+  result.total_walk += walk.traversals;
+  result.total_collisions += walk.collisions;
+  lru_unlink(idx);
+  next_[idx] = free_head_;
+  free_head_ = idx;
+  --occupancy_;
+  ++result.expired;
+  meter.metered_instructions(cost::kExpirePer);
+  meter.mem_write(entry_addr(idx, kFieldStamp), 8);
+  return true;
+}
+
+void FlowTable::amortise(ExpireResult& result) {
   if (result.expired > 0) {
     result.amortised_walk =
-        (total_walk + result.expired - 1) / result.expired;
+        (result.total_walk + result.expired - 1) / result.expired;
     result.amortised_collisions =
-        (total_collisions + result.expired - 1) / result.expired;
+        (result.total_collisions + result.expired - 1) / result.expired;
   }
-  return result;
 }
 
 void FlowTable::lru_unlink(std::int32_t idx) {

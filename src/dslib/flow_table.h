@@ -65,11 +65,6 @@ class FlowTable {
   PutResult put(std::uint64_t key, std::uint64_t value, std::uint64_t now_ns,
                 ir::CostMeter& meter);
 
-  /// Called for each entry evicted by expire() so composites can release
-  /// dependent resources (e.g. NAT ports).
-  using EvictCallback =
-      std::function<void(std::uint64_t key, std::uint64_t value, ir::CostMeter&)>;
-
   struct ExpireResult {
     std::uint64_t expired = 0;            ///< e
     std::uint64_t amortised_walk = 0;     ///< ceil(total erase steps / e)
@@ -77,8 +72,24 @@ class FlowTable {
     std::uint64_t total_walk = 0;         ///< raw totals for composites that
     std::uint64_t total_collisions = 0;   ///< recompute combined amortisation
   };
+  /// Sweeps the entries stale as of `now_ns` off the LRU, oldest first.
+  /// `on_evict(key, value, meter)` runs after each eviction so composites
+  /// can release dependent resources (e.g. NAT ports).
+  template <typename OnEvict>
   ExpireResult expire(std::uint64_t now_ns, ir::CostMeter& meter,
-                      const EvictCallback& on_evict = nullptr);
+                      OnEvict&& on_evict) {
+    ExpireResult result;
+    std::uint64_t key = 0, value = 0;
+    while (evict_stale_head(now_ns, meter, result, key, value)) {
+      on_evict(key, value, meter);
+    }
+    amortise(result);
+    return result;
+  }
+  ExpireResult expire(std::uint64_t now_ns, ir::CostMeter& meter) {
+    return expire(now_ns, meter,
+                  [](std::uint64_t, std::uint64_t, ir::CostMeter&) {});
+  }
 
   /// Removes `key` if present (chain walk + unlink). Used by composites
   /// that maintain paired tables (e.g. the NAT's reverse mapping).
@@ -120,6 +131,12 @@ class FlowTable {
   static constexpr std::int32_t kNil = -1;
 
   std::uint64_t quantise(std::uint64_t now_ns) const;
+  /// One step of expire(): evicts the LRU head into (`key`, `value`) if it
+  /// is stale, adding its erase walk to `result`; false when none is.
+  bool evict_stale_head(std::uint64_t now_ns, ir::CostMeter& meter,
+                        ExpireResult& result, std::uint64_t& key,
+                        std::uint64_t& value);
+  static void amortise(ExpireResult& result);
   /// Unlinks entry `idx` from its bucket chain by key search, metering the
   /// walk; returns (steps, collisions).
   OpStats erase_entry(std::int32_t idx, ir::CostMeter& meter);

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "ir/stateful.h"
 #include "perf/contract.h"
@@ -27,6 +28,8 @@ struct MethodSpec {
 using MethodTable = std::map<std::int64_t, MethodSpec>;
 
 /// Concrete dispatcher: method id -> handler over the real structures.
+/// Method ids are small and dense, so the handlers sit in a vector indexed
+/// by id.
 class DispatchEnv final : public ir::StatefulEnv {
  public:
   using Handler = std::function<ir::CallOutcome(
@@ -40,7 +43,7 @@ class DispatchEnv final : public ir::StatefulEnv {
                        ir::CostMeter& meter) override;
 
  private:
-  std::map<std::int64_t, Handler> handlers_;
+  std::vector<Handler> handlers_;
 };
 
 /// Shared PCV names used across the library, matching the paper's notation.

@@ -50,7 +50,7 @@ class TraceSink {
   /// Devirtualization escape hatch: a sink whose cycle accounting is
   /// exactly the conservative meter's (order-independent per-op sums +
   /// in-order must-hit access stream) returns its meter here, and the
-  /// decoded engine and every CostMeter drive it inline instead of making
+  /// fast engines and every CostMeter drive it inline instead of making
   /// one virtual call per event. Sinks with richer semantics
   /// (e.g. hw::RealisticSim's event-order-sensitive prefetch model) return
   /// nullptr and keep the exact event stream via the reference interpreter.

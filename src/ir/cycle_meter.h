@@ -6,8 +6,8 @@
 // per-packet must-hit L1D analysis over the access stream, in order.
 // hw::ConservativeModel exposes exactly that arithmetic behind the virtual
 // TraceSink interface, but TraceSink::fast_meter() hands the meter itself
-// to the two callers on the hot path: the decoded interpreter, and every
-// ir::CostMeter (dslib calls and rx/tx framing, in both engines). They
+// to the callers on the hot path: the native and decoded engines, and every
+// ir::CostMeter (dslib calls and rx/tx framing, in every engine). They
 // pay an inline cache probe per access and a plain add per instruction
 // batch instead of a virtual call per event.
 //
@@ -63,7 +63,7 @@ class ConservativeCycleMeter {
 
   /// `n` instructions, `n_mul` of them imul (the rest ALU-priced):
   /// metered dslib/framework work is (n, 0), one stateless IR instruction
-  /// is (1, op == kMul), and the decoded engine adds a packet's whole
+  /// is (1, op == kMul), and the fast engines add a packet's whole
   /// stateless count at once.
   void add_instructions(std::uint64_t n, std::uint64_t n_mul = 0) {
     cycles_ += (n - n_mul) * costs_.alu + n_mul * costs_.mul;

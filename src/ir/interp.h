@@ -1,18 +1,21 @@
 // Concrete IR execution — the reproduction's replay + instrumentation
 // engine (the role Intel Pin plays in the paper, §3.5).
 //
-// Two engines execute the same programs and produce the same RunResult:
+// Three engines execute the same programs and produce the same RunResult:
 //
 //  * Interpreter — the reference oracle: a per-instruction switch over the
 //    undecoded Instr vector that streams every event (instruction, memory
 //    access, load-taint "dependent" flags) to an arbitrary TraceSink. Every
 //    other engine is validated against it (tests/test_decoded.cpp).
 //
-//  * DecodedInterpreter (ir/decoded.h) — the hot-path engine: executes a
-//    pre-decoded, superinstruction-fused form of the program via
-//    direct-threaded dispatch, with stateless cost accounting kept in
-//    local counters and charged once per packet. Byte-identical results,
-//    several times faster.
+//  * NativeEngine (ir/native.h) — the hot-path engine for registered
+//    programs: C++ generated from the program at build time.
+//
+//  * DecodedInterpreter (ir/decoded.h) — the hot-path engine for any other
+//    program: a pre-decoded form run by direct-threaded dispatch.
+//
+// Both fast engines keep stateless cost accounting in local counters and
+// charge it once per packet. Byte-identical results, several times faster.
 //
 // Results carry interned ids (class-tag ids, per-method case ids, flat loop
 // indices) instead of strings; RunLabels materialises names only at report
@@ -98,9 +101,9 @@ struct RunResult {
 /// remains the oracle; consumers that need the exact per-event trace (e.g.
 /// hw::RealisticSim) are routed to it automatically regardless of this
 /// knob, because only sinks exposing a fast_meter() can be driven by the
-/// decoded engine without changing semantics.
+/// fast engines without changing semantics.
 enum class EngineKind : std::uint8_t {
-  kDecoded = 0,   ///< pre-decoded direct-threaded engine (default)
+  kDecoded = 0,   ///< fast path: native code if registered, else decoded
   kReference = 1, ///< per-instruction switch over the undecoded program
 };
 

@@ -141,6 +141,12 @@ void Program::validate() const {
         break;
     }
   }
+  // Execution must end in forward or drop: the fast engines do not check
+  // that the pc stays inside the program.
+  const Op last = code.back().op;
+  BOLT_CHECK(last == Op::kBr || last == Op::kJmp || last == Op::kForward ||
+                 last == Op::kDrop,
+             name + ": the last instruction falls off the end");
 }
 
 std::string Program::disassemble() const {

@@ -228,16 +228,6 @@ std::uint64_t load_be64(const std::uint8_t* p) {
   std::memcpy(&v, p, 8);
   return __builtin_bswap64(v);
 }
-std::uint32_t load_be32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return __builtin_bswap32(v);
-}
-std::uint16_t load_be16(const std::uint8_t* p) {
-  std::uint16_t v;
-  std::memcpy(&v, p, 2);
-  return __builtin_bswap16(v);
-}
 
 /// h % partitions, without the division when partitions is a power of two
 /// (the default 8).
@@ -252,7 +242,7 @@ std::size_t reduce(std::uint64_t h, std::size_t partitions) {
 
 std::size_t partition_of(const net::PacketView& packet, std::size_t partitions) {
   if (partitions <= 1) return 0;
-  // Fixed offsets, the bounds checks of the net::parse_* helpers.
+  // The MACs at fixed offsets, then the five-tuple when there is one.
   const std::uint8_t* b = packet.bytes().data();
   const std::size_t n = packet.size();
   constexpr std::size_t kIp = net::kEthernetHeaderSize;
@@ -261,25 +251,8 @@ std::size_t partition_of(const net::PacketView& packet, std::size_t partitions) 
   const std::uint64_t dst_mac = load_be64(b) >> 16;
   const std::uint64_t src_mac = load_be64(b + 4) & 0xffffffffffffULL;
   std::uint64_t h = net::mix64(src_mac * 0x9E3779B97F4A7C15ULL ^ dst_mac);
-  if (load_be16(b + 12) != net::kEtherTypeIpv4 ||
-      n < kIp + net::kIpv4MinHeaderSize) {
-    return reduce(h, partitions);
-  }
-  const std::uint8_t vihl = b[kIp];
-  const std::size_t l4 = kIp + std::size_t(vihl & 0x0f) * 4;
-  const std::uint8_t proto = b[kIp + 9];
-  const std::size_t l4_size = proto == net::kIpProtoTcp   ? net::kTcpMinHeaderSize
-                              : proto == net::kIpProtoUdp ? net::kUdpHeaderSize
-                                                          : 0;
-  if ((vihl >> 4) == 4 && (vihl & 0x0f) >= 5 && l4_size != 0 &&
-      l4 + l4_size <= n) {
-    net::FiveTuple t;
-    t.src_ip.value = load_be32(b + kIp + 12);
-    t.dst_ip.value = load_be32(b + kIp + 16);
-    t.src_port = load_be16(b + l4);
-    t.dst_port = load_be16(b + l4 + 2);
-    t.protocol = proto;
-    h = net::mix64(h ^ t.key());
+  if (const auto t = net::extract_five_tuple(packet)) {
+    h = net::mix64(h ^ t->key());
   }
   return reduce(h, partitions);
 }

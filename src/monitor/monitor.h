@@ -110,7 +110,7 @@ struct MonitorOptions {
   /// Worst offenders kept per class.
   std::size_t max_offenders = 4;
   /// Execution engine for the per-partition runners. Execution-only: the
-  /// decoded fast path (default) is report-byte-identical to the reference
+  /// fast path (default) is report-byte-identical to the reference
   /// interpreter — tests/test_decoded.cpp proves it over the knob grid —
   /// and kReference exists as the oracle baseline for those tests and for
   /// bench's interp_decoded_speedup metric.

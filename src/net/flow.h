@@ -53,9 +53,10 @@ struct FiveTuple {
   }
 };
 
-/// Extracts the five-tuple of a TCP/UDP-over-IPv4 frame (no VLAN).
-/// Returns nullopt for anything else (non-IPv4, other protocols, truncated).
-std::optional<FiveTuple> extract_five_tuple(const Packet& packet);
+/// Extracts the five-tuple of a TCP/UDP-over-IPv4 frame (no VLAN) by
+/// fixed-offset reads. Returns nullopt for anything else (non-IPv4, other
+/// protocols, truncated) — exactly where the parse_* composition fails.
+std::optional<FiveTuple> extract_five_tuple(const PacketView& packet);
 
 /// The public 64 -> 64 bit mixing function used by dslib hash tables:
 /// the splitmix64 finaliser the symbolic side also uses (support/hash.h;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -469,6 +470,23 @@ void read_spool(const std::string& dir, const std::string& nf,
       windows->push_back(parse_window_partial(text));
     }
   }
+}
+
+std::vector<std::uint32_t> missing_finals(
+    const std::vector<WindowPartial>& windows,
+    const std::vector<FinalPartial>& finals) {
+  std::uint32_t fleet = 0;
+  std::set<std::uint32_t> drained;
+  for (const WindowPartial& w : windows) fleet = std::max(fleet, w.instances);
+  for (const FinalPartial& f : finals) {
+    fleet = std::max(fleet, f.instances);
+    drained.insert(f.instance);
+  }
+  std::vector<std::uint32_t> missing;
+  for (std::uint32_t i = 0; i < fleet && missing.size() < 64; ++i) {
+    if (drained.count(i) == 0) missing.push_back(i);
+  }
+  return missing;
 }
 
 FleetMergeResult merge_partials(const std::vector<WindowPartial>& windows,

@@ -118,6 +118,14 @@ struct FleetMergeResult {
   RunObservations observations;
 };
 
+/// The instances below the fleet size the partials declare that have no
+/// final partial, ascending (at most the first 64). `bolt merge` refuses
+/// to merge unless this is empty: a fleet with a missing final would
+/// report one instance's stream as the whole.
+std::vector<std::uint32_t> missing_finals(
+    const std::vector<WindowPartial>& windows,
+    const std::vector<FinalPartial>& finals);
+
 /// Folds partials from any subset of instances, in any order, duplicates
 /// included, into the fleet-wide report and delta stream. Requires at
 /// least one final partial (the merged layout and stream length come from

@@ -1,18 +1,23 @@
-// The decoded engine's contract: byte-identical observable results to the
-// reference interpreter (the oracle), for every program either can run.
+// The fast engines' contract: byte-identical observable results to the
+// reference interpreter (the oracle), for every program they can run.
 //
-//  * DecodedProgram::decode fuses the dominant static idioms and never
-//    fuses across a branch target;
 //  * randomized IrBuilder programs (ALU soup, packet I/O, diamonds,
 //    bounded loops, stateful calls, scratch memory) produce field-equal
 //    RunResults, equal conservative cycle totals, and equal scratch state
-//    under both engines, across many seeds;
-//  * every registered NF target produces identical per-packet results and
-//    class keys under both engines;
-//  * monitor reports are byte-identical decoded-vs-reference at every
-//    thread count.
+//    under the decoded and reference engines, across many seeds;
+//  * every registered program resolves to native code, and a program that
+//    differs by one immediate does not;
+//  * every registered NF target and chain produces identical per-packet
+//    results, rewritten bytes and cycles under the native, decoded and
+//    reference engines, over its workloads, their trace mutations and the
+//    generation witnesses;
+//  * monitor reports are byte-identical fast-path-vs-reference for every
+//    registered target at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,18 +29,21 @@
 #include "ir/builder.h"
 #include "ir/decoded.h"
 #include "ir/interp.h"
+#include "ir/native.h"
 #include "monitor/monitor.h"
 #include "monitor/report.h"
+#include "net/flow.h"
+#include "net/mutate.h"
 #include "net/packet_builder.h"
 #include "net/workload.h"
+#include "nf/nat.h"
+#include "support/assert.h"
 #include "support/random.h"
 
 namespace bolt {
 namespace {
 
-using ir::DOp;
 using ir::DecodedInterpreter;
-using ir::DecodedProgram;
 using ir::Interpreter;
 using ir::IrBuilder;
 using ir::Label;
@@ -72,121 +80,7 @@ void expect_equal_results(const RunResult& dec, const RunResult& ref,
   EXPECT_EQ(dec.loop_trips_map(), ref.loop_trips_map()) << ctx;
 }
 
-// --- decode pass -------------------------------------------------------------
-
-std::size_t count_dop(const DecodedProgram& dp, DOp op) {
-  std::size_t n = 0;
-  for (const auto& ins : dp.code) n += (ins.op == op) ? 1 : 0;
-  return n;
-}
-
-TEST(Decode, FusesTheDominantStaticIdioms) {
-  IrBuilder b("fuse");
-  const Reg x = b.load_pkt_at(12, 2);       // const + load  -> kLoadPktI
-  const Reg y = b.add_imm(x, 5);            // const + add   -> kAddI
-  // const + load + const + and -> kLoadPktMaskI (emitted in that order;
-  // nesting the calls would leave the order to argument evaluation).
-  const Reg lv = b.load_pkt_at(14, 2);
-  const Reg mk = b.imm(0x1fff);
-  const Reg m = b.band(lv, mk);
-  Label big = b.make_label();
-  b.br_true(b.gtu(y, m), big);              // cmp + br      -> kGtUBr
-  b.drop();
-  b.bind(big);
-  Label tiny = b.make_label();
-  b.br_true(b.ltu(y, b.imm(100)), tiny);    // const+cmp+br  -> kLtUIBr
-  b.forward(y);
-  b.bind(tiny);
-  b.forward_imm(7);                         // const + fwd   -> kForwardI
-  const Program p = b.finish();
-
-  const DecodedProgram dp = DecodedProgram::decode(p);
-  EXPECT_EQ(count_dop(dp, DOp::kLoadPktI), 1u);
-  EXPECT_EQ(count_dop(dp, DOp::kAddI), 1u);
-  EXPECT_EQ(count_dop(dp, DOp::kLoadPktMaskI), 1u);
-  EXPECT_EQ(count_dop(dp, DOp::kGtUBr), 1u);
-  EXPECT_EQ(count_dop(dp, DOp::kLtUIBr), 1u);
-  EXPECT_EQ(count_dop(dp, DOp::kForwardI), 1u);
-  // 1+1+3+1+2+1 members fused away; every decoded target is in range.
-  EXPECT_EQ(dp.fused_away, 9u);
-  EXPECT_EQ(dp.code.size(), p.code.size() - dp.fused_away);
-  for (const auto& ins : dp.code) {
-    EXPECT_LT(ins.t, dp.code.size());
-    EXPECT_LT(ins.f, dp.code.size());
-  }
-}
-
-TEST(Decode, BranchTargetBlocksFusion) {
-  // The branch lands on the kAdd, so the const+add pair must NOT fuse (a
-  // jump into the middle of a superinstruction would skip the const).
-  IrBuilder b("mid");
-  const Reg x = b.load_pkt_at(0, 1);
-  Label mid = b.make_label();
-  b.br_true(x, mid);
-  const Reg c = b.imm(9);
-  b.bind(mid);
-  const Reg s = b.add(x, c);  // branch target: stays unfused
-  b.forward(s);
-  const Program p = b.finish();
-
-  const DecodedProgram dp = DecodedProgram::decode(p);
-  EXPECT_EQ(count_dop(dp, DOp::kAddI), 0u);
-  EXPECT_EQ(count_dop(dp, DOp::kAdd), 1u);
-
-  // And both engines agree on both paths through it.
-  for (const std::uint8_t first : {0, 1}) {
-    std::vector<std::uint8_t> bytes(60, 0);
-    bytes[0] = first;
-    net::Packet pd(bytes, 1000), pr(bytes, 1000);
-    DecodedInterpreter dec(p, nullptr);
-    Interpreter ref(p, nullptr);
-    RunResult rd = dec.run(pd), rr = ref.run(pr);
-    expect_equal_results(rd, rr, "first=" + std::to_string(first));
-    EXPECT_EQ(rd.out_port, first ? first + 0u : 9u);
-  }
-}
-
-TEST(Decode, MaskFusionRequiresDistinctLoadAndMaskRegisters) {
-  // kLoadPktMaskI caches the loaded value across the mask const; when the
-  // load writes the same register the mask const lives in, decode must
-  // fall back (here: fuse const+load and const+and separately instead).
-  Program p;
-  p.name = "alias";
-  p.num_regs = 2;
-  auto ins = [](ir::Op op, ir::Reg dst, ir::Reg a, ir::Reg b,
-                std::int64_t imm = 0, std::uint8_t width = 0) {
-    ir::Instr i;
-    i.op = op;
-    i.dst = dst;
-    i.a = a;
-    i.b = b;
-    i.imm = imm;
-    i.width = width;
-    return i;
-  };
-  // The mask const clobbers the load's destination register (r1), so the
-  // masked result is 0xff & 0xff — a quad that cached the loaded value
-  // would compute pkt[12..14) & 0xff instead.
-  p.code.push_back(ins(ir::Op::kConst, 0, ir::kNoReg, ir::kNoReg, 12));
-  p.code.push_back(ins(ir::Op::kLoadPkt, 1, 0, ir::kNoReg, 0, 2));
-  p.code.push_back(ins(ir::Op::kConst, 1, ir::kNoReg, ir::kNoReg, 0xff));
-  p.code.push_back(ins(ir::Op::kAnd, 0, 1, 1));
-  p.code.push_back(ins(ir::Op::kForward, ir::kNoReg, 0, ir::kNoReg));
-  p.validate();
-
-  const DecodedProgram dp = DecodedProgram::decode(p);
-  EXPECT_EQ(count_dop(dp, DOp::kLoadPktMaskI), 0u);
-  EXPECT_EQ(count_dop(dp, DOp::kLoadPktI), 1u);
-  EXPECT_EQ(count_dop(dp, DOp::kAndI), 1u);
-
-  net::Packet pd = net::packet_for_tuple(net::tuple_for_index(3), 1000, 0);
-  net::Packet pr = pd;
-  DecodedInterpreter dec(p, nullptr);
-  Interpreter ref(p, nullptr);
-  const RunResult rd = dec.run(pd), rr = ref.run(pr);
-  expect_equal_results(rd, rr, "alias");
-  EXPECT_EQ(rd.out_port, 0xffu);  // the clobbered-register semantics
-}
+// --- decoded engine ---------------------------------------------------------
 
 TEST(Decode, StepBudgetStillGuardsRunaways) {
   IrBuilder b("inf");
@@ -199,6 +93,19 @@ TEST(Decode, StepBudgetStillGuardsRunaways) {
   DecodedInterpreter dec(p, nullptr, opts);
   net::Packet pkt = net::packet_for_tuple(net::tuple_for_index(1), 1000, 0);
   EXPECT_DEATH(dec.run(pkt), "step budget");
+}
+
+TEST(DecodeDeathTest, AProgramThatFallsOffTheEndIsRejected) {
+  // The fast engines run without a pc bounds check, so validate() must
+  // refuse a program whose last instruction falls through.
+  Program p;
+  p.name = "falls";
+  p.num_regs = 1;
+  ir::Instr c;
+  c.op = ir::Op::kConst;
+  c.dst = 0;
+  p.code.push_back(c);
+  EXPECT_DEATH(DecodedInterpreter(p, nullptr), "falls off the end");
 }
 
 // --- randomized differential -------------------------------------------------
@@ -226,7 +133,7 @@ class DiffEnv final : public ir::StatefulEnv {
 /// A random but always-terminating program: ALU soup over a live-value
 /// pool, packet loads/stores, forward-only diamonds, bounded counted
 /// loops, scratch memory, stateful calls, and class tags — enough to hit
-/// every fusion pattern and every unfused opcode.
+/// every opcode.
 Program random_program(support::Rng& rng, bool with_calls) {
   IrBuilder b("rand" + std::to_string(rng.below(1u << 30)));
   b.set_scratch_slots(8);
@@ -255,7 +162,7 @@ Program random_program(support::Rng& rng, bool with_calls) {
       case 11: b.store_pkt_at(40 + rng.below(16), pick(), 1); break;
       case 12: vals.push_back(b.load_mem(b.imm(rng.below(8)))); break;
       case 13: b.store_mem(b.imm(rng.below(8)), pick()); break;
-      case 14: {  // forward-only diamond (exercises cmp+br fusions)
+      case 14: {  // forward-only diamond
         Label skip = b.make_label();
         const Reg cond = rng.below(2) ? b.eq_imm(pick(), rng.below(64))
                                       : b.ltu(pick(), pick());
@@ -342,15 +249,163 @@ TEST(DecodedDifferential, RandomProgramsMatchTheReferenceOracle) {
 
 // --- registered NF targets ---------------------------------------------------
 
-std::vector<net::Packet> target_workload(const std::string& name,
-                                         std::size_t count) {
-  if (name == "bridge") {
-    net::BridgeSpec spec;
-    spec.stations = 200;
-    spec.broadcast_fraction = 0.15;
-    spec.packet_count = count;
-    return net::bridge_traffic(spec);
+TEST(Native, EveryRegisteredProgramResolvesToNativeCode) {
+  for (const std::string& name : core::named_targets()) {
+    perf::PcvRegistry reg;
+    core::NfTarget target;
+    ASSERT_TRUE(core::make_named_target(name, reg, target));
+    for (const Program* p : target.programs()) {
+      EXPECT_NE(ir::find_native(*p), nullptr) << name << "/" << p->name;
+    }
+    EXPECT_TRUE(target.make_runner()->uses_native_code()) << name;
+    EXPECT_FALSE(target.make_runner(nf::framework_full(), nullptr,
+                                    ir::EngineKind::kReference)
+                     ->uses_fast_path())
+        << name;
   }
+}
+
+enum class Engine { kNative, kDecoded, kReference };
+
+/// One engine of `kind` per chain stage, bound to one label table the way
+/// NfRunner binds them, so each stage's result is comparable on its own.
+struct StageEngines {
+  StageEngines(const core::NfTarget& target, ir::TraceSink* sink, Engine kind)
+      : labels(std::make_unique<ir::RunLabels>(target.programs())) {
+    ir::InterpreterOptions opts;
+    nf::apply_framework(opts, nf::framework_full());
+    opts.sink = sink;
+    ir::StatefulEnv* env =
+        target.is_stateless ? nullptr : target.instance.env.get();
+    const auto programs = target.programs();
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      const ir::LabelBinding binding{labels.get(), labels->tag_base(i),
+                                     labels->loop_base(i)};
+      const Program& p = *programs[i];
+      if (kind == Engine::kNative) {
+        const ir::NativeEntry* entry = ir::find_native(p);
+        BOLT_CHECK(entry != nullptr, p.name + ": no native code");
+        stages.push_back(
+            std::make_unique<ir::NativeEngine>(*entry, p, env, opts, binding));
+      } else if (kind == Engine::kDecoded) {
+        stages.push_back(
+            std::make_unique<DecodedInterpreter>(p, env, opts, binding));
+      } else {
+        stages.push_back(std::make_unique<Interpreter>(p, env, opts, binding));
+      }
+    }
+  }
+
+  /// Runs the chain, one result per stage run (stopping at a drop).
+  std::vector<RunResult> run(net::Packet& packet) {
+    std::vector<RunResult> out;
+    for (const auto& stage : stages) {
+      stage->run_into(packet, out.emplace_back());
+      if (out.back().verdict == net::NfVerdict::kDrop) break;
+    }
+    return out;
+  }
+
+  std::unique_ptr<ir::RunLabels> labels;
+  std::vector<std::unique_ptr<ir::PacketEngine>> stages;
+};
+
+/// The target's monitor workloads, their net/mutate.h trace mutations, and
+/// the witness input of every solved generation path.
+std::vector<net::Packet> identity_inputs(const std::string& name) {
+  std::vector<net::Packet> out;
+  for (const char* kind : {"", "uniform", "churn", "drift"}) {
+    if (name != "router" && name != "fw+router" &&
+        std::string(kind) == "drift") {
+      continue;
+    }
+    std::vector<net::Packet> w = core::monitor_workload(name, kind, 600);
+    support::Rng rng(0x5eed + w.size());
+    for (int m = 0; m < 40; ++m) {
+      const std::size_t i = rng.below(w.size()), j = rng.below(w.size());
+      switch (m % 5) {
+        case 0: net::swap_contents(w, i, j); break;
+        case 1: net::duplicate_at(w, i); break;
+        case 2: net::rotate_window(w, i, 1 + rng.below(8)); break;
+        case 3: net::snap_to_boundary(w, i, 1'000'000'000); break;
+        default: net::stretch_gap(w, i, 2'000'000'000); break;
+      }
+    }
+    out.insert(out.end(), w.begin(), w.end());
+  }
+  perf::PcvRegistry reg;
+  core::NfTarget target;
+  EXPECT_TRUE(core::make_named_target(name, reg, target));
+  const core::GenerationResult gen =
+      core::ContractGenerator(reg).generate(target.analysis());
+  net::TimestampNs ts = out.empty() ? 0 : out.back().timestamp_ns();
+  for (const core::PathReport& path : gen.path_reports) {
+    if (!path.solved) continue;
+    net::Packet p = path.input;
+    p.set_timestamp_ns(std::max(ts, p.timestamp_ns()));
+    ts = p.timestamp_ns();
+    out.push_back(p);
+  }
+  return out;
+}
+
+TEST(DecodedDifferential, EveryRegisteredTargetMatchesTheReference) {
+  for (const std::string& name : core::named_targets()) {
+    // Independent instances per engine (stateful NFs mutate their state
+    // as they run, so the engines must not share one).
+    std::array<perf::PcvRegistry, 3> regs;
+    std::array<core::NfTarget, 3> targets;
+    std::array<hw::ConservativeModel, 3> sinks;
+    std::vector<StageEngines> engines;
+    for (std::size_t k = 0; k < 3; ++k) {
+      ASSERT_TRUE(core::make_named_target(name, regs[k], targets[k]));
+      engines.emplace_back(targets[k], &sinks[k], static_cast<Engine>(k));
+    }
+    // The runner's fast path is the native engine.
+    core::NfTarget runner_target;
+    perf::PcvRegistry runner_reg;
+    ASSERT_TRUE(core::make_named_target(name, runner_reg, runner_target));
+    hw::ConservativeModel runner_sink;
+    auto runner = runner_target.make_runner(nf::framework_full(), &runner_sink);
+    EXPECT_TRUE(runner->uses_native_code()) << name;
+
+    const std::vector<net::Packet> packets = identity_inputs(name);
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      std::array<net::Packet, 3> pkts = {packets[i], packets[i], packets[i]};
+      std::array<std::vector<RunResult>, 3> res;
+      for (std::size_t k = 0; k < 3; ++k) {
+        sinks[k].begin_packet();
+        res[k] = engines[k].run(pkts[k]);
+      }
+      net::Packet pr = packets[i];
+      runner_sink.begin_packet();
+      const RunResult merged = runner->process(pr);
+      const std::string ctx = name + " pkt=" + std::to_string(i);
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::string kctx = ctx + (k == 0 ? " native" : " decoded");
+        ASSERT_EQ(res[k].size(), res[2].size()) << kctx;
+        for (std::size_t s = 0; s < res[k].size(); ++s) {
+          expect_equal_results(res[k][s], res[2][s],
+                               kctx + " stage=" + std::to_string(s));
+        }
+        EXPECT_EQ(bytes_of(pkts[k]), bytes_of(pkts[2])) << kctx;
+        EXPECT_EQ(sinks[k].packet_cycles(), sinks[2].packet_cycles()) << kctx;
+      }
+      EXPECT_EQ(bytes_of(pr), bytes_of(pkts[2])) << ctx;
+      EXPECT_EQ(runner_sink.packet_cycles(), sinks[2].packet_cycles()) << ctx;
+      EXPECT_EQ(merged.verdict, res[2].back().verdict) << ctx;
+      if (::testing::Test::HasFailure()) return;  // one dump is enough
+    }
+    EXPECT_EQ(sinks[0].total_cycles(), sinks[2].total_cycles()) << name;
+    EXPECT_EQ(sinks[1].total_cycles(), sinks[2].total_cycles()) << name;
+    for (std::size_t s = 0; s < engines[2].stages.size(); ++s) {
+      EXPECT_EQ(engines[0].stages[s]->scratch(),
+                engines[2].stages[s]->scratch());
+    }
+  }
+}
+
+std::vector<net::Packet> nat_workload(std::size_t count) {
   net::ZipfSpec spec;
   spec.flow_pool = 256;
   spec.skew = 1.1;
@@ -358,78 +413,81 @@ std::vector<net::Packet> target_workload(const std::string& name,
   return net::zipf_traffic(spec);
 }
 
-TEST(DecodedDifferential, EveryRegisteredTargetMatchesTheReference) {
-  for (const std::string& name : core::named_targets()) {
-    // Two independent instances of the same target (stateful NFs mutate
-    // their state as they run, so the engines must not share one).
-    perf::PcvRegistry reg_d, reg_r;
-    core::NfTarget tgt_d, tgt_r;
-    ASSERT_TRUE(core::make_named_target(name, reg_d, tgt_d));
-    ASSERT_TRUE(core::make_named_target(name, reg_r, tgt_r));
+TEST(Native, AChangedImmediateFallsBackToTheDecodedEngine) {
+  // The NAT built with another external IP differs from the registered one
+  // in one kConst immediate: it must find no native code, run decoded,
+  // and still match the reference.
+  perf::PcvRegistry reg_d, reg_r;
+  core::NfInstance nat_d = core::make_nat(reg_d, core::default_nat_config());
+  core::NfInstance nat_r = core::make_nat(reg_r, core::default_nat_config());
+  const Program registered = nat_d.program;
+  nat_d.program = nf::Nat::program(0x0a0b0c0d);
+  nat_r.program = nat_d.program;
+  EXPECT_NE(ir::program_fingerprint(nat_d.program),
+            ir::program_fingerprint(registered));
+  EXPECT_EQ(ir::find_native(nat_d.program), nullptr);
+  EXPECT_NE(ir::find_native(registered), nullptr);
 
-    hw::ConservativeModel sink_d, sink_r;
-    auto run_d = tgt_d.make_runner(nf::framework_full(), &sink_d,
-                                   ir::EngineKind::kDecoded);
-    auto run_r = tgt_r.make_runner(nf::framework_full(), &sink_r,
-                                   ir::EngineKind::kReference);
-    EXPECT_TRUE(run_d->uses_decoded_engine()) << name;
-    EXPECT_FALSE(run_r->uses_decoded_engine()) << name;
-
-    const auto packets = target_workload(name, 1500);
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      net::Packet pd = packets[i], pr = packets[i];
-      const RunResult rd = run_d->process(pd);
-      const RunResult rr = run_r->process(pr);
-      const std::string ctx = name + " pkt=" + std::to_string(i);
-      expect_equal_results(rd, rr, ctx);
-      EXPECT_EQ(bytes_of(pd), bytes_of(pr)) << ctx;
-      EXPECT_EQ(core::class_key_of(rd, &tgt_d.methods()),
-                core::class_key_of(rr, &tgt_r.methods()))
-          << ctx;
-      if (::testing::Test::HasFailure()) return;  // one dump is enough
-    }
-    EXPECT_EQ(sink_d.total_cycles(), sink_r.total_cycles()) << name;
+  hw::ConservativeModel sink_d, sink_r;
+  auto run_d = nat_d.make_runner(nf::framework_full(), &sink_d);
+  auto run_r = nat_r.make_runner(nf::framework_full(), &sink_r,
+                                 ir::EngineKind::kReference);
+  EXPECT_TRUE(run_d->uses_fast_path());
+  EXPECT_FALSE(run_d->uses_native_code());
+  const auto packets = nat_workload(1500);
+  bool rewrote = false;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    net::Packet pd = packets[i], pr = packets[i];
+    sink_d.begin_packet();
+    sink_r.begin_packet();
+    const RunResult rd = run_d->process(pd), rr = run_r->process(pr);
+    const std::string ctx = "pkt=" + std::to_string(i);
+    expect_equal_results(rd, rr, ctx);
+    EXPECT_EQ(bytes_of(pd), bytes_of(pr)) << ctx;
+    EXPECT_EQ(sink_d.packet_cycles(), sink_r.packet_cycles()) << ctx;
+    const auto tuple = net::extract_five_tuple(pd);
+    rewrote = rewrote || (tuple && tuple->src_ip.value == 0x0a0b0c0d);
+    if (::testing::Test::HasFailure()) return;
   }
+  EXPECT_TRUE(rewrote);  // the changed immediate is what the NAT wrote
 }
 
 // --- monitor report byte-identity over the knob grid -------------------------
 
 TEST(DecodedDifferential, MonitorReportsAreByteIdenticalAcrossTheKnobGrid) {
-  perf::PcvRegistry reg;
-  core::NfTarget target;
-  ASSERT_TRUE(core::make_named_target("nat", reg, target));
-  core::ContractGenerator gen(reg);
-  const core::GenerationResult result = gen.generate(target.analysis());
+  for (const std::string& name : core::named_targets()) {
+    perf::PcvRegistry reg;
+    core::NfTarget target;
+    ASSERT_TRUE(core::make_named_target(name, reg, target));
+    core::ContractGenerator gen(reg);
+    const core::GenerationResult result = gen.generate(target.analysis());
+    const auto packets = core::monitor_workload(
+        name, name == "router" ? "drift" : "", 2000);
 
-  net::ZipfSpec spec;
-  spec.flow_pool = 256;
-  spec.skew = 1.1;
-  spec.packet_count = 2000;
-  const auto packets = net::zipf_traffic(spec);
+    // The oracle: reference engine, plain single-threaded run.
+    monitor::MonitorOptions ref_opts;
+    ref_opts.partitions = 8;
+    ref_opts.threads = 1;
+    ref_opts.engine = ir::EngineKind::kReference;
+    std::vector<std::uint32_t> ref_attr;
+    const std::string ref_json = monitor::report_to_json(
+        monitor::MonitorEngine(result.contract, reg, ref_opts)
+            .run(packets, monitor::MonitorEngine::named_factory(name),
+                 &ref_attr));
 
-  // The oracle: reference engine, plain single-threaded run.
-  monitor::MonitorOptions ref_opts;
-  ref_opts.partitions = 8;
-  ref_opts.threads = 1;
-  ref_opts.engine = ir::EngineKind::kReference;
-  std::vector<std::uint32_t> ref_attr;
-  const std::string ref_json = monitor::report_to_json(
-      monitor::MonitorEngine(result.contract, reg, ref_opts)
-          .run(packets, monitor::MonitorEngine::named_factory("nat"),
-               &ref_attr));
-
-  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-    monitor::MonitorOptions opts;
-    opts.partitions = 8;
-    opts.threads = threads;
-    opts.engine = ir::EngineKind::kDecoded;
-    std::vector<std::uint32_t> attr;
-    const std::string json = monitor::report_to_json(
-        monitor::MonitorEngine(result.contract, reg, opts)
-            .run(packets, monitor::MonitorEngine::named_factory("nat"),
-                 &attr));
-    EXPECT_EQ(json, ref_json) << "threads=" << threads;
-    EXPECT_EQ(attr, ref_attr);
+    // The fast path runs every registered program as native code.
+    for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+      monitor::MonitorOptions opts = ref_opts;
+      opts.threads = threads;
+      opts.engine = ir::EngineKind::kDecoded;
+      std::vector<std::uint32_t> attr;
+      const std::string json = monitor::report_to_json(
+          monitor::MonitorEngine(result.contract, reg, opts)
+              .run(packets, monitor::MonitorEngine::named_factory(name),
+                   &attr));
+      EXPECT_EQ(json, ref_json) << name << " threads=" << threads;
+      EXPECT_EQ(attr, ref_attr) << name;
+    }
   }
 }
 

@@ -450,6 +450,35 @@ TEST(Fleet, SubsetOfFinalsStillMerges) {
             drift_packets().size());
 }
 
+TEST(Fleet, MissingFinalsNamesEveryInstanceThatDidNotDrain) {
+  // A 3-instance fleet where instance 1 failed before draining (its
+  // windows spooled, no final) and instance 2 never spooled at all: the
+  // merge must be refused, naming both. Complete fleets name nobody.
+  std::vector<WindowPartial> windows;
+  std::vector<FinalPartial> finals;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    monitor::FleetOptions fleet;
+    fleet.instances = 3;
+    fleet.instance = i;
+    const StreamRun run = run_stream(drift_packets(), fleet);
+    if (i == 2) continue;
+    for (const std::string& s : run.window_partials) {
+      windows.push_back(parse_window_partial(s));
+    }
+    if (i == 0) finals.push_back(parse_final_partial(run.final_partial));
+  }
+  EXPECT_EQ(missing_finals(windows, finals),
+            (std::vector<std::uint32_t>{1, 2}));
+  // Window partials alone also declare the fleet size.
+  EXPECT_EQ(missing_finals(windows, {}),
+            (std::vector<std::uint32_t>{0, 1, 2}));
+
+  monitor::FleetOptions solo;
+  const StreamRun run = run_stream(drift_packets(), solo);
+  EXPECT_TRUE(
+      missing_finals({}, {parse_final_partial(run.final_partial)}).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Partial schema round-trips + spool naming.
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -380,6 +381,32 @@ TEST(Monitor, ShardingIsFlowAffine) {
   EXPECT_GT(used.size(), 4u);  // and flows actually spread out
 }
 
+/// The five-tuple by the net:: parsers (what net::extract_five_tuple's
+/// fixed-offset reads must equal).
+std::optional<net::FiveTuple> parsed_five_tuple(const net::Packet& packet) {
+  const auto buf = packet.bytes();
+  const auto eth = net::parse_ethernet(buf);
+  if (!eth || eth->ether_type != net::kEtherTypeIpv4) return std::nullopt;
+  const auto ip = net::parse_ipv4(buf, net::kEthernetHeaderSize);
+  if (!ip) return std::nullopt;
+  const std::size_t l4 = net::kEthernetHeaderSize + ip->header_size();
+  net::FiveTuple t{ip->src, ip->dst, 0, 0, ip->protocol};
+  if (ip->protocol == net::kIpProtoTcp) {
+    const auto tcp = net::parse_tcp(buf, l4);
+    if (!tcp) return std::nullopt;
+    t.src_port = tcp->src_port;
+    t.dst_port = tcp->dst_port;
+  } else if (ip->protocol == net::kIpProtoUdp) {
+    const auto udp = net::parse_udp(buf, l4);
+    if (!udp) return std::nullopt;
+    t.src_port = udp->src_port;
+    t.dst_port = udp->dst_port;
+  } else {
+    return std::nullopt;
+  }
+  return t;
+}
+
 /// The partition hash by definition: parse the Ethernet header and the
 /// five-tuple with the net:: parsers, then mix. partition_of must agree
 /// with it on every input — partition membership is report semantics.
@@ -391,7 +418,7 @@ std::size_t reference_partition_of(const net::Packet& packet,
     h = net::mix64(eth->src.to_u64() * 0x9E3779B97F4A7C15ULL ^
                    eth->dst.to_u64());
   }
-  if (const auto tuple = net::extract_five_tuple(packet)) {
+  if (const auto tuple = parsed_five_tuple(packet)) {
     h = net::mix64(h ^ tuple->key());
   }
   return static_cast<std::size_t>(h % partitions);

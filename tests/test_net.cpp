@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <set>
 
@@ -274,6 +275,89 @@ TEST(Flow, ExtractFiveTuple) {
 
 TEST(Flow, NonIpHasNoTuple) {
   EXPECT_FALSE(extract_five_tuple(invalid_packet()).has_value());
+}
+
+/// The five-tuple by definition: the parse_* composition the fixed-offset
+/// decoder replaces.
+std::optional<FiveTuple> parse_five_tuple(const Packet& packet) {
+  const auto buf = packet.bytes();
+  const auto eth = parse_ethernet(buf);
+  if (!eth || eth->ether_type != kEtherTypeIpv4) return std::nullopt;
+  const auto ip = parse_ipv4(buf, kEthernetHeaderSize);
+  if (!ip) return std::nullopt;
+  const std::size_t l4 = kEthernetHeaderSize + ip->header_size();
+  FiveTuple t{ip->src, ip->dst, 0, 0, ip->protocol};
+  if (ip->protocol == kIpProtoTcp) {
+    const auto tcp = parse_tcp(buf, l4);
+    if (!tcp) return std::nullopt;
+    t.src_port = tcp->src_port;
+    t.dst_port = tcp->dst_port;
+  } else if (ip->protocol == kIpProtoUdp) {
+    const auto udp = parse_udp(buf, l4);
+    if (!udp) return std::nullopt;
+    t.src_port = udp->src_port;
+    t.dst_port = udp->dst_port;
+  } else {
+    return std::nullopt;
+  }
+  return t;
+}
+
+TEST(Flow, FixedOffsetDecoderEqualsTheParsers) {
+  const Ipv4Address a = Ipv4Address::from_octets(10, 1, 2, 3);
+  const Ipv4Address b = Ipv4Address::from_octets(192, 0, 2, 9);
+  std::vector<Packet> seeds = {
+      PacketBuilder().ipv4(a, b).udp(5555, 53).build(),
+      PacketBuilder().ipv4(a, b, kIpProtoTcp).tcp(4000, 443).build(),
+      PacketBuilder().ipv4(a, b).ip_nop_options(3).udp(1, 2).build(),
+      PacketBuilder().ipv4(a, b, kIpProtoTcp).ip_timestamp_option(2)
+          .tcp(7, 8).build(),
+      PacketBuilder().ipv4(a, b, 1).payload({8, 0, 1, 2, 3, 4, 5, 6}).build(),
+      invalid_packet(),
+  };
+  for (std::size_t i = 0; i < 64; ++i) seeds.push_back(packet_for_tuple(
+      tuple_for_index(i), 0, static_cast<std::uint16_t>(i % 2)));
+  std::size_t tuples = 0, cases = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& bytes) {
+    const Packet p(bytes, 0);
+    const auto want = parse_five_tuple(p);
+    ASSERT_EQ(extract_five_tuple(p), want) << "size=" << bytes.size();
+    tuples += want.has_value();
+    ++cases;
+  };
+  for (const Packet& seed : seeds) {
+    const std::vector<std::uint8_t> base(seed.bytes().begin(),
+                                         seed.bytes().end());
+    // Truncated frames, including inside every header.
+    for (std::size_t n = 0; n <= base.size(); ++n) {
+      check({base.begin(), base.begin() + std::ptrdiff_t(n)});
+    }
+    if (base.size() < kEthernetHeaderSize + kIpv4MinHeaderSize) continue;
+    for (unsigned v = 0; v < 256; ++v) {  // every version/ihl: ihl < 5, options
+      auto m = base;
+      m[kEthernetHeaderSize] = static_cast<std::uint8_t>(v);
+      check(m);
+    }
+    for (const std::uint8_t proto : {1, 6, 17, 47}) {  // ICMP, TCP, UDP, GRE
+      auto m = base;
+      m[kEthernetHeaderSize + 9] = proto;
+      const std::size_t l4 = kEthernetHeaderSize +
+                             std::size_t(m[kEthernetHeaderSize] & 0x0f) * 4;
+      check(m);
+      // A TCP (or UDP) header cut anywhere short of its 20 (8) bytes.
+      for (std::size_t k = 0; k <= 20 && l4 + k <= m.size(); ++k) {
+        check({m.begin(), m.begin() + std::ptrdiff_t(l4 + k)});
+      }
+    }
+    for (const std::uint16_t type : {0x0800, 0x86dd, 0x0806}) {  // non-IPv4
+      auto m = base;
+      m[12] = static_cast<std::uint8_t>(type >> 8);
+      m[13] = static_cast<std::uint8_t>(type & 0xff);
+      check(m);
+    }
+  }
+  EXPECT_GT(tuples, 100u);  // both outcomes are exercised
+  EXPECT_GT(cases - tuples, 1000u);
 }
 
 TEST(Flow, ReversedTuple) {

@@ -717,6 +717,19 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
                  nf.c_str(), args.spool.c_str());
     return 2;
   }
+  const std::vector<std::uint32_t> missing =
+      obs::missing_finals(windows, finals);
+  if (!missing.empty()) {
+    std::string ids;
+    for (const std::uint32_t i : missing) {
+      ids += (ids.empty() ? "" : ", ") + std::to_string(i);
+    }
+    std::fprintf(stderr,
+                 "error: no final partial for '%s' under '%s' from instance(s) "
+                 "%s (every instance must drain before merging)\n",
+                 nf.c_str(), args.spool.c_str(), ids.c_str());
+    return 2;
+  }
   // Instances run with the default drift tuning (the monitor CLI exposes
   // no drift knobs), so the replayed detector matches their alerts.
   const obs::FleetMergeResult merged =
