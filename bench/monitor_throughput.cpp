@@ -27,10 +27,10 @@
 //     hard-gated at 5% in-binary.
 //
 //  5. Engine speedup: the same single-threaded monitor run on the
-//     reference interpreter vs the pre-decoded direct-threaded engine
+//     reference interpreter vs the native code of the registered NAT
 //     (`interp_decoded_speedup`, gated — the fast path must stay fast).
 //
-//  6. Cycle-meter share: the same single-threaded decoded run with the
+//  6. Cycle-meter share: the same single-threaded native run with the
 //     cycles metric off (`monitor_pps_1thread_nocycles`) and the share of
 //     the metered run it accounts for (`monitor_cycle_meter_share_pct`).
 //     Both informational.
@@ -76,7 +76,7 @@ double monitor_pps(const perf::Contract& contract,
                    const std::vector<net::Packet>& packets,
                    std::size_t threads, bool telemetry = false,
                    int reps = kReps,
-                   ir::EngineKind engine = ir::EngineKind::kDecoded,
+                   ir::EngineKind engine = ir::EngineKind::kNative,
                    bool check_cycles = true) {
   double best_pps = 0;
   for (int rep = 0; rep < reps; ++rep) {
@@ -148,28 +148,28 @@ int main() {
   bench.metric("monitor_pps_all_threads", pps_nt, "packets/s");
   bench.metric("monitor_thread_scaling", pps_nt / pps_1t, "x");
 
-  // --- decoded-engine speedup over the reference interpreter -------------
-  // Same monitor, same traffic, reference (undecoded per-instruction
-  // switch) engine instead of the pre-decoded direct-threaded one. The
-  // ratio is the execution fast path's headline number and is gated: the
-  // decoded engine must stay decisively faster, not just not-slower.
+  // --- native-code speedup over the reference interpreter ----------------
+  // Same monitor, same traffic, reference (per-instruction switch) engine
+  // instead of native code. The ratio is the execution fast path's headline
+  // number and is gated: native code must stay decisively faster, not just
+  // not-slower.
   const double pps_1t_ref =
       monitor_pps(result.contract, reg, packets, 1, /*telemetry=*/false,
                   kReps, ir::EngineKind::kReference);
-  std::printf("  1 thread,  reference engine:%9.0f pps  (decoded %.2fx)\n",
+  std::printf("  1 thread,  reference engine:%9.0f pps  (native %.2fx)\n",
               pps_1t_ref, pps_1t / pps_1t_ref);
   bench.metric("monitor_pps_1thread_reference", pps_1t_ref, "packets/s",
                /*gate=*/false);
   bench.metric("interp_decoded_speedup", pps_1t / pps_1t_ref, "x");
 
   // --- cycle-meter share -------------------------------------------------
-  // The same decoded single-threaded run without the cycles metric: what
+  // The same native single-threaded run without the cycles metric: what
   // the conservative meter (a cold must-hit L1 replay per packet) costs end
   // to end. Informational — the boltbench trace's hw.cycle_meter_ns is the
   // per-layer view of the same cost.
   const double pps_1t_nocycles =
       monitor_pps(result.contract, reg, packets, 1, /*telemetry=*/false,
-                  kReps, ir::EngineKind::kDecoded, /*check_cycles=*/false);
+                  kReps, ir::EngineKind::kNative, /*check_cycles=*/false);
   const double meter_share_pct = (1.0 - pps_1t / pps_1t_nocycles) * 100.0;
   std::printf("  1 thread,  no cycle meter: %10.0f pps  (meter %.1f%% of "
               "the metered run)\n",

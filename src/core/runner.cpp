@@ -1,6 +1,5 @@
 #include "core/runner.h"
 
-#include "ir/decoded.h"
 #include "ir/native.h"
 #include "support/assert.h"
 
@@ -13,23 +12,18 @@ NfRunner::NfRunner(std::vector<const ir::Program*> programs,
   labels_ = std::make_unique<ir::RunLabels>(programs_);
   // A sink without a fast_meter() needs the exact per-event trace, so it
   // falls back to the reference interpreter. On the fast path a registered
-  // program runs its native code, any other program the decoded engine.
-  fast_ = options.engine == ir::EngineKind::kDecoded &&
+  // program runs its native code, any other program the reference engine.
+  fast_ = options.engine == ir::EngineKind::kNative &&
           (options.sink == nullptr || options.sink->fast_meter() != nullptr);
-  native_ = fast_;
   engines_.reserve(programs_.size());
   for (std::size_t i = 0; i < programs_.size(); ++i) {
     ir::LabelBinding binding{labels_.get(), labels_->tag_base(i),
                              labels_->loop_base(i)};
     const ir::NativeEntry* native =
         fast_ ? ir::find_native(*programs_[i]) : nullptr;
-    native_ = native_ && native != nullptr;
     if (native != nullptr) {
       engines_.push_back(std::make_unique<ir::NativeEngine>(
           *native, *programs_[i], env, options, binding));
-    } else if (fast_) {
-      engines_.push_back(std::make_unique<ir::DecodedInterpreter>(
-          *programs_[i], env, options, binding));
     } else {
       engines_.push_back(std::make_unique<ir::Interpreter>(
           *programs_[i], env, options, binding));

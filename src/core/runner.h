@@ -8,13 +8,13 @@
 // indices, case tokens) are already chain-global: the chain merge is
 // integer appends and vector adds, with no string work.
 //
-// Engine selection: options.engine picks the fast path (default) or the
-// reference interpreter. On the fast path each program runs its native
-// code when it is a registered program (ir/native.h) and the decoded
-// engine otherwise. Sinks that need the exact per-event trace (no
+// Engine selection: options.engine picks the native path (default) or the
+// reference interpreter. On the native path each program runs its native
+// code when it is a registered program (ir/native.h) and the reference
+// interpreter otherwise. Sinks that need the exact per-event trace (no
 // fast_meter(), e.g. hw::RealisticSim) force the reference engine
-// regardless of the knob — the fast engines cannot drive them without
-// changing semantics.
+// regardless of the knob — native code cannot drive them without changing
+// semantics.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +59,9 @@ class NfRunner {
   /// mean). Stable for the runner's lifetime.
   ir::RunLabels& labels() { return *labels_; }
 
-  /// True if packets execute on the fast path, native or decoded (false
-  /// when the engine knob or the sink forced the reference interpreter).
+  /// True if registered programs run their native code (false when the
+  /// engine knob or the sink forced the reference interpreter).
   bool uses_fast_path() const { return fast_; }
-  /// True if every program of the chain runs its native code.
-  bool uses_native_code() const { return native_; }
 
   /// Scratch memory of program `index` (for microbenchmark setup).
   std::vector<std::uint64_t>& scratch(std::size_t index) {
@@ -75,7 +73,6 @@ class NfRunner {
   std::unique_ptr<ir::RunLabels> labels_;  ///< stable address across moves
   std::vector<std::unique_ptr<ir::PacketEngine>> engines_;
   bool fast_ = false;
-  bool native_ = false;
   ir::RunResult chain_scratch_;  ///< per-program scratch for process_into
 };
 

@@ -54,7 +54,7 @@ struct NfInstance {
   std::unique_ptr<NfRunner> make_runner(
       const nf::FrameworkCosts& fw = nf::framework_full(),
       ir::TraceSink* sink = nullptr,
-      ir::EngineKind engine = ir::EngineKind::kDecoded) const {
+      ir::EngineKind engine = ir::EngineKind::kNative) const {
     ir::InterpreterOptions opts;
     nf::apply_framework(opts, fw);
     opts.sink = sink;

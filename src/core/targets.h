@@ -46,7 +46,7 @@ struct NfTarget {
   std::unique_ptr<NfRunner> make_runner(
       const nf::FrameworkCosts& fw = nf::framework_full(),
       ir::TraceSink* sink = nullptr,
-      ir::EngineKind engine = ir::EngineKind::kDecoded) const;
+      ir::EngineKind engine = ir::EngineKind::kNative) const;
 
   /// The name contracts generated for this target carry (the analysis
   /// name; differs from the registry name for the LPM targets). Used to

@@ -2,8 +2,8 @@
 // models (the conservative model's L1D must-hit analysis and the realistic
 // simulator's L1/L2/L3 hierarchy).
 //
-// The implementation moved to support/cache.h (header-only) so the decoded
-// interpreter's inline cycle meter can share it without depending on hw/;
+// The implementation moved to support/cache.h (header-only) so the inline
+// cycle meter in ir/ can share it without depending on hw/;
 // these aliases keep the hw:: spelling every existing consumer uses.
 #pragma once
 

@@ -78,7 +78,7 @@ class CycleModel : public ir::TraceSink {
 /// A thin TraceSink adapter over ir::ConservativeCycleMeter: the meter owns
 /// all the arithmetic (per-op worst-case sums + the must-hit L1 stream) and
 /// its per-op costs, so the virtual event-stream path and the inline paths
-/// that reach it through fast_meter() (the native and decoded engines, every
+/// that reach it through fast_meter() (the native engine, every
 /// ir::CostMeter) cannot diverge — they are the same object.
 class ConservativeModel final : public CycleModel {
  public:

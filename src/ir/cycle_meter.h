@@ -6,7 +6,7 @@
 // per-packet must-hit L1D analysis over the access stream, in order.
 // hw::ConservativeModel exposes exactly that arithmetic behind the virtual
 // TraceSink interface, but TraceSink::fast_meter() hands the meter itself
-// to the callers on the hot path: the native and decoded engines, and every
+// to the callers on the hot path: the native engine, and every
 // ir::CostMeter (dslib calls and rx/tx framing, in every engine). They
 // pay an inline cache probe per access and a plain add per instruction
 // batch instead of a virtual call per event.

@@ -1,21 +1,18 @@
 // Concrete IR execution — the reproduction's replay + instrumentation
 // engine (the role Intel Pin plays in the paper, §3.5).
 //
-// Three engines execute the same programs and produce the same RunResult:
+// Two engines execute the same programs and produce the same RunResult:
 //
 //  * Interpreter — the reference oracle: a per-instruction switch over the
-//    undecoded Instr vector that streams every event (instruction, memory
-//    access, load-taint "dependent" flags) to an arbitrary TraceSink. Every
-//    other engine is validated against it (tests/test_decoded.cpp).
+//    Instr vector that streams every event (instruction, memory access,
+//    load-taint "dependent" flags) to an arbitrary TraceSink. It runs every
+//    program that has no native code.
 //
 //  * NativeEngine (ir/native.h) — the hot-path engine for registered
-//    programs: C++ generated from the program at build time.
-//
-//  * DecodedInterpreter (ir/decoded.h) — the hot-path engine for any other
-//    program: a pre-decoded form run by direct-threaded dispatch.
-//
-// Both fast engines keep stateless cost accounting in local counters and
-// charge it once per packet. Byte-identical results, several times faster.
+//    programs: C++ generated from the program at build time, which keeps
+//    stateless cost accounting in local counters and charges it once per
+//    packet. Byte-identical results to the reference, several times faster
+//    (tests/test_decoded.cpp).
 //
 // Results carry interned ids (class-tag ids, per-method case ids, flat loop
 // indices) instead of strings; RunLabels materialises names only at report
@@ -100,11 +97,11 @@ struct RunResult {
 /// Which execution engine a runner should build. The reference interpreter
 /// remains the oracle; consumers that need the exact per-event trace (e.g.
 /// hw::RealisticSim) are routed to it automatically regardless of this
-/// knob, because only sinks exposing a fast_meter() can be driven by the
-/// fast engines without changing semantics.
+/// knob, because only sinks exposing a fast_meter() can be driven by
+/// native code without changing semantics.
 enum class EngineKind : std::uint8_t {
-  kDecoded = 0,   ///< fast path: native code if registered, else decoded
-  kReference = 1, ///< per-instruction switch over the undecoded program
+  kNative = 0,    ///< native code if registered, else the reference engine
+  kReference = 1, ///< per-instruction switch over the program
 };
 
 struct InterpreterOptions {
@@ -112,7 +109,7 @@ struct InterpreterOptions {
   TraceSink* sink = nullptr;             ///< optional hardware-model consumer
   /// Engine selection for NfRunner (ignored by a directly constructed
   /// Interpreter, which is always the reference engine).
-  EngineKind engine = EngineKind::kDecoded;
+  EngineKind engine = EngineKind::kNative;
   /// Initial scratch-memory image (configuration, e.g. the P1/P2/P3 list
   /// layouts). Must match what the symbolic executor analysed.
   std::vector<std::uint64_t> scratch_init;

@@ -51,6 +51,36 @@ std::string lit(std::int64_t v) {
   return std::to_string(static_cast<std::uint64_t>(v)) + "ULL";
 }
 
+/// A C++ string literal of `s`: printable ASCII as is, anything else
+/// (and the quote and backslash) as a three-digit octal escape.
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  for (const unsigned char c : s) {
+    if (c >= 0x20 && c < 0x7f && c != '"' && c != '\\') {
+      out += static_cast<char>(c);
+    } else {
+      out += {'\\', char('0' + (c >> 6)), char('0' + ((c >> 3) & 7)),
+              char('0' + (c & 7))};
+    }
+  }
+  return out + "\"";
+}
+
+/// A name array `var` (none when `list` is empty: C++ has no empty arrays).
+void names(std::ostringstream& out, const std::string& var,
+           const std::vector<std::string>& list) {
+  if (list.empty()) return;
+  out << "const char* const " << var << "[] = {";
+  for (const std::string& s : list) out << quoted(s) << ", ";
+  out << "};\n";
+}
+
+/// The Span over the array names() wrote for `list`.
+std::string span(const std::vector<std::string>& list, const std::string& var) {
+  if (list.empty()) return "{}";
+  return "{" + var + ", " + std::to_string(list.size()) + "}";
+}
+
 class Emitter {
  public:
   Emitter(const Program& p, std::string fn) : p_(p), fn_(std::move(fn)) {
@@ -61,11 +91,11 @@ class Emitter {
 
   void emit(std::ostringstream& out) {
     out << "template <bool kMeter>\n"
-        << "ir::EngineFrame::Counts " << fn_
-        << "(ir::EngineFrame& F, [[maybe_unused]] ir::CostMeter& meter,\n"
+        << "ir::NativeCounts " << fn_
+        << "(ir::NativeEngine& F, [[maybe_unused]] ir::CostMeter& meter,\n"
         << "    [[maybe_unused]] net::Packet& packet, ir::RunResult& result) "
            "{\n"
-        << "  ir::EngineFrame::Counts n;\n"
+        << "  ir::NativeCounts n;\n"
         << "  [[maybe_unused]] const auto pkt = packet.bytes();\n"
         << "  [[maybe_unused]] std::uint64_t* const R = F.regs();\n";
     if (loops_) out << "  std::uint64_t steps = 0;\n";
@@ -287,11 +317,30 @@ std::string emit_native_source(const std::vector<const Program*>& programs) {
   for (std::size_t k = 0; k < programs.size(); ++k) {
     Emitter(*programs[k], "native_" + std::to_string(k)).emit(out);
   }
+  // What find_native compares a program with once its fingerprint matches.
+  for (std::size_t k = 0; k < programs.size(); ++k) {
+    const Program& p = *programs[k];
+    const std::string K = std::to_string(k);
+    out << "const ir::NativeInstr code_" << K << "[] = {\n";
+    for (const Instr& i : p.code) {
+      out << "    {" << int(i.op) << ", " << int(i.width) << ", " << i.dst
+          << ", " << i.dst2 << ", " << i.a << ", " << i.b << ", " << i.t
+          << ", " << i.f << ", " << lit(i.imm) << "},\n";
+    }
+    out << "};\n";
+    names(out, "tags_" + K, p.class_tags);
+    names(out, "loops_" + K, p.loops);
+    out << "\n";
+  }
   out << "const ir::NativeEntry kTable[] = {\n";
   for (std::size_t k = 0; k < programs.size(); ++k) {
-    const std::string fn = "native_" + std::to_string(k);
-    out << "    {" << program_fingerprint(*programs[k]) << "ULL, &" << fn
-        << "<true>, &" << fn << "<false>},  // " << programs[k]->name << "\n";
+    const Program& p = *programs[k];
+    const std::string K = std::to_string(k), fn = "native_" + K;
+    out << "    {" << program_fingerprint(p) << "ULL, &" << fn << "<true>, &"
+        << fn << "<false>, " << quoted(p.name) << ", " << p.num_regs << ", "
+        << p.num_locals << ", " << p.scratch_slots << ", {code_" << K << ", "
+        << p.code.size() << "}, " << span(p.class_tags, "tags_" + K) << ", "
+        << span(p.loops, "loops_" + K) << "},\n";
   }
   out << "};\n\n}  // namespace\n\n"
       << "support::Span<const ir::NativeEntry> ir::native_table() {\n"

@@ -114,7 +114,7 @@ struct MonitorOptions {
   /// interpreter — tests/test_decoded.cpp proves it over the knob grid —
   /// and kReference exists as the oracle baseline for those tests and for
   /// bench's interp_decoded_speedup metric.
-  ir::EngineKind engine = ir::EngineKind::kDecoded;
+  ir::EngineKind engine = ir::EngineKind::kNative;
   /// Incremental reporting: emit one delta window every this many epochs
   /// (0 = off; needs epoch_ns > 0). Windows are keyed purely by packet
   /// timestamp (ts / (epoch_ns * delta_every)), so the delta stream is

@@ -1,11 +1,11 @@
 // Set-associative cache model with LRU replacement and O(1) epoch clear.
 //
 // Lives in support/ (header-only) so both the hardware models in hw/ and
-// the decoded interpreter's inline conservative-cycle meter in ir/ can use
-// it without a layering inversion: ir/ must not depend on hw/, but both sit
-// above support/. Keeping the implementation inline also lets the decoded
-// engine's per-access must-hit lookup inline into its dispatch loop instead
-// of paying an out-of-line call per memory access.
+// the inline conservative-cycle meter in ir/ can use it without a layering
+// inversion: ir/ must not depend on hw/, but both sit above support/.
+// Keeping the implementation inline also lets the native engine's
+// per-access must-hit lookup inline into the generated code instead of
+// paying an out-of-line call per memory access.
 //
 // Each set has a header {epoch, used}: its live ways are exactly the first
 // `used` slots, and a header stamped with an older epoch reads as an empty

@@ -1,16 +1,13 @@
-// The fast engines' contract: byte-identical observable results to the
-// reference interpreter (the oracle), for every program they can run.
+// The native engine's contract: byte-identical observable results to the
+// reference interpreter (the oracle), for every program it runs.
 //
-//  * randomized IrBuilder programs (ALU soup, packet I/O, diamonds,
-//    bounded loops, stateful calls, scratch memory) produce field-equal
-//    RunResults, equal conservative cycle totals, and equal scratch state
-//    under the decoded and reference engines, across many seeds;
 //  * every registered program resolves to native code, and a program that
-//    differs by one immediate does not;
+//    differs by one immediate, or by two that collide in the fingerprint,
+//    does not (it runs on the reference interpreter);
 //  * every registered NF target and chain produces identical per-packet
-//    results, rewritten bytes and cycles under the native, decoded and
-//    reference engines, over its workloads, their trace mutations and the
-//    generation witnesses;
+//    results, rewritten bytes and cycles under the native and reference
+//    engines, over its workloads, their trace mutations and the generation
+//    witnesses;
 //  * monitor reports are byte-identical fast-path-vs-reference for every
 //    registered target at every thread count.
 #include <gtest/gtest.h>
@@ -26,8 +23,6 @@
 #include "core/classkey.h"
 #include "core/targets.h"
 #include "hw/models.h"
-#include "ir/builder.h"
-#include "ir/decoded.h"
 #include "ir/interp.h"
 #include "ir/native.h"
 #include "monitor/monitor.h"
@@ -43,12 +38,8 @@
 namespace bolt {
 namespace {
 
-using ir::DecodedInterpreter;
 using ir::Interpreter;
-using ir::IrBuilder;
-using ir::Label;
 using ir::Program;
-using ir::Reg;
 using ir::RunResult;
 
 std::vector<std::uint8_t> bytes_of(const net::Packet& p) {
@@ -63,41 +54,27 @@ std::vector<std::pair<perf::PcvId, std::uint64_t>> pcv_items(
 /// Field-by-field equality of everything a RunResult observes. The label
 /// tables differ by object but intern in execution order, so raw ids are
 /// directly comparable; names are compared too as a belt-and-braces check.
-void expect_equal_results(const RunResult& dec, const RunResult& ref,
+void expect_equal_results(const RunResult& got, const RunResult& ref,
                           const std::string& ctx) {
-  EXPECT_EQ(dec.verdict, ref.verdict) << ctx;
-  EXPECT_EQ(dec.out_port, ref.out_port) << ctx;
-  EXPECT_EQ(dec.instructions, ref.instructions) << ctx;
-  EXPECT_EQ(dec.mem_accesses, ref.mem_accesses) << ctx;
-  EXPECT_EQ(dec.stateless_instructions, ref.stateless_instructions) << ctx;
-  EXPECT_EQ(dec.stateless_accesses, ref.stateless_accesses) << ctx;
-  EXPECT_EQ(pcv_items(dec.pcvs), pcv_items(ref.pcvs)) << ctx;
-  EXPECT_EQ(dec.calls, ref.calls) << ctx;
-  EXPECT_EQ(dec.class_tags, ref.class_tags) << ctx;
-  EXPECT_EQ(dec.loop_trips, ref.loop_trips) << ctx;
-  EXPECT_EQ(dec.class_tag_names(), ref.class_tag_names()) << ctx;
-  EXPECT_EQ(dec.class_label(), ref.class_label()) << ctx;
-  EXPECT_EQ(dec.loop_trips_map(), ref.loop_trips_map()) << ctx;
+  EXPECT_EQ(got.verdict, ref.verdict) << ctx;
+  EXPECT_EQ(got.out_port, ref.out_port) << ctx;
+  EXPECT_EQ(got.instructions, ref.instructions) << ctx;
+  EXPECT_EQ(got.mem_accesses, ref.mem_accesses) << ctx;
+  EXPECT_EQ(got.stateless_instructions, ref.stateless_instructions) << ctx;
+  EXPECT_EQ(got.stateless_accesses, ref.stateless_accesses) << ctx;
+  EXPECT_EQ(pcv_items(got.pcvs), pcv_items(ref.pcvs)) << ctx;
+  EXPECT_EQ(got.calls, ref.calls) << ctx;
+  EXPECT_EQ(got.class_tags, ref.class_tags) << ctx;
+  EXPECT_EQ(got.loop_trips, ref.loop_trips) << ctx;
+  EXPECT_EQ(got.class_tag_names(), ref.class_tag_names()) << ctx;
+  EXPECT_EQ(got.class_label(), ref.class_label()) << ctx;
+  EXPECT_EQ(got.loop_trips_map(), ref.loop_trips_map()) << ctx;
 }
 
-// --- decoded engine ---------------------------------------------------------
-
-TEST(Decode, StepBudgetStillGuardsRunaways) {
-  IrBuilder b("inf");
-  Label loop = b.make_label();
-  b.bind(loop);
-  b.jmp(loop);
-  const Program p = b.finish();
-  ir::InterpreterOptions opts;
-  opts.max_steps = 1000;
-  DecodedInterpreter dec(p, nullptr, opts);
-  net::Packet pkt = net::packet_for_tuple(net::tuple_for_index(1), 1000, 0);
-  EXPECT_DEATH(dec.run(pkt), "step budget");
-}
-
-TEST(DecodeDeathTest, AProgramThatFallsOffTheEndIsRejected) {
-  // The fast engines run without a pc bounds check, so validate() must
-  // refuse a program whose last instruction falls through.
+TEST(ValidateDeathTest, AProgramThatFallsOffTheEndIsRejected) {
+  // Native code has no pc bounds check, so validate() (which the generator
+  // runs on every program) must refuse a program whose last instruction
+  // falls through.
   Program p;
   p.name = "falls";
   p.num_regs = 1;
@@ -105,146 +82,7 @@ TEST(DecodeDeathTest, AProgramThatFallsOffTheEndIsRejected) {
   c.op = ir::Op::kConst;
   c.dst = 0;
   p.code.push_back(c);
-  EXPECT_DEATH(DecodedInterpreter(p, nullptr), "falls off the end");
-}
-
-// --- randomized differential -------------------------------------------------
-
-/// Deterministic stateful stub: cost, results, case label, and PCVs are
-/// pure functions of (method, args), so two independent instances behave
-/// identically under both engines.
-class DiffEnv final : public ir::StatefulEnv {
- public:
-  ir::CallOutcome call(std::int64_t method, std::uint64_t a0, std::uint64_t a1,
-                       const net::Packet&, ir::CostMeter& meter) override {
-    meter.metered_instructions(5 + method % 7);
-    meter.mem_read(ir::kArenaBase + (a0 % 32) * 8, 8);
-    if ((a0 ^ a1) & 1) meter.mem_write(ir::kArenaBase + 256, 8);
-    ir::CallOutcome out;
-    out.v0 = a0 * 3 + a1;
-    out.v1 = static_cast<std::uint64_t>(method) ^ a1;
-    static const char* const kCases[3] = {"hit", "miss", "full"};
-    out.case_label = kCases[(a0 + a1) % 3];
-    out.pcvs.set(static_cast<perf::PcvId>(method % 4), (a0 % 13) + 1);
-    return out;
-  }
-};
-
-/// A random but always-terminating program: ALU soup over a live-value
-/// pool, packet loads/stores, forward-only diamonds, bounded counted
-/// loops, scratch memory, stateful calls, and class tags — enough to hit
-/// every opcode.
-Program random_program(support::Rng& rng, bool with_calls) {
-  IrBuilder b("rand" + std::to_string(rng.below(1u << 30)));
-  b.set_scratch_slots(8);
-  std::vector<Reg> vals;
-  vals.push_back(b.load_pkt_at(rng.below(16), 1));
-  vals.push_back(b.load_pkt_at(16 + rng.below(16), 2));
-  vals.push_back(b.imm(rng.below(1u << 20)));
-  vals.push_back(b.pkt_len());
-  auto pick = [&] { return vals[rng.below(vals.size())]; };
-
-  const std::size_t ops = 12 + rng.below(28);
-  int loops = 0;
-  for (std::size_t i = 0; i < ops; ++i) {
-    switch (rng.below(18)) {
-      case 0: vals.push_back(b.add(pick(), pick())); break;
-      case 1: vals.push_back(b.sub(pick(), pick())); break;
-      case 2: vals.push_back(b.mul(pick(), pick())); break;
-      case 3: vals.push_back(b.band(pick(), pick())); break;
-      case 4: vals.push_back(b.bxor(pick(), pick())); break;
-      case 5: vals.push_back(b.bnot(pick())); break;
-      case 6: vals.push_back(b.add_imm(pick(), rng.below(1000))); break;
-      case 7: vals.push_back(b.and_imm(pick(), (1u << (1 + rng.below(16))) - 1)); break;
-      case 8: vals.push_back(b.shr_imm(pick(), 1 + rng.below(7))); break;
-      case 9: vals.push_back(b.eq_imm(pick(), rng.below(256))); break;
-      case 10: vals.push_back(b.load_pkt_at(rng.below(40), 1 + rng.below(2))); break;
-      case 11: b.store_pkt_at(40 + rng.below(16), pick(), 1); break;
-      case 12: vals.push_back(b.load_mem(b.imm(rng.below(8)))); break;
-      case 13: b.store_mem(b.imm(rng.below(8)), pick()); break;
-      case 14: {  // forward-only diamond
-        Label skip = b.make_label();
-        const Reg cond = rng.below(2) ? b.eq_imm(pick(), rng.below(64))
-                                      : b.ltu(pick(), pick());
-        rng.below(2) ? b.br_true(cond, skip) : b.br_false(cond, skip);
-        if (rng.below(2)) b.class_tag("arm" + std::to_string(i));
-        vals.push_back(b.add_imm(pick(), 1 + rng.below(9)));
-        b.bind(skip);
-        break;
-      }
-      case 15: {  // bounded counted loop with a loop_head annotation
-        if (loops++ >= 2) break;
-        const auto slot = b.local();
-        b.store_local(slot, b.imm(0));
-        const Reg limit = b.and_imm(pick(), 7);
-        Label head = b.make_label(), done = b.make_label();
-        b.bind(head);
-        b.loop_head("L" + std::to_string(i));
-        const Reg it = b.load_local(slot);
-        b.br_false(b.ltu(it, limit), done);
-        vals.push_back(b.bxor(pick(), it));
-        b.store_local(slot, b.add_imm(it, 1));
-        b.jmp(head);
-        b.bind(done);
-        break;
-      }
-      case 16:
-        if (with_calls) {
-          auto [v0, v1] = b.call(1 + rng.below(4), pick(), pick());
-          vals.push_back(v0);
-          vals.push_back(v1);
-        }
-        break;
-      default: b.class_tag("t" + std::to_string(rng.below(4))); break;
-    }
-  }
-  if (rng.below(2)) b.class_tag("exit");
-  switch (rng.below(3)) {
-    case 0: b.forward(pick()); break;
-    case 1: b.forward_imm(rng.below(16)); break;
-    default: b.drop(); break;
-  }
-  return b.finish();
-}
-
-TEST(DecodedDifferential, RandomProgramsMatchTheReferenceOracle) {
-  for (std::uint64_t seed = 0; seed < 24; ++seed) {
-    support::Rng rng(0xb01d + seed);
-    const bool with_calls = seed % 2 == 0;
-    const Program p = random_program(rng, with_calls);
-
-    ir::InterpreterOptions opts;
-    opts.rx_instructions = 24;
-    opts.rx_accesses = 2;
-    opts.tx_instructions = 33;
-    opts.tx_accesses = 3;
-    opts.drop_instructions = 10;
-    opts.drop_accesses = 1;
-
-    DiffEnv env_d, env_r;
-    hw::ConservativeModel sink_d, sink_r;
-    ir::InterpreterOptions opts_d = opts, opts_r = opts;
-    opts_d.sink = &sink_d;
-    opts_r.sink = &sink_r;
-    DecodedInterpreter dec(p, with_calls ? &env_d : nullptr, opts_d);
-    Interpreter ref(p, with_calls ? &env_r : nullptr, opts_r);
-
-    for (int i = 0; i < 40; ++i) {
-      net::Packet pd = net::packet_for_tuple(
-          net::tuple_for_index(rng.below(500)), 1'000'000 + i, rng.below(4));
-      net::Packet pr = pd;
-      sink_d.begin_packet();
-      sink_r.begin_packet();
-      RunResult rd = dec.run(pd), rr = ref.run(pr);
-      const std::string ctx =
-          p.name + " seed=" + std::to_string(seed) + " pkt=" + std::to_string(i);
-      expect_equal_results(rd, rr, ctx);
-      EXPECT_EQ(bytes_of(pd), bytes_of(pr)) << ctx;  // identical rewrites
-      EXPECT_EQ(sink_d.packet_cycles(), sink_r.packet_cycles()) << ctx;
-    }
-    EXPECT_EQ(dec.scratch(), ref.scratch()) << p.name;
-    EXPECT_EQ(sink_d.total_cycles(), sink_r.total_cycles()) << p.name;
-  }
+  EXPECT_DEATH(p.validate(), "falls off the end");
 }
 
 // --- registered NF targets ---------------------------------------------------
@@ -257,7 +95,7 @@ TEST(Native, EveryRegisteredProgramResolvesToNativeCode) {
     for (const Program* p : target.programs()) {
       EXPECT_NE(ir::find_native(*p), nullptr) << name << "/" << p->name;
     }
-    EXPECT_TRUE(target.make_runner()->uses_native_code()) << name;
+    EXPECT_TRUE(target.make_runner()->uses_fast_path()) << name;
     EXPECT_FALSE(target.make_runner(nf::framework_full(), nullptr,
                                     ir::EngineKind::kReference)
                      ->uses_fast_path())
@@ -265,7 +103,51 @@ TEST(Native, EveryRegisteredProgramResolvesToNativeCode) {
   }
 }
 
-enum class Engine { kNative, kDecoded, kReference };
+TEST(Native, AFingerprintCollisionDoesNotShareNativeCode) {
+  // Flipping bit 63 of two words leaves the fingerprint unchanged (it
+  // flips bit 63 of every later hash state, and the second flip cancels
+  // the first), so only the field-by-field check tells the programs apart.
+  perf::PcvRegistry reg;
+  core::NfTarget target;
+  ASSERT_TRUE(core::make_named_target("router", reg, target));
+  const Program& registered = *target.programs().front();
+  Program changed = registered;
+  int flipped = 0;
+  for (ir::Instr& i : changed.code) {
+    if (i.op == ir::Op::kConst && flipped < 2) {
+      i.imm = static_cast<std::int64_t>(static_cast<std::uint64_t>(i.imm) ^
+                                        (std::uint64_t{1} << 63));
+      ++flipped;
+    }
+  }
+  ASSERT_EQ(flipped, 2);
+  ASSERT_EQ(ir::program_fingerprint(changed),
+            ir::program_fingerprint(registered));
+  EXPECT_NE(ir::find_native(registered), nullptr);
+  EXPECT_EQ(ir::find_native(changed), nullptr);
+}
+
+TEST(NativeDeathTest, TheStepBudgetGuardsLoops) {
+  // The router's IP-option walk is the registered loop. With a budget of
+  // one step, the first packet that takes its backward jump must abort.
+  perf::PcvRegistry reg;
+  core::NfTarget target;
+  ASSERT_TRUE(core::make_named_target("router", reg, target));
+  const Program& p = *target.programs().front();
+  ir::InterpreterOptions opts;
+  opts.max_steps = 1;
+  ir::NativeEngine engine(*ir::find_native(p), p, nullptr, opts);
+  std::vector<net::Packet> packets =
+      core::monitor_workload("router", "drift", 3000);
+  EXPECT_DEATH(
+      {
+        RunResult r;
+        for (net::Packet& packet : packets) engine.run_into(packet, r);
+      },
+      "step budget exceeded");
+}
+
+enum class Engine { kNative, kReference };
 
 /// One engine of `kind` per chain stage, bound to one label table the way
 /// NfRunner binds them, so each stage's result is comparable on its own.
@@ -287,9 +169,6 @@ struct StageEngines {
         BOLT_CHECK(entry != nullptr, p.name + ": no native code");
         stages.push_back(
             std::make_unique<ir::NativeEngine>(*entry, p, env, opts, binding));
-      } else if (kind == Engine::kDecoded) {
-        stages.push_back(
-            std::make_unique<DecodedInterpreter>(p, env, opts, binding));
       } else {
         stages.push_back(std::make_unique<Interpreter>(p, env, opts, binding));
       }
@@ -349,15 +228,15 @@ std::vector<net::Packet> identity_inputs(const std::string& name) {
   return out;
 }
 
-TEST(DecodedDifferential, EveryRegisteredTargetMatchesTheReference) {
+TEST(NativeDifferential, EveryRegisteredTargetMatchesTheReference) {
   for (const std::string& name : core::named_targets()) {
     // Independent instances per engine (stateful NFs mutate their state
     // as they run, so the engines must not share one).
-    std::array<perf::PcvRegistry, 3> regs;
-    std::array<core::NfTarget, 3> targets;
-    std::array<hw::ConservativeModel, 3> sinks;
+    std::array<perf::PcvRegistry, 2> regs;
+    std::array<core::NfTarget, 2> targets;
+    std::array<hw::ConservativeModel, 2> sinks;
     std::vector<StageEngines> engines;
-    for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t k = 0; k < 2; ++k) {
       ASSERT_TRUE(core::make_named_target(name, regs[k], targets[k]));
       engines.emplace_back(targets[k], &sinks[k], static_cast<Engine>(k));
     }
@@ -367,13 +246,13 @@ TEST(DecodedDifferential, EveryRegisteredTargetMatchesTheReference) {
     ASSERT_TRUE(core::make_named_target(name, runner_reg, runner_target));
     hw::ConservativeModel runner_sink;
     auto runner = runner_target.make_runner(nf::framework_full(), &runner_sink);
-    EXPECT_TRUE(runner->uses_native_code()) << name;
+    EXPECT_TRUE(runner->uses_fast_path()) << name;
 
     const std::vector<net::Packet> packets = identity_inputs(name);
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      std::array<net::Packet, 3> pkts = {packets[i], packets[i], packets[i]};
-      std::array<std::vector<RunResult>, 3> res;
-      for (std::size_t k = 0; k < 3; ++k) {
+      std::array<net::Packet, 2> pkts = {packets[i], packets[i]};
+      std::array<std::vector<RunResult>, 2> res;
+      for (std::size_t k = 0; k < 2; ++k) {
         sinks[k].begin_packet();
         res[k] = engines[k].run(pkts[k]);
       }
@@ -381,26 +260,22 @@ TEST(DecodedDifferential, EveryRegisteredTargetMatchesTheReference) {
       runner_sink.begin_packet();
       const RunResult merged = runner->process(pr);
       const std::string ctx = name + " pkt=" + std::to_string(i);
-      for (std::size_t k = 0; k < 2; ++k) {
-        const std::string kctx = ctx + (k == 0 ? " native" : " decoded");
-        ASSERT_EQ(res[k].size(), res[2].size()) << kctx;
-        for (std::size_t s = 0; s < res[k].size(); ++s) {
-          expect_equal_results(res[k][s], res[2][s],
-                               kctx + " stage=" + std::to_string(s));
-        }
-        EXPECT_EQ(bytes_of(pkts[k]), bytes_of(pkts[2])) << kctx;
-        EXPECT_EQ(sinks[k].packet_cycles(), sinks[2].packet_cycles()) << kctx;
+      ASSERT_EQ(res[0].size(), res[1].size()) << ctx;
+      for (std::size_t s = 0; s < res[0].size(); ++s) {
+        expect_equal_results(res[0][s], res[1][s],
+                             ctx + " stage=" + std::to_string(s));
       }
-      EXPECT_EQ(bytes_of(pr), bytes_of(pkts[2])) << ctx;
-      EXPECT_EQ(runner_sink.packet_cycles(), sinks[2].packet_cycles()) << ctx;
-      EXPECT_EQ(merged.verdict, res[2].back().verdict) << ctx;
+      EXPECT_EQ(bytes_of(pkts[0]), bytes_of(pkts[1])) << ctx;
+      EXPECT_EQ(sinks[0].packet_cycles(), sinks[1].packet_cycles()) << ctx;
+      EXPECT_EQ(bytes_of(pr), bytes_of(pkts[1])) << ctx;
+      EXPECT_EQ(runner_sink.packet_cycles(), sinks[1].packet_cycles()) << ctx;
+      EXPECT_EQ(merged.verdict, res[1].back().verdict) << ctx;
       if (::testing::Test::HasFailure()) return;  // one dump is enough
     }
-    EXPECT_EQ(sinks[0].total_cycles(), sinks[2].total_cycles()) << name;
-    EXPECT_EQ(sinks[1].total_cycles(), sinks[2].total_cycles()) << name;
-    for (std::size_t s = 0; s < engines[2].stages.size(); ++s) {
+    EXPECT_EQ(sinks[0].total_cycles(), sinks[1].total_cycles()) << name;
+    for (std::size_t s = 0; s < engines[1].stages.size(); ++s) {
       EXPECT_EQ(engines[0].stages[s]->scratch(),
-                engines[2].stages[s]->scratch());
+                engines[1].stages[s]->scratch());
     }
   }
 }
@@ -413,10 +288,11 @@ std::vector<net::Packet> nat_workload(std::size_t count) {
   return net::zipf_traffic(spec);
 }
 
-TEST(Native, AChangedImmediateFallsBackToTheDecodedEngine) {
+TEST(Native, AChangedImmediateFallsBackToTheReferenceEngine) {
   // The NAT built with another external IP differs from the registered one
-  // in one kConst immediate: it must find no native code, run decoded,
-  // and still match the reference.
+  // in one kConst immediate: it must find no native code and run on the
+  // reference engine, so the NAT writes the changed IP (the registered
+  // native code would write the default one).
   perf::PcvRegistry reg_d, reg_r;
   core::NfInstance nat_d = core::make_nat(reg_d, core::default_nat_config());
   core::NfInstance nat_r = core::make_nat(reg_r, core::default_nat_config());
@@ -433,7 +309,6 @@ TEST(Native, AChangedImmediateFallsBackToTheDecodedEngine) {
   auto run_r = nat_r.make_runner(nf::framework_full(), &sink_r,
                                  ir::EngineKind::kReference);
   EXPECT_TRUE(run_d->uses_fast_path());
-  EXPECT_FALSE(run_d->uses_native_code());
   const auto packets = nat_workload(1500);
   bool rewrote = false;
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -454,7 +329,7 @@ TEST(Native, AChangedImmediateFallsBackToTheDecodedEngine) {
 
 // --- monitor report byte-identity over the knob grid -------------------------
 
-TEST(DecodedDifferential, MonitorReportsAreByteIdenticalAcrossTheKnobGrid) {
+TEST(NativeDifferential, MonitorReportsAreByteIdenticalAcrossTheKnobGrid) {
   for (const std::string& name : core::named_targets()) {
     perf::PcvRegistry reg;
     core::NfTarget target;
@@ -479,7 +354,7 @@ TEST(DecodedDifferential, MonitorReportsAreByteIdenticalAcrossTheKnobGrid) {
     for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
       monitor::MonitorOptions opts = ref_opts;
       opts.threads = threads;
-      opts.engine = ir::EngineKind::kDecoded;
+      opts.engine = ir::EngineKind::kNative;
       std::vector<std::uint32_t> attr;
       const std::string json = monitor::report_to_json(
           monitor::MonitorEngine(result.contract, reg, opts)

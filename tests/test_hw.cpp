@@ -419,7 +419,7 @@ TEST(MustHitOracle, RegisteredTargetStreamsMatchTextbookLru) {
     }
     expect_agrees_with_reference(recorder.packets);
 
-    // The engines' own metering (decoded by default) must agree as well.
+    // The engines' own metering (native code by default) must agree as well.
     perf::PcvRegistry reg2;
     core::NfTarget target2;
     ASSERT_TRUE(core::make_named_target(name, reg2, target2));

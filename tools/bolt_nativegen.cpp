@@ -10,7 +10,7 @@
 #include "support/io.h"
 
 // The generator runs before any native code exists: its table is empty, so
-// every program it links runs on the decoded engine.
+// every program it links runs on the reference engine.
 bolt::support::Span<const bolt::ir::NativeEntry> bolt::ir::native_table() {
   return {};
 }
