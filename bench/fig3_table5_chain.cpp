@@ -128,7 +128,7 @@ int main() {
   // The paper's workflow regenerates contracts under many configurations
   // (framework on/off x coalescing x loop linearisation). Each generation
   // is independent, so the sweep fans out across the shared pool (each
-  // generation runs inline on its sweep thread); a heavier solver budget
+  // generation runs serially on its sweep thread); a heavier solver budget
   // makes each generation a realistic unit of work.
   std::vector<core::BoltOptions> configs;
   for (const bool full_framework : {false, true}) {

@@ -126,7 +126,7 @@ void BM_GenerateContract_Lb(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateContract_Lb);
 
-/// The static router alone, at 1 and 4 threads. Its option walk forks on
+/// The static router alone. Its option walk forks on
 /// every option word's kind; branch-join pruning keeps the path count
 /// linear in the word count (`paths`, with `merged_states` dominated arms
 /// dropped and `revived_states` explored after all).
@@ -137,9 +137,7 @@ void BM_GenerateContract_Router(benchmark::State& state) {
     perf::PcvRegistry reg;
     core::NfTarget target;
     core::make_named_target("router", reg, target);
-    core::BoltOptions options;
-    options.threads = static_cast<std::size_t>(state.range(0));
-    core::ContractGenerator gen(reg, options);
+    core::ContractGenerator gen(reg);
     const core::GenerationResult result = gen.generate(target.analysis());
     paths = result.total_paths;
     last_stats = result.executor_stats;
@@ -151,9 +149,11 @@ void BM_GenerateContract_Router(benchmark::State& state) {
   state.counters["revived_states"] =
       static_cast<double>(last_stats.revived_states);
 }
-BENCHMARK(BM_GenerateContract_Router)->Arg(1)->Arg(4);
+// Generation is serial; the /1 argument keeps the name the archived
+// baselines use.
+BENCHMARK(BM_GenerateContract_Router)->Arg(1);
 
-/// Single-thread contract generation for the paper's firewall -> router
+/// Contract generation for the paper's firewall -> router
 /// chain (Table 5c) — the developer edit-compile-loop latency this PR's
 /// hot-path work targets. Regenerating this chain's contract on the
 /// pre-optimization commit took kPrePrChainNs on the reference machine
@@ -171,15 +171,12 @@ void BM_GenerateContract_Chain(benchmark::State& state) {
   chain.programs = {&firewall, &router};
   chain.methods = &no_methods;
 
-  const std::size_t threads = state.range(0);
   double gen_ns = 0;
   std::uint64_t iters = 0;
   symbex::ExecutorStats last_stats;
   for (auto _ : state) {
     perf::PcvRegistry reg;
-    core::BoltOptions options;
-    options.threads = threads;
-    core::ContractGenerator gen(reg, options);
+    core::ContractGenerator gen(reg);
     const auto t0 = std::chrono::steady_clock::now();
     const core::GenerationResult result = gen.generate(chain);
     const auto t1 = std::chrono::steady_clock::now();
@@ -190,7 +187,7 @@ void BM_GenerateContract_Chain(benchmark::State& state) {
   }
   const double per_iter = iters == 0 ? 0 : gen_ns / static_cast<double>(iters);
   state.counters["contract_gen_ns"] = per_iter;
-  if (threads == 1 && per_iter > 0) {
+  if (per_iter > 0) {
     state.counters["contract_gen_speedup"] = kPrePrChainNs / per_iter;
   }
   state.counters["solver_calls"] = static_cast<double>(last_stats.solver_calls);
@@ -198,8 +195,7 @@ void BM_GenerateContract_Chain(benchmark::State& state) {
       static_cast<double>(last_stats.feas_cache_hits);
   state.counters["feas_cache_misses"] =
       static_cast<double>(last_stats.feas_cache_misses);
-  state.counters["steal_count"] = static_cast<double>(last_stats.steal_count);
 }
-BENCHMARK(BM_GenerateContract_Chain)->Arg(1)->Arg(8);
+BENCHMARK(BM_GenerateContract_Chain)->Arg(1);  // /1: the archived name
 
 }  // namespace

@@ -624,9 +624,7 @@ AdversarialTrace adversarial_traffic(
                  gen_target.contract_name() + "'");
   core::GenerationResult generated;
   if (path_reports == nullptr) {
-    core::BoltOptions gen_options;
-    gen_options.threads = opts.threads;
-    core::ContractGenerator generator(gen_reg, gen_options);
+    core::ContractGenerator generator(gen_reg);
     generated = generator.generate(gen_target.analysis());
     path_reports = &generated.path_reports;
   }

@@ -63,8 +63,6 @@ struct AdversaryOptions {
   std::size_t probes_per_class = 12;
   net::TimestampNs start_ns = 1'000'000'000;
   std::uint64_t gap_ns = 10'000;  ///< inter-packet spacing (100kpps)
-  /// Worker threads for the in-process witness generation (0 = auto).
-  std::size_t threads = 0;
 };
 
 /// Per-packet plan entry: where the packet will land and what the contract

@@ -1,13 +1,10 @@
 #include "core/bolt.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 #include "core/classkey.h"
 #include "core/runner.h"
 #include "support/assert.h"
-#include "support/thread_pool.h"
 
 namespace bolt::core {
 
@@ -98,62 +95,39 @@ GenerationResult ContractGenerator::generate(const NfAnalysis& nf) {
   result.contract = perf::Contract(nf.name);
 
   // 1) Substitute models (Alg. 2 line 2) and explore all paths (line 3).
-  //    The executor fans exploration out across worker threads and returns
-  //    paths canonicalized (sorted, symbols renumbered), so everything
-  //    downstream is independent of the thread count.
+  //    The executor returns paths canonicalized (sorted, symbols
+  //    renumbered), so everything downstream follows the canonical order.
   std::map<std::int64_t, symbex::SymbolicModel> models;
   for (const auto& [id, spec] : *nf.methods) models.emplace(id, spec.model);
-  symbex::ExecutorOptions exec_options = options_.executor;
-  if (exec_options.threads == 0) exec_options.threads = options_.threads;
-  symbex::Executor executor(nf.programs, std::move(models), exec_options);
+  symbex::Executor executor(nf.programs, std::move(models), options_.executor);
   std::vector<symbex::PathResult> paths = executor.run();
   result.executor_stats = executor.stats();
   result.total_paths = paths.size();
 
-  // 2) Solve for concrete inputs (line 6) — one independent solve per path,
-  //    fanned out inside solve_inputs.
+  // 2) Solve for concrete inputs (line 6), one solve per path.
   executor.solve_inputs(paths);
 
-  // 3) Replay each path and assemble its expressions (lines 7-15). Replays
-  //    are independent (each gets its own interpreter + cycle model over
-  //    the shared read-only programs), so they fan out across the pool;
-  //    report slots are preassigned so the output order stays canonical.
+  // 3) Replay each path and assemble its expressions (lines 7-15), in
+  //    canonical path order. One conservative cycle model serves every
+  //    path: begin_packet() resets its analysis in O(1) (epoch clear).
   const hw::CycleCosts& cc = options_.cycle_costs;
+  hw::ConservativeModel cycles_model(cc);
   result.path_reports.resize(paths.size());
-  std::atomic<std::size_t> unsolved{0};
-  // The pipeline-wide knob sets this stage's width (executor.threads only
-  // governs the exploration/solving stages above).
-  support::parallel_for(0, paths.size(), options_.threads, [&](std::size_t path_index) {
+  for (std::size_t path_index = 0; path_index < paths.size(); ++path_index) {
     const symbex::PathResult& path = paths[path_index];
     PathReport& report = result.path_reports[path_index];
     report.action = path.action;
     report.loop_trips = path.loop_trips;
     report.class_key = class_key(path.class_tags, call_cases_of(path, *nf.methods));
     if (!path.solved) {
-      unsolved.fetch_add(1, std::memory_order_relaxed);
-      return;
+      ++result.unsolved_paths;
+      continue;
     }
     report.solved = true;
 
     net::Packet packet = packet_from_path(path);
     report.input = packet;  // keep the pristine witness (the replay mutates)
     ReplayEnv env(path);
-    // One conservative cycle model per worker thread, reused across paths
-    // (and, on persistent threads, across generate() calls): its must-hit
-    // L1 array is the single biggest allocation on this path, and
-    // begin_packet() resets the analysis per path in O(1) (epoch clear).
-    // Indices still come from the pool's dynamic grab, so an expensive
-    // path never serializes a stripe of cheap ones behind it.
-    struct ModelSlot {
-      hw::CycleCosts costs;
-      std::unique_ptr<hw::ConservativeModel> model;
-    };
-    thread_local ModelSlot slot;
-    if (slot.model == nullptr || !(slot.costs == cc)) {
-      slot.model = std::make_unique<hw::ConservativeModel>(cc);
-      slot.costs = cc;
-    }
-    hw::ConservativeModel& cycles_model = *slot.model;
     ir::InterpreterOptions iopts;
     nf::apply_framework(iopts, options_.framework);
     iopts.sink = &cycles_model;
@@ -200,8 +174,7 @@ GenerationResult ContractGenerator::generate(const NfAnalysis& nf) {
     report.exprs.set(Metric::kInstructions, std::move(instr));
     report.exprs.set(Metric::kMemoryAccesses, std::move(ma));
     report.exprs.set(Metric::kCycles, std::move(cycles));
-  });
-  result.unsolved_paths = unsolved.load();
+  }
 
   // 4) Group paths into input classes and coalesce (paper §3.2/§6). This
   //    merge is sequential and deterministic: reports arrive in canonical

@@ -33,12 +33,7 @@ struct BoltOptions {
   symbex::ExecutorOptions executor;
   nf::FrameworkCosts framework = nf::framework_full();
   hw::CycleCosts cycle_costs = hw::default_cycle_costs();
-  /// Worker threads for the whole pipeline — path exploration, per-path
-  /// input solving, and concrete replay all fan out across this many
-  /// workers (0 = one per hardware thread). Contracts are bit-identical
-  /// at any thread count: paths are canonicalized and sorted by class key
-  /// before coalescing. An explicitly set `executor.threads` wins for the
-  /// exploration stage.
+  /// No code reads this; it goes with the next benchmark change.
   std::size_t threads = 0;
   /// Conservative coalescing of paths into classes (ablation: off keeps one
   /// contract entry per path).

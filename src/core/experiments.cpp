@@ -285,8 +285,8 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<std::string>& ids,
                                           const BoltOptions& options,
                                           std::size_t threads) {
   // Scenario sweeps are parallel at the scenario level; each scenario's
-  // own pipeline then runs inline on its sweep thread (the pool's nesting
-  // rule), so concurrent scenarios never oversubscribe.
+  // own generation is serial on its sweep thread, so concurrent scenarios
+  // never oversubscribe.
   std::vector<ScenarioResult> results(ids.size());
   support::parallel_for(0, ids.size(), threads, [&](std::size_t i) {
     perf::PcvRegistry reg;

@@ -73,9 +73,9 @@ ScenarioResult run_scenario(Scenario& scenario, perf::PcvRegistry& reg,
 /// (scenarios share nothing — each gets its own PcvRegistry and NF
 /// instance) and returns results in `ids` order, so sweeps are
 /// deterministic at any thread count. `threads` is the sweep's width on
-/// the shared pool (0 = one per hardware thread). Each scenario's inner
-/// pipeline runs inline on its sweep thread (the pool's nesting rule):
-/// the sweep is the parallelism.
+/// the shared pool (0 = one per hardware thread). Each scenario's
+/// contract generation is serial on its sweep thread: the sweep is the
+/// parallelism.
 std::vector<ScenarioResult> run_scenarios(const std::vector<std::string>& ids,
                                           const BoltOptions& options = {},
                                           std::size_t threads = 0);

@@ -1,7 +1,10 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -10,26 +13,22 @@
 namespace bolt::support {
 
 namespace {
-/// True while this thread is inside a group: always on pool threads, and
-/// on an owner while its group is open.
+
+/// True while this thread is inside a parallel_for: always on pool
+/// threads, and on a caller while its call runs.
 thread_local bool t_in_group = false;
-}  // namespace
 
-std::size_t resolve_threads(std::size_t requested) {
-  if (requested != 0) return requested;
-  static const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-namespace detail {
+/// The helpers' side of one parallel_for call. Every member but `work` is
+/// guarded by the pool mutex.
+struct Group {
+  std::function<void()> work;
+  std::size_t running = 0;
+  std::exception_ptr error;
+  std::condition_variable done;
+};
 
 /// The process-wide pool: its threads and the helpers queued for them.
 struct Pool {
-  struct Job {
-    TaskGroup* group;
-    std::size_t k;
-  };
-
   static Pool& get() {
     static Pool pool;
     return pool;
@@ -50,85 +49,56 @@ struct Pool {
     for (;;) {
       work_cv.wait(lock, [this] { return shutdown || !queue.empty(); });
       if (queue.empty()) return;
-      const Job job = queue.front();
+      Group& g = *queue.front();
       queue.pop_front();
-      TaskGroup& g = *job.group;
-      ++g.running_;
+      ++g.running;
       lock.unlock();
       std::exception_ptr error;
       try {
-        g.helper_(job.k);
+        g.work();
       } catch (...) {
         error = std::current_exception();
       }
       lock.lock();
-      if (error && !g.error_) g.error_ = std::move(error);
-      // Notified under the lock: the owner cannot destroy the group until
+      if (error && !g.error) g.error = std::move(error);
+      // Notified under the lock: the caller cannot destroy the group until
       // this thread lets go of it.
-      if (--g.running_ == 0) g.done_.notify_all();
+      if (--g.running == 0) g.done.notify_all();
     }
   }
 
   std::mutex mutex;  // guards the members below and every group's batch state
   std::condition_variable work_cv;
-  std::deque<Job> queue;
+  std::deque<Group*> queue;  // one entry per queued helper
   bool shutdown = false;
   std::vector<std::thread> threads;  // last: joined before the rest dies
 };
 
-}  // namespace detail
+}  // namespace
 
-TaskGroup::TaskGroup(std::size_t width, std::function<void(std::size_t)> helper)
-    : helper_(std::move(helper)),
-      outer_(std::exchange(t_in_group, true)),
-      width_(outer_ ? 1 : resolve_threads(width)) {
-  if (width_ == 1) return;
-  detail::Pool& pool = detail::Pool::get();
-  std::lock_guard<std::mutex> lock(pool.mutex);
-  while (pool.threads.size() + 1 < width_) {
-    pool.threads.emplace_back([&pool] { pool.run(); });
-  }
-}
-
-bool TaskGroup::add_helper() {
-  if (size() >= width_) return false;
-  detail::Pool& pool = detail::Pool::get();
-  {
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    const std::size_t k = size();
-    if (closed_ || k >= width_) return false;
-    added_.store(k, std::memory_order_release);
-    pool.queue.push_back({this, k});
-  }
-  pool.work_cv.notify_one();
-  return true;
-}
-
-std::exception_ptr TaskGroup::join() {
-  t_in_group = outer_;
-  if (width_ == 1) return nullptr;
-  detail::Pool& pool = detail::Pool::get();
-  std::unique_lock<std::mutex> lock(pool.mutex);
-  if (!closed_) {
-    closed_ = true;
-    auto& q = pool.queue;
-    q.erase(std::remove_if(q.begin(), q.end(),
-                           [this](const detail::Pool::Job& j) { return j.group == this; }),
-            q.end());
-  }
-  done_.wait(lock, [this] { return running_ == 0; });
-  return std::exchange(error_, nullptr);
-}
-
-void TaskGroup::wait() {
-  if (std::exception_ptr error = join()) std::rethrow_exception(error);
+std::size_t resolve_threads(std::size_t requested) {
+  if (requested != 0) return requested;
+  static const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t width,
                   const std::function<void(std::size_t)>& body) {
   if (end <= begin) return;
+  const bool outer = std::exchange(t_in_group, true);
+  struct Restore {
+    bool outer;
+    ~Restore() { t_in_group = outer; }
+  } restore{outer};
+  const std::size_t n = outer ? 1 : std::min(resolve_threads(width), end - begin);
+  if (n == 1) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+
   std::atomic<std::size_t> next{begin};
-  auto drain = [&](std::size_t) {
+  Group group;
+  group.work = [&] {
     try {
       for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < end;) {
         body(i);
@@ -138,11 +108,30 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t width,
       throw;
     }
   };
-  TaskGroup group(std::min(resolve_threads(width), end - begin), drain);
-  while (group.add_helper()) {
+  Pool& pool = Pool::get();
+  {
+    std::lock_guard<std::mutex> lock(pool.mutex);
+    while (pool.threads.size() + 1 < n) {
+      pool.threads.emplace_back([&pool] { pool.run(); });
+    }
+    pool.queue.insert(pool.queue.end(), n - 1, &group);
   }
-  drain(0);
-  group.wait();
+  for (std::size_t k = 1; k < n; ++k) pool.work_cv.notify_one();
+
+  std::exception_ptr error;
+  try {
+    group.work();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Cancel the helpers no pool thread has started and wait for the rest.
+  std::unique_lock<std::mutex> lock(pool.mutex);
+  pool.queue.erase(std::remove(pool.queue.begin(), pool.queue.end(), &group),
+                   pool.queue.end());
+  group.done.wait(lock, [&group] { return group.running == 0; });
+  if (!error) error = std::move(group.error);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace bolt::support

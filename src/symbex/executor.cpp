@@ -1,22 +1,16 @@
 #include "symbex/executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "ir/cost.h"
 #include "ir/cycle_meter.h"
 #include "support/assert.h"
 #include "support/cache.h"
-#include "support/random.h"
-#include "support/thread_pool.h"
 
 namespace bolt::symbex {
 
@@ -79,125 +73,7 @@ struct Executor::Revival {
   /// An arm bounded the length but the bounds were left out of `syms`
   /// (see poison()): reading the length revives.
   bool len_read = false;
-  std::atomic<bool> revived{false};
-};
-
-// Shared state of one exploration run.
-//
-// Work distribution is per-worker deques with randomized stealing
-// (Chase-Lev-style discipline under a per-deque mutex: the owner pushes
-// and pops at the back — DFS-like memory use — while thieves take from
-// the front, which holds the oldest forks and therefore the biggest
-// unexplored subtrees). `in_flight` counts states that are queued or
-// currently executing; exploration terminates exactly when it reaches
-// zero. Workers join on demand: the calling thread explores inline, and a
-// helper on the shared pool (support/thread_pool.h) is only added when a
-// push leaves backlog behind. An NF with two paths never wakes a 64-wide
-// team; a big chain ramps up to the configured width within a few forks.
-struct Executor::Explore {
-  struct alignas(64) WorkerQueue {
-    std::mutex mutex;
-    std::deque<State> deque;
-  };
-
-  support::TaskGroup* team = nullptr;  // worker k > 0 is helper k
-  std::vector<std::unique_ptr<WorkerQueue>> queues;  // team->width() entries
-  std::atomic<std::size_t> in_flight{0};  // queued + executing states
-
-  // Starved workers block here until a push or termination wakes them —
-  // no polling. `push_gen` ticks on every push; a worker snapshots it
-  // BEFORE scanning the deques, so a push it raced with either shows up
-  // in the scan or flips the wait predicate. Pushers only take the sleep
-  // mutex when `sleepers` says someone is actually parked (the seq_cst
-  // ordering of sleepers/push_gen closes the pred-vs-notify window).
-  std::mutex sleep_mutex;
-  std::condition_variable cv;
-  std::atomic<std::uint64_t> push_gen{0};
-  std::atomic<std::size_t> sleepers{0};  // mutated under sleep_mutex
-
-  // Completed paths keyed by their scheduling-independent structural
-  // signature. When max_paths truncates, the *largest* signatures are
-  // evicted, so the surviving set is the canonical prefix of the full
-  // sorted path set — identical at any thread count (exploration still
-  // visits every path; only memory is bounded by the budget).
-  std::mutex results_mutex;
-  std::multimap<std::string, PathResult> results;
-  std::size_t truncated = 0;  // completed paths evicted by the budget
-  std::atomic<std::size_t> pruned{0};
-  std::atomic<std::size_t> abandoned{0};
-  std::atomic<std::size_t> unknowns{0};
-  std::atomic<std::size_t> steals{0};
-  std::atomic<std::uint64_t> solver_calls{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> memo_misses{0};
-  std::atomic<std::size_t> merged{0};
-  std::atomic<std::size_t> revived{0};
-
-  void push(std::size_t self, State s) {
-    in_flight.fetch_add(1, std::memory_order_acq_rel);
-    if (team->width() == 1) {
-      // Serial exploration (the developer edit-compile loop): no other
-      // worker can exist, so skip the deque lock and the wakeup.
-      queues[self]->deque.push_back(std::move(s));
-      return;
-    }
-    bool backlog;
-    {
-      WorkerQueue& q = *queues[self];
-      std::lock_guard<std::mutex> lock(q.mutex);
-      q.deque.push_back(std::move(s));
-      backlog = q.deque.size() > 1;
-    }
-    push_gen.fetch_add(1);
-    // Backlog beyond what this pusher will pop itself: grow the team.
-    if (backlog) team->add_helper();
-    if (sleepers.load() > 0) {
-      std::lock_guard<std::mutex> lock(sleep_mutex);
-      cv.notify_one();
-    }
-  }
-
-  bool pop_own(std::size_t self, State& out) {
-    WorkerQueue& q = *queues[self];
-    if (team->width() == 1) {
-      if (q.deque.empty()) return false;
-      out = std::move(q.deque.back());
-      q.deque.pop_back();
-      return true;
-    }
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (q.deque.empty()) return false;
-    out = std::move(q.deque.back());
-    q.deque.pop_back();
-    return true;
-  }
-
-  bool steal(std::size_t self, support::Rng& rng, State& out) {
-    const std::size_t n = team->size();
-    if (n <= 1) return false;
-    // Randomized victim selection: one full sweep from a random start.
-    const std::size_t start = rng.below(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t victim = (start + i) % n;
-      if (victim == self) continue;
-      WorkerQueue& q = *queues[victim];
-      std::lock_guard<std::mutex> lock(q.mutex);
-      if (q.deque.empty()) continue;
-      out = std::move(q.deque.front());
-      q.deque.pop_front();
-      steals.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-};
-
-/// Per-worker context: the deque index, a private Solver (whose
-/// feasibility memo therefore never needs a lock), and the steal rng.
-struct Executor::WorkerCtx {
-  std::size_t index;
-  Solver solver;
-  support::Rng rng;
+  bool revived = false;  ///< pushed back for exploration already
 };
 
 namespace {
@@ -264,10 +140,9 @@ void append_sig_expr(ExprPtr e, LocalNamer& names, std::string& out) {
   }
 }
 
-/// A scheduling-independent structural key for a path: every symbol is
-/// named by its first-use index *within this path*, so two runs that
-/// explored the same path under different interleavings (and therefore
-/// minted different global symbol ids) produce identical signatures.
+/// A structural key for a path that does not depend on global symbol ids:
+/// every symbol is named by its first-use index *within this path*, so the
+/// key is the same whatever symbols other paths minted first.
 std::string path_signature(const PathResult& p) {
   LocalNamer names;
 
@@ -430,12 +305,16 @@ void Executor::enter_program(State& s, std::size_t index) const {
   mark_unseen(s);  // framework tx of the previous NF, rx of this one
 }
 
-/// One worker's view of the instruction semantics: every helper here acts
-/// on one state, with the worker's solver and deque.
-struct Executor::Stepper {
+/// One exploration run: the pending states, the solver that prunes forks,
+/// the completed paths, and the instruction semantics that connect them.
+struct Executor::Explore {
   Executor& ex;
-  WorkerCtx& ctx;
-  Explore& sh;
+  Solver solver;
+  /// Pending states, newest last: popping the newest keeps memory use
+  /// DFS-like.
+  std::vector<State> stack;
+  /// Completed paths keyed by their structural signature (see complete()).
+  std::multimap<std::string, PathResult> results;
 
   /// Where a state stood when a branch forked it: the branch constraint is
   /// the first arm constraint.
@@ -457,7 +336,7 @@ struct Executor::Stepper {
   void add_constraint(State& st, ExprPtr c) {
     touch_expr(st, c);
     st.path.constraints.push_back(c);
-    if (ex.options_.prune_infeasible) ctx.solver.propagate_into(st.inc, c);
+    if (ex.options_.prune_infeasible) solver.propagate_into(st.inc, c);
   }
 
   void ensure_len_sym(State& st) {
@@ -479,16 +358,14 @@ struct Executor::Stepper {
     if (!ex.options_.prune_infeasible) return SolveStatus::kUnknown;
     if (st.inc.const_false) return SolveStatus::kUnsat;  // constant-false fast path
     if (st.inc.infeasible) {
-      sh.pruned.fetch_add(1, std::memory_order_relaxed);
+      ++ex.stats_.pruned_branches;
       return SolveStatus::kUnsat;
     }
     // No constraint since the last check, which found a witness.
     if (st.inc.checked_upto == st.path.constraints.size()) return SolveStatus::kSat;
     const SolveStatus status =
-        ctx.solver.quick_check_incremental(st.inc, st.path.constraints);
-    if (status == SolveStatus::kUnknown) {
-      sh.unknowns.fetch_add(1, std::memory_order_relaxed);
-    }
+        solver.quick_check_incremental(st.inc, st.path.constraints);
+    if (status == SolveStatus::kUnknown) ++ex.stats_.solver_unknowns;
     return status;
   }
 
@@ -498,21 +375,19 @@ struct Executor::Stepper {
   // Sinks a completed path into the signature-ordered result set. The
   // max_paths budget truncates *canonically*: the set keeps the
   // `max_paths` smallest signatures seen so far and evicts the largest,
-  // so the final set is the same canonical prefix no matter which worker
-  // finished which path first (the signature is computed outside the lock;
-  // it only depends on the path's structure).
+  // so the final set is the canonical prefix of the full sorted path set,
+  // whatever order the paths completed in.
   void complete(State& st) {
     st.path.witness = std::move(st.inc.witness);
     std::string sig = path_signature(st.path);
-    std::lock_guard<std::mutex> lock(sh.results_mutex);
-    if (sh.results.size() >= ex.options_.max_paths) {
-      ++sh.truncated;
-      if (sh.results.empty()) return;  // a zero budget keeps nothing
-      auto last = std::prev(sh.results.end());
+    if (results.size() >= ex.options_.max_paths) {
+      ++ex.stats_.truncated_paths;
+      if (results.empty()) return;  // a zero budget keeps nothing
+      auto last = std::prev(results.end());
       if (sig >= last->first) return;  // beyond the canonical prefix
-      sh.results.erase(last);
+      results.erase(last);
     }
-    sh.results.emplace(std::move(sig), std::move(st.path));
+    results.emplace(std::move(sig), std::move(st.path));
   }
 
   // --- the conservative L1 as far as the executor can see it -------------
@@ -552,9 +427,9 @@ struct Executor::Stepper {
   // --- revival -------------------------------------------------------------
 
   void revive(Revival& r) {
-    if (r.revived.exchange(true)) return;
-    sh.revived.fetch_add(1, std::memory_order_relaxed);
-    sh.push(ctx.index, std::move(r.dropped));
+    r.revived = true;
+    ++ex.stats_.revived_states;
+    stack.push_back(std::move(r.dropped));
   }
 
   /// Revives every pending record of `st` whose poison `hit` reports
@@ -564,8 +439,8 @@ struct Executor::Stepper {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < st.revivals.size(); ++i) {
       Revival& r = *st.revivals[i];
-      if (!r.revived.load() && hit(r)) revive(r);
-      if (r.revived.load()) continue;
+      if (!r.revived && hit(r)) revive(r);
+      if (r.revived) continue;
       if (keep != i) st.revivals[keep] = std::move(st.revivals[i]);
       ++keep;
     }
@@ -743,7 +618,7 @@ struct Executor::Stepper {
     const bool keep_t = same && vs == SolveStatus::kSat && covers(s, ms, f, mf);
     const bool keep_f = same && vf == SolveStatus::kSat && covers(f, mf, s, ms);
     if (!keep_t && !keep_f) {
-      sh.push(ctx.index, std::move(f));
+      stack.push_back(std::move(f));
       return true;
     }
     if (!keep_t) {
@@ -754,7 +629,7 @@ struct Executor::Stepper {
     poison(*record, s, ms, f, mf);
     record->dropped = std::move(f);
     s.revivals.push_back(std::move(record));
-    sh.merged.fetch_add(1, std::memory_order_relaxed);
+    ++ex.stats_.merged_states;
     return true;
   }
 
@@ -774,7 +649,7 @@ struct Executor::Stepper {
     const bool t_ok = feasible(s);
     s.pc = static_cast<std::size_t>(ins.t);
     if (t_ok && f_ok && bj.join >= 0) return join_arms(s, std::move(false_state), bj);
-    if (f_ok) sh.push(ctx.index, std::move(false_state));
+    if (f_ok) stack.push_back(std::move(false_state));
     return t_ok;
   }
 
@@ -786,7 +661,7 @@ struct Executor::Stepper {
     const ir::Program& prog = *ex.programs_[s.prog_index];
     BOLT_CHECK(s.pc < prog.code.size(), prog.name + ": symbolic pc escape");
     if (++s.steps > ex.options_.max_steps_per_path) {
-      sh.abandoned.fetch_add(1, std::memory_order_relaxed);
+      ++ex.stats_.abandoned_paths;
       return false;
     }
     const ir::Instr& ins = prog.code[s.pc];
@@ -953,7 +828,7 @@ struct Executor::Stepper {
         std::vector<ModelOutcome> outcomes = mit->second(ex.symbols_, arg0, arg1);
         BOLT_CHECK(!outcomes.empty(), "model produced no outcomes");
 
-        // Fork one state per feasible outcome onto this worker's deque.
+        // Fork one state per feasible outcome onto the stack.
         bool continued = false;
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
           ModelOutcome& outcome = outcomes[i];
@@ -981,10 +856,10 @@ struct Executor::Stepper {
             candidate.regs[static_cast<std::size_t>(ins.dst2)] = call.ret1;
           }
           candidate.pc = next;
-          sh.push(ctx.index, std::move(candidate));
+          stack.push_back(std::move(candidate));
           continued = true;
         }
-        return false;  // all outcomes pushed onto the deque
+        return false;  // all outcomes pushed onto the stack
       }
 
       case ir::Op::kBr:
@@ -1022,7 +897,7 @@ struct Executor::Stepper {
             static_cast<std::int64_t>(s.prog_index) * 1000 + ins.imm;
         const std::uint64_t trips = ++s.path.loop_trips[loop_key];
         if (trips > ex.options_.max_loop_trips) {
-          sh.abandoned.fetch_add(1, std::memory_order_relaxed);
+          ++ex.stats_.abandoned_paths;
           return false;
         }
         break;
@@ -1039,89 +914,31 @@ void Executor::mark_unseen(State& s) {
   }
 }
 
-void Executor::execute_state(State s, WorkerCtx& ctx, Explore& sh) {
-  Stepper stepper{*this, ctx, sh};
-  while (stepper.step(s)) {
-  }
-}
-
-void Executor::explore_worker(Explore& sh, std::size_t self) {
-  WorkerCtx ctx{self, Solver(symbols_, options_.solver),
-                support::Rng(options_.solver.seed ^
-                             (0x9e3779b97f4a7c15ULL * (self + 1)))};
-  for (;;) {
-    // Snapshot the push generation BEFORE scanning: any state enqueued
-    // earlier is visible to the scan, any state enqueued later bumps the
-    // generation and flips the wait predicate below.
-    const std::uint64_t gen = sh.push_gen.load();
-    State s;
-    if (sh.pop_own(self, s) || sh.steal(self, ctx.rng, s)) {
-      execute_state(std::move(s), ctx, sh);
-      // The state (and everything it forked) is accounted; if this was the
-      // last in-flight state anywhere, wake the sleepers so they exit.
-      if (sh.in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(sh.sleep_mutex);
-        sh.cv.notify_all();
-      }
-      continue;
-    }
-    if (sh.in_flight.load(std::memory_order_acquire) == 0) break;
-    // Starved but exploration is still running somewhere: park until a
-    // push or termination pokes us (no polling — an idle worker costs
-    // nothing while a sibling grinds through a deep serial tail).
-    std::unique_lock<std::mutex> lock(sh.sleep_mutex);
-    sh.sleepers.fetch_add(1);
-    sh.cv.wait(lock, [&] {
-      return sh.push_gen.load() != gen || sh.in_flight.load() == 0;
-    });
-    sh.sleepers.fetch_sub(1);
-  }
-  // Fold this worker's solver instrumentation into the shared totals. The
-  // feasibility cache on the exploration path is the witness/verified-
-  // prefix cache (deterministic — the constraint-set memo is bypassed
-  // there precisely so results cannot depend on scheduling).
-  const Solver::Counters& c = ctx.solver.counters();
-  sh.solver_calls.fetch_add(c.quick_checks, std::memory_order_relaxed);
-  sh.memo_hits.fetch_add(c.witness_hits, std::memory_order_relaxed);
-  sh.memo_misses.fetch_add(c.witness_searches, std::memory_order_relaxed);
-}
-
 std::vector<PathResult> Executor::run() {
-  Explore sh;
-  support::TaskGroup team(options_.threads,
-                          [this, &sh](std::size_t k) { explore_worker(sh, k); });
-  sh.team = &team;
-  sh.queues.reserve(team.width());
-  for (std::size_t i = 0; i < team.width(); ++i) {
-    sh.queues.push_back(std::make_unique<Explore::WorkerQueue>());
-  }
-  {
-    State init;
-    enter_program(init, 0);
-    sh.in_flight.store(1, std::memory_order_relaxed);
-    sh.queues[0]->deque.push_back(std::move(init));
+  Explore explore{*this, Solver(symbols_, options_.solver), {}, {}};
+  explore.stack.emplace_back();
+  enter_program(explore.stack.back(), 0);
+  while (!explore.stack.empty()) {
+    State s = std::move(explore.stack.back());
+    explore.stack.pop_back();
+    while (explore.step(s)) {
+    }
   }
 
-  explore_worker(sh, 0);
-  team.wait();
-
-  stats_.completed_paths = sh.results.size();
-  stats_.truncated_paths = sh.truncated;
-  stats_.pruned_branches = sh.pruned.load();
-  stats_.abandoned_paths = sh.abandoned.load();
-  stats_.solver_unknowns = sh.unknowns.load();
-  stats_.steal_count = sh.steals.load();
-  stats_.solver_calls = sh.solver_calls.load();
-  stats_.feas_cache_hits = sh.memo_hits.load();
-  stats_.feas_cache_misses = sh.memo_misses.load();
-  stats_.merged_states = sh.merged.load();
-  stats_.revived_states = sh.revived.load();
+  // The feasibility cache on the exploration path is the witness/verified-
+  // prefix cache; the constraint-set memo is bypassed there, so these
+  // counters are functions of the exploration tree.
+  const Solver::Counters& c = explore.solver.counters();
+  stats_.solver_calls = c.quick_checks;
+  stats_.feas_cache_hits = c.witness_hits;
+  stats_.feas_cache_misses = c.witness_searches;
+  stats_.completed_paths = explore.results.size();
 
   // The result sink already holds the paths in canonical signature order;
   // all that remains is the canonical symbol renumbering over that order.
   std::vector<PathResult> paths;
-  paths.reserve(sh.results.size());
-  for (auto& [sig, path] : sh.results) paths.push_back(std::move(path));
+  paths.reserve(explore.results.size());
+  for (auto& [sig, path] : explore.results) paths.push_back(std::move(path));
   canonicalize(paths);
   return paths;
 }
@@ -1130,8 +947,8 @@ void Executor::canonicalize(std::vector<PathResult>& paths) {
   if (paths.empty()) return;
 
   // The caller (run()'s result sink) already ordered the paths by their
-  // scheduling-independent structural signature; recomputing signatures
-  // and re-sorting here would be pure waste on the generation hot path.
+  // structural signature; recomputing signatures and re-sorting here would
+  // be pure waste on the generation hot path.
 
   // 1) Renumber symbols in first-use order over the sorted paths. Shared
   //    prefix symbols keep one id (the first path that uses them wins).
@@ -1144,12 +961,15 @@ void Executor::canonicalize(std::vector<PathResult>& paths) {
   };
   for (const PathResult& p : paths) visit_path_symbols(p, assign);
 
-  // Single-worker exploration (the developer edit-compile loop) mints
-  // symbols in exactly first-use order, so the remap is the identity: the
-  // rewrite below would rebuild every node to itself. An identity remap
-  // also means the used symbols are the dense prefix [0, n) of the table,
-  // so rebuilding the (identical, possibly truncated) entry list is all
-  // that canonicalization requires.
+  // The remap is the identity when exploration minted the kept paths'
+  // symbols in their first-use order over the signature order and minted
+  // no symbol on a state that left no kept path (a pruned fork, a model
+  // outcome found infeasible, an abandoned or truncated path). Then the
+  // rewrite below would rebuild every node to itself, and the used symbols
+  // are the dense prefix [0, n) of the table, so rebuilding the (possibly
+  // truncated) entry list is all that canonicalization requires. Newest-
+  // first exploration does not complete paths in signature order, so
+  // whether a target takes this shortcut depends on its program.
   bool identity = true;
   for (const auto& [old_id, new_id] : remap) {
     if (old_id != new_id) {
@@ -1211,14 +1031,13 @@ void Executor::canonicalize(std::vector<PathResult>& paths) {
 }
 
 void Executor::solve_inputs(std::vector<PathResult>& paths) const {
-  support::parallel_for(0, paths.size(), options_.threads, [&](std::size_t i) {
-    PathResult& path = paths[i];
-    const Solver solver(symbols_, options_.solver);
+  const Solver solver(symbols_, options_.solver);
+  for (PathResult& path : paths) {
     SolveResult solved = solver.solve(
         path.constraints, path.witness.empty() ? nullptr : &path.witness);
     if (solved.status != SolveStatus::kSat) {
       path.solved = false;
-      return;
+      continue;
     }
     path.model = std::move(solved.model);
     path.solved = true;
@@ -1243,7 +1062,7 @@ void Executor::solve_inputs(std::vector<PathResult>& paths) const {
       if (call.ret1 != nullptr) call.ret1->collect_symbols(syms);
       for (SymId id : syms) ensure(id, 0);
     }
-  });
+  }
 }
 
 }  // namespace bolt::symbex

@@ -30,12 +30,12 @@
 //     domains (solver::DomainStore), so a fork's feasibility check only
 //     propagates the one new branch constraint instead of re-deriving the
 //     whole path's domains;
-//   * exploration runs on per-worker deques with randomized work stealing
-//     (owner pops newest — DFS-like memory use; thieves steal oldest —
-//     the biggest subtrees), not a single mutex+condvar queue.
-// Completed paths are canonicalized after exploration, so contracts stay
-// bit-identical at any thread count. Pruning and revival depend only on
-// the exploration tree, so the path set does too.
+//   * exploration is serial: one LIFO stack of pending states (newest
+//     first, so memory use stays DFS-like) and one solver. With branch-join
+//     pruning no registered target has more than a few dozen paths, so
+//     going wide inside one generation cost more than it saved.
+// Completed paths are canonicalized after exploration: the output order is
+// the structural-signature order, not the order paths were explored in.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +61,7 @@ struct ExecutorOptions {
   std::uint64_t max_steps_per_path = 100'000;
   std::uint64_t max_loop_trips = 64;     ///< per loop header per path
   bool prune_infeasible = true;          ///< solver-check each fork
-  /// Worker threads for exploration and solving (0 = one per hardware
-  /// thread). Results are canonicalized after exploration, so contracts
-  /// are bit-identical at any thread count, including under max_paths
-  /// truncation.
+  /// No code reads this; it goes with the next benchmark change.
   std::size_t threads = 0;
   SolverOptions solver;
   /// Initial contents of NF-local scratch memory. Scratch is configuration,
@@ -79,15 +76,12 @@ struct ExecutorStats {
   std::size_t pruned_branches = 0;   ///< forks proved infeasible
   std::size_t abandoned_paths = 0;   ///< loop/step budget exceeded
   std::size_t solver_unknowns = 0;   ///< feasibility checks that timed out
-  // Hot-path instrumentation. solver_calls and the cache split are
-  // deterministic — probes and the witness/verified-prefix cache are pure
-  // functions of the (deterministic) exploration tree; only steal_count
-  // depends on scheduling.
+  // Hot-path instrumentation: probes and the witness/verified-prefix
+  // cache are pure functions of the exploration tree.
   std::size_t solver_calls = 0;      ///< feasibility probes issued
   std::size_t feas_cache_hits = 0;   ///< settled by the carried witness
   std::size_t feas_cache_misses = 0; ///< required an actual bounded search
-  std::size_t steal_count = 0;       ///< states stolen between workers
-  // Branch-join pruning (deterministic, like the solver counters).
+  // Branch-join pruning.
   std::size_t merged_states = 0;     ///< dominated arms dropped at a join
   std::size_t revived_states = 0;    ///< dropped arms explored after all
 };
@@ -104,20 +98,16 @@ class Executor {
   /// Exhaustively executes and returns all completed paths (unsolved;
   /// run `solve_inputs` afterwards or let the bolt pipeline do it).
   ///
-  /// Exploration fans out across up to `options.threads` pool workers,
-  /// each owning a deque (newest-first for the owner) and stealing from
-  /// random victims when its own deque drains; each runs its own Solver
-  /// (with its own feasibility memo) for pruning. Completed paths are then
-  /// *canonicalized*: sorted by a scheduling-independent structural
-  /// signature and their symbols renumbered in first-use order over that
-  /// ordering, so the returned paths (and the symbol table) are
-  /// bit-identical at 1, 2, or N threads. Call run() at most once per
-  /// Executor instance (canonicalization rebuilds the symbol table).
+  /// Exploration pops pending states newest first off one stack and
+  /// prunes forks with one Solver. Completed paths are then
+  /// *canonicalized*: sorted by a structural signature and their symbols
+  /// renumbered in first-use order over that ordering. Call run() at most
+  /// once per Executor instance (canonicalization rebuilds the symbol
+  /// table).
   std::vector<PathResult> run();
 
   /// Solves each path's constraints for a concrete input (paper Alg. 2,
-  /// GetInputsForPath), fanning the independent per-path solves across the
-  /// thread pool. Marks paths `solved` and fills `model`.
+  /// GetInputsForPath). Marks paths `solved` and fills `model`.
   void solve_inputs(std::vector<PathResult>& paths) const;
 
   const ExecutorStats& stats() const { return stats_; }
@@ -125,11 +115,10 @@ class Executor {
   const SymbolTable& symbols() const { return symbols_; }
 
  private:
-  struct State;      // defined in executor.cpp
-  struct Revival;    // a dropped arm and its poison, in executor.cpp
-  struct Explore;    // deques + result sink + termination, in executor.cpp
-  struct WorkerCtx;  // per-worker solver/deque-index/rng, in executor.cpp
-  struct Stepper;    // one worker's instruction semantics, in executor.cpp
+  struct State;    // defined in executor.cpp
+  struct Revival;  // a dropped arm and its poison, in executor.cpp
+  struct Explore;  // one run's stack, solver, result sink and instruction
+                   // semantics, in executor.cpp
 
   /// Static facts of one kBr for branch-join pruning.
   struct BranchJoin {
@@ -141,12 +130,6 @@ class Executor {
   /// Records a stretch of accesses the executor cannot see in `s`'s
   /// cache-line recency.
   static void mark_unseen(State& s);
-  /// Runs one state to completion (fork points push siblings onto the
-  /// worker's own deque; completed paths land in the shared result sink).
-  void execute_state(State s, WorkerCtx& ctx, Explore& sh);
-  /// Worker loop: pop own deque (newest first), steal from random victims
-  /// when empty, exit when no state is queued or executing anywhere.
-  void explore_worker(Explore& sh, std::size_t self);
   /// Deterministic post-pass over paths *already in canonical signature
   /// order* (run()'s result sink maintains that order): renumbers symbols
   /// in first-use order and rewrites every expression (see run()).

@@ -73,7 +73,8 @@ inline std::uint64_t node_hash(ExprKind kind, ExprOp op, std::uint64_t value,
 
 /// Global sharded hash-consing table. Nodes live in per-shard chunk arenas
 /// and are immortal; the table maps structural identity -> node. Sharded by
-/// structural hash so concurrent workers rarely contend on a mutex.
+/// structural hash so concurrent generations (a scenario sweep) rarely
+/// contend on a mutex.
 class ExprInterner {
  public:
   static ExprInterner& instance() {

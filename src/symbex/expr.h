@@ -149,12 +149,11 @@ std::size_t interned_expr_count();
 
 /// Registry of symbols with names and bit widths (domain [0, 2^width)).
 ///
-/// Thread-safe: the parallel executor mints symbols from many worker
-/// threads while per-thread solvers concurrently read names and widths.
-/// Entries are append-only (stored in a deque so references stay stable
-/// across concurrent fresh() calls); rebuild() replaces the whole table
-/// and must only be called from a single thread between pipeline phases
-/// (the executor's canonical renumbering pass).
+/// Thread-safe: symbols may be minted on one thread while others read
+/// names and widths. Entries are append-only (stored in a deque so
+/// references stay stable across concurrent fresh() calls); rebuild()
+/// replaces the whole table and must only be called from a single thread
+/// between pipeline phases (the executor's canonical renumbering pass).
 ///
 /// Hot-path readers should take a Snapshot once per solve instead of
 /// paying a shared_mutex acquisition per name()/width_bits() lookup.

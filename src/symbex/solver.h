@@ -30,7 +30,7 @@
 //     std::map (the Assignment map survives only at API boundaries).
 //
 // A Solver instance is cheap to construct and NOT shareable across threads
-// (it owns mutable scratch + the memo); the executor builds one per worker.
+// (it owns mutable scratch + the memo); the executor builds one per run.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +108,8 @@ class Solver {
   struct Counters {
     std::uint64_t quick_checks = 0;  ///< feasibility probes issued
     /// Constraint-set memo (batch quick_check only — the incremental path
-    /// must stay scheduling-independent, see quick_check_incremental).
+    /// keeps its witness a function of the path, see
+    /// quick_check_incremental).
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_misses = 0;
     /// Incremental probes settled by the verified-prefix witness fast
@@ -143,11 +144,10 @@ class Solver {
   /// kUnknown. Updates store.witness on success.
   ///
   /// Deliberately does NOT consult the constraint-set memo: a memo hit
-  /// would skip the witness update, and which checks hit a per-worker
-  /// memo depends on scheduling — the witness would then differ across
-  /// thread counts, and it seeds the final input solve, which must stay
-  /// bit-deterministic. The witness/verified-prefix cache carried in the
-  /// store is this path's (deterministic) dedup mechanism instead.
+  /// would skip the witness update, so a path's witness, which seeds the
+  /// final input solve, would depend on which other paths were probed
+  /// first, not on the path alone. The witness/verified-prefix cache
+  /// carried in the store is this path's dedup mechanism instead.
   SolveStatus quick_check_incremental(DomainStore& store,
                                       support::Span<const ExprPtr> constraints) const;
 

@@ -72,8 +72,12 @@ TEST_P(InternPropertyTest, StructuralEqualityIsPointerEquality) {
   for (int i = 0; i < 50; ++i) {
     const ExprPtr a = random_expr(rng_c, syms, 3);
     const ExprPtr b = random_expr(rng_c, syms, 3);
-    if (a == b) EXPECT_TRUE(structurally_equal(a, b));
-    if (!structurally_equal(a, b)) EXPECT_NE(a, b);
+    if (a == b) {
+      EXPECT_TRUE(structurally_equal(a, b));
+    }
+    if (!structurally_equal(a, b)) {
+      EXPECT_NE(a, b);
+    }
   }
 }
 

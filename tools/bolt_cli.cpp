@@ -86,13 +86,12 @@ std::uint64_t numeric_arg(const char* text, const char* what) {
 }
 
 int cmd_contract(const std::string& nf, bool per_path, bool as_json,
-                 std::size_t threads, const std::string& out_file) {
+                 const std::string& out_file) {
   perf::PcvRegistry reg;
   core::NfTarget target;
   if (!core::make_named_target(nf, reg, target)) return usage();
   core::BoltOptions options;
   options.coalesce = !per_path;
-  options.threads = threads;
   core::ContractGenerator generator(reg, options);
   const auto result = generator.generate(target.analysis());
   if (!out_file.empty()) {
@@ -117,12 +116,10 @@ int cmd_contract(const std::string& nf, bool per_path, bool as_json,
   std::printf("\npaths: %zu   entries: %zu   unsolved: %zu   pruned: %zu\n",
               result.total_paths, result.contract.entries().size(),
               result.unsolved_paths, result.executor_stats.pruned_branches);
-  std::printf("solver: %zu feasibility probes (%zu cache hits, %zu misses)"
-              "   steals: %zu\n",
+  std::printf("solver: %zu feasibility probes (%zu cache hits, %zu misses)\n",
               result.executor_stats.solver_calls,
               result.executor_stats.feas_cache_hits,
-              result.executor_stats.feas_cache_misses,
-              result.executor_stats.steal_count);
+              result.executor_stats.feas_cache_misses);
   std::printf("branch joins: %zu dominated arms merged, %zu revived\n",
               result.executor_stats.merged_states,
               result.executor_stats.revived_states);
@@ -799,9 +796,7 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   } else {
     core::NfTarget target;
     if (!core::make_named_target(nf, reg, target)) return usage();
-    core::BoltOptions options;
-    options.threads = args.threads;
-    core::ContractGenerator generator(reg, options);
+    core::ContractGenerator generator(reg);
     generated = generator.generate(target.analysis());
     contract = generated.contract;
     witnesses = &generated.path_reports;
@@ -812,7 +807,6 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   opts.partitions = args.partitions;
   opts.epoch_ns = args.epoch_ns;
   opts.probes_per_class = args.probes;
-  opts.threads = args.threads;
   const adversary::AdversarialTrace trace =
       adversary::adversarial_traffic(nf, contract, reg, opts, witnesses);
   if (!args.out.empty()) {
@@ -954,9 +948,7 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
   } else {
     core::NfTarget target;
     if (!core::make_named_target(nf, reg, target)) return usage();
-    core::BoltOptions options;
-    options.threads = args.threads;
-    core::ContractGenerator generator(reg, options);
+    core::ContractGenerator generator(reg);
     generated = generator.generate(target.analysis());
     contract = generated.contract;
     witnesses = &generated.path_reports;
@@ -971,7 +963,6 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
   opts.adversary.partitions = args.partitions;
   opts.adversary.epoch_ns = args.epoch_ns;
   opts.adversary.probes_per_class = args.probes;
-  opts.adversary.threads = args.threads;
   opts.monitor.threads = args.threads;
   opts.monitor.inject_straddle_bug = args.inject_straddle_bug;
 
@@ -1134,8 +1125,7 @@ int main(int argc, char** argv) {
                "--json");
       json = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      only_for(cmd == "contract" || cmd == "paths" || cmd == "scenarios" ||
-                   is_monitor || is_adversary || is_hunt,
+      only_for(cmd == "scenarios" || is_monitor || is_adversary || is_hunt,
                "--threads");
       threads = numeric(i, "--threads");
     } else if (std::strcmp(argv[i], "--packets") == 0) {
@@ -1280,10 +1270,10 @@ int main(int argc, char** argv) {
   hargs.threads = threads;
   hargs.json = json;
   if (cmd == "contract" && argc >= 3) {
-    return cmd_contract(argv[2], false, json, threads, out_file);
+    return cmd_contract(argv[2], false, json, out_file);
   }
   if (cmd == "paths" && argc >= 3) {
-    return cmd_contract(argv[2], true, json, threads, "");
+    return cmd_contract(argv[2], true, json, "");
   }
   if (cmd == "distill" && argc >= 4) return cmd_distill(argv[2], argv[3]);
   if (cmd == "predict" && argc >= 3) return cmd_predict(argv[2], argc, argv, 3);
