@@ -45,8 +45,9 @@
 //    freshly built NF instance. The partition is the only unit of work:
 //    the partition count is part of the *semantics*, and `threads` (how
 //    many partitions run concurrently) is a pure execution knob.
-//    Statistics accumulate per partition and are merged once at end of
-//    run in partition order; every accumulation is order-independent
+//    Statistics accumulate per partition and window, and each window is
+//    merged in partition order when it closes; every accumulation is
+//    order-independent
 //    (sums, maxima under a total order, merge-order-independent quantile
 //    sketches), so reports are byte-identical at any thread count — the
 //    same determinism contract the contract generator enforces
@@ -167,17 +168,17 @@ class MonitorEngine {
   using ChunkSource = std::function<support::Span<const net::PacketView>()>;
 
   /// Streams the packets `next` hands out through per-partition instances
-  /// built by `factory`, and returns the merged report. The run goes chunk
-  /// by chunk, so its memory does not grow with the input: each chunk's
-  /// packets are bucketed by partition into reused vectors of chunk-local
-  /// indices, and the pool's threads step each partition over its share
-  /// of each chunk, in order. A partition may run one chunk ahead of
-  /// another, so no thread waits at a chunk boundary unless a partition
-  /// falls a whole chunk behind. A partition's runner, open validation
-  /// batches and accumulators live for the whole run, so where the chunks
-  /// break never changes a byte of the result (tests/test_monitor.cpp).
-  /// Packets are never mutated: each partition copies one packet at a
-  /// time into its reused scratch packet, as the NF rewrites headers.
+  /// built by `factory`, and returns the merged report. The run is the
+  /// chunk driver (monitor/driver.h) owning every partition, the same loop
+  /// the daemon runs: its memory does not grow with the input, each
+  /// chunk's packets are bucketed by partition, and the pool's threads step
+  /// each partition over its share of each chunk, in order, with up to
+  /// kChunksInFlight chunks in use. A partition's runner, open validation
+  /// batches and window accumulators live for the whole run, so where the
+  /// chunks break never changes a byte of the result
+  /// (tests/test_monitor.cpp). Packets are never mutated: each partition
+  /// copies one packet at a time into its reused scratch packet, as the NF
+  /// rewrites headers.
   ///
   /// `attribution` (optional) receives one entry per packet, indexed by
   /// the packet's position in the whole input: the contract entry index
@@ -214,10 +215,6 @@ class MonitorEngine {
   const MonitorOptions& options() const { return options_; }
 
  private:
-  struct SoaBatch;     ///< one structure-of-arrays batch of attributed rows
-  struct PartitionResult;  ///< per-partition accumulation (merged at end)
-  class PartitionTask;     ///< runs one partition to completion
-
   MonitorOptions options_;
   std::unique_ptr<const CompiledContract> compiled_;
 };

@@ -1,16 +1,17 @@
 // One flow-affine monitor partition — the single implementation of the
 // measurement side every contract consumer shares:
 //
-//  * MonitorEngine::run keeps one runner per partition for the whole run
-//    and steps each partition's share of every input chunk as one task;
-//  * StreamMonitor::feed steps one lazily built runner per owned partition;
+//  * the chunk driver (monitor/driver.h), which runs MonitorEngine::run and
+//    StreamMonitor::feed, keeps one runner per owned partition for the
+//    whole run and steps each partition's share of every input chunk as
+//    one task;
 //  * the adversarial synthesiser's shadow commits its packets through the
 //    same runner (cycle meter off) to learn what the replay will observe.
 //
 // A PartitionRunner owns the NF instance built from the factory, the PCV
 // and loop slot maps into the contract registry, the class resolver, the
 // conservative cycle model, the deterministic epoch clock, and the reused
-// scratch packet and RunResult. Because all three callers step packets
+// scratch packet and RunResult. Because both callers step packets
 // through this one type, their attribution, PCV rows, measured counts and
 // state maintenance agree by construction — which is what keeps batch
 // reports, streamed reports, fleet merges and adversarial plans

@@ -23,8 +23,9 @@ constexpr std::size_t kRecordHeaderSize = 16;
 /// The largest record any reader accepts (libpcap's MAXIMUM_SNAPLEN).
 constexpr std::uint32_t kMaxRecordBytes = 262144;
 /// One PcapTail read window. It holds the global header plus the largest
-/// record, so a full window always contains a complete record.
-constexpr std::size_t kTailWindowBytes = std::size_t{1} << 20;
+/// record, so a full window always contains a complete record; two of them
+/// (the monitor's chunks in flight) take 1 MiB.
+constexpr std::size_t kTailWindowBytes = std::size_t{1} << 19;
 static_assert(kTailWindowBytes >=
               kGlobalHeaderSize + kRecordHeaderSize + kMaxRecordBytes);
 
@@ -131,6 +132,26 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
+/// The one encoder: appends the nanosecond EN10MB global header to `out`.
+void put_global_header(std::vector<std::uint8_t>& out) {
+  put_u32(out, kMagicNano);
+  put_u16(out, 2);   // version 2.4
+  put_u16(out, 4);
+  put_u32(out, 0);   // thiszone
+  put_u32(out, 0);   // sigfigs
+  put_u32(out, 65535);  // snaplen
+  put_u32(out, kLinkTypeEthernet);
+}
+
+/// Appends one packet's record (header and bytes) to `out`.
+void put_record(std::vector<std::uint8_t>& out, const Packet& p) {
+  put_u32(out, static_cast<std::uint32_t>(p.timestamp_ns() / 1'000'000'000ULL));
+  put_u32(out, static_cast<std::uint32_t>(p.timestamp_ns() % 1'000'000'000ULL));
+  put_u32(out, static_cast<std::uint32_t>(p.size()));
+  put_u32(out, static_cast<std::uint32_t>(p.size()));
+  out.insert(out.end(), p.bytes().begin(), p.bytes().end());
+}
+
 /// Opens `path` read-only and checks that it is a regular file. Returns -1
 /// only when the file does not exist; any other failure aborts naming
 /// `where`. O_NONBLOCK: opening a FIFO must not wait for a writer before
@@ -184,20 +205,8 @@ std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes) {
 
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kMagicNano);
-  put_u16(out, 2);   // version 2.4
-  put_u16(out, 4);
-  put_u32(out, 0);   // thiszone
-  put_u32(out, 0);   // sigfigs
-  put_u32(out, 65535);  // snaplen
-  put_u32(out, kLinkTypeEthernet);
-  for (const Packet& p : packets) {
-    put_u32(out, static_cast<std::uint32_t>(p.timestamp_ns() / 1'000'000'000ULL));
-    put_u32(out, static_cast<std::uint32_t>(p.timestamp_ns() % 1'000'000'000ULL));
-    put_u32(out, static_cast<std::uint32_t>(p.size()));
-    put_u32(out, static_cast<std::uint32_t>(p.size()));
-    out.insert(out.end(), p.bytes().begin(), p.bytes().end());
-  }
+  put_global_header(out);
+  for (const Packet& p : packets) put_record(out, p);
   return out;
 }
 
@@ -279,12 +288,26 @@ void PcapTail::finish() {
 }
 
 void write_pcap(const std::string& path, const std::vector<Packet>& packets) {
-  const std::vector<std::uint8_t> bytes = serialize_pcap(packets);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   BOLT_CHECK(f != nullptr, "pcap: cannot open " + path + " for writing");
-  const std::size_t put = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  BOLT_CHECK(put == bytes.size(), "pcap: short write on " + path);
+  // Records go out through one fixed buffer, flushed whenever it holds
+  // kWriteBufferBytes, so writing needs no memory per packet.
+  constexpr std::size_t kWriteBufferBytes = std::size_t{1} << 16;
+  std::vector<std::uint8_t> buffer;
+  buffer.reserve(kWriteBufferBytes + kRecordHeaderSize + kMaxRecordBytes);
+  bool ok = true;
+  auto flush = [&] {
+    ok = ok && std::fwrite(buffer.data(), 1, buffer.size(), f) == buffer.size();
+    buffer.clear();
+  };
+  put_global_header(buffer);
+  for (const Packet& p : packets) {
+    put_record(buffer, p);
+    if (buffer.size() >= kWriteBufferBytes) flush();
+  }
+  flush();
+  ok = std::fclose(f) == 0 && ok;
+  BOLT_CHECK(ok, "pcap: short write on " + path);
 }
 
 }  // namespace bolt::net

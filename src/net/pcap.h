@@ -8,7 +8,7 @@
 // The format is decoded in exactly one place (pcap.cpp: one global-header
 // parse and one record walk), and every file goes through one reader:
 //
-//  * PcapTail reads a capture through fixed 1 MiB read windows that it
+//  * PcapTail reads a capture through fixed 512 KiB read windows that it
 //    reuses for its whole life, so its memory does not grow with the
 //    capture. Each poll moves the torn tail (less than one record) to the
 //    front of the next window, reads until that window is full or the file
@@ -77,11 +77,10 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets);
 class PcapTail {
  public:
   /// Reads `path` through `windows` read windows used in turn: the views a
-  /// poll hands out stay valid until `windows` more polls. The daemon
-  /// steps each poll's views before the next poll, so one window is all it
-  /// needs. The batch engine keeps MonitorEngine::kChunksInFlight polls in
+  /// poll hands out stay valid until `windows` more polls. The monitor,
+  /// batch and daemon alike, keeps MonitorEngine::kChunksInFlight polls in
   /// use, so that its partitions need not wait for each other at every
-  /// window.
+  /// window; a reader that copies each poll's packets needs one window.
   explicit PcapTail(std::string path, std::size_t windows = 1);
   ~PcapTail();
   PcapTail(const PcapTail&) = delete;

@@ -82,6 +82,10 @@ std::size_t resolve_threads(std::size_t requested) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+std::size_t usable_threads(std::size_t width) {
+  return t_in_group ? 1 : resolve_threads(width);
+}
+
 void parallel_for(std::size_t begin, std::size_t end, std::size_t width,
                   const std::function<void(std::size_t)>& body) {
   if (end <= begin) return;

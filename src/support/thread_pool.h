@@ -30,6 +30,11 @@ namespace bolt::support {
 /// anything else is used as given (clamped to >= 1).
 std::size_t resolve_threads(std::size_t requested);
 
+/// The most threads a parallel_for of `width` called from this thread
+/// would run on: 1 inside a parallel_for (the inline rule), otherwise
+/// resolve_threads(width).
+std::size_t usable_threads(std::size_t width);
+
 /// Runs body(i) for every i in [begin, end) on up to `width` threads (never
 /// more than end - begin), the calling thread included, handing indices
 /// out dynamically, and blocks until all complete. The first exception any

@@ -355,23 +355,17 @@ ExprPtr logical_not(ExprPtr e) {
 
 SymId SymbolTable::fresh(const std::string& name, int width_bits) {
   BOLT_CHECK(width_bits >= 1 && width_bits <= 64, "bad symbol width");
-  std::unique_lock<std::shared_mutex> lock(mutex_);
   const SymId id = static_cast<SymId>(entries_.size());
   entries_.push_back(Entry{name, width_bits});
-  ++version_;
   return id;
 }
 
 const std::string& SymbolTable::name(SymId id) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
   BOLT_CHECK(id < entries_.size(), "symbol id out of range");
-  // Safe to return a reference: entries are append-only (deque elements do
-  // not move) except under rebuild(), which is single-threaded by contract.
   return entries_[id].name;
 }
 
 int SymbolTable::width_bits(SymId id) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
   BOLT_CHECK(id < entries_.size(), "symbol id out of range");
   return entries_[id].width_bits;
 }
@@ -381,53 +375,12 @@ std::uint64_t SymbolTable::max_value(SymId id) const {
   return w == 64 ? ~0ULL : ((1ULL << w) - 1);
 }
 
-std::size_t SymbolTable::size() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return entries_.size();
-}
-
-SymbolTable::Snapshot SymbolTable::snapshot() const {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (snapshot_version_ != version_ || snapshot_cache_ == nullptr) {
-    auto entries = std::make_shared<std::vector<Snapshot::Entry>>();
-    entries->reserve(entries_.size());
-    for (const Entry& e : entries_) {
-      entries->push_back(Snapshot::Entry{e.name, e.width_bits});
-    }
-    snapshot_cache_ = std::move(entries);
-    snapshot_version_ = version_;
-  }
-  Snapshot snap;
-  snap.entries_ = snapshot_cache_;
-  return snap;
-}
-
 void SymbolTable::rebuild(std::vector<std::pair<std::string, int>> entries) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
   entries_.clear();
+  entries_.reserve(entries.size());
   for (auto& [name, width] : entries) {
     entries_.push_back(Entry{std::move(name), width});
   }
-  ++version_;
-  snapshot_cache_ = nullptr;
-  snapshot_version_ = ~0ULL;
-}
-
-const std::string& SymbolTable::Snapshot::name(SymId id) const {
-  BOLT_CHECK(entries_ != nullptr && id < entries_->size(),
-             "snapshot: symbol id out of range");
-  return (*entries_)[id].name;
-}
-
-int SymbolTable::Snapshot::width_bits(SymId id) const {
-  BOLT_CHECK(entries_ != nullptr && id < entries_->size(),
-             "snapshot: symbol id out of range");
-  return (*entries_)[id].width_bits;
-}
-
-std::uint64_t SymbolTable::Snapshot::max_value(SymId id) const {
-  const int w = width_bits(id);
-  return w == 64 ? ~0ULL : ((1ULL << w) - 1);
 }
 
 }  // namespace bolt::symbex

@@ -17,11 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,48 +147,20 @@ std::size_t interned_expr_count();
 
 /// Registry of symbols with names and bit widths (domain [0, 2^width)).
 ///
-/// Thread-safe: symbols may be minted on one thread while others read
-/// names and widths. Entries are append-only (stored in a deque so
-/// references stay stable across concurrent fresh() calls); rebuild()
-/// replaces the whole table and must only be called from a single thread
-/// between pipeline phases (the executor's canonical renumbering pass).
-///
-/// Hot-path readers should take a Snapshot once per solve instead of
-/// paying a shared_mutex acquisition per name()/width_bits() lookup.
+/// One Executor owns each table and mints and reads it on one thread (the
+/// solver reads it through a reference); concurrent generations share only
+/// the expression interner. rebuild() replaces the whole table (the
+/// executor's canonical renumbering pass).
 class SymbolTable {
  public:
-  /// An immutable view of the table at snapshot time. Lock-free to read;
-  /// symbols minted after the snapshot are not visible (re-snapshot when
-  /// an id is out of range).
-  class Snapshot {
-   public:
-    Snapshot() = default;
-    std::size_t size() const { return entries_ ? entries_->size() : 0; }
-    const std::string& name(SymId id) const;
-    int width_bits(SymId id) const;
-    std::uint64_t max_value(SymId id) const;
-
-   private:
-    friend class SymbolTable;
-    struct Entry {
-      std::string name;
-      int width_bits = 0;
-    };
-    std::shared_ptr<const std::vector<Entry>> entries_;
-  };
-
   SymId fresh(const std::string& name, int width_bits);
   const std::string& name(SymId id) const;
   int width_bits(SymId id) const;
   std::uint64_t max_value(SymId id) const;
-  std::size_t size() const;
+  std::size_t size() const { return entries_.size(); }
 
-  /// Takes (or reuses) an immutable snapshot: one lock acquisition, O(1)
-  /// when the table has not changed since the last snapshot.
-  Snapshot snapshot() const;
-
-  /// Replaces the table contents with `entries` (name, width pairs).
-  /// Single-threaded use only; invalidates previously returned ids.
+  /// Replaces the table contents with `entries` (name, width pairs);
+  /// invalidates previously returned ids.
   void rebuild(std::vector<std::pair<std::string, int>> entries);
 
  private:
@@ -198,11 +168,7 @@ class SymbolTable {
     std::string name;
     int width_bits = 0;
   };
-  mutable std::shared_mutex mutex_;
-  std::deque<Entry> entries_;
-  std::uint64_t version_ = 0;  // bumped by fresh()/rebuild()
-  mutable std::uint64_t snapshot_version_ = ~0ULL;
-  mutable std::shared_ptr<const std::vector<Snapshot::Entry>> snapshot_cache_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace bolt::symbex

@@ -29,8 +29,7 @@ Solver::Solver(const SymbolTable& symbols, SolverOptions options)
     : symbols_(symbols), options_(options) {}
 
 std::uint64_t Solver::max_value(SymId id) const {
-  if (id >= snap_.size()) snap_ = symbols_.snapshot();
-  return snap_.max_value(id);
+  return symbols_.max_value(id);
 }
 
 void Solver::read_domain(const DomainStore& store, SymId id, std::uint64_t& lo,

@@ -203,11 +203,10 @@ class Solver {
                    std::uint64_t& hi,
                    const std::vector<std::uint64_t>** excluded) const;
 
-  std::uint64_t max_value(SymId id) const;  ///< via cached snapshot
+  std::uint64_t max_value(SymId id) const;
 
   const SymbolTable& symbols_;
   SolverOptions options_;
-  mutable SymbolTable::Snapshot snap_;  ///< refreshed when ids outgrow it
   mutable std::unordered_map<std::uint64_t, SolveStatus> feas_memo_;
   mutable std::vector<std::uint64_t> flat_;  ///< search/repair scratch
   mutable std::vector<SymId> sym_scratch_;   ///< propagate_into scratch

@@ -245,28 +245,22 @@ TEST(InternConcurrency, ParallelBuildersConvergeOnIdenticalNodes) {
   }
 }
 
-// ------------------------------------------------------ symbol snapshots --
+// ------------------------------------------------------------ symbols --
 
-TEST(SymbolSnapshot, MatchesLiveTableAndStaysImmutable) {
+TEST(SymbolTable, MintsReadsAndRebuilds) {
   SymbolTable table;
   const SymId a = table.fresh("a", 8);
   const SymId b = table.fresh("b", 16);
-  const SymbolTable::Snapshot snap = table.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap.name(a), "a");
-  EXPECT_EQ(snap.width_bits(b), 16);
-  EXPECT_EQ(snap.max_value(a), 0xffu);
-  // Later mints are not visible in the old snapshot...
-  const SymId c = table.fresh("c", 32);
-  EXPECT_EQ(snap.size(), 2u);
-  // ...but a fresh snapshot sees them, and unchanged tables share the
-  // cached snapshot storage (one lock, no copy).
-  const SymbolTable::Snapshot snap2 = table.snapshot();
-  ASSERT_EQ(snap2.size(), 3u);
-  EXPECT_EQ(snap2.name(c), "c");
-  EXPECT_EQ(snap2.max_value(c), 0xffffffffu);
-  const SymbolTable::Snapshot snap3 = table.snapshot();
-  EXPECT_EQ(&snap3.name(c), &snap2.name(c));
+  const SymId c = table.fresh("c", 64);
+  ASSERT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.name(a), "a");
+  EXPECT_EQ(table.width_bits(b), 16);
+  EXPECT_EQ(table.max_value(a), 0xffu);
+  EXPECT_EQ(table.max_value(c), ~0ULL);
+  table.rebuild({{"x", 32}});
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.name(0), "x");
+  EXPECT_EQ(table.max_value(0), 0xffffffffu);
 }
 
 }  // namespace

@@ -2,14 +2,20 @@
 // the partial-state merger.
 //
 // The contracts pinned here are the operator-facing guarantees:
-//  * a StreamMonitor fed packet-by-packet produces a final report and a
-//    delta stream byte-identical to the batch engine over the same trace,
-//    for every registered target and at 1 and 4 batch threads (so a
-//    drained daemon reports exactly what a batch re-run would) — both step
-//    packets through the one monitor::PartitionRunner, and a seeded
+//  * a StreamMonitor fed packet-by-packet, or in chunks at 1, 2 and 4
+//    threads, produces a final report and a delta stream byte-identical to
+//    the batch engine over the same trace, for every registered target and
+//    at 1, 2 and 4 batch threads (so a drained daemon reports exactly what
+//    a batch re-run would) — both run the one chunk driver, and a seeded
 //    epoch-straddle measurement bug leaks identically on both paths;
+//  * wherever the chunks break (window edges inside chunks and at chunk
+//    edges, a late packet) and at any thread count, the report, delta
+//    stream, every spool partial and their merge are the same bytes, and a
+//    one-view feed() steps on the calling thread;
 //  * an idle flush is provisional — it emits the open window early but
-//    never perturbs the authoritative stream or the final report;
+//    never perturbs the authoritative stream or the final report, also
+//    with chunks in flight;
+//  * 2- and 4-instance fleets at 4 threads merge to the single run;
 //  * N fleet instances over random partition-ownership splits, their
 //    partials merged in random order with a duplicated file thrown in,
 //    reconstruct the single-instance report and delta stream byte for
@@ -25,11 +31,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bolt.h"
@@ -91,12 +99,14 @@ struct StreamRun {
 using PacketFeed = std::function<void(const net::PacketView&)>;
 /// Calls its argument once per packet of a stream, in order.
 using PacketSource = std::function<void(const PacketFeed&)>;
+/// Feeds a whole stream to the monitor.
+using Drive = std::function<void(monitor::StreamMonitor&)>;
 
-StreamRun run_stream_from(const PacketSource& source,
-                          monitor::FleetOptions fleet,
-                          std::size_t idle_flush_every = 0) {
+StreamRun run_stream_with(const Drive& drive, monitor::FleetOptions fleet,
+                          std::size_t threads = 0) {
   RouterFixture& f = router();
-  const monitor::MonitorOptions opts = stream_options();
+  monitor::MonitorOptions opts = stream_options();
+  opts.threads = threads;
   std::vector<std::string> names;
   for (const auto& e : f.gen.contract.entries()) {
     names.push_back(e.input_class);
@@ -134,13 +144,7 @@ StreamRun run_stream_from(const PacketSource& source,
   monitor::StreamMonitor sm(f.gen.contract, f.reg,
                             monitor::MonitorEngine::named_factory("router"),
                             opts, fleet, on_window);
-  std::size_t fed = 0;
-  source([&](const net::PacketView& p) {
-    sm.feed(p);
-    if (idle_flush_every > 0 && ++fed % idle_flush_every == 0) {
-      sm.idle_flush();
-    }
-  });
+  drive(sm);
   monitor::StreamResult res = sm.finish();
   out.report_json = monitor::report_to_json(res.report);
   out.alerts = res.observations.alerts.size();
@@ -160,6 +164,22 @@ StreamRun run_stream_from(const PacketSource& source,
   return out;
 }
 
+StreamRun run_stream_from(const PacketSource& source,
+                          monitor::FleetOptions fleet,
+                          std::size_t idle_flush_every = 0) {
+  return run_stream_with(
+      [&](monitor::StreamMonitor& sm) {
+        std::size_t fed = 0;
+        source([&](const net::PacketView& p) {
+          sm.feed(p);
+          if (idle_flush_every > 0 && ++fed % idle_flush_every == 0) {
+            sm.idle_flush();
+          }
+        });
+      },
+      fleet);
+}
+
 StreamRun run_stream(const std::vector<net::Packet>& packets,
                      monitor::FleetOptions fleet,
                      std::size_t idle_flush_every = 0) {
@@ -168,6 +188,66 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
         for (const net::Packet& p : packets) feed(p);
       },
       fleet, idle_flush_every);
+}
+
+/// Feeds `packets` in chunks of `chunk` views (one view per feed() when
+/// `chunk` is 1). Each chunk's views live in one of kChunksInFlight
+/// buffers reused in turn, so a view the monitor kept past its promised
+/// life would read a later packet and change the bytes. With
+/// `idle_flush_every` > 0, idle-flushes after every that many chunks.
+/// Drains before the buffers go away.
+void feed_chunks(monitor::StreamMonitor& sm,
+                 const std::vector<net::Packet>& packets, std::size_t chunk,
+                 std::size_t idle_flush_every = 0) {
+  std::array<std::vector<net::PacketView>,
+             monitor::MonitorEngine::kChunksInFlight>
+      buffers;
+  std::size_t chunks = 0;
+  for (std::size_t next = 0; next < packets.size(); next += chunk) {
+    const std::size_t n = std::min(chunk, packets.size() - next);
+    if (n == 1) {
+      sm.feed(packets[next]);
+    } else {
+      std::vector<net::PacketView>& views = buffers[chunks % buffers.size()];
+      views.assign(packets.begin() + next, packets.begin() + next + n);
+      sm.feed(views);
+    }
+    ++chunks;
+    if (idle_flush_every > 0 && chunks % idle_flush_every == 0) {
+      sm.idle_flush();
+    }
+  }
+  sm.drain();
+}
+
+StreamRun run_stream_chunked(const std::vector<net::Packet>& packets,
+                             monitor::FleetOptions fleet, std::size_t threads,
+                             std::size_t chunk,
+                             std::size_t idle_flush_every = 0) {
+  return run_stream_with(
+      [&](monitor::StreamMonitor& sm) {
+        feed_chunks(sm, packets, chunk, idle_flush_every);
+      },
+      fleet, threads);
+}
+
+/// `bolt merge` over the spooled partials of `runs` (one per instance):
+/// the merged report JSON followed by the merged delta stream.
+std::string merge_runs(const std::vector<StreamRun>& runs) {
+  std::vector<WindowPartial> windows;
+  std::vector<FinalPartial> finals;
+  for (const StreamRun& run : runs) {
+    for (const std::string& s : run.window_partials) {
+      windows.push_back(parse_window_partial(s));
+    }
+    finals.push_back(parse_final_partial(run.final_partial));
+  }
+  const FleetMergeResult merged = merge_partials(windows, finals, {});
+  std::string out = monitor::report_to_json(merged.report) + "\n";
+  for (const DeltaWindow& w : merged.observations.deltas) {
+    out += delta_window_to_json(w) + "\n";
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,18 +329,21 @@ TargetRun batch_run(const std::string& name, const core::GenerationResult& gen,
   return out;
 }
 
+/// The stream fed in chunks of 500 views at `threads` (0 = one view per
+/// feed()).
 TargetRun stream_run(const std::string& name,
                      const core::GenerationResult& gen,
                      const perf::PcvRegistry& reg,
                      const std::vector<net::Packet>& packets,
-                     const monitor::MonitorOptions& opts) {
+                     monitor::MonitorOptions opts, std::size_t threads = 0) {
   std::vector<DeltaWindow> deltas;
+  opts.threads = threads;
   monitor::StreamMonitor sm(gen.contract, reg,
                             monitor::MonitorEngine::named_factory(name), opts,
                             {}, [&](const monitor::ClosedWindow& cw) {
                               if (cw.has_delta) deltas.push_back(cw.delta);
                             });
-  for (const net::Packet& p : packets) sm.feed(p);
+  feed_chunks(sm, packets, threads == 0 ? 1 : 500);
   const monitor::StreamResult res = sm.finish();
   TargetRun out;
   out.report_json = monitor::report_to_json(res.report);
@@ -283,13 +366,18 @@ TEST_P(StreamVsBatch, MatchesBatchByteForByte) {
 
   const TargetRun stream = stream_run(name, gen, reg, packets, opts);
   EXPECT_FALSE(stream.delta_jsonl.empty());
-  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+  for (const std::size_t threads :
+       {std::size_t(1), std::size_t(2), std::size_t(4)}) {
     monitor::MonitorOptions batch_opts = opts;
     batch_opts.threads = threads;
     const TargetRun batch = batch_run(name, gen, reg, packets, batch_opts);
     EXPECT_EQ(batch.report_json, stream.report_json) << "threads=" << threads;
     EXPECT_EQ(batch.delta_jsonl, stream.delta_jsonl) << "threads=" << threads;
     EXPECT_EQ(batch.alerts, stream.alerts) << "threads=" << threads;
+    const TargetRun chunked = stream_run(name, gen, reg, packets, opts, threads);
+    EXPECT_EQ(chunked.report_json, stream.report_json) << "threads=" << threads;
+    EXPECT_EQ(chunked.delta_jsonl, stream.delta_jsonl) << "threads=" << threads;
+    EXPECT_EQ(chunked.alerts, stream.alerts) << "threads=" << threads;
   }
 }
 
@@ -334,6 +422,74 @@ TEST(StreamMonitor, IdleFlushIsProvisionalAndDoesNotPerturbTheRun) {
   EXPECT_EQ(plain.delta_jsonl, flushed.delta_jsonl);
   EXPECT_EQ(plain.window_partials, flushed.window_partials);
   EXPECT_EQ(plain.final_partial, flushed.final_partial);
+}
+
+TEST(StreamMonitor, ChunkBoundariesAndThreadsNeverChangeBytes) {
+  // The daemon fed in chunks, at 1 and 4 threads, against the one-thread
+  // run fed one packet at a time. Drift windows are 200 packets long, so a
+  // chunk of 1000 breaks at window edges and 63/64/65 break inside
+  // windows. One packet is moved back two windows: it is clamped into the
+  // open window and counted late, the same way on every path.
+  std::vector<net::Packet> packets = drift_packets();
+  packets[450].set_timestamp_ns(packets[10].timestamp_ns());
+  const StreamRun want = run_stream_chunked(packets, {}, 1, 1);
+  const std::string want_merged = merge_runs({want});
+  ASSERT_GE(want.window_partials.size(), 10u);
+  EXPECT_NE(std::find_if(want.window_partials.begin(),
+                         want.window_partials.end(),
+                         [](const std::string& s) {
+                           return s.find("\"late_packets\":1") !=
+                                  std::string::npos;
+                         }),
+            want.window_partials.end());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+          std::size_t{1000}, packets.size()}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " chunk=" + std::to_string(chunk));
+      const StreamRun got = run_stream_chunked(packets, {}, threads, chunk);
+      EXPECT_EQ(got.report_json, want.report_json);
+      EXPECT_EQ(got.delta_jsonl, want.delta_jsonl);
+      EXPECT_EQ(got.window_partials, want.window_partials);
+      EXPECT_EQ(got.final_partial, want.final_partial);
+      EXPECT_EQ(merge_runs({got}), want_merged);
+    }
+  }
+}
+
+TEST(StreamMonitor, IdleFlushWithChunksInFlightStaysProvisional) {
+  const StreamRun plain = run_stream(drift_packets(), {});
+  const StreamRun flushed =
+      run_stream_chunked(drift_packets(), {}, 4, 97, /*idle_flush_every=*/3);
+  EXPECT_GT(flushed.provisional_emits, 0u);
+  EXPECT_EQ(plain.report_json, flushed.report_json);
+  EXPECT_EQ(plain.delta_jsonl, flushed.delta_jsonl);
+  EXPECT_EQ(plain.window_partials, flushed.window_partials);
+  EXPECT_EQ(plain.final_partial, flushed.final_partial);
+}
+
+TEST(StreamMonitor, OneViewFeedStepsOnTheCallingThread) {
+  // Every partition's runner is built by the thread that steps it first;
+  // fed one view at a time, that is always the caller, at any thread count.
+  RouterFixture& f = router();
+  monitor::MonitorOptions opts = stream_options();
+  opts.threads = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t built = 0;
+  bool elsewhere = false;
+  const auto named = monitor::MonitorEngine::named_factory("router");
+  const monitor::MonitorEngine::TargetFactory factory =
+      [&](perf::PcvRegistry& reg) {
+        ++built;
+        elsewhere = elsewhere || std::this_thread::get_id() != caller;
+        return named(reg);
+      };
+  monitor::StreamMonitor sm(f.gen.contract, f.reg, factory, opts);
+  for (const net::Packet& p : drift_packets()) sm.feed(p);
+  EXPECT_EQ(built, opts.partitions);  // every partition saw traffic
+  sm.finish();
+  EXPECT_FALSE(elsewhere);
 }
 
 TEST(StreamMonitor, DeltaStreamIsOneCompleteJsonObjectPerLine) {
@@ -421,6 +577,23 @@ TEST(Fleet, RandomSplitsMergeByteForByte) {
         << "instances=" << instances;
     EXPECT_EQ(single.delta_jsonl, merged_deltas) << "instances=" << instances;
     EXPECT_EQ(single.alerts, merged.observations.alerts.size());
+  }
+}
+
+TEST(Fleet, ThreadedInstancesMergeToTheSingleRun) {
+  // 2- and 4-instance fleets, each instance fed in chunks at 4 threads
+  // (so each runs as many workers as it owns partitions), merge to the
+  // single one-thread run.
+  const std::string want = merge_runs({run_stream(drift_packets(), {})});
+  for (const std::uint32_t instances : {2u, 4u}) {
+    std::vector<StreamRun> runs;
+    for (std::uint32_t i = 0; i < instances; ++i) {
+      monitor::FleetOptions fleet;
+      fleet.instance = i;
+      fleet.instances = instances;
+      runs.push_back(run_stream_chunked(drift_packets(), fleet, 4, 300));
+    }
+    EXPECT_EQ(merge_runs(runs), want) << "instances=" << instances;
   }
 }
 
@@ -593,7 +766,7 @@ TEST(PcapTail, SeesRecordsAppendedAcrossTornWrites) {
 
 TEST(PcapTail, StreamFedFromWindowViewsEqualsBatchPackets) {
   // 35,200 drift packets are about 3.5 MB of records: the tail hands them
-  // out over four reads of its 1 MiB window, and each view must stay valid
+  // out over seven reads of its 512 KiB window, and each view must stay valid
   // until the monitor has stepped it.
   net::DriftSpec spec;
   spec.packets_per_window = 3'200;

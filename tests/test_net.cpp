@@ -501,7 +501,7 @@ TEST(Pcap, HandBuiltMicroAndNanoInBothByteOrders) {
 
 /// PcapTail's read window and the record cap (constants of
 /// src/net/pcap.cpp).
-constexpr std::size_t kTailWindow = std::size_t{1} << 20;
+constexpr std::size_t kTailWindow = std::size_t{1} << 19;
 constexpr std::size_t kRecordCap = 262144;
 
 /// Records of mixed sizes, some at the cap, filling at least `min_bytes`

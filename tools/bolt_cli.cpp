@@ -355,9 +355,9 @@ int monitor_exit_code(const monitor::MonitorReport& report,
   return 0;
 }
 
-/// Streaming/fleet monitor path: one StreamMonitor fed packet-by-packet
-/// from `next_chunk` (the generated trace, the windows of a finished
-/// --pcap, or in --follow mode the windows of a growing one), emitting
+/// Streaming/fleet monitor path: one StreamMonitor fed chunk by chunk from
+/// `next_chunk` (the generated trace, the windows of a finished --pcap, or
+/// in --follow mode the windows of a growing one), emitting
 /// delta lines, spool partials and metrics refreshes as windows close. The
 /// final report goes through the same gates as the batch path.
 int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
@@ -432,6 +432,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
 
   auto refresh_metrics = [&]() {
     // Mid-run refreshes are best-effort; the final write is the gated one.
+    // The snapshot drains the chunks in flight, so with --metrics-out the
+    // daemon steps each chunk before it reads the next.
     if (options.telemetry && !args.metrics_out.empty()) {
       write_metrics_file(args, sm.telemetry_snapshot(), contract.nf_name());
     }
@@ -440,38 +442,52 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   support::BenchTimer timer;
   if (args.follow) {
     // Daemon: tail the pcap as it grows; SIGINT/SIGTERM drains cleanly.
+    // An empty poll first drains the chunks in flight (so every window the
+    // input has closed is emitted), then waits for the nearest of the next
+    // poll, the idle-exit deadline and the idle-flush deadline.
     std::signal(SIGINT, handle_stop);
     std::signal(SIGTERM, handle_stop);
-    constexpr std::uint64_t kPollNs = 20'000'000;  // 20 ms
-    std::uint64_t idle_ns = 0;
+    using Clock = std::chrono::steady_clock;
+    constexpr std::chrono::milliseconds kPoll{20};
+    const std::chrono::milliseconds idle_exit(args.idle_exit_ms);
+    const std::chrono::nanoseconds idle_flush(args.idle_flush_ns);
+    Clock::time_point last_data = Clock::now();
+    bool drained = true;
     bool flushed_idle = false;
     while (g_stop == 0) {
       const support::Span<const net::PacketView> chunk = next_chunk();
-      if (chunk.empty()) {
-        if (args.idle_exit_ms > 0 &&
-            idle_ns >= args.idle_exit_ms * 1'000'000) {
-          break;
-        }
-        if (args.idle_flush_ns > 0 && idle_ns >= args.idle_flush_ns &&
-            !flushed_idle) {
-          sm.idle_flush();
-          refresh_metrics();
-          flushed_idle = true;  // once per quiet spell; new data re-arms
-        }
-        std::this_thread::sleep_for(std::chrono::nanoseconds(kPollNs));
-        idle_ns += kPollNs;
+      if (!chunk.empty()) {
+        sm.feed(chunk);
+        refresh_metrics();
+        last_data = Clock::now();
+        drained = false;
+        flushed_idle = false;  // new data re-arms the idle flush
         continue;
       }
-      idle_ns = 0;
-      flushed_idle = false;
-      for (const net::PacketView& p : chunk) sm.feed(p);
-      refresh_metrics();
+      if (!drained) {
+        sm.drain();
+        drained = true;
+      }
+      const Clock::time_point now = Clock::now();
+      if (args.idle_exit_ms > 0 && now - last_data >= idle_exit) break;
+      if (args.idle_flush_ns > 0 && !flushed_idle &&
+          now - last_data >= idle_flush) {
+        sm.idle_flush();
+        refresh_metrics();
+        flushed_idle = true;  // once per quiet spell
+      }
+      Clock::time_point wake = now + kPoll;
+      if (args.idle_exit_ms > 0) wake = std::min(wake, last_data + idle_exit);
+      if (args.idle_flush_ns > 0 && !flushed_idle) {
+        wake = std::min(wake, last_data + idle_flush);
+      }
+      std::this_thread::sleep_until(wake);
     }
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
   } else {
     for (auto chunk = next_chunk(); !chunk.empty(); chunk = next_chunk()) {
-      for (const net::PacketView& p : chunk) sm.feed(p);
+      sm.feed(chunk);
     }
   }
 
@@ -577,22 +593,20 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   }
 
   // Traffic side: one chunk source for every path. A --pcap is read
-  // through one PcapTail window at a time, so memory does not grow with the
+  // through PcapTail's read windows, so memory does not grow with the
   // capture; a finished file is checked for a clean end (finish()), while
   // --follow keeps polling a growing one (it may not even exist yet), so
   // nothing is read here. A generated workload is one chunk.
-  // Daemon / fleet runs go through the streaming monitor: it feeds one
-  // packet at a time, closes windows on packet timestamps and emits delta
-  // lines / spool partials as it goes, then drains through the same
-  // build_report path as the batch engine (byte-identical final report).
-  // It steps each window's packets before the next poll, so one read
-  // window is enough; the batch engine keeps more chunks in flight.
+  // Daemon / fleet runs go through the streaming monitor: it closes windows
+  // on packet timestamps and emits delta lines / spool partials as it goes,
+  // then drains through the same build_report path as the batch engine
+  // (byte-identical final report). Both run the one chunk driver, which
+  // keeps kChunksInFlight read windows in use.
   const bool streaming =
       args.follow || !args.spool.empty() || args.fleet_instances > 1;
   std::optional<net::PcapTail> tail;
   if (!args.pcap.empty()) {
-    tail.emplace(args.pcap,
-                 streaming ? 1 : monitor::MonitorEngine::kChunksInFlight);
+    tail.emplace(args.pcap, monitor::MonitorEngine::kChunksInFlight);
   }
   auto next_window = [&]() -> support::Span<const net::PacketView> {
     const support::Span<const net::PacketView> chunk = tail->poll_views();
