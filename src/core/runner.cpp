@@ -1,5 +1,7 @@
 #include "core/runner.h"
 
+#include <algorithm>
+
 #include "ir/native.h"
 #include "support/assert.h"
 
@@ -16,18 +18,33 @@ NfRunner::NfRunner(std::vector<const ir::Program*> programs,
   fast_ = options.engine == ir::EngineKind::kNative &&
           (options.sink == nullptr || options.sink->fast_meter() != nullptr);
   engines_.reserve(programs_.size());
+  std::vector<ir::NativeEngine*> native_engines;
   for (std::size_t i = 0; i < programs_.size(); ++i) {
     ir::LabelBinding binding{labels_.get(), labels_->tag_base(i),
                              labels_->loop_base(i)};
     const ir::NativeEntry* native =
         fast_ ? ir::find_native(*programs_[i]) : nullptr;
     if (native != nullptr) {
-      engines_.push_back(std::make_unique<ir::NativeEngine>(
-          *native, *programs_[i], env, options, binding));
+      auto engine = std::make_unique<ir::NativeEngine>(
+          *native, *programs_[i], env, options, binding);
+      native_engines.push_back(engine.get());
+      engines_.push_back(std::move(engine));
     } else {
       engines_.push_back(std::make_unique<ir::Interpreter>(
           *programs_[i], env, options, binding));
     }
+  }
+  // First-touch metering holds for a packet only if every access since
+  // begin_packet() is counted that way (ir/cycle_meter.h), so the whole
+  // chain uses it or no stage does.
+  first_touch_ =
+      native_engines.size() == engines_.size() &&
+      std::all_of(native_engines.begin(), native_engines.end(),
+                  [](const ir::NativeEngine* e) {
+                    return e->can_meter_first_touch();
+                  });
+  if (first_touch_) {
+    for (ir::NativeEngine* e : native_engines) e->use_first_touch();
   }
 }
 

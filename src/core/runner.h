@@ -15,6 +15,12 @@
 // fast_meter(), e.g. hw::RealisticSim) force the reference engine
 // regardless of the knob — native code cannot drive them without changing
 // semantics.
+//
+// Cycle metering: when every program runs native code that has a
+// first-touch function, the runner meters the whole chain by first touch
+// (no L1 probe) for packets of at most kFirstTouchMaxBytes; otherwise every
+// stage probes. A chain never mixes the two within a packet
+// (ir/cycle_meter.h).
 #pragma once
 
 #include <cstdint>
@@ -63,6 +69,11 @@ class NfRunner {
   /// engine knob or the sink forced the reference interpreter).
   bool uses_fast_path() const { return fast_; }
 
+  /// True if the sink's cycles are metered by first touch (every program
+  /// is native code with a first-touch function; ir/cycle_meter.h) for
+  /// packets of at most kFirstTouchMaxBytes.
+  bool meters_first_touch() const { return first_touch_; }
+
   /// Scratch memory of program `index` (for microbenchmark setup).
   std::vector<std::uint64_t>& scratch(std::size_t index) {
     return engines_[index]->scratch();
@@ -73,6 +84,7 @@ class NfRunner {
   std::unique_ptr<ir::RunLabels> labels_;  ///< stable address across moves
   std::vector<std::unique_ptr<ir::PacketEngine>> engines_;
   bool fast_ = false;
+  bool first_touch_ = false;
   ir::RunResult chain_scratch_;  ///< per-program scratch for process_into
 };
 

@@ -33,6 +33,30 @@ inline constexpr std::uint64_t kScratchBase = 0x3000'0000ULL;
 inline constexpr std::uint64_t kArenaBase = 0x4000'0000ULL;
 inline constexpr std::uint64_t kArenaStride = 0x0100'0000ULL;  // 16 MiB each
 
+/// The framework's mbuf words: rx metadata, tx descriptor and drop path
+/// (i-th access of each), clustered on a few lines like a real driver's, so
+/// the conservative model can prove the repeats.
+inline constexpr std::uint64_t kMbufBytes = 384;
+inline std::uint64_t rx_mbuf_addr(std::uint64_t i) {
+  return kMbufBase + (i * 16) % 192;
+}
+inline std::uint64_t tx_mbuf_addr(std::uint64_t i) {
+  return kMbufBase + 192 + (i * 16) % 128;
+}
+inline std::uint64_t drop_mbuf_addr(std::uint64_t i) {
+  return kMbufBase + 320 + (i * 16) % 64;
+}
+
+// The first-touch lemma's preconditions on the layout (ir/cycle_meter.h):
+// each region starts at a line of L1 set 0, that is at a multiple of one
+// way's span (kFirstTouchMaxBytes), and the mbuf words fit a region.
+static_assert((kPacketBase | kMbufBase | kLocalsBase | kScratchBase) %
+                      ConservativeCycleMeter::kFirstTouchMaxBytes ==
+                  0,
+              "first-touch regions must start at a line of L1 set 0");
+static_assert(kMbufBytes <= ConservativeCycleMeter::kFirstTouchMaxBytes,
+              "the mbuf words must fit one first-touch region");
+
 /// Receives the low-level event stream of one execution; implemented by the
 /// hardware models (conservative and realistic).
 class TraceSink {

@@ -22,14 +22,45 @@
 // again would charge an L1 hit and change no LRU order. The meter charges
 // that hit without the probe. last_line_ is reset per packet (the cache
 // is cleared then), and an access that straddles lines always probes.
+//
+// First-touch metering (charge_first_touch) is the probe-free special
+// case. Lemma: if no L1 set receives more than kL1Ways distinct lines in a
+// packet, LRU never evicts within it, so an access misses exactly when its
+// line is touched for the first time since begin_packet(). A packet's
+// access cycles are then l1 * (line touches) + (dram - l1) * (distinct
+// lines), whatever the order. The native engine meets the precondition for
+// programs that make no dslib call (kCall): every address such a program
+// touches lies in one of four regions (packet bytes, locals, scratch, the
+// framework's mbuf words; ir/cost.h), each based at a line index that is
+// 0 mod kL1Sets and at most kFirstTouchLines lines long, so each region
+// puts at most one line in any set and no set holds more than 4 < kL1Ways
+// distinct lines. That holds when the packet, num_locals * 8 and
+// scratch_slots * 8 are each at most kFirstTouchMaxBytes; a longer packet
+// is probed. Chain rule: the lines touched so far live here, so the stages
+// of a chain share them, but a packet must be metered first-touch from
+// begin_packet() to its end or not at all — one probed access (a dslib
+// call in any stage) and the touched-line sets no longer describe the L1.
+// core::NfRunner therefore meters a chain first-touch only when every
+// stage qualifies. The probing path stays the general implementation and
+// the oracle (tests/test_hw.cpp checks the lemma against textbook LRU).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "support/assert.h"
 #include "support/cache.h"
 
 namespace bolt::ir {
+
+/// Lines touched in one packet, one bitmask per first-touch region (bit i
+/// = the region's i-th line; see ConservativeCycleMeter).
+struct LineMasks {
+  std::uint64_t packet = 0;
+  std::uint64_t locals = 0;
+  std::uint64_t scratch = 0;
+  std::uint64_t mbuf = 0;
+};
 
 class ConservativeCycleMeter {
  public:
@@ -50,6 +81,13 @@ class ConservativeCycleMeter {
   static constexpr std::size_t kL1Sets =
       kL1Bytes / (kL1Ways * support::kCacheLineBytes);
 
+  /// The first-touch lemma's region length: one line per L1 set.
+  static constexpr std::size_t kFirstTouchLines = kL1Sets;
+  static constexpr std::size_t kFirstTouchMaxBytes =
+      kFirstTouchLines * support::kCacheLineBytes;
+  static_assert(kFirstTouchLines <= 64, "a region's lines fit one mask");
+  static_assert(kL1Ways >= 4, "four regions share a set without eviction");
+
   explicit ConservativeCycleMeter(const Costs& costs)
       : costs_(costs), l1_(kL1Bytes, kL1Ways) {}
 
@@ -58,6 +96,7 @@ class ConservativeCycleMeter {
   void begin_packet() {
     l1_.clear();
     last_line_ = kNoLine;
+    touched_ = {};
     packet_start_ = cycles_;
   }
 
@@ -85,6 +124,21 @@ class ConservativeCycleMeter {
     last_line_ = last;
   }
 
+  /// First-touch metering (see the file comment): `touches` line touches
+  /// (a line-straddling access counts two) over the lines in `lines`, which
+  /// join the lines this packet touched before. Exact only if every access
+  /// since begin_packet() came through here.
+  void charge_first_touch(const LineMasks& lines, std::uint64_t touches) {
+    BOLT_CHECK(last_line_ == kNoLine,
+               "first-touch charge in a packet the L1 probe has metered");
+    const std::uint64_t fresh =
+        fresh_lines(touched_.packet, lines.packet) +
+        fresh_lines(touched_.locals, lines.locals) +
+        fresh_lines(touched_.scratch, lines.scratch) +
+        fresh_lines(touched_.mbuf, lines.mbuf);
+    cycles_ += (touches - fresh) * costs_.l1 + fresh * costs_.dram;
+  }
+
   std::uint64_t total_cycles() const { return cycles_; }
   std::uint64_t packet_cycles() const { return cycles_ - packet_start_; }
 
@@ -92,9 +146,18 @@ class ConservativeCycleMeter {
   /// No line index reaches this (line = addr / 64 < 2^58).
   static constexpr std::uint64_t kNoLine = ~0ULL;
 
+  /// Lines of `lines` not yet in `touched`, which gains them.
+  static std::uint64_t fresh_lines(std::uint64_t& touched,
+                                   std::uint64_t lines) {
+    const std::uint64_t fresh = lines & ~touched;
+    touched |= lines;
+    return static_cast<std::uint64_t>(__builtin_popcountll(fresh));
+  }
+
   Costs costs_;
   support::Cache l1_;  ///< must-hit analysis state, cleared per packet
   std::uint64_t last_line_ = kNoLine;  ///< line of the previous access
+  LineMasks touched_;  ///< lines charged first-touch in this packet
   std::uint64_t cycles_ = 0;
   std::uint64_t packet_start_ = 0;
 };

@@ -94,11 +94,9 @@ void Interpreter::run_into(net::Packet& packet, RunResult& result) {
 
   // Framework rx cost (our DPDK/driver substitute): fixed instruction and
   // access budget spent before the NF sees the packet.
-  // rx metadata (mbuf + descriptor) clusters on a few cache lines, like a
-  // real driver's: the conservative model can prove the repeats.
   meter.metered_instructions(options_.rx_instructions);
   for (std::uint64_t i = 0; i < options_.rx_accesses; ++i) {
-    meter.mem_read(kMbufBase + (i * 16) % 192, 8);
+    meter.mem_read(rx_mbuf_addr(i), 8);
   }
 
   const auto pkt = packet.bytes();
@@ -119,7 +117,7 @@ void Interpreter::run_into(net::Packet& packet, RunResult& result) {
 
   auto pkt_load = [&](std::uint64_t offset, std::uint8_t width,
                       bool dependent) {
-    BOLT_CHECK(offset + width <= pkt.size(),
+    BOLT_CHECK(width <= pkt.size() && offset <= pkt.size() - width,
                program_.name + ": packet load out of bounds");
     std::uint64_t v = 0;
     for (std::uint8_t i = 0; i < width; ++i) v = (v << 8) | pkt[offset + i];
@@ -129,7 +127,7 @@ void Interpreter::run_into(net::Packet& packet, RunResult& result) {
   auto pkt_store = [&](std::uint64_t offset, std::uint64_t value,
                        std::uint8_t width) {
     auto mut = packet.mutable_bytes();
-    BOLT_CHECK(offset + width <= mut.size(),
+    BOLT_CHECK(width <= mut.size() && offset <= mut.size() - width,
                program_.name + ": packet store out of bounds");
     for (int i = width - 1; i >= 0; --i) {
       mut[offset + std::size_t(i)] = static_cast<std::uint8_t>(value & 0xff);
@@ -268,12 +266,12 @@ void Interpreter::run_into(net::Packet& packet, RunResult& result) {
   if (result.verdict == net::NfVerdict::kForward) {
     meter.metered_instructions(options_.tx_instructions);
     for (std::uint64_t i = 0; i < options_.tx_accesses; ++i) {
-      meter.mem_write(kMbufBase + 192 + (i * 16) % 128, 8);
+      meter.mem_write(tx_mbuf_addr(i), 8);
     }
   } else {
     meter.metered_instructions(options_.drop_instructions);
     for (std::uint64_t i = 0; i < options_.drop_accesses; ++i) {
-      meter.mem_write(kMbufBase + 320 + (i * 16) % 64, 8);
+      meter.mem_write(drop_mbuf_addr(i), 8);
     }
   }
 

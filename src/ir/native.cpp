@@ -73,6 +73,17 @@ bool same_program(const NativeEntry& entry, const Program& p) {
          same_names(p.loops, entry.loops);
 }
 
+/// The mbuf-region lines that `accesses` 8-byte words at addr(0), addr(1),
+/// ... touch (each step's addresses repeat within 12 accesses).
+template <typename Addr>
+std::uint64_t mbuf_lines(std::uint64_t accesses, Addr addr) {
+  std::uint64_t lines = 0;
+  for (std::uint64_t i = 0; i < std::min<std::uint64_t>(accesses, 12); ++i) {
+    lines |= std::uint64_t{1} << support::line_of(addr(i) - kMbufBase);
+  }
+  return lines;
+}
+
 }  // namespace
 
 const NativeEntry* find_native(const Program& program) {
@@ -94,6 +105,13 @@ NativeEngine::NativeEngine(const NativeEntry& entry, const Program& program,
                        "use the reference engine for order-sensitive sinks");
   }
   fn_ = fast_meter_ != nullptr ? entry.metered : entry.plain;
+  if (fast_meter_ != nullptr) first_touch_fn_ = entry.first_touch;
+  rx_ = {options_.rx_instructions, options_.rx_accesses,
+         mbuf_lines(options_.rx_accesses, rx_mbuf_addr)};
+  tx_ = {options_.tx_instructions, options_.tx_accesses,
+         mbuf_lines(options_.tx_accesses, tx_mbuf_addr)};
+  drop_ = {options_.drop_instructions, options_.drop_accesses,
+           mbuf_lines(options_.drop_accesses, drop_mbuf_addr)};
   if (binding.labels != nullptr) {
     labels_ = binding.labels;
     tag_base_ = binding.tag_base;
@@ -113,7 +131,22 @@ NativeEngine::NativeEngine(const NativeEntry& entry, const Program& program,
   }
 }
 
+void NativeEngine::fail(const char* what) const {
+  support::fatal(name_ + ": " + what, __FILE__, __LINE__);
+}
+
+void NativeEngine::use_first_touch() {
+  BOLT_CHECK(can_meter_first_touch(),
+             name_ + ": no first-touch code or no metered sink");
+  first_touch_ = true;
+}
+
 void NativeEngine::run_into(net::Packet& packet, RunResult& result) {
+  if (first_touch_ &&
+      packet.size() <= ConservativeCycleMeter::kFirstTouchMaxBytes) {
+    run_first_touch(packet, result);
+    return;
+  }
   CostMeter meter(options_.sink);
   result.clear();
   result.labels = labels_;
@@ -121,7 +154,7 @@ void NativeEngine::run_into(net::Packet& packet, RunResult& result) {
   // Framework rx cost: identical event stream to the reference engine.
   meter.metered_instructions(options_.rx_instructions);
   for (std::uint64_t i = 0; i < options_.rx_accesses; ++i) {
-    meter.mem_read(kMbufBase + (i * 16) % 192, 8);
+    meter.mem_read(rx_mbuf_addr(i), 8);
   }
   // Stateless instruction cycles are order-independent sums, charged once;
   // only memory accesses reach the meter in execution order.
@@ -133,16 +166,35 @@ void NativeEngine::run_into(net::Packet& packet, RunResult& result) {
   if (result.verdict == net::NfVerdict::kForward) {
     meter.metered_instructions(options_.tx_instructions);
     for (std::uint64_t i = 0; i < options_.tx_accesses; ++i) {
-      meter.mem_write(kMbufBase + 192 + (i * 16) % 128, 8);
+      meter.mem_write(tx_mbuf_addr(i), 8);
     }
   } else {
     meter.metered_instructions(options_.drop_instructions);
     for (std::uint64_t i = 0; i < options_.drop_accesses; ++i) {
-      meter.mem_write(kMbufBase + 320 + (i * 16) % 64, 8);
+      meter.mem_write(drop_mbuf_addr(i), 8);
     }
   }
   result.instructions = n.instructions + meter.instructions();
   result.mem_accesses = n.accesses + meter.accesses();
+  result.stateless_instructions = n.instructions;
+  result.stateless_accesses = n.accesses;
+}
+
+void NativeEngine::run_first_touch(net::Packet& packet, RunResult& result) {
+  result.clear();
+  result.labels = labels_;
+  result.loop_trips.resize(labels_->loop_count(), 0);
+  CostMeter no_calls;  // the program makes no dslib call
+  NativeCounts n = first_touch_fn_(*this, no_calls, packet, result);
+  const FrameworkStep& out =
+      result.verdict == net::NfVerdict::kForward ? tx_ : drop_;
+  n.lines.mbuf = rx_.lines | out.lines;
+  const std::uint64_t framework = rx_.instructions + out.instructions;
+  const std::uint64_t accesses = n.accesses + rx_.accesses + out.accesses;
+  fast_meter_->add_instructions(n.instructions + framework, n.muls);
+  fast_meter_->charge_first_touch(n.lines, accesses + n.straddles);
+  result.instructions = n.instructions + framework;
+  result.mem_accesses = accesses;
   result.stateless_instructions = n.instructions;
   result.stateless_accesses = n.accesses;
 }

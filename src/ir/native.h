@@ -12,6 +12,13 @@
 // C++ local; any other register lives in the engine's persistent register
 // file.
 //
+// A program that makes no dslib call (kCall) and whose locals and scratch
+// each fit kFirstTouchMaxBytes also gets a first-touch function: it meters
+// by keeping one line bitmask per region in NativeCounts (C++ locals of the
+// generated code) instead of probing the L1, and its engine charges the
+// packet once through ConservativeCycleMeter::charge_first_touch. The
+// cycles are the probing meter's, exactly (the lemma in ir/cycle_meter.h).
+//
 // A program is looked up by program_fingerprint and then compared field by
 // field with the program its code was generated from (a 64-bit hash can be
 // made to collide), so a program that differs from the generated one in
@@ -37,12 +44,20 @@ namespace bolt::ir {
 /// tag and loop names.
 std::uint64_t program_fingerprint(const Program& program);
 
+/// How a native function meters its accesses: not at all (no sink), by
+/// probing the sink's L1 per access, or by first touch.
+enum class Metering { kNone, kProbe, kFirstTouch };
+
 /// Stateless work of one packet, summed by the generated code and charged
 /// once when the packet finishes.
 struct NativeCounts {
   std::uint64_t instructions = 0;
   std::uint64_t muls = 0;
   std::uint64_t accesses = 0;
+  /// Metering::kFirstTouch only: the lines touched and the accesses that
+  /// touched a second line.
+  LineMasks lines;
+  std::uint64_t straddles = 0;
 };
 
 class NativeEngine;
@@ -62,8 +77,10 @@ struct NativeInstr {
 
 struct NativeEntry {
   std::uint64_t fingerprint = 0;
-  NativeFn metered = nullptr;  ///< drives the engine's fast meter
+  NativeFn metered = nullptr;  ///< probes the engine's fast meter
   NativeFn plain = nullptr;    ///< no sink
+  /// Counts first touches; null unless the program qualifies (above).
+  NativeFn first_touch = nullptr;
   /// The program the functions were generated from.
   const char* name = "";
   std::int32_t num_regs = 0;
@@ -82,9 +99,10 @@ support::Span<const NativeEntry> native_table();
 const NativeEntry* find_native(const Program& program);
 
 /// The C++ source of the native table for `programs`, which must have
-/// distinct fingerprints. Deterministic: the same programs give the same
-/// bytes.
-std::string emit_native_source(const std::vector<const Program*>& programs);
+/// distinct fingerprints, returned by the function `table` (qualified from
+/// namespace bolt). Deterministic: the same programs give the same bytes.
+std::string emit_native_source(const std::vector<const Program*>& programs,
+                               const std::string& table = "ir::native_table");
 
 /// Runs a program through its native function. Same construction surface
 /// and observable results as ir::Interpreter, except that it drives the
@@ -94,6 +112,8 @@ std::string emit_native_source(const std::vector<const Program*>& programs);
 ///
 /// The public steps below are what the generated code calls; they keep the
 /// per-packet bounds checks and diagnostics of the reference interpreter.
+/// The memory steps are forced inline so that, in first-touch code, the
+/// line masks stay in registers.
 class NativeEngine final : public PacketEngine {
  public:
   /// `entry` must be find_native(program); `options.sink` must be null or
@@ -102,53 +122,74 @@ class NativeEngine final : public PacketEngine {
                StatefulEnv* env, InterpreterOptions options = {},
                LabelBinding binding = {});
 
+  /// True if the entry has a first-touch function and a sink is metered.
+  bool can_meter_first_touch() const {
+    return first_touch_fn_ != nullptr && fast_meter_ != nullptr;
+  }
+  /// Meters every packet of at most kFirstTouchMaxBytes by first touch.
+  /// Requires can_meter_first_touch(). Exact only if every other engine
+  /// that runs between the same begin_packet() calls does the same (the
+  /// chain rule in ir/cycle_meter.h); NfRunner decides.
+  void use_first_touch();
+
   void run_into(net::Packet& packet, RunResult& result) override;
   std::vector<std::uint64_t>& scratch() override { return scratch_; }
   RunLabels& labels() override { return *labels_; }
 
-  template <bool kMeter>
-  std::uint64_t load_pkt(support::Span<const std::uint8_t> pkt,
-                         std::uint64_t offset, unsigned width) {
-    BOLT_CHECK(offset + width <= pkt.size(),
-               name_ + ": packet load out of bounds");
+  template <Metering M>
+  [[gnu::always_inline]] std::uint64_t load_pkt(
+      support::Span<const std::uint8_t> pkt, std::uint64_t offset,
+      unsigned width, NativeCounts& n) {
+    if (width > pkt.size() || offset > pkt.size() - width) {
+      fail("packet load out of bounds");
+    }
     std::uint64_t v = 0;
     for (unsigned i = 0; i < width; ++i) v = (v << 8) | pkt[offset + i];
-    if constexpr (kMeter) fast_meter_->access(kPacketBase + offset, width);
+    meter_packet<M>(offset, width, n);
     return v;
   }
-  template <bool kMeter>
-  void store_pkt(net::Packet& packet, std::uint64_t offset,
-                 std::uint64_t value, unsigned width) {
+  template <Metering M>
+  [[gnu::always_inline]] void store_pkt(net::Packet& packet,
+                                        std::uint64_t offset,
+                                        std::uint64_t value, unsigned width,
+                                        NativeCounts& n) {
     const auto mut = packet.mutable_bytes();
-    BOLT_CHECK(offset + width <= mut.size(),
-               name_ + ": packet store out of bounds");
+    if (width > mut.size() || offset > mut.size() - width) {
+      fail("packet store out of bounds");
+    }
     for (unsigned i = width; i-- > 0;) {
       mut[offset + i] = static_cast<std::uint8_t>(value & 0xff);
       value >>= 8;
     }
-    if constexpr (kMeter) fast_meter_->access(kPacketBase + offset, width);
+    meter_packet<M>(offset, width, n);
   }
-  template <bool kMeter>
-  std::uint64_t load_local(std::int64_t slot) {
-    if constexpr (kMeter) fast_meter_->access(kLocalsBase + 8 * slot, 8);
+  template <Metering M>
+  [[gnu::always_inline]] std::uint64_t load_local(std::int64_t slot,
+                                                  NativeCounts& n) {
+    meter_word<M>(kLocalsBase, std::uint64_t(slot), n.lines.locals);
     return locals_[static_cast<std::size_t>(slot)];
   }
-  template <bool kMeter>
-  void store_local(std::int64_t slot, std::uint64_t value) {
+  template <Metering M>
+  [[gnu::always_inline]] void store_local(std::int64_t slot,
+                                          std::uint64_t value,
+                                          NativeCounts& n) {
     locals_[static_cast<std::size_t>(slot)] = value;
-    if constexpr (kMeter) fast_meter_->access(kLocalsBase + 8 * slot, 8);
+    meter_word<M>(kLocalsBase, std::uint64_t(slot), n.lines.locals);
   }
-  template <bool kMeter>
-  std::uint64_t load_mem(std::uint64_t slot) {
-    BOLT_CHECK(slot < scratch_.size(), name_ + ": scratch load out of range");
-    if constexpr (kMeter) fast_meter_->access(kScratchBase + 8 * slot, 8);
+  template <Metering M>
+  [[gnu::always_inline]] std::uint64_t load_mem(std::uint64_t slot,
+                                                NativeCounts& n) {
+    if (slot >= scratch_.size()) fail("scratch load out of range");
+    meter_word<M>(kScratchBase, slot, n.lines.scratch);
     return scratch_[slot];
   }
-  template <bool kMeter>
-  void store_mem(std::uint64_t slot, std::uint64_t value) {
-    BOLT_CHECK(slot < scratch_.size(), name_ + ": scratch store out of range");
+  template <Metering M>
+  [[gnu::always_inline]] void store_mem(std::uint64_t slot,
+                                        std::uint64_t value,
+                                        NativeCounts& n) {
+    if (slot >= scratch_.size()) fail("scratch store out of range");
     scratch_[slot] = value;
-    if constexpr (kMeter) fast_meter_->access(kScratchBase + 8 * slot, 8);
+    meter_word<M>(kScratchBase, slot, n.lines.scratch);
   }
 
   /// A kCall at instruction index `site`: the dslib call, the per-packet
@@ -165,8 +206,9 @@ class NativeEngine final : public PacketEngine {
     ++result.loop_trips[loop_base_ + static_cast<std::size_t>(loop)];
   }
   void check_steps(std::uint64_t steps) const {
-    BOLT_CHECK(steps <= options_.max_steps,
-               name_ + ": step budget exceeded (infinite loop?)");
+    if (steps > options_.max_steps) {
+      fail("step budget exceeded (infinite loop?)");
+    }
   }
 
   /// The persistent register file (registers a packet may read before it
@@ -174,11 +216,54 @@ class NativeEngine final : public PacketEngine {
   std::uint64_t* regs() { return regs_.data(); }
 
  private:
+  /// `width` packet bytes at `offset`, already bounds-checked (so with a
+  /// packet of at most kFirstTouchMaxBytes, both lines are below 64).
+  template <Metering M>
+  [[gnu::always_inline]] void meter_packet(std::uint64_t offset,
+                                           unsigned width, NativeCounts& n) {
+    if constexpr (M == Metering::kProbe) {
+      fast_meter_->access(kPacketBase + offset, width);
+    } else if constexpr (M == Metering::kFirstTouch) {
+      const std::uint64_t first = support::line_of(offset);
+      const std::uint64_t last = support::line_of(offset + width - 1);
+      n.lines.packet |= std::uint64_t{1} << first | std::uint64_t{1} << last;
+      n.straddles += last - first;
+    }
+  }
+  /// The 8-byte word `slot` of the region at `base` (slot < 512 in
+  /// first-touch code, which the generator checks).
+  template <Metering M>
+  [[gnu::always_inline]] void meter_word(std::uint64_t base,
+                                         std::uint64_t slot,
+                                         std::uint64_t& lines) {
+    if constexpr (M == Metering::kProbe) {
+      fast_meter_->access(base + 8 * slot, 8);
+    } else if constexpr (M == Metering::kFirstTouch) {
+      lines |= std::uint64_t{1} << support::line_of(8 * slot);
+    }
+  }
+
+  void run_first_touch(net::Packet& packet, RunResult& result);
+
+  /// Aborts with "<program>: <what>". Out of line, so the generated code
+  /// keeps only a call on its failure paths.
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(const char* what) const;
+
+  /// One framework step's fixed cost (rx, tx or drop) and its mbuf lines.
+  struct FrameworkStep {
+    std::uint64_t instructions = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t lines = 0;  ///< mbuf region line mask
+  };
+
   std::string name_;  ///< program name, for diagnostics
   StatefulEnv* env_;
   InterpreterOptions options_;
   ConservativeCycleMeter* fast_meter_ = nullptr;  ///< from options_.sink
   NativeFn fn_;
+  NativeFn first_touch_fn_ = nullptr;  ///< entry's, if a sink is metered
+  bool first_touch_ = false;           ///< use_first_touch() was called
+  FrameworkStep rx_, tx_, drop_;       ///< for first-touch packets
   std::shared_ptr<RunLabels> owned_labels_;  ///< when standalone
   RunLabels* labels_;
   std::uint32_t tag_base_ = 0;

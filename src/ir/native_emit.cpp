@@ -1,5 +1,6 @@
-// The native-code emitter: one `template <bool kMeter>` C++ function per
+// The native-code emitter: one `template <ir::Metering M>` C++ function per
 // program (see ir/native.h for what the emitted code preserves).
+#include <algorithm>
 #include <sstream>
 
 #include "ir/native.h"
@@ -90,7 +91,7 @@ class Emitter {
   }
 
   void emit(std::ostringstream& out) {
-    out << "template <bool kMeter>\n"
+    out << "template <ir::Metering M>\n"
         << "ir::NativeCounts " << fn_
         << "(ir::NativeEngine& F, [[maybe_unused]] ir::CostMeter& meter,\n"
         << "    [[maybe_unused]] net::Packet& packet, ir::RunResult& result) "
@@ -253,20 +254,20 @@ class Emitter {
       case Op::kShr: return D() + A() + " >> (" + B() + " & 63);";
       case Op::kNot: return D() + "~" + A() + ";";
       case Op::kLoadPkt:
-        return D() + "F.load_pkt<kMeter>(pkt, " + A() + ", " + W + ");";
+        return D() + "F.load_pkt<M>(pkt, " + A() + ", " + W + ", n);";
       case Op::kStorePkt:
-        return "F.store_pkt<kMeter>(packet, " + A() + ", " + B() + ", " + W +
-               ");";
+        return "F.store_pkt<M>(packet, " + A() + ", " + B() + ", " + W +
+               ", n);";
       case Op::kPktLen: return D() + "pkt.size();";
       case Op::kPktPort: return D() + "packet.in_port();";
       case Op::kPktTime: return D() + "packet.timestamp_ns();";
       case Op::kLoadLocal:
-        return D() + "F.load_local<kMeter>(" + lit(i.imm) + ");";
+        return D() + "F.load_local<M>(" + lit(i.imm) + ", n);";
       case Op::kStoreLocal:
-        return "F.store_local<kMeter>(" + lit(i.imm) + ", " + A() + ");";
-      case Op::kLoadMem: return D() + "F.load_mem<kMeter>(" + A() + ");";
+        return "F.store_local<M>(" + lit(i.imm) + ", " + A() + ", n);";
+      case Op::kLoadMem: return D() + "F.load_mem<M>(" + A() + ", n);";
       case Op::kStoreMem:
-        return "F.store_mem<kMeter>(" + A() + ", " + B() + ");";
+        return "F.store_mem<M>(" + A() + ", " + B() + ", n);";
       case Op::kCall: {
         std::string s = "{ const ir::CallOutcome o = F.call(" +
                         std::to_string(pc) + ", " + lit(i.imm) + ", " +
@@ -306,9 +307,21 @@ class Emitter {
   bool loops_ = false;                 ///< any backward jump
 };
 
+/// True if `p` may run first-touch code (the preconditions in
+/// ir/cycle_meter.h that do not depend on the packet).
+bool first_touch_ok(const Program& p) {
+  constexpr std::size_t kWords =
+      ConservativeCycleMeter::kFirstTouchMaxBytes / 8;
+  return std::none_of(p.code.begin(), p.code.end(),
+                      [](const Instr& i) { return i.op == Op::kCall; }) &&
+         static_cast<std::size_t>(p.num_locals) <= kWords &&
+         p.scratch_slots <= kWords;
+}
+
 }  // namespace
 
-std::string emit_native_source(const std::vector<const Program*>& programs) {
+std::string emit_native_source(const std::vector<const Program*>& programs,
+                               const std::string& table) {
   std::ostringstream out;
   out << "// Generated by bolt_nativegen from the registered NF programs. "
          "Do not edit.\n"
@@ -336,14 +349,18 @@ std::string emit_native_source(const std::vector<const Program*>& programs) {
   for (std::size_t k = 0; k < programs.size(); ++k) {
     const Program& p = *programs[k];
     const std::string K = std::to_string(k), fn = "native_" + K;
-    out << "    {" << program_fingerprint(p) << "ULL, &" << fn << "<true>, &"
-        << fn << "<false>, " << quoted(p.name) << ", " << p.num_regs << ", "
+    const std::string first_touch =
+        first_touch_ok(p) ? "&" + fn + "<ir::Metering::kFirstTouch>"
+                          : "nullptr";
+    out << "    {" << program_fingerprint(p) << "ULL, &" << fn
+        << "<ir::Metering::kProbe>, &" << fn << "<ir::Metering::kNone>, "
+        << first_touch << ", " << quoted(p.name) << ", " << p.num_regs << ", "
         << p.num_locals << ", " << p.scratch_slots << ", {code_" << K << ", "
         << p.code.size() << "}, " << span(p.class_tags, "tags_" + K) << ", "
         << span(p.loops, "loops_" + K) << "},\n";
   }
   out << "};\n\n}  // namespace\n\n"
-      << "support::Span<const ir::NativeEntry> ir::native_table() {\n"
+      << "support::Span<const ir::NativeEntry> " << table << "() {\n"
       << "  return {kTable, sizeof(kTable) / sizeof(kTable[0])};\n}\n\n"
       << "}  // namespace bolt\n";
   return out.str();

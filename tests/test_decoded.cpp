@@ -9,7 +9,11 @@
 //    engines, over its workloads, their trace mutations and the generation
 //    witnesses;
 //  * monitor reports are byte-identical fast-path-vs-reference for every
-//    registered target at every thread count.
+//    registered target at every thread count;
+//  * first-touch metering charges the probing meter's cycles at its edges
+//    (4 KiB packets, locals and scratch; line-straddling accesses; drops;
+//    chains), and only where it applies;
+//  * both engines reject packet offsets whose end wraps past 2^64.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +27,7 @@
 #include "core/classkey.h"
 #include "core/targets.h"
 #include "hw/models.h"
+#include "ir/builder.h"
 #include "ir/interp.h"
 #include "ir/native.h"
 #include "monitor/monitor.h"
@@ -34,6 +39,7 @@
 #include "nf/nat.h"
 #include "support/assert.h"
 #include "support/random.h"
+#include "native_fixtures.h"
 
 namespace bolt {
 namespace {
@@ -151,8 +157,10 @@ enum class Engine { kNative, kReference };
 
 /// One engine of `kind` per chain stage, bound to one label table the way
 /// NfRunner binds them, so each stage's result is comparable on its own.
+/// With `first_touch`, every native stage meters by first touch.
 struct StageEngines {
-  StageEngines(const core::NfTarget& target, ir::TraceSink* sink, Engine kind)
+  StageEngines(const core::NfTarget& target, ir::TraceSink* sink, Engine kind,
+               bool first_touch = false)
       : labels(std::make_unique<ir::RunLabels>(target.programs())) {
     ir::InterpreterOptions opts;
     nf::apply_framework(opts, nf::framework_full());
@@ -167,8 +175,10 @@ struct StageEngines {
       if (kind == Engine::kNative) {
         const ir::NativeEntry* entry = ir::find_native(p);
         BOLT_CHECK(entry != nullptr, p.name + ": no native code");
-        stages.push_back(
-            std::make_unique<ir::NativeEngine>(*entry, p, env, opts, binding));
+        auto engine =
+            std::make_unique<ir::NativeEngine>(*entry, p, env, opts, binding);
+        if (first_touch) engine->use_first_touch();
+        stages.push_back(std::move(engine));
       } else {
         stages.push_back(std::make_unique<Interpreter>(p, env, opts, binding));
       }
@@ -276,6 +286,322 @@ TEST(NativeDifferential, EveryRegisteredTargetMatchesTheReference) {
     for (std::size_t s = 0; s < engines[1].stages.size(); ++s) {
       EXPECT_EQ(engines[0].stages[s]->scratch(),
                 engines[1].stages[s]->scratch());
+    }
+  }
+}
+
+// --- first-touch metering ----------------------------------------------------
+
+/// `packets` padded (or cut) to `size` bytes.
+std::vector<net::Packet> resized(std::vector<net::Packet> packets,
+                                 std::size_t size) {
+  for (net::Packet& p : packets) {
+    std::vector<std::uint8_t> data = bytes_of(p);
+    data.resize(size, 0x5a);
+    p = net::Packet(std::move(data), p.timestamp_ns(), p.in_port());
+  }
+  return packets;
+}
+
+/// Runs `packets` through two runners with their own sinks and expects the
+/// same results, bytes and cycles per packet. Returns the reference results.
+std::vector<RunResult> expect_same_cycles(
+    core::NfRunner& got, hw::ConservativeModel& got_sink, core::NfRunner& ref,
+    hw::ConservativeModel& ref_sink, const std::vector<net::Packet>& packets,
+    const std::string& name) {
+  std::vector<RunResult> refs;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    net::Packet pg = packets[i], pr = packets[i];
+    got_sink.begin_packet();
+    ref_sink.begin_packet();
+    const RunResult rg = got.process(pg), rr = ref.process(pr);
+    const std::string ctx = name + " pkt=" + std::to_string(i) +
+                            " size=" + std::to_string(packets[i].size());
+    expect_equal_results(rg, rr, ctx);
+    EXPECT_EQ(bytes_of(pg), bytes_of(pr)) << ctx;
+    EXPECT_EQ(got_sink.packet_cycles(), ref_sink.packet_cycles()) << ctx;
+    if (::testing::Test::HasFailure()) break;
+    refs.push_back(rr);
+  }
+  return refs;
+}
+
+std::size_t count_where(const std::vector<RunResult>& results,
+                        bool (*pred)(const RunResult&)) {
+  return static_cast<std::size_t>(
+      std::count_if(results.begin(), results.end(), pred));
+}
+
+TEST(FirstTouch, TheRunnerMetersWholeCallFreeChainsOnly) {
+  for (const std::string& name : core::named_targets()) {
+    perf::PcvRegistry reg;
+    core::NfTarget target;
+    ASSERT_TRUE(core::make_named_target(name, reg, target));
+    const bool call_free =
+        name == "router" || name == "firewall" || name == "fw+router";
+    for (const Program* p : target.programs()) {
+      EXPECT_EQ(ir::find_native(*p)->first_touch != nullptr, call_free)
+          << name << "/" << p->name;
+    }
+    hw::ConservativeModel sink;
+    EXPECT_EQ(target.make_runner(nf::framework_full(), &sink)
+                  ->meters_first_touch(),
+              call_free)
+        << name;
+    EXPECT_FALSE(target.make_runner(nf::framework_full(), nullptr)
+                     ->meters_first_touch())
+        << name;
+    EXPECT_FALSE(target.make_runner(nf::framework_full(), &sink,
+                                    ir::EngineKind::kReference)
+                     ->meters_first_touch())
+        << name;
+  }
+}
+
+TEST(FirstTouch, RouterAtThePacketLengthEdge) {
+  // 4096 bytes is the longest packet metered by first touch; 4097 probes.
+  // Every third packet has a non-IPv4 EtherType, which the router drops.
+  std::vector<net::Packet> workload =
+      core::monitor_workload("router", "drift", 400);
+  for (std::size_t i = 0; i < workload.size(); i += 3) {
+    workload[i].mutable_bytes()[12] = 0x86;
+  }
+  std::vector<net::Packet> packets = workload;
+  for (const std::size_t size : {4095, 4096, 4097}) {
+    const std::vector<net::Packet> r = resized(workload, size);
+    packets.insert(packets.end(), r.begin(), r.end());
+  }
+  std::array<perf::PcvRegistry, 2> regs;
+  std::array<core::NfTarget, 2> targets;
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(core::make_named_target("router", regs[k], targets[k]));
+  }
+  hw::ConservativeModel got_sink, ref_sink;
+  const auto got = targets[0].make_runner(nf::framework_full(), &got_sink);
+  const auto ref = targets[1].make_runner(nf::framework_full(), &ref_sink,
+                                          ir::EngineKind::kReference);
+  ASSERT_TRUE(got->meters_first_touch());
+  const std::vector<RunResult> refs =
+      expect_same_cycles(*got, got_sink, *ref, ref_sink, packets, "router");
+  EXPECT_GT(count_where(refs, [](const RunResult& r) {
+              return r.verdict == net::NfVerdict::kForward;
+            }),
+            0u);
+  EXPECT_GT(count_where(refs, [](const RunResult& r) {  // the drop mbuf line
+              return r.verdict == net::NfVerdict::kDrop;
+            }),
+            0u);
+}
+
+const ir::NativeEntry* fixture_entry(const Program& p) {
+  for (const ir::NativeEntry& e : fixture_native_table()) {
+    if (e.fingerprint == ir::program_fingerprint(p)) return &e;
+  }
+  return nullptr;
+}
+
+/// A `size`-byte packet with byte 1 = `slot_byte` (the fixture's scratch
+/// slot is 2 * slot_byte + 1) and byte 2 = `keep` (0 drops).
+net::Packet fixture_packet(std::size_t size, std::uint8_t slot_byte,
+                           std::uint8_t keep) {
+  std::vector<std::uint8_t> data(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  data[1] = slot_byte;
+  data[2] = keep;
+  return net::Packet(std::move(data), 1'000'000'000);
+}
+
+TEST(FirstTouch, HandBuiltProgramsAtTheFourKibEdges) {
+  // "edges" has 512 locals and 512 scratch slots (4 KiB each, the largest
+  // frame that qualifies) and touches both ends of each; every fixture
+  // straddles lines 0/1 and reads the packet's last two bytes, which on a
+  // 4097-byte packet is line 64: only the probing meter can charge it.
+  for (const Program& p : fixtures::native_fixtures()) {
+    SCOPED_TRACE(p.name);
+    const ir::NativeEntry* entry = fixture_entry(p);
+    ASSERT_NE(entry, nullptr);
+    const bool fits = p.num_locals <= 512 && p.scratch_slots <= 512;
+    EXPECT_EQ(entry->first_touch != nullptr, fits);
+    if (!fits) continue;
+    hw::ConservativeModel ft_sink, probe_sink, ref_sink;
+    ir::InterpreterOptions opts;
+    nf::apply_framework(opts, nf::framework_full());
+    opts.sink = &ft_sink;
+    ir::NativeEngine first_touch(*entry, p, nullptr, opts);
+    ASSERT_TRUE(first_touch.can_meter_first_touch());
+    first_touch.use_first_touch();
+    opts.sink = &probe_sink;
+    ir::NativeEngine probe(*entry, p, nullptr, opts);
+    opts.sink = &ref_sink;
+    Interpreter reference(p, nullptr, opts);
+    const std::uint8_t top = static_cast<std::uint8_t>(
+        std::min<std::size_t>(255, (p.scratch_slots - 1) / 2));
+    std::size_t drops = 0;
+    for (const std::size_t size : {66, 127, 128, 4095, 4096, 4097, 6000}) {
+      for (const std::uint8_t slot_byte : {std::uint8_t{0}, top}) {
+        for (const std::uint8_t keep : {0, 1}) {
+          const std::string ctx = "size=" + std::to_string(size) +
+                                  " slot=" + std::to_string(slot_byte) +
+                                  " keep=" + std::to_string(keep);
+          std::array<net::Packet, 3> pkts;
+          pkts.fill(fixture_packet(size, slot_byte, keep));
+          std::array<RunResult, 3> res;
+          ft_sink.begin_packet();
+          probe_sink.begin_packet();
+          ref_sink.begin_packet();
+          first_touch.run_into(pkts[0], res[0]);
+          probe.run_into(pkts[1], res[1]);
+          reference.run_into(pkts[2], res[2]);
+          for (std::size_t k = 0; k < 2; ++k) {
+            expect_equal_results(res[k], res[2], ctx);
+            EXPECT_EQ(bytes_of(pkts[k]), bytes_of(pkts[2])) << ctx;
+          }
+          EXPECT_EQ(ft_sink.packet_cycles(), ref_sink.packet_cycles()) << ctx;
+          EXPECT_EQ(probe_sink.packet_cycles(), ref_sink.packet_cycles())
+              << ctx;
+          drops += res[2].verdict == net::NfVerdict::kDrop ? 1 : 0;
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+    EXPECT_EQ(drops, 14u);
+    EXPECT_EQ(first_touch.scratch(), reference.scratch());
+  }
+}
+
+TEST(FirstTouchDeathTest, OnlyPacketsUpToFourKibSkipTheProbe) {
+  // A packet the probe has already metered cannot take a first-touch
+  // charge: a 4097-byte packet runs on the probe after it, a 4096-byte
+  // one is charged by first touch and aborts.
+  const Program p = fixtures::native_fixtures().front();
+  const ir::NativeEntry* entry = fixture_entry(p);
+  ASSERT_NE(entry, nullptr);
+  hw::ConservativeModel sink;
+  ir::InterpreterOptions opts;
+  opts.sink = &sink;
+  ir::NativeEngine engine(*entry, p, nullptr, opts);
+  engine.use_first_touch();
+  RunResult r;
+  sink.begin_packet();
+  sink.fast_meter()->access(ir::kPacketBase, 1);
+  net::Packet over = fixture_packet(4097, 0, 1);
+  engine.run_into(over, r);
+  net::Packet edge = fixture_packet(4096, 0, 1);
+  EXPECT_DEATH(engine.run_into(edge, r), "the L1 probe has metered");
+}
+
+TEST(FirstTouch, FwRouterThroughTheRunnerAndStageEngines) {
+  std::vector<net::Packet> packets = identity_inputs("fw+router");
+  const std::vector<net::Packet> big = resized(
+      core::monitor_workload("fw+router", "drift", 200), 4096);
+  packets.insert(packets.end(), big.begin(), big.end());
+  std::array<perf::PcvRegistry, 3> regs;
+  std::array<core::NfTarget, 3> targets;
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(core::make_named_target("fw+router", regs[k], targets[k]));
+  }
+  std::array<hw::ConservativeModel, 3> sinks;
+  StageEngines first_touch(targets[0], &sinks[0], Engine::kNative, true);
+  StageEngines reference(targets[1], &sinks[1], Engine::kReference);
+  const auto runner = targets[2].make_runner(nf::framework_full(), &sinks[2]);
+  ASSERT_TRUE(runner->meters_first_touch());
+  std::size_t second_stage = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    std::array<net::Packet, 3> pkts = {packets[i], packets[i], packets[i]};
+    for (hw::ConservativeModel& sink : sinks) sink.begin_packet();
+    const std::vector<RunResult> got = first_touch.run(pkts[0]);
+    const std::vector<RunResult> ref = reference.run(pkts[1]);
+    const RunResult merged = runner->process(pkts[2]);
+    const std::string ctx = "pkt=" + std::to_string(i);
+    ASSERT_EQ(got.size(), ref.size()) << ctx;
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      expect_equal_results(got[s], ref[s], ctx + " stage=" + std::to_string(s));
+    }
+    second_stage += ref.size() == 2 ? 1 : 0;
+    EXPECT_EQ(merged.verdict, ref.back().verdict) << ctx;
+    EXPECT_EQ(bytes_of(pkts[0]), bytes_of(pkts[1])) << ctx;
+    EXPECT_EQ(bytes_of(pkts[2]), bytes_of(pkts[1])) << ctx;
+    EXPECT_EQ(sinks[0].packet_cycles(), sinks[1].packet_cycles()) << ctx;
+    EXPECT_EQ(sinks[2].packet_cycles(), sinks[1].packet_cycles()) << ctx;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(second_stage, 0u);
+}
+
+TEST(FirstTouch, AChainWithADslibCallProbesEveryStage) {
+  // router -> NAT: the router is call-free, the NAT is not, so the runner
+  // probes both stages for the whole packet.
+  std::array<perf::PcvRegistry, 2> regs;
+  std::array<core::NfTarget, 2> routers;
+  std::vector<core::NfInstance> nats;
+  std::vector<std::unique_ptr<core::NfRunner>> runners;
+  std::array<hw::ConservativeModel, 2> sinks;
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(core::make_named_target("router", regs[k], routers[k]));
+    nats.push_back(core::make_nat(regs[k], core::default_nat_config()));
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    ir::InterpreterOptions opts;
+    nf::apply_framework(opts, nf::framework_full());
+    opts.sink = &sinks[k];
+    opts.engine = k == 0 ? ir::EngineKind::kNative : ir::EngineKind::kReference;
+    runners.push_back(std::make_unique<core::NfRunner>(
+        std::vector<const Program*>{&routers[k].stateless.front(),
+                                    &nats[k].program},
+        nats[k].env.get(), opts));
+  }
+  ASSERT_TRUE(runners[0]->uses_fast_path());
+  ASSERT_NE(ir::find_native(nats[0].program), nullptr);
+  EXPECT_FALSE(runners[0]->meters_first_touch());
+  std::vector<net::Packet> packets = core::monitor_workload("nat", "", 1500);
+  const std::vector<net::Packet> drift =
+      core::monitor_workload("router", "drift", 500);
+  packets.insert(packets.end(), drift.begin(), drift.end());
+  const std::vector<RunResult> refs = expect_same_cycles(
+      *runners[0], sinks[0], *runners[1], sinks[1], packets, "router->nat");
+  // Packets reached the NAT's dslib calls.
+  EXPECT_GT(
+      count_where(refs, [](const RunResult& r) { return !r.calls.empty(); }),
+      0u);
+}
+
+// --- packet bounds ----------------------------------------------------------
+
+TEST(BoundsDeathTest, OffsetsWhoseEndWrapsAreOutOfBounds) {
+  // offset + width wraps to a small number for these offsets; both engines
+  // must still reject them rather than touch the bytes before the packet.
+  perf::PcvRegistry reg;
+  core::NfTarget router;
+  ASSERT_TRUE(core::make_named_target("router", reg, router));
+  const Program& registered = router.stateless.front();
+  ir::NativeEngine native(*ir::find_native(registered), registered, nullptr);
+  for (const std::uint8_t width : {1, 2, 4, 8}) {
+    const std::uint64_t wrap = 0 - std::uint64_t{width};  // 2^64 - width
+    for (const std::uint64_t offset : {~std::uint64_t{0}, wrap}) {
+      SCOPED_TRACE("width=" + std::to_string(width) +
+                   " offset=" + std::to_string(offset));
+      net::Packet packet(std::vector<std::uint8_t>(64, 0), 0);
+      ir::IrBuilder load("wrapping_load");
+      load.load_pkt(load.imm(offset), width);
+      load.forward_imm(0);
+      const Program load_program = load.finish();
+      Interpreter load_interp(load_program, nullptr);
+      EXPECT_DEATH(load_interp.run(packet), "packet load out of bounds");
+      ir::IrBuilder store("wrapping_store");
+      store.store_pkt(store.imm(offset), store.imm(0), width);
+      store.forward_imm(0);
+      const Program store_program = store.finish();
+      Interpreter store_interp(store_program, nullptr);
+      EXPECT_DEATH(store_interp.run(packet), "packet store out of bounds");
+      ir::NativeCounts n;
+      EXPECT_DEATH(native.load_pkt<ir::Metering::kNone>(packet.bytes(),
+                                                        offset, width, n),
+                   "packet load out of bounds");
+      EXPECT_DEATH(
+          native.store_pkt<ir::Metering::kNone>(packet, offset, 0, width, n),
+          "packet store out of bounds");
     }
   }
 }

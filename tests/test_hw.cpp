@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <list>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -463,6 +464,114 @@ TEST(MustHitOracle, WarmCacheMatchesTextbookLru) {
       }
     }
     EXPECT_GT(reference.evictions(), 0u);
+  }
+}
+
+// --- the first-touch lemma (ir/cycle_meter.h) -------------------------------
+
+using Meter = ir::ConservativeCycleMeter;
+
+TEST(FirstTouchLemma, WithoutAnOverfullSetMissesAreDistinctLines) {
+  // Each set receives at most kL1Ways distinct lines (from anywhere in
+  // memory): textbook LRU then never evicts, and misses = distinct lines.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    support::Rng rng(seed);
+    for (int packet = 0; packet < 100; ++packet) {
+      std::vector<std::uint64_t> pool;
+      for (std::size_t set = 0; set < Meter::kL1Sets; ++set) {
+        const std::size_t lines = rng.below(Meter::kL1Ways + 1);
+        for (std::size_t w = 0; w < lines; ++w) {
+          pool.push_back(set + Meter::kL1Sets * rng.below(1u << 20));
+        }
+      }
+      ReferenceLru lru(Meter::kL1Bytes, Meter::kL1Ways);
+      std::set<std::uint64_t> distinct;
+      std::size_t misses = 0;
+      for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t line = pool[rng.below(pool.size())];
+        misses += lru.access(line) ? 0 : 1;
+        distinct.insert(line);
+      }
+      EXPECT_EQ(misses, distinct.size());
+      EXPECT_EQ(lru.evictions(), 0u);
+    }
+  }
+}
+
+TEST(FirstTouchLemma, ANinthLineInOneSetBreaksIt) {
+  // Why first-touch metering needs its preconditions: with kL1Ways + 1
+  // lines in one set, touched round robin, LRU evicts each line before its
+  // reuse, so every touch misses; first touch would count one miss each.
+  for (const std::size_t lines : {Meter::kL1Ways, Meter::kL1Ways + 1}) {
+    ReferenceLru lru(Meter::kL1Bytes, Meter::kL1Ways);
+    std::size_t misses = 0;
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < lines; ++i) {
+        misses += lru.access(7 + i * Meter::kL1Sets) ? 0 : 1;
+      }
+    }
+    if (lines == Meter::kL1Ways) {
+      EXPECT_EQ(misses, lines);  // first touch is exact
+    } else {
+      EXPECT_EQ(misses, 2 * lines);  // first touch would say `lines`
+    }
+  }
+}
+
+TEST(FirstTouchLemma, ChargingFirstTouchesEqualsProbingTheRegions) {
+  // Random accesses within the four regions (packet bytes below 4 KiB,
+  // 512-word locals and scratch, the mbuf words), charged both ways, in
+  // one charge or split across several (a chain's stages).
+  const CycleCosts& c = default_cycle_costs();
+  const Meter::Costs costs{c.cons_alu, 5, c.cons_l1, c.cons_dram};
+  support::Rng rng(42);
+  for (int packet = 0; packet < 2000; ++packet) {
+    Meter probe(costs), first_touch(costs);
+    probe.begin_packet();
+    first_touch.begin_packet();
+    ir::LineMasks lines;
+    std::uint64_t touches = 0;
+    const std::size_t accesses = rng.below(200);
+    for (std::size_t i = 0; i < accesses; ++i) {
+      std::uint64_t base = ir::kPacketBase, offset = 0, size = 8;
+      std::uint64_t* mask = &lines.packet;
+      switch (rng.below(4)) {
+        case 0: {
+          const std::uint32_t sizes[] = {1, 2, 4, 6, 8};
+          size = sizes[rng.below(5)];
+          offset = rng.below(Meter::kFirstTouchMaxBytes - size + 1);
+          break;
+        }
+        case 1:
+          base = ir::kLocalsBase, mask = &lines.locals;
+          offset = 8 * rng.below(512);
+          break;
+        case 2:
+          base = ir::kScratchBase, mask = &lines.scratch;
+          offset = 8 * rng.below(512);
+          break;
+        default:
+          base = ir::kMbufBase, mask = &lines.mbuf;
+          offset = 8 * rng.below(ir::kMbufBytes / 8);
+          break;
+      }
+      probe.access(base + offset, static_cast<std::uint32_t>(size));
+      const std::uint64_t first = line_of(offset);
+      const std::uint64_t last = line_of(offset + size - 1);
+      for (std::uint64_t line = first; line <= last; ++line) {
+        *mask |= std::uint64_t{1} << line;
+        ++touches;
+      }
+      if (rng.chance(0.05)) {  // a stage boundary
+        first_touch.charge_first_touch(lines, touches);
+        lines = {};
+        touches = 0;
+      }
+    }
+    first_touch.charge_first_touch(lines, touches);
+    ASSERT_EQ(first_touch.packet_cycles(), probe.packet_cycles())
+        << "packet " << packet;
   }
 }
 
