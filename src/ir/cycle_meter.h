@@ -53,6 +53,16 @@
 
 namespace bolt::ir {
 
+/// Set bits of `x`. A SWAR sum, not __builtin_popcountll: the build does
+/// not assume the POPCNT instruction, so the builtin is an out-of-line
+/// libgcc call on every first-touch packet.
+inline std::uint64_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
+
 /// Lines touched in one packet, one bitmask per first-touch region (bit i
 /// = the region's i-th line; see ConservativeCycleMeter).
 struct LineMasks {
@@ -151,7 +161,7 @@ class ConservativeCycleMeter {
                                    std::uint64_t lines) {
     const std::uint64_t fresh = lines & ~touched;
     touched |= lines;
-    return static_cast<std::uint64_t>(__builtin_popcountll(fresh));
+    return popcount64(fresh);
   }
 
   Costs costs_;

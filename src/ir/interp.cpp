@@ -52,7 +52,9 @@ void RunResult::clear() {
   pcvs.clear();
   calls.clear();
   class_tags.clear();
-  loop_trips.clear();
+  // Zeroed in place: run_into resizes to the engine's loop count, which for
+  // a reused result is a no-op instead of a per-packet fill-insert.
+  std::fill(loop_trips.begin(), loop_trips.end(), 0);
   labels = nullptr;
 }
 

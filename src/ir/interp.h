@@ -90,7 +90,8 @@ struct RunResult {
 
   /// Resets to the default state while keeping container capacity, so a
   /// caller streaming millions of packets can reuse one RunResult instead
-  /// of reallocating per packet (the monitor's hot loop does).
+  /// of reallocating per packet (the monitor's hot loop does). loop_trips
+  /// keeps its length, every slot zero.
   void clear();
 };
 

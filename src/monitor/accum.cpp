@@ -9,6 +9,45 @@ using perf::kAllMetrics;
 using perf::metric_index;
 using perf::summarize;
 
+namespace {
+
+/// Largest measured value whose `measured * 1000` does not wrap.
+constexpr std::uint64_t kMaxExactPm = ~0ull / 1000;
+
+/// One (measured, predicted) pair's utilization and histogram bucket.
+struct Util {
+  std::uint64_t pm = 0;     ///< util_pm
+  std::size_t bucket = 0;   ///< util_bucket
+};
+
+/// util_pm and util_bucket with one divide. For a finite bound and a
+/// measured value below the wrap, floor(10m/p) = floor(floor(1000m/p)/100),
+/// so the bucket comes from the per-mille value; elsewhere both are
+/// computed as written.
+Util util_of(std::uint64_t measured, std::int64_t predicted) {
+  if (predicted > 0 && measured <= kMaxExactPm) {
+    const std::uint64_t pm =
+        measured * 1000 / static_cast<std::uint64_t>(predicted);
+    const bool violated = static_cast<std::int64_t>(measured) > predicted;
+    return {pm, violated ? kViolationBucket
+                         : std::min<std::size_t>(pm / 100,
+                                                 kViolationBucket - 1)};
+  }
+  return {util_pm(measured, predicted), util_bucket(measured, predicted)};
+}
+
+/// How far past its bound a violating value is, in per-mille of the bound;
+/// `pm` is the pair's util_pm. Below the wrap, (m-p)*1000/p = pm - 1000.
+std::uint64_t margin_pm(std::uint64_t measured, std::int64_t predicted,
+                        std::uint64_t pm) {
+  if (predicted <= 0) return kDegenerateUtilPm;
+  if (measured <= kMaxExactPm) return pm - 1000;
+  return (measured - static_cast<std::uint64_t>(predicted)) * 1000 /
+         static_cast<std::uint64_t>(predicted);
+}
+
+}  // namespace
+
 int util_cmp(std::uint64_t ma, std::int64_t pa, std::uint64_t mb,
              std::int64_t pb) {
   const bool inf_a = pa <= 0 && ma > 0;
@@ -46,19 +85,25 @@ bool offender_before(const Offender& a, const Offender& b) {
   return a.packet_index < b.packet_index;
 }
 
-void MetricAccum::record(std::uint64_t packet, std::uint64_t measured,
-                         std::int64_t predicted) {
-  if (static_cast<std::int64_t>(measured) > predicted) ++violations;
-  ++histogram[util_bucket(measured, predicted)];
-  headroom_pm.add(util_pm(measured, predicted));
-  const int cmp =
-      util_cmp(measured, predicted, worst_measured, worst_predicted);
-  if (!has_worst || cmp > 0 || (cmp == 0 && packet < worst_packet)) {
+std::uint64_t MetricAccum::record_run(std::uint64_t first_packet,
+                                      std::uint64_t count,
+                                      std::uint64_t measured,
+                                      std::int64_t predicted) {
+  const Util u = util_of(measured, predicted);
+  if (static_cast<std::int64_t>(measured) > predicted) violations += count;
+  histogram[u.bucket] += count;
+  headroom_pm.add(u.pm, count);
+  int cmp = 1;
+  if (has_worst) {
+    cmp = util_cmp(measured, predicted, worst_measured, worst_predicted);
+  }
+  if (cmp > 0 || (cmp == 0 && first_packet < worst_packet)) {
     has_worst = true;
-    worst_packet = packet;
+    worst_packet = first_packet;
     worst_predicted = predicted;
     worst_measured = measured;
   }
+  return u.pm;
 }
 
 void MetricAccum::merge(const MetricAccum& other) {
@@ -79,11 +124,12 @@ void MetricAccum::merge(const MetricAccum& other) {
   }
 }
 
-void ClassAccum::add_row(std::uint64_t packet,
+void ClassAccum::add_run(support::Span<const std::uint64_t> run,
                          const std::array<std::uint64_t, 3>& measured,
                          const std::array<std::int64_t, 3>& predicted,
                          bool check_cycles, std::size_t cap) {
-  ++packets;
+  if (run.empty()) return;
+  packets += run.size();
   Offender worst;
   bool has_offender = false;
   for (const Metric m : kAllMetrics) {
@@ -91,33 +137,66 @@ void ClassAccum::add_row(std::uint64_t packet,
     const int mi = metric_index(m);
     const std::uint64_t value = measured[mi];
     const std::int64_t bound = predicted[mi];
-    metrics[mi].record(packet, value, bound);
+    const std::uint64_t pm =
+        metrics[mi].record_run(run[0], run.size(), value, bound);
     if (static_cast<std::int64_t>(value) > bound) {
-      // Violation margin in per-mille of the bound (how far past it).
-      violation_margin_pm.add(
-          bound > 0 ? (value - static_cast<std::uint64_t>(bound)) * 1000 /
-                          static_cast<std::uint64_t>(bound)
-                    : kDegenerateUtilPm);
+      violation_margin_pm.add(margin_pm(value, bound, pm), run.size());
     }
     if (!has_offender ||
         util_cmp(value, bound, worst.measured, worst.predicted) > 0) {
       has_offender = true;
-      worst.packet_index = packet;
       worst.metric = m;
       worst.predicted = bound;
       worst.measured = value;
     }
   }
-  if (has_offender) add_offender(worst, cap);
+  if (!has_offender) return;
+  for (const std::uint64_t packet : run) {
+    worst.packet_index = packet;
+    if (!add_offender(worst, cap)) break;
+  }
 }
 
-void ClassAccum::add_offender(const Offender& o, std::size_t cap) {
-  if (cap == 0) return;
+void ClassAccum::add_rows(support::Span<const std::uint64_t> packets,
+                          const std::array<const std::uint64_t*, 3>& measured,
+                          const std::array<const std::int64_t*, 3>& predicted,
+                          bool check_cycles, std::size_t cap) {
+  // The checked metrics are the first `checked` columns.
+  static_assert(metric_index(Metric::kCycles) == 2);
+  const std::size_t checked = check_cycles ? 3 : 2;
+  const std::size_t rows = packets.size();
+  std::array<std::uint64_t, 3> m{};
+  std::array<std::int64_t, 3> p{};
+  const auto repeats = [&](std::size_t r) {
+    for (std::size_t mi = 0; mi < checked; ++mi) {
+      if (measured[mi][r] != m[mi] || predicted[mi][r] != p[mi]) return false;
+    }
+    return true;
+  };
+  for (std::size_t r = 0; r < rows;) {
+    for (std::size_t mi = 0; mi < checked; ++mi) {
+      m[mi] = measured[mi][r];
+      p[mi] = predicted[mi][r];
+    }
+    std::size_t end = r + 1;
+    while (end < rows && repeats(end)) ++end;
+    add_run({packets.data() + r, end - r}, m, p, check_cycles, cap);
+    r = end;
+  }
+}
+
+bool ClassAccum::add_offender(const Offender& o, std::size_t cap) {
+  if (cap == 0) return false;
+  // A full list turns away anything after its last entry without a
+  // search; that bar only rises as the list fills with better entries.
+  if (offenders.size() >= cap && offender_before(offenders.back(), o)) {
+    return false;
+  }
   const auto pos =
       std::lower_bound(offenders.begin(), offenders.end(), o, offender_before);
-  if (pos == offenders.end() && offenders.size() >= cap) return;
   offenders.insert(pos, o);
   if (offenders.size() > cap) offenders.pop_back();
+  return true;
 }
 
 void ClassAccum::merge(const ClassAccum& other, std::size_t cap) {
@@ -127,28 +206,6 @@ void ClassAccum::merge(const ClassAccum& other, std::size_t cap) {
   }
   violation_margin_pm.merge(other.violation_margin_pm);
   for (const Offender& o : other.offenders) add_offender(o, cap);
-}
-
-void DeltaEntryAccum::add_row(const std::array<std::uint64_t, 3>& measured,
-                              const std::array<std::int64_t, 3>& predicted,
-                              bool check_cycles) {
-  ++packets;
-  for (const Metric m : kAllMetrics) {
-    if (m == Metric::kCycles && !check_cycles) continue;
-    const int mi = metric_index(m);
-    headroom_pm[mi].add(util_pm(measured[mi], predicted[mi]));
-    if (static_cast<std::int64_t>(measured[mi]) > predicted[mi]) {
-      ++violations[mi];
-    }
-  }
-}
-
-void DeltaEntryAccum::merge(const DeltaEntryAccum& other) {
-  packets += other.packets;
-  for (std::size_t m = 0; m < 3; ++m) {
-    violations[m] += other.violations[m];
-    headroom_pm[m].merge(other.headroom_pm[m]);
-  }
 }
 
 DeltaEntryAccum delta_slice(const ClassAccum& acc) {

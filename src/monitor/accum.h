@@ -26,6 +26,7 @@
 #include "obs/drift.h"
 #include "perf/metric.h"
 #include "perf/quantile_sketch.h"
+#include "support/span.h"
 
 namespace bolt::monitor {
 
@@ -59,8 +60,18 @@ struct MetricAccum {
   std::array<std::uint64_t, kUtilizationBuckets> histogram{};
   perf::QuantileSketch headroom_pm;
 
+  /// Folds one packet's measured value against its bound.
   void record(std::uint64_t packet, std::uint64_t measured,
-              std::int64_t predicted);
+              std::int64_t predicted) {
+    record_run(packet, 1, measured, predicted);
+  }
+  /// Folds `count` packets that all measured `measured` against
+  /// `predicted`, the lowest-indexed of which is `first_packet`: the state
+  /// `count` record() calls reach. Equal utilizations tie on the packet
+  /// index, so only the first can become the worst. Returns the run's
+  /// util_pm.
+  std::uint64_t record_run(std::uint64_t first_packet, std::uint64_t count,
+                           std::uint64_t measured, std::int64_t predicted);
   void merge(const MetricAccum& other);
 };
 
@@ -70,38 +81,46 @@ struct ClassAccum {
   perf::QuantileSketch violation_margin_pm;
   std::vector<Offender> offenders;  ///< sorted by offender_before, bounded
 
-  /// Folds one validated packet: records every checked metric (cycles only
-  /// when `check_cycles`) against its bound, adds the violation margin of
-  /// each exceeded bound, and offers the packet's worst metric as an
-  /// offender. Arrays are indexed by perf::metric_index.
-  void add_row(std::uint64_t packet,
+  /// Folds a run of validated packets that all measured `measured` against
+  /// `predicted` (arrays indexed by perf::metric_index); `packets` holds
+  /// their stream indices in ascending order. Per packet, that is: record
+  /// every checked metric (cycles only when `check_cycles`) against its
+  /// bound, add the violation margin of each exceeded bound, and offer the
+  /// packet's worst metric as an offender. A run costs one such step: its
+  /// packets tie on utilization, so they are offered as offenders in index
+  /// order only until the first is turned away.
+  void add_run(support::Span<const std::uint64_t> packets,
                const std::array<std::uint64_t, 3>& measured,
                const std::array<std::int64_t, 3>& predicted,
                bool check_cycles, std::size_t cap);
-  void add_offender(const Offender& o, std::size_t cap);
+  /// Folds `packets.size()` validated rows given as columns (measured[mi]
+  /// and predicted[mi] per perf::metric_index, `packets` ascending): each
+  /// run of consecutive rows that repeat every checked (measured,
+  /// predicted) pair goes to add_run as one.
+  void add_rows(support::Span<const std::uint64_t> packets,
+                const std::array<const std::uint64_t*, 3>& measured,
+                const std::array<const std::int64_t*, 3>& predicted,
+                bool check_cycles, std::size_t cap);
+  /// Offers one offender to the list (kept to `cap`); false when it is
+  /// turned away, which every offender after it in offender_before order
+  /// would be too.
+  bool add_offender(const Offender& o, std::size_t cap);
   void merge(const ClassAccum& other, std::size_t cap);
 };
 
-/// Per-(window, contract entry) accumulation for delta-report mode: the
-/// same headroom values the main report's sketches see, bucketed by the
-/// semantic window id. Merging every window's sketches reproduces the
-/// end-of-run sketch state (tests/test_obs.cpp locks that down).
+/// One (window, contract entry) of the delta stream: the packet count,
+/// violation counts and headroom sketches of that window's ClassAccum.
+/// The monitor folds nothing into it: delta_slice projects it from a
+/// window's ClassAccum, and build_delta_window renders it.
 struct DeltaEntryAccum {
   std::uint64_t packets = 0;
   std::array<std::uint64_t, 3> violations{};
   std::array<perf::QuantileSketch, 3> headroom_pm;
-
-  /// The delta-window share of ClassAccum::add_row.
-  void add_row(const std::array<std::uint64_t, 3>& measured,
-               const std::array<std::int64_t, 3>& predicted,
-               bool check_cycles);
-  void merge(const DeltaEntryAccum& other);
 };
 
-/// The delta-window view of a full per-class accumulation: a window-level
-/// ClassAccum carries strictly more than a DeltaEntryAccum, so the
-/// streaming monitor and the fleet merger keep only ClassAccums per window
-/// and project them down when rendering the delta stream.
+/// The delta-window view of a full per-class accumulation: the chunk
+/// driver and the fleet merger keep one ClassAccum per window and project
+/// it down when rendering the delta stream.
 DeltaEntryAccum delta_slice(const ClassAccum& acc);
 
 /// Everything a run accumulates outside the per-class statistics. Sums,

@@ -210,8 +210,10 @@ class ChunkDriver::PartitionTask {
     b.indices.resize(kBatchRows);
   }
 
-  /// Evaluates the batch's compiled bounds, folds every row into the open
-  /// window's ClassAccum and empties the batch.
+  /// Evaluates the batch's compiled bounds, folds the rows into the open
+  /// window's ClassAccum and empties the batch. Most rows repeat the row
+  /// before them (a class's packets mostly take the same path through the
+  /// same state), and such runs fold as one (ClassAccum::add_rows).
   void validate(Batch& b) {
     const std::size_t rows = b.rows;
     const bool check_cycles = options_.check_cycles;
@@ -230,17 +232,11 @@ class ChunkDriver::PartitionTask {
       if (tel) ++tel_.vm_batch_evals;
     }
     if (tel) tel_.rows_validated += rows;
-    ClassAccum& acc = open_.accums[b.entry];
-    std::array<std::uint64_t, 3> measured{};
-    std::array<std::int64_t, 3> predicted{};
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t mi = 0; mi < 3; ++mi) {
-        measured[mi] = b.measured[mi][r];
-        predicted[mi] = predicted_[mi][r];
-      }
-      acc.add_row(b.indices[r], measured, predicted, check_cycles,
-                  options_.max_offenders);
-    }
+    open_.accums[b.entry].add_rows(
+        {b.indices.data(), rows},
+        {b.measured[0].data(), b.measured[1].data(), b.measured[2].data()},
+        {predicted_[0].data(), predicted_[1].data(), predicted_[2].data()},
+        check_cycles, options_.max_offenders);
     b.rows = 0;
   }
 

@@ -24,6 +24,18 @@ inline FrameworkCosts framework_none() { return FrameworkCosts{0, 0, 0, 0, 0, 0}
 /// Full-stack analysis (paper's level 2).
 inline FrameworkCosts framework_full() { return FrameworkCosts{}; }
 
+/// `fw` with its rx and tx costs raised by `pct` percent (drop costs kept):
+/// what `bolt_cli monitor --inflate PCT` measures with, the canonical way
+/// to make a contract's bounds fail.
+inline FrameworkCosts framework_inflated(FrameworkCosts fw,
+                                         std::uint64_t pct) {
+  fw.rx_instructions += fw.rx_instructions * pct / 100;
+  fw.rx_accesses += fw.rx_accesses * pct / 100;
+  fw.tx_instructions += fw.tx_instructions * pct / 100;
+  fw.tx_accesses += fw.tx_accesses * pct / 100;
+  return fw;
+}
+
 /// Applies framework costs to interpreter options.
 inline void apply_framework(ir::InterpreterOptions& options,
                             const FrameworkCosts& fw) {

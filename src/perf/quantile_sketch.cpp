@@ -13,10 +13,9 @@ constexpr unsigned kSub = QuantileSketch::kSubBits;
 constexpr std::uint64_t kLinearMax = 1ull << (kSub + 1);  // exact below this
 constexpr std::uint32_t kSubCount = 1u << kSub;
 
+/// For v > 0. One bit-scan instruction (no libgcc call, unlike popcount).
 unsigned floor_log2(std::uint64_t v) {
-  unsigned e = 0;
-  while (v >>= 1) ++e;
-  return e;
+  return 63u - static_cast<unsigned>(__builtin_clzll(v));
 }
 
 }  // namespace
@@ -45,17 +44,18 @@ std::uint64_t QuantileSketch::bucket_hi(std::uint32_t bucket) {
   return bucket_lo(bucket) + (1ull << (e - kSub)) - 1;
 }
 
-void QuantileSketch::add(std::uint64_t value) {
+void QuantileSketch::add(std::uint64_t value, std::uint64_t count) {
+  if (count == 0) return;
   const std::uint32_t b = bucket_of(value);
   const auto pos = std::lower_bound(
       buckets_.begin(), buckets_.end(), b,
       [](const auto& entry, std::uint32_t key) { return entry.first < key; });
   if (pos != buckets_.end() && pos->first == b) {
-    ++pos->second;
+    pos->second += count;
   } else {
-    buckets_.insert(pos, {b, 1});
+    buckets_.insert(pos, {b, count});
   }
-  ++count_;
+  count_ += count;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }

@@ -37,8 +37,9 @@ class QuantileSketch {
   /// 2^(kSubBits+1) are exact.
   static constexpr unsigned kSubBits = 5;
 
-  /// Records one value.
-  void add(std::uint64_t value);
+  /// Records `count` copies of one value: the same state as `count` calls
+  /// of add(value), for one bucket search.
+  void add(std::uint64_t value, std::uint64_t count = 1);
 
   /// Bucket-wise addition; the result is identical for any merge order or
   /// partitioning of the same underlying multiset.

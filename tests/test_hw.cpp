@@ -519,6 +519,27 @@ TEST(FirstTouchLemma, ANinthLineInOneSetBreaksIt) {
   }
 }
 
+TEST(FirstTouchLemma, PopcountMatchesABitLoop) {
+  const auto bit_loop = [](std::uint64_t x) {
+    std::uint64_t n = 0;
+    for (int b = 0; b < 64; ++b) n += (x >> b) & 1;
+    return n;
+  };
+  std::vector<std::uint64_t> masks = {0, ~0ULL};
+  for (int b = 0; b < 64; ++b) {
+    masks.push_back(std::uint64_t{1} << b);
+    masks.push_back(~(std::uint64_t{1} << b));
+  }
+  support::Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    masks.push_back(rng.next());
+    masks.push_back(rng.next() & rng.next() & rng.next());  // sparse
+  }
+  for (const std::uint64_t x : masks) {
+    ASSERT_EQ(ir::popcount64(x), bit_loop(x)) << std::hex << x;
+  }
+}
+
 TEST(FirstTouchLemma, ChargingFirstTouchesEqualsProbingTheRegions) {
   // Random accesses within the four regions (packet bytes below 4 KiB,
   // 512-word locals and scratch, the mbuf words), charged both ways, in

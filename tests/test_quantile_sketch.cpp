@@ -10,6 +10,7 @@
 //    byte-for-byte through serialize() — no matter how the stream is
 //    split into partitions or in which order the pieces are merged. This
 //    is what makes partition-merged monitor reports deterministic.
+//  * A counted add(v, n) is n single adds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,6 +214,28 @@ TEST(QuantileSketch, InsertionOrderIndependence) {
   for (const std::uint64_t v : shuffled) reordered.add(v);
 
   EXPECT_EQ(in_order.serialize(), reordered.serialize());
+}
+
+TEST(QuantileSketch, CountedAddEqualsRepeatedAdds) {
+  // add(v, n) is n calls of add(v), including n = 0 (no value, no min/max
+  // change) and values past the exact range and near the top of uint64.
+  support::Rng rng(57);
+  QuantileSketch counted, repeated;
+  for (int i = 0; i < 2000; ++i) {
+    std::uint64_t v = rng.below(5000);
+    if (rng.chance(0.1)) v = rng.next();
+    if (rng.chance(0.05)) v = ~0ull - rng.below(3);
+    const std::uint64_t n = rng.below(6);
+    counted.add(v, n);
+    for (std::uint64_t k = 0; k < n; ++k) repeated.add(v);
+    ASSERT_EQ(counted.serialize(), repeated.serialize()) << "step " << i;
+    ASSERT_TRUE(counted == repeated);
+  }
+  QuantileSketch empty;
+  empty.add(7, 0);
+  EXPECT_TRUE(empty == QuantileSketch{});
+  EXPECT_EQ(empty.min(), 0u);
+  EXPECT_EQ(empty.max(), 0u);
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // Golden monitor reports — every measured column pinned byte for byte.
 //
-// tests/data/report_<nf>.json and tests/data/deltas_router.jsonl are
-// committed outputs of `bolt_cli monitor` over small fixed workloads
+// tests/data/report_*.json and tests/data/deltas_*.jsonl are committed
+// outputs of `bolt_cli monitor` over small fixed workloads
 // (tools/regen_goldens.sh writes them). The reports carry the per-class
 // IC, MA and conservative-cycle statistics, so any change to the cycle
 // meter, the cache simulation behind it, or the engines' event streams
-// that moves a single cycle fails here. Each golden is rebuilt through
-// MonitorEngine::run at 1 and 4 threads (threads are execution-only, so
-// both must reproduce the file), once over the generated packets and once
-// over a pcap of them read one PcapTail window at a time (the
-// `monitor --pcap` ingest path).
+// that moves a single cycle fails here. One case measures NAT with
+// inflated framework costs (`--inflate 50`), so the violation bucket, the
+// violation margins and the offender order among violators are pinned
+// too. Each golden is rebuilt through MonitorEngine::run at 1 and 4
+// threads (threads are execution-only, so both must reproduce the file),
+// once over the generated packets and once over a pcap of them read one
+// PcapTail window at a time (the `monitor --pcap` ingest path).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "core/targets.h"
 #include "monitor/monitor.h"
 #include "net/pcap.h"
+#include "nf/framework.h"
 #include "obs/delta.h"
 #include "obs/telemetry.h"
 
@@ -30,16 +34,19 @@ struct GoldenCase {
   const char* nf;
   const char* workload;  ///< "" = the target's default
   std::size_t delta_every;
+  std::uint64_t inflate_pct;  ///< as `bolt_cli monitor --inflate`
   const char* report_file;
   const char* delta_file;  ///< nullptr = no delta stream pinned
 };
 
 // Mirrors tools/regen_goldens.sh.
 const GoldenCase kCases[] = {
-    {"nat", "zipf", 0, "report_nat.json", nullptr},
-    {"router", "drift", 1, "report_router.json", "deltas_router.jsonl"},
-    {"lb", "", 0, "report_lb.json", nullptr},
-    {"fw+router", "uniform", 0, "report_fw_router.json", nullptr},
+    {"nat", "zipf", 0, 0, "report_nat.json", nullptr},
+    {"router", "drift", 1, 0, "report_router.json", "deltas_router.jsonl"},
+    {"lb", "", 0, 0, "report_lb.json", nullptr},
+    {"fw+router", "uniform", 0, 0, "report_fw_router.json", nullptr},
+    {"nat", "zipf", 1, 50, "report_nat_inflated.json",
+     "deltas_nat_inflated.jsonl"},
 };
 constexpr std::size_t kGoldenPackets = 20'000;
 
@@ -59,7 +66,7 @@ std::string read_golden(const std::string& name) {
 
 TEST(ReportGolden, MonitorReproducesCommittedReports) {
   for (const GoldenCase& c : kCases) {
-    SCOPED_TRACE(c.nf);
+    SCOPED_TRACE(c.report_file);
     perf::PcvRegistry reg;
     core::NfTarget target;
     ASSERT_TRUE(core::make_named_target(c.nf, reg, target));
@@ -89,6 +96,8 @@ TEST(ReportGolden, MonitorReproducesCommittedReports) {
         MonitorOptions options;
         options.threads = threads;
         options.delta_every = c.delta_every;
+        options.framework =
+            nf::framework_inflated(options.framework, c.inflate_pct);
         const MonitorEngine engine(contract, reg, options);
         obs::RunObservations observations;
         const MonitorEngine::TargetFactory factory =

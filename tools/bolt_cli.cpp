@@ -648,16 +648,8 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
     options.delta_every = 1;
   }
   options.telemetry = !args.metrics_out.empty();
-  if (args.inflate_pct > 0) {
-    options.framework.rx_instructions +=
-        options.framework.rx_instructions * args.inflate_pct / 100;
-    options.framework.rx_accesses +=
-        options.framework.rx_accesses * args.inflate_pct / 100;
-    options.framework.tx_instructions +=
-        options.framework.tx_instructions * args.inflate_pct / 100;
-    options.framework.tx_accesses +=
-        options.framework.tx_accesses * args.inflate_pct / 100;
-  }
+  options.framework =
+      nf::framework_inflated(options.framework, args.inflate_pct);
   if (streaming) {
     return run_stream_monitor(nf, contract, reg, options, args, next_chunk);
   }

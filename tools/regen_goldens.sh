@@ -41,6 +41,11 @@ monitor router --workload drift --packets 20000 --delta-every 1 \
 monitor lb --packets 20000 --report "$DATA/report_lb.json"
 monitor fw+router --workload uniform --packets 20000 \
   --report "$DATA/report_fw_router.json"
+# Violations: NAT measured with rx/tx framework costs 50% above the
+# contract's, so every IC and MA bound of the hot class fails.
+monitor nat --workload zipf --packets 20000 --inflate 50 --delta-every 1 \
+  --delta-out "$DATA/deltas_nat_inflated.jsonl" \
+  --report "$DATA/report_nat_inflated.json"
 
 # CLI help golden (tests/test_cli_help.cpp).
 "$CLI" --help > "$REPO_ROOT/tests/data/cli_usage.txt"
