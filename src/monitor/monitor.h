@@ -35,9 +35,8 @@
 //
 //  * Compiled expressions — contract polynomials are flattened once into
 //    perf::CompiledExpr bytecode and evaluated in batches over dense PCV
-//    rows instead of per-packet tree walks (bench/monitor_throughput.cpp
-//    measures the difference; PerfExpr::eval stays as the reference the
-//    VM is tested against in tests/test_expr_vm.cpp).
+//    rows instead of per-packet tree walks (PerfExpr::eval stays as the
+//    reference the VM is tested against in tests/test_expr_vm.cpp).
 //
 //  * Fixed state partitions — the stream is split into `partitions`
 //    flow-affine sub-streams (RSS-style: flows hash to partitions, so
@@ -128,7 +127,7 @@ struct MonitorOptions {
   /// Collect hot-path execution telemetry (obs::MonitorTelemetry) into the
   /// RunObservations passed to run(). Execution-only by construction:
   /// report bytes are identical with this on or off, and the overhead is
-  /// gated at 5% by bench/monitor_throughput.cpp.
+  /// gated at 5% by tests/test_monitor_timing.cpp.
   bool telemetry = false;
   /// TEST ONLY — deliberately mis-measures the epoch-straddle case: when a
   /// partition's sweep fires on a packet whose timestamp lands *exactly* on

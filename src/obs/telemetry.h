@@ -7,7 +7,7 @@
 // *execution-only*, collected in per-partition locals, folded together
 // after the workers join, and provably unable to change report bytes
 // (tests/test_obs.cpp compares reports with telemetry on and off, byte for
-// byte; bench/monitor_throughput.cpp gates the overhead at 5%).
+// byte; tests/test_monitor_timing.cpp gates the overhead at 5%).
 //
 // Unlike the report and the delta stream, a telemetry snapshot is not
 // invariant across execution paths — the streaming monitor validates one

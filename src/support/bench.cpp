@@ -40,16 +40,14 @@ void BenchTimer::reset() { start_ns_ = now_ns(); }
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
 
 void BenchReport::metric(const std::string& metric_name, double value,
-                         const std::string& unit, bool gate) {
-  metrics_.push_back(Entry{metric_name, value, unit, gate});
+                         const std::string& unit) {
+  metrics_.push_back(Entry{metric_name, value, unit});
 }
-
-bool BenchReport::json_enabled() { return json_dir() != nullptr; }
 
 std::string BenchReport::to_json() const {
   std::string out = "{\n  \"bench\": " + quoted(name_) + ",\n";
-  // Machine context, so the CI baseline diff can tell same-hardware
-  // comparisons (gate) from cross-hardware ones (informational).
+  // Machine context: figures from hosts with different core counts do not
+  // compare.
   out += "  \"num_cpus\": " +
          std::to_string(std::thread::hardware_concurrency()) + ",\n";
   out += "  \"metrics\": [";
@@ -59,8 +57,7 @@ std::string BenchReport::to_json() const {
     std::snprintf(value, sizeof value, "%.6f", m.value);
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": " + quoted(m.name) + ", \"value\": " + value +
-           ", \"unit\": " + quoted(m.unit) +
-           (m.gate ? "" : ", \"gate\": false") + "}";
+           ", \"unit\": " + quoted(m.unit) + "}";
   }
   out += "\n  ]\n}\n";
   return out;

@@ -3,10 +3,11 @@
 // Each bench binary builds a BenchReport, records named metrics, and on
 // destruction writes `BENCH_<name>.json` into the directory named by the
 // BOLT_BENCH_JSON environment variable (nothing is written when the
-// variable is unset, so interactive runs stay plain-text). CI sets the
-// variable, runs tools/bench_runner.sh, and archives the JSON files per
-// commit, so performance regressions show up as a trajectory, not an
-// anecdote (the ZMap lesson: sustained measurement keeps fast code fast).
+// variable is unset, so interactive runs stay plain-text). CI sets it
+// when it runs the paper reproductions (`ctest -L paper`) and archives the
+// JSON files per commit; the benchmark driver (boltbench/) writes its
+// report the same way (the ZMap lesson: sustained measurement keeps fast
+// code fast).
 #pragma once
 
 #include <cstdint>
@@ -38,17 +39,9 @@ class BenchReport {
   BenchReport(const BenchReport&) = delete;
   BenchReport& operator=(const BenchReport&) = delete;
 
-  /// Records a metric. `gate = false` marks it informational: archived
-  /// and shown in trend tables, but never hard-failed by bench_diff. Use
-  /// it for measurements whose value depends on host properties the run
-  /// can detect (e.g. thread counts above hardware_concurrency, which
-  /// measure the scheduler rather than the code).
+  /// Records a metric.
   void metric(const std::string& metric_name, double value,
-              const std::string& unit = "", bool gate = true);
-
-  /// True when BOLT_BENCH_JSON is set (lets benches skip costly extra
-  /// instrumentation when nobody will read it).
-  static bool json_enabled();
+              const std::string& unit = "");
 
   /// The serialized report (exposed for tests).
   std::string to_json() const;
@@ -58,7 +51,6 @@ class BenchReport {
     std::string name;
     double value = 0.0;
     std::string unit;
-    bool gate = true;
   };
   std::string name_;
   std::vector<Entry> metrics_;

@@ -105,6 +105,18 @@ TEST(HunterSeeded, MinimizedWitnessIsSmallAndStillViolating) {
             f.minimized.trace.packets.size());
 }
 
+TEST(HunterSeeded, SeedPureCountsArePinned) {
+  // Every count below is a pure function of the seed, so a change means
+  // the search or the minimiser changed behaviour, not the host.
+  const Find& f = shared_find();
+  ASSERT_TRUE(f.hunt.violation_found);
+  EXPECT_EQ(f.hunt.replays, 5u);
+  EXPECT_EQ(f.hunt.violation_generation, 1u);
+  EXPECT_EQ(f.minimized.original_packets, 4172u);
+  EXPECT_EQ(f.minimized.replays, 24u);
+  EXPECT_EQ(f.minimized.minimized_packets, 2u);
+}
+
 TEST(HunterSeeded, WitnessStraddlesAnExactEpochBoundary) {
   // Epoch-boundary semantics regression. The fault only fires when a
   // packet's timestamp lands on k*epoch_ns exactly, so the minimised
