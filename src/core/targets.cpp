@@ -1,6 +1,7 @@
 #include "core/targets.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/workload.h"
 #include "nf/firewall.h"
@@ -72,49 +73,55 @@ const std::vector<std::string>& named_targets() {
   return kNames;
 }
 
-std::vector<net::Packet> monitor_workload(const std::string& nf,
-                                          std::string kind,
-                                          std::size_t count) {
+bool stream_workload(const std::string& nf, std::string kind,
+                     std::size_t count, const net::PacketSink& sink) {
   if (kind.empty()) kind = nf == "bridge" ? "bridge" : "zipf";
   if (kind == "uniform") {
     net::UniformSpec spec;
     spec.packet_count = count;
-    return net::uniform_random_traffic(spec);
+    net::uniform_random_traffic(spec, sink);
+    return true;
   }
   if (kind == "churn") {
     net::ChurnSpec spec;
     spec.packet_count = count;
     spec.churn = 0.05;
-    return net::churn_traffic(spec);
+    net::churn_traffic(spec, sink);
+    return true;
   }
   if (kind == "zipf") {
     net::ZipfSpec spec;
     spec.packet_count = count;
     spec.flow_pool = 2048;
     spec.skew = 1.1;
-    return net::zipf_traffic(spec);
+    net::zipf_traffic(spec, sink);
+    return true;
   }
   if (kind == "bridge") {
     net::BridgeSpec spec;
     spec.packet_count = count;
     spec.stations = 1000;
     spec.broadcast_fraction = 0.05;
-    return net::bridge_traffic(spec);
+    net::bridge_traffic(spec, sink);
+    return true;
   }
   if (kind == "attack") {
     net::BridgeAttackSpec spec;
     spec.packet_count = count;
-    return net::bridge_collision_attack(spec);
+    net::bridge_collision_attack(spec, sink);
+    return true;
   }
   if (kind == "heartbeat") {
     net::HeartbeatSpec spec;
     spec.packet_count = count;
-    return net::heartbeat_traffic(spec);
+    net::heartbeat_traffic(spec, sink);
+    return true;
   }
   if (kind == "longrun") {
     net::LongRunSpec spec;
     spec.packet_count = count;
-    return net::long_run_traffic(spec);
+    net::long_run_traffic(spec, sink);
+    return true;
   }
   if (kind == "drift") {
     net::DriftSpec spec;
@@ -124,9 +131,20 @@ std::vector<net::Packet> monitor_workload(const std::string& nf,
       spec.packets_per_window =
           std::max<std::size_t>(std::size_t{1}, count / spec.windows);
     }
-    return net::drift_traffic(spec);
+    net::drift_traffic(spec, sink);
+    return true;
   }
-  return {};
+  return false;
+}
+
+std::vector<net::Packet> monitor_workload(const std::string& nf,
+                                          std::string kind,
+                                          std::size_t count) {
+  std::vector<net::Packet> out;
+  out.reserve(count);
+  stream_workload(nf, std::move(kind), count,
+                  [&out](net::Packet&& p) { out.push_back(std::move(p)); });
+  return out;
 }
 
 }  // namespace bolt::core

@@ -17,6 +17,7 @@
 #include "dslib/method.h"
 #include "ir/program.h"
 #include "net/packet.h"
+#include "net/workload.h"
 #include "nf/framework.h"
 #include "perf/pcv.h"
 
@@ -90,5 +91,11 @@ const std::vector<std::string>& named_targets();
 std::vector<net::Packet> monitor_workload(const std::string& nf,
                                           std::string kind,
                                           std::size_t count);
+
+/// The same packets, streamed into `sink` one at a time (constant memory;
+/// `bolt_cli gen` writes them out as they come). Returns false, having
+/// sent nothing, for an unknown kind.
+bool stream_workload(const std::string& nf, std::string kind,
+                     std::size_t count, const net::PacketSink& sink);
 
 }  // namespace bolt::core

@@ -18,51 +18,55 @@ BridgeState::BridgeState(const MacTable::Config& config,
 }
 
 void BridgeState::bind(DispatchEnv& env) {
-  env.register_method(kExpire, [this](std::uint64_t, std::uint64_t,
-                                      const net::Packet& pkt,
-                                      ir::CostMeter& meter) {
-    const auto r = mac_.expire(pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
-    out.v0 = r.expired;
-    out.case_label = "expire";
-    out.pcvs.set(e_, r.expired);
-    out.pcvs.set(t_, r.amortised_walk);
-    out.pcvs.set(c_, r.amortised_collisions);
-    return out;
-  });
+  env.register_method<&BridgeState::call_expire>(kExpire, this);
+  env.register_method<&BridgeState::call_learn>(kLearn, this);
+  env.register_method<&BridgeState::call_lookup>(kLookup, this);
+}
 
-  env.register_method(kLearn, [this](std::uint64_t mac, std::uint64_t port,
-                                     const net::Packet& pkt,
-                                     ir::CostMeter& meter) {
-    const auto r = mac_.learn(mac, static_cast<std::uint16_t>(port),
-                              pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
-    switch (r.outcome) {
-      case MacTable::LearnCase::kKnown: out.case_label = "known"; break;
-      case MacTable::LearnCase::kNew: out.case_label = "new"; break;
-      case MacTable::LearnCase::kRehash: out.case_label = "rehash"; break;
-      case MacTable::LearnCase::kFull: out.case_label = "full"; break;
-    }
-    out.pcvs.set(c_, r.stats.collisions);
-    out.pcvs.set(t_, r.stats.traversals);
-    if (r.outcome == MacTable::LearnCase::kRehash) {
-      out.pcvs.set(o_, r.occupancy);
-    }
-    return out;
-  });
+ir::CallOutcome BridgeState::call_expire(std::uint64_t, std::uint64_t,
+                                         const net::Packet& pkt,
+                                         ir::CostMeter& meter) {
+  const auto r = mac_.expire(pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.v0 = r.expired;
+  out.case_label = "expire";
+  out.pcvs.set(e_, r.expired);
+  out.pcvs.set(t_, r.amortised_walk);
+  out.pcvs.set(c_, r.amortised_collisions);
+  return out;
+}
 
-  env.register_method(kLookup, [this](std::uint64_t mac, std::uint64_t,
-                                      const net::Packet&,
-                                      ir::CostMeter& meter) {
-    const auto r = mac_.lookup(mac, meter);
-    ir::CallOutcome out;
-    out.v0 = r.found ? 1 : 0;
-    out.v1 = r.port;
-    out.case_label = r.found ? "hit" : "miss";
-    out.pcvs.set(c_, r.stats.collisions);
-    out.pcvs.set(t_, r.stats.traversals);
-    return out;
-  });
+ir::CallOutcome BridgeState::call_learn(std::uint64_t mac, std::uint64_t port,
+                                        const net::Packet& pkt,
+                                        ir::CostMeter& meter) {
+  const auto r = mac_.learn(mac, static_cast<std::uint16_t>(port),
+                            pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  switch (r.outcome) {
+    case MacTable::LearnCase::kKnown: out.case_label = "known"; break;
+    case MacTable::LearnCase::kNew: out.case_label = "new"; break;
+    case MacTable::LearnCase::kRehash: out.case_label = "rehash"; break;
+    case MacTable::LearnCase::kFull: out.case_label = "full"; break;
+  }
+  out.pcvs.set(c_, r.stats.collisions);
+  out.pcvs.set(t_, r.stats.traversals);
+  if (r.outcome == MacTable::LearnCase::kRehash) {
+    out.pcvs.set(o_, r.occupancy);
+  }
+  return out;
+}
+
+ir::CallOutcome BridgeState::call_lookup(std::uint64_t mac, std::uint64_t,
+                                         const net::Packet&,
+                                         ir::CostMeter& meter) {
+  const auto r = mac_.lookup(mac, meter);
+  ir::CallOutcome out;
+  out.v0 = r.found ? 1 : 0;
+  out.v1 = r.port;
+  out.case_label = r.found ? "hit" : "miss";
+  out.pcvs.set(c_, r.stats.collisions);
+  out.pcvs.set(t_, r.stats.traversals);
+  return out;
 }
 
 MethodTable BridgeState::method_table(perf::PcvRegistry& reg,

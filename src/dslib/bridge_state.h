@@ -35,6 +35,14 @@ class BridgeState {
                                std::uint64_t stamp_ns);
 
  private:
+  // The dispatchable methods (bind registers them).
+  ir::CallOutcome call_expire(std::uint64_t, std::uint64_t,
+                              const net::Packet& pkt, ir::CostMeter& meter);
+  ir::CallOutcome call_learn(std::uint64_t mac, std::uint64_t port,
+                             const net::Packet& pkt, ir::CostMeter& meter);
+  ir::CallOutcome call_lookup(std::uint64_t mac, std::uint64_t,
+                              const net::Packet&, ir::CostMeter& meter);
+
   MacTable mac_;
   perf::PcvId c_, t_, e_, o_;
 };

@@ -48,12 +48,10 @@ std::uint64_t FlowTable::quantise(std::uint64_t now_ns) const {
   return now_ns - (now_ns % config_.stamp_granularity_ns);
 }
 
-std::size_t FlowTable::bucket_of(std::uint64_t key) const {
-  return net::mix64(key ^ config_.hash_key) & (buckets_.size() - 1);
-}
-
-std::uint16_t FlowTable::tag_of(std::uint64_t key) const {
-  return static_cast<std::uint16_t>(net::mix64(key ^ config_.hash_key) >> 48);
+FlowTable::Slot FlowTable::slot_of(std::uint64_t key) const {
+  const std::uint64_t h = net::mix64(key ^ config_.hash_key);
+  return {static_cast<std::size_t>(h & (buckets_.size() - 1)),
+          static_cast<std::uint16_t>(h >> 48)};
 }
 
 std::uint64_t FlowTable::bucket_addr(std::size_t bucket) const {
@@ -66,12 +64,11 @@ std::uint64_t FlowTable::entry_addr(std::int32_t idx,
          64ULL * static_cast<std::uint64_t>(idx) + field_offset;
 }
 
-FlowTable::GetResult FlowTable::get(std::uint64_t key, ir::CostMeter& meter) {
-  GetResult result;
+std::int32_t FlowTable::find(std::uint64_t key, ir::CostMeter& meter,
+                             GetResult& result) {
   meter.metered_instructions(cost::kHash);
   meter.metered_instructions(cost::kBucketHead);
-  const std::size_t bucket = bucket_of(key);
-  const std::uint16_t tag = tag_of(key);
+  const auto [bucket, tag] = slot_of(key);
   meter.mem_read(bucket_addr(bucket), 8);
 
   for (std::int32_t idx = buckets_[bucket]; idx != kNil; idx = next_[idx]) {
@@ -88,7 +85,7 @@ FlowTable::GetResult FlowTable::get(std::uint64_t key, ir::CostMeter& meter) {
         meter.mem_read(entry_addr(idx, kFieldValue), 8, true);
         result.found = true;
         result.value = values_[idx];
-        return result;
+        return idx;
       }
       ++result.stats.collisions;
       meter.metered_instructions((keys_[idx] & 2) != 0 ? cost::kCollisionHi
@@ -96,27 +93,26 @@ FlowTable::GetResult FlowTable::get(std::uint64_t key, ir::CostMeter& meter) {
     }
   }
   meter.metered_instructions(cost::kMissFinish);
+  return kNil;
+}
+
+FlowTable::GetResult FlowTable::get(std::uint64_t key, ir::CostMeter& meter) {
+  GetResult result;
+  find(key, meter, result);
   return result;
 }
 
 FlowTable::GetResult FlowTable::touch(std::uint64_t key, std::uint64_t now_ns,
                                       ir::CostMeter& meter) {
-  GetResult result = get(key, meter);
-  if (result.found) {
-    // Refresh stamp + LRU position. The entry index is re-derived with an
-    // unmetered walk (the metered get above already walked the chain; a
-    // fused implementation would keep the index in a register).
-    const std::size_t bucket = bucket_of(key);
-    for (std::int32_t idx = buckets_[bucket]; idx != kNil; idx = next_[idx]) {
-      if (keys_[idx] == key && tags_[idx] == tag_of(key)) {
-        stamps_[idx] = quantise(now_ns);
-        lru_unlink(idx);
-        lru_append(idx);
-        meter.metered_instructions(cost::kRefresh);
-        meter.mem_write(entry_addr(idx, kFieldStamp), 8);
-        break;
-      }
-    }
+  GetResult result;
+  const std::int32_t idx = find(key, meter, result);
+  if (idx != kNil) {
+    // Refresh stamp + LRU position of the entry the walk found.
+    stamps_[idx] = quantise(now_ns);
+    lru_unlink(idx);
+    lru_append(idx);
+    meter.metered_instructions(cost::kRefresh);
+    meter.mem_write(entry_addr(idx, kFieldStamp), 8);
   }
   return result;
 }
@@ -126,8 +122,7 @@ FlowTable::PutResult FlowTable::put(std::uint64_t key, std::uint64_t value,
   PutResult result;
   meter.metered_instructions(cost::kHash);
   meter.metered_instructions(cost::kBucketHead);
-  const std::size_t bucket = bucket_of(key);
-  const std::uint16_t tag = tag_of(key);
+  const auto [bucket, tag] = slot_of(key);
   meter.mem_read(bucket_addr(bucket), 8);
 
   for (std::int32_t idx = buckets_[bucket]; idx != kNil; idx = next_[idx]) {
@@ -216,8 +211,7 @@ FlowTable::EraseResult FlowTable::erase(std::uint64_t key,
   EraseResult result;
   meter.metered_instructions(cost::kHash);
   meter.metered_instructions(cost::kBucketHead);
-  const std::size_t bucket = bucket_of(key);
-  const std::uint16_t tag = tag_of(key);
+  const auto [bucket, tag] = slot_of(key);
   meter.mem_read(bucket_addr(bucket), 8);
 
   std::int32_t* link = &buckets_[bucket];
@@ -313,8 +307,8 @@ void FlowTable::rekey(std::uint64_t new_hash_key) {
   // the MAC table's rehash contract covers this).
   buckets_.assign(buckets_.size(), kNil);
   for (std::int32_t idx = lru_head_; idx != kNil; idx = lru_next_[idx]) {
-    const std::size_t bucket = bucket_of(keys_[idx]);
-    tags_[idx] = tag_of(keys_[idx]);
+    const auto [bucket, tag] = slot_of(keys_[idx]);
+    tags_[idx] = tag;
     entry_bucket_[idx] = static_cast<std::uint32_t>(bucket);
     next_[idx] = buckets_[bucket];
     buckets_[bucket] = idx;
@@ -334,8 +328,7 @@ void FlowTable::synthesize_colliding_state(std::size_t count,
                                            std::uint64_t value_base) {
   BOLT_CHECK(count <= config_.capacity, "synthesis exceeds capacity");
   clear();
-  const std::size_t bucket = bucket_of(probe_key);
-  const std::uint16_t tag = tag_of(probe_key);
+  const auto [bucket, tag] = slot_of(probe_key);
   for (std::size_t i = 0; i < count; ++i) {
     const std::int32_t idx = allocate_slot();
     // Fabricated keys: distinct from probe_key and from each other. Their

@@ -104,9 +104,6 @@ class FlowTable {
   std::size_t bucket_count() const { return buckets_.size(); }
   std::uint64_t hash_key() const { return config_.hash_key; }
 
-  std::size_t bucket_of(std::uint64_t key) const;
-  std::uint16_t tag_of(std::uint64_t key) const;
-
   /// Replaces the hash key and rebuilds all chains (used by the MAC table's
   /// rehash defence). Metering is the caller's job (MacTable contracts it).
   void rekey(std::uint64_t new_hash_key);
@@ -129,6 +126,18 @@ class FlowTable {
 
  private:
   static constexpr std::int32_t kNil = -1;
+
+  /// A key's bucket and hash tag, both from one mix64.
+  struct Slot {
+    std::size_t bucket;
+    std::uint16_t tag;
+  };
+  Slot slot_of(std::uint64_t key) const;
+
+  /// The metered chain walk of get() and touch(): fills `result` and
+  /// returns the index of `key`'s entry, or kNil on a miss.
+  std::int32_t find(std::uint64_t key, ir::CostMeter& meter,
+                    GetResult& result);
 
   std::uint64_t quantise(std::uint64_t now_ns) const;
   /// One step of expire(): evicts the LRU head into (`key`, `value`) if it

@@ -14,7 +14,10 @@ using perf::PerfExpr;
 
 namespace {
 
-net::FiveTuple parse_tuple(const net::Packet& packet, ir::CostMeter& meter) {
+/// Forced inline, as NAT's: a tuple returned by value is assembled through
+/// the stack and reloaded as whole words (a store-forwarding stall).
+[[gnu::always_inline]] inline net::FiveTuple parse_tuple(
+    const net::Packet& packet, ir::CostMeter& meter) {
   meter.metered_instructions(cost::kParseFlow);
   for (std::uint64_t i = 0; i < cost::kParseAccesses; ++i) {
     meter.mem_read(ir::kPacketBase + 14 + 4 * i, 4);
@@ -44,91 +47,104 @@ LbState::LbState(const Config& config, perf::PcvRegistry& reg)
 }
 
 void LbState::bind(DispatchEnv& env) {
-  env.register_method(kExpire, [this](std::uint64_t, std::uint64_t,
-                                      const net::Packet& pkt,
-                                      ir::CostMeter& meter) {
-    const auto r = flow_.expire(pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
-    out.v0 = r.expired;
-    out.case_label = "expire";
-    out.pcvs.set(e_, r.expired);
-    out.pcvs.set(t_, r.amortised_walk);
-    out.pcvs.set(c_, r.amortised_collisions);
-    return out;
-  });
+  env.register_method<&LbState::call_expire>(kExpire, this);
+  env.register_method<&LbState::call_flow_lookup>(kFlowLookup, this);
+  env.register_method<&LbState::call_backend_alive>(kBackendAlive, this);
+  env.register_method<&LbState::call_ring_select>(kRingSelect, this);
+  env.register_method<&LbState::call_reselect>(kReselect, this);
+  env.register_method<&LbState::call_heartbeat>(kHeartbeat, this);
+}
 
-  env.register_method(kFlowLookup, [this](std::uint64_t, std::uint64_t,
+ir::CallOutcome LbState::call_expire(std::uint64_t, std::uint64_t,
+                                     const net::Packet& pkt,
+                                     ir::CostMeter& meter) {
+  const auto r = flow_.expire(pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.v0 = r.expired;
+  out.case_label = "expire";
+  out.pcvs.set(e_, r.expired);
+  out.pcvs.set(t_, r.amortised_walk);
+  out.pcvs.set(c_, r.amortised_collisions);
+  return out;
+}
+
+ir::CallOutcome LbState::call_flow_lookup(std::uint64_t, std::uint64_t,
                                           const net::Packet& pkt,
                                           ir::CostMeter& meter) {
-    const net::FiveTuple tuple = parse_tuple(pkt, meter);
-    // touch: traffic keeps the flow pinned (stamp refresh on hit).
-    const auto r = flow_.touch(tuple.key(), pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
-    out.v0 = r.found ? 1 : 0;
-    out.v1 = r.value;
-    out.case_label = r.found ? "hit" : "miss";
-    out.pcvs.set(c_, r.stats.collisions);
-    out.pcvs.set(t_, r.stats.traversals);
-    return out;
-  });
+  const net::FiveTuple tuple = parse_tuple(pkt, meter);
+  // touch: traffic keeps the flow pinned (stamp refresh on hit).
+  const auto r = flow_.touch(tuple.key(), pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.v0 = r.found ? 1 : 0;
+  out.v1 = r.value;
+  out.case_label = r.found ? "hit" : "miss";
+  out.pcvs.set(c_, r.stats.collisions);
+  out.pcvs.set(t_, r.stats.traversals);
+  return out;
+}
 
-  env.register_method(kBackendAlive, [this](std::uint64_t backend,
+ir::CallOutcome LbState::call_backend_alive(std::uint64_t backend,
                                             std::uint64_t,
                                             const net::Packet& pkt,
                                             ir::CostMeter& meter) {
-    const bool alive = ring_.alive(static_cast<std::uint32_t>(backend),
-                                   pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
-    out.v0 = alive ? 1 : 0;
-    out.case_label = alive ? "alive" : "dead";
-    return out;
-  });
+  const bool alive = ring_.alive(static_cast<std::uint32_t>(backend),
+                                 pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.v0 = alive ? 1 : 0;
+  out.case_label = alive ? "alive" : "dead";
+  return out;
+}
 
-  auto select_handler = [this](bool is_reselect) {
-    return [this, is_reselect](std::uint64_t, std::uint64_t,
-                               const net::Packet& pkt, ir::CostMeter& meter) {
-      const net::FiveTuple tuple = parse_tuple(pkt, meter);
-      const auto sel =
-          ring_.select_alive(tuple.key(), pkt.timestamp_ns(), meter);
-      ir::CallOutcome out;
-      out.v0 = sel.backend;
-      out.pcvs.set(b_, sel.ring_steps);
-      const auto put =
-          flow_.put(tuple.key(), sel.backend, pkt.timestamp_ns(), meter);
-      out.pcvs.set(c_, put.stats.collisions);
-      out.pcvs.set(t_, put.stats.traversals);
-      if (is_reselect) {
-        BOLT_CHECK(put.outcome == FlowTable::PutCase::kUpdate,
-                   "reselect must update an existing flow entry");
-        out.case_label = "ok";
-      } else {
-        out.case_label =
-            put.outcome == FlowTable::PutCase::kFull ? "full" : "ok";
-      }
-      return out;
-    };
-  };
-  env.register_method(kRingSelect, select_handler(false));
-  env.register_method(kReselect, select_handler(true));
-
-  env.register_method(kHeartbeat, [this](std::uint64_t, std::uint64_t,
-                                         const net::Packet& pkt,
-                                         ir::CostMeter& meter) {
-    // Backend identity: low bits of the source IP (172.16.0.0/16 pool).
-    meter.metered_instructions(6);
-    meter.mem_read(ir::kPacketBase + 26, 4);
-    const auto ip = net::parse_ipv4(pkt.bytes(), net::kEthernetHeaderSize);
-    BOLT_CHECK(ip.has_value(), "heartbeat on non-IPv4 packet");
-    const std::uint32_t backend =
-        (ip->src.value & 0xffff) == 0
-            ? 0
-            : (ip->src.value & 0xffff) - 1;  // .1 -> backend 0
-    ring_.heartbeat(backend % static_cast<std::uint32_t>(ring_.backend_count()),
-                    pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
+ir::CallOutcome LbState::select(bool is_reselect, const net::Packet& pkt,
+                                ir::CostMeter& meter) {
+  const net::FiveTuple tuple = parse_tuple(pkt, meter);
+  const auto sel = ring_.select_alive(tuple.key(), pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.v0 = sel.backend;
+  out.pcvs.set(b_, sel.ring_steps);
+  const auto put =
+      flow_.put(tuple.key(), sel.backend, pkt.timestamp_ns(), meter);
+  out.pcvs.set(c_, put.stats.collisions);
+  out.pcvs.set(t_, put.stats.traversals);
+  if (is_reselect) {
+    BOLT_CHECK(put.outcome == FlowTable::PutCase::kUpdate,
+               "reselect must update an existing flow entry");
     out.case_label = "ok";
-    return out;
-  });
+  } else {
+    out.case_label = put.outcome == FlowTable::PutCase::kFull ? "full" : "ok";
+  }
+  return out;
+}
+
+ir::CallOutcome LbState::call_ring_select(std::uint64_t, std::uint64_t,
+                                          const net::Packet& pkt,
+                                          ir::CostMeter& meter) {
+  return select(false, pkt, meter);
+}
+
+ir::CallOutcome LbState::call_reselect(std::uint64_t, std::uint64_t,
+                                       const net::Packet& pkt,
+                                       ir::CostMeter& meter) {
+  return select(true, pkt, meter);
+}
+
+ir::CallOutcome LbState::call_heartbeat(std::uint64_t, std::uint64_t,
+                                        const net::Packet& pkt,
+                                        ir::CostMeter& meter) {
+  // Backend identity: low bits of the source IP (172.16.0.0/16 pool).
+  meter.metered_instructions(6);
+  meter.mem_read(ir::kPacketBase + 26, 4);
+  const auto ip = net::parse_ipv4(pkt.bytes(), net::kEthernetHeaderSize);
+  BOLT_CHECK(ip.has_value(), "heartbeat on non-IPv4 packet");
+  const std::uint32_t backend =
+      (ip->src.value & 0xffff) == 0
+          ? 0
+          : (ip->src.value & 0xffff) - 1;  // .1 -> backend 0
+  ring_.heartbeat(backend % static_cast<std::uint32_t>(ring_.backend_count()),
+                  pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.case_label = "ok";
+  return out;
 }
 
 MethodTable LbState::method_table(perf::PcvRegistry& reg,

@@ -42,6 +42,27 @@ class LbState {
                                std::uint64_t stamp_ns);
 
  private:
+  // The dispatchable methods (bind registers them).
+  ir::CallOutcome call_expire(std::uint64_t, std::uint64_t,
+                              const net::Packet& pkt, ir::CostMeter& meter);
+  ir::CallOutcome call_flow_lookup(std::uint64_t, std::uint64_t,
+                                   const net::Packet& pkt,
+                                   ir::CostMeter& meter);
+  ir::CallOutcome call_backend_alive(std::uint64_t backend, std::uint64_t,
+                                     const net::Packet& pkt,
+                                     ir::CostMeter& meter);
+  ir::CallOutcome call_ring_select(std::uint64_t, std::uint64_t,
+                                   const net::Packet& pkt,
+                                   ir::CostMeter& meter);
+  ir::CallOutcome call_reselect(std::uint64_t, std::uint64_t,
+                                const net::Packet& pkt, ir::CostMeter& meter);
+  ir::CallOutcome call_heartbeat(std::uint64_t, std::uint64_t,
+                                 const net::Packet& pkt, ir::CostMeter& meter);
+  /// A new flow's ring walk and cache (kRingSelect), or a recache after
+  /// its backend died (kReselect, which must update the cached entry).
+  ir::CallOutcome select(bool is_reselect, const net::Packet& pkt,
+                         ir::CostMeter& meter);
+
   Config config_;
   FlowTable flow_;
   MaglevRing ring_;

@@ -14,16 +14,18 @@ LpmTrieState::LpmTrieState(perf::PcvRegistry& reg) {
 }
 
 void LpmTrieState::bind(DispatchEnv& env) {
-  env.register_method(kLookup, [this](std::uint64_t addr, std::uint64_t,
-                                      const net::Packet&,
-                                      ir::CostMeter& meter) {
-    const auto r = trie_.lookup(static_cast<std::uint32_t>(addr), meter);
-    ir::CallOutcome out;
-    out.v0 = r.port;
-    out.case_label = "lookup";
-    out.pcvs.set(l_, r.matched_length);
-    return out;
-  });
+  env.register_method<&LpmTrieState::call_lookup>(kLookup, this);
+}
+
+ir::CallOutcome LpmTrieState::call_lookup(std::uint64_t addr, std::uint64_t,
+                                          const net::Packet&,
+                                          ir::CostMeter& meter) {
+  const auto r = trie_.lookup(static_cast<std::uint32_t>(addr), meter);
+  ir::CallOutcome out;
+  out.v0 = r.port;
+  out.case_label = "lookup";
+  out.pcvs.set(l_, r.matched_length);
+  return out;
 }
 
 MethodTable LpmTrieState::method_table(perf::PcvRegistry& reg) {
@@ -58,17 +60,19 @@ MethodTable LpmTrieState::method_table(perf::PcvRegistry& reg) {
 LpmDirState::LpmDirState(perf::PcvRegistry& reg) { intern_standard_pcvs(reg); }
 
 void LpmDirState::bind(DispatchEnv& env) {
-  env.register_method(kLookup, [this](std::uint64_t addr, std::uint64_t,
-                                      const net::Packet&,
-                                      ir::CostMeter& meter) {
-    const auto r = table_.lookup(static_cast<std::uint32_t>(addr), meter);
-    ir::CallOutcome out;
-    out.v0 = r.port;
-    out.case_label = r.tier == LpmDir24_8::LookupCase::kOneLookup
-                         ? "one_lookup"
-                         : "two_lookups";
-    return out;
-  });
+  env.register_method<&LpmDirState::call_lookup>(kLookup, this);
+}
+
+ir::CallOutcome LpmDirState::call_lookup(std::uint64_t addr, std::uint64_t,
+                                         const net::Packet&,
+                                         ir::CostMeter& meter) {
+  const auto r = table_.lookup(static_cast<std::uint32_t>(addr), meter);
+  ir::CallOutcome out;
+  out.v0 = r.port;
+  out.case_label = r.tier == LpmDir24_8::LookupCase::kOneLookup
+                       ? "one_lookup"
+                       : "two_lookups";
+  return out;
 }
 
 MethodTable LpmDirState::method_table(perf::PcvRegistry& reg) {

@@ -25,6 +25,9 @@ class LpmTrieState {
   LpmTrie& trie() { return trie_; }
 
  private:
+  ir::CallOutcome call_lookup(std::uint64_t addr, std::uint64_t,
+                              const net::Packet&, ir::CostMeter& meter);
+
   LpmTrie trie_;
   perf::PcvId l_;
 };
@@ -44,6 +47,9 @@ class LpmDirState {
   LpmDir24_8& table() { return table_; }
 
  private:
+  ir::CallOutcome call_lookup(std::uint64_t addr, std::uint64_t,
+                              const net::Packet&, ir::CostMeter& meter);
+
   LpmDir24_8 table_;
 };
 

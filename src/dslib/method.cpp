@@ -8,22 +8,17 @@ namespace {
 constexpr std::int64_t kMaxMethodId = 1024;  ///< ids index a dense vector
 }  // namespace
 
-void DispatchEnv::register_method(std::int64_t id, Handler handler) {
+void DispatchEnv::add(std::int64_t id, void* self, Fn fn) {
   BOLT_CHECK(id >= 0 && id < kMaxMethodId, "method id out of range");
   const auto slot = static_cast<std::size_t>(id);
   if (handlers_.size() <= slot) handlers_.resize(slot + 1);
-  BOLT_CHECK(!handlers_[slot], "duplicate method id");
-  handlers_[slot] = std::move(handler);
+  BOLT_CHECK(handlers_[slot].fn == nullptr, "duplicate method id");
+  handlers_[slot] = Handler{fn, self};
 }
 
-ir::CallOutcome DispatchEnv::call(std::int64_t method, std::uint64_t arg0,
-                                  std::uint64_t arg1,
-                                  const net::Packet& packet,
-                                  ir::CostMeter& meter) {
-  const auto slot = static_cast<std::size_t>(method);
-  BOLT_CHECK(method >= 0 && slot < handlers_.size() && handlers_[slot],
-             "no handler for stateful method " + std::to_string(method));
-  return handlers_[slot](arg0, arg1, packet, meter);
+void DispatchEnv::missing(std::int64_t method) {
+  support::fatal("no handler for stateful method " + std::to_string(method),
+                 __FILE__, __LINE__);
 }
 
 void intern_standard_pcvs(perf::PcvRegistry& reg) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,21 +27,46 @@ struct MethodSpec {
 using MethodTable = std::map<std::int64_t, MethodSpec>;
 
 /// Concrete dispatcher: method id -> handler over the real structures.
-/// Method ids are small and dense, so the handlers sit in a vector indexed
-/// by id.
+/// A handler is a member function of a composite state object, held as a
+/// plain function pointer plus that object (no std::function), and method
+/// ids are small and dense, so the handlers sit in a vector indexed by id.
 class DispatchEnv final : public ir::StatefulEnv {
  public:
-  using Handler = std::function<ir::CallOutcome(
-      std::uint64_t arg0, std::uint64_t arg1, const net::Packet& packet,
-      ir::CostMeter& meter)>;
-
-  void register_method(std::int64_t id, Handler handler);
+  /// Registers `Method`, a member function of T with the signature
+  /// `ir::CallOutcome (uint64_t arg0, uint64_t arg1, const net::Packet&,
+  /// ir::CostMeter&)`, called on `object`, which must outlive the env.
+  template <auto Method, typename T>
+  void register_method(std::int64_t id, T* object) {
+    add(id, object,
+        [](void* self, std::uint64_t arg0, std::uint64_t arg1,
+           const net::Packet& packet, ir::CostMeter& meter) {
+          return (static_cast<T*>(self)->*Method)(arg0, arg1, packet, meter);
+        });
+  }
 
   ir::CallOutcome call(std::int64_t method, std::uint64_t arg0,
                        std::uint64_t arg1, const net::Packet& packet,
-                       ir::CostMeter& meter) override;
+                       ir::CostMeter& meter) override {
+    const auto slot = static_cast<std::size_t>(method);
+    if (slot >= handlers_.size() || handlers_[slot].fn == nullptr) {
+      missing(method);
+    }
+    const Handler& h = handlers_[slot];
+    return h.fn(h.self, arg0, arg1, packet, meter);
+  }
 
  private:
+  using Fn = ir::CallOutcome (*)(void* self, std::uint64_t arg0,
+                                 std::uint64_t arg1, const net::Packet& packet,
+                                 ir::CostMeter& meter);
+  struct Handler {
+    Fn fn = nullptr;
+    void* self = nullptr;
+  };
+
+  void add(std::int64_t id, void* self, Fn fn);
+  [[noreturn, gnu::cold]] static void missing(std::int64_t method);
+
   std::vector<Handler> handlers_;
 };
 

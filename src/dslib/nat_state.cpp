@@ -15,7 +15,11 @@ namespace {
 
 /// Parses the five-tuple inside a stateful method, metering the fixed
 /// parse cost (the composite's equivalent of VigNAT's flow extraction).
-net::FiveTuple parse_tuple(const net::Packet& packet, ir::CostMeter& meter) {
+/// Forced inline so the tuple stays in registers: returned by value, it is
+/// assembled through the stack and reloaded as whole words, a
+/// store-forwarding stall on every call.
+[[gnu::always_inline]] inline net::FiveTuple parse_tuple(
+    const net::Packet& packet, ir::CostMeter& meter) {
   meter.metered_instructions(cost::kParseFlow);
   for (std::uint64_t i = 0; i < cost::kParseAccesses; ++i) {
     meter.mem_read(ir::kPacketBase + 14 + 4 * i, 4);
@@ -61,95 +65,99 @@ NatState::SweepResult NatState::sweep_expired(std::uint64_t now_ns,
 }
 
 void NatState::bind(DispatchEnv& env) {
-  env.register_method(kExpire, [this](std::uint64_t, std::uint64_t,
+  env.register_method<&NatState::call_expire>(kExpire, this);
+  env.register_method<&NatState::call_lookup_int>(kLookupInt, this);
+  env.register_method<&NatState::call_lookup_ext>(kLookupExt, this);
+  env.register_method<&NatState::call_add_flow>(kAddFlow, this);
+}
+
+ir::CallOutcome NatState::call_expire(std::uint64_t, std::uint64_t,
                                       const net::Packet& pkt,
                                       ir::CostMeter& meter) {
-    const SweepResult sweep = sweep_expired(pkt.timestamp_ns(), meter);
-    const auto& r = sweep.flow;
-    ir::CallOutcome out;
-    out.v0 = r.expired;
-    out.case_label = "expire";
-    out.pcvs.set(e_, r.expired);
-    if (r.expired > 0) {
-      // Combined amortisation across both tables' erase walks, so the
-      // contract's single e*t / e*c cross terms stay tight (see
-      // contract_exprs.cpp).
-      out.pcvs.set(t_, (r.total_walk + sweep.ext_walk + r.expired - 1) /
-                           r.expired);
-      out.pcvs.set(c_, (r.total_collisions + sweep.ext_collisions +
-                        r.expired - 1) /
-                           r.expired);
-    } else {
-      out.pcvs.set(t_, 0);
-      out.pcvs.set(c_, 0);
-    }
-    return out;
-  });
+  const SweepResult sweep = sweep_expired(pkt.timestamp_ns(), meter);
+  const auto& r = sweep.flow;
+  ir::CallOutcome out;
+  out.v0 = r.expired;
+  out.case_label = "expire";
+  out.pcvs.set(e_, r.expired);
+  if (r.expired > 0) {
+    // Combined amortisation across both tables' erase walks, so the
+    // contract's single e*t / e*c cross terms stay tight (see
+    // contract_exprs.cpp).
+    out.pcvs.set(t_, (r.total_walk + sweep.ext_walk + r.expired - 1) /
+                         r.expired);
+    out.pcvs.set(c_, (r.total_collisions + sweep.ext_collisions +
+                      r.expired - 1) /
+                         r.expired);
+  } else {
+    out.pcvs.set(t_, 0);
+    out.pcvs.set(c_, 0);
+  }
+  return out;
+}
 
-  env.register_method(kLookupInt, [this](std::uint64_t, std::uint64_t,
-                                         const net::Packet& pkt,
-                                         ir::CostMeter& meter) {
-    const net::FiveTuple tuple = parse_tuple(pkt, meter);
-    // touch: traffic keeps the mapping alive (stamp refresh on hit).
-    const auto r = int_table_.touch(tuple.key(), pkt.timestamp_ns(), meter);
-    ir::CallOutcome out;
-    out.v0 = r.found ? 1 : 0;
-    out.v1 = r.value;
-    out.case_label = r.found ? "hit" : "miss";
-    out.pcvs.set(c_, r.stats.collisions);
-    out.pcvs.set(t_, r.stats.traversals);
-    return out;
-  });
+ir::CallOutcome NatState::call_lookup_int(std::uint64_t, std::uint64_t,
+                                          const net::Packet& pkt,
+                                          ir::CostMeter& meter) {
+  const net::FiveTuple tuple = parse_tuple(pkt, meter);
+  // touch: traffic keeps the mapping alive (stamp refresh on hit).
+  const auto r = int_table_.touch(tuple.key(), pkt.timestamp_ns(), meter);
+  ir::CallOutcome out;
+  out.v0 = r.found ? 1 : 0;
+  out.v1 = r.value;
+  out.case_label = r.found ? "hit" : "miss";
+  out.pcvs.set(c_, r.stats.collisions);
+  out.pcvs.set(t_, r.stats.traversals);
+  return out;
+}
 
-  env.register_method(kLookupExt, [this](std::uint64_t, std::uint64_t,
-                                         const net::Packet& pkt,
-                                         ir::CostMeter& meter) {
-    const net::FiveTuple tuple = parse_tuple(pkt, meter);
-    const auto r = ext_table_.get(tuple.dst_port, meter);
-    ir::CallOutcome out;
-    out.v0 = r.found ? 1 : 0;
-    out.v1 = r.value;  // (internal ip << 16) | internal port
-    out.case_label = r.found ? "hit" : "miss";
-    out.pcvs.set(c_, r.stats.collisions);
-    out.pcvs.set(t_, r.stats.traversals);
-    return out;
-  });
+ir::CallOutcome NatState::call_lookup_ext(std::uint64_t, std::uint64_t,
+                                          const net::Packet& pkt,
+                                          ir::CostMeter& meter) {
+  const net::FiveTuple tuple = parse_tuple(pkt, meter);
+  const auto r = ext_table_.get(tuple.dst_port, meter);
+  ir::CallOutcome out;
+  out.v0 = r.found ? 1 : 0;
+  out.v1 = r.value;  // (internal ip << 16) | internal port
+  out.case_label = r.found ? "hit" : "miss";
+  out.pcvs.set(c_, r.stats.collisions);
+  out.pcvs.set(t_, r.stats.traversals);
+  return out;
+}
 
-  env.register_method(kAddFlow, [this](std::uint64_t, std::uint64_t,
-                                       const net::Packet& pkt,
-                                       ir::CostMeter& meter) {
-    const net::FiveTuple tuple = parse_tuple(pkt, meter);
-    ir::CallOutcome out;
-    meter.metered_instructions(cost::kOccupancyCheck);
-    meter.mem_read(ir::kArenaBase, 8);
-    if (int_table_.occupancy() == int_table_.capacity()) {
-      out.v0 = 0;
-      out.case_label = "full";
-      out.pcvs.set(c_, 0);
-      out.pcvs.set(t_, 0);
-      return out;
-    }
-    const auto alloc = allocator_->alloc(meter);
-    BOLT_CHECK(alloc.ok, "allocator exhausted before table filled");
-    const std::uint64_t now = pkt.timestamp_ns();
-    const auto put_int =
-        int_table_.put(tuple.key(), alloc.port, now, meter);
-    const std::uint64_t reverse_value =
-        (std::uint64_t(tuple.src_ip.value) << 16) | tuple.src_port;
-    const auto put_ext = ext_table_.put(alloc.port, reverse_value, now, meter);
-    BOLT_CHECK(put_int.outcome == FlowTable::PutCase::kNew &&
-                   put_ext.outcome == FlowTable::PutCase::kNew,
-               "NAT add_flow raced with existing mapping");
-    out.v0 = 1;
-    out.v1 = alloc.port;
-    out.case_label = "ok";
-    out.pcvs.set(c_, std::max(put_int.stats.collisions,
-                              put_ext.stats.collisions));
-    out.pcvs.set(t_, std::max(put_int.stats.traversals,
-                              put_ext.stats.traversals));
-    out.pcvs.set(s_, alloc.probes);
+ir::CallOutcome NatState::call_add_flow(std::uint64_t, std::uint64_t,
+                                        const net::Packet& pkt,
+                                        ir::CostMeter& meter) {
+  const net::FiveTuple tuple = parse_tuple(pkt, meter);
+  ir::CallOutcome out;
+  meter.metered_instructions(cost::kOccupancyCheck);
+  meter.mem_read(ir::kArenaBase, 8);
+  if (int_table_.occupancy() == int_table_.capacity()) {
+    out.v0 = 0;
+    out.case_label = "full";
+    out.pcvs.set(c_, 0);
+    out.pcvs.set(t_, 0);
     return out;
-  });
+  }
+  const auto alloc = allocator_->alloc(meter);
+  BOLT_CHECK(alloc.ok, "allocator exhausted before table filled");
+  const std::uint64_t now = pkt.timestamp_ns();
+  const auto put_int = int_table_.put(tuple.key(), alloc.port, now, meter);
+  const std::uint64_t reverse_value =
+      (std::uint64_t(tuple.src_ip.value) << 16) | tuple.src_port;
+  const auto put_ext = ext_table_.put(alloc.port, reverse_value, now, meter);
+  BOLT_CHECK(put_int.outcome == FlowTable::PutCase::kNew &&
+                 put_ext.outcome == FlowTable::PutCase::kNew,
+             "NAT add_flow raced with existing mapping");
+  out.v0 = 1;
+  out.v1 = alloc.port;
+  out.case_label = "ok";
+  out.pcvs.set(c_, std::max(put_int.stats.collisions,
+                            put_ext.stats.collisions));
+  out.pcvs.set(t_, std::max(put_int.stats.traversals,
+                            put_ext.stats.traversals));
+  out.pcvs.set(s_, alloc.probes);
+  return out;
 }
 
 MethodTable NatState::method_table(perf::PcvRegistry& reg,

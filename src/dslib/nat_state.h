@@ -60,6 +60,18 @@ class NatState {
                                std::uint64_t stamp_ns);
 
  private:
+  // The dispatchable methods (bind registers them).
+  ir::CallOutcome call_expire(std::uint64_t, std::uint64_t,
+                              const net::Packet& pkt, ir::CostMeter& meter);
+  ir::CallOutcome call_lookup_int(std::uint64_t, std::uint64_t,
+                                  const net::Packet& pkt,
+                                  ir::CostMeter& meter);
+  ir::CallOutcome call_lookup_ext(std::uint64_t, std::uint64_t,
+                                  const net::Packet& pkt,
+                                  ir::CostMeter& meter);
+  ir::CallOutcome call_add_flow(std::uint64_t, std::uint64_t,
+                                const net::Packet& pkt, ir::CostMeter& meter);
+
   Config config_;
   FlowTable int_table_;
   FlowTable ext_table_;

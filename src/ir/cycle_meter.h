@@ -134,6 +134,15 @@ class ConservativeCycleMeter {
     last_line_ = last;
   }
 
+  /// `count` >= 1 accesses in a row of `size` bytes at `addr`, which lies
+  /// in one line: the first is access(addr, size), and each repeat is the
+  /// MRU filter's hit. What `count` calls of access() charge.
+  void access_repeated(std::uint64_t addr, std::uint32_t size,
+                       std::uint64_t count) {
+    access(addr, size);
+    cycles_ += (count - 1) * costs_.l1;
+  }
+
   /// First-touch metering (see the file comment): `touches` line touches
   /// (a line-straddling access counts two) over the lines in `lines`, which
   /// join the lines this packet touched before. Exact only if every access

@@ -219,22 +219,7 @@ void Interpreter::run_into(net::Packet& packet, RunResult& result) {
           regs_[ins.dst2] = outcome.v1;
           from_load[static_cast<std::size_t>(ins.dst2)] = true;
         }
-        // Per-packet PCV binding: keep the max value seen per PCV.
-        for (const auto& [id, v] : outcome.pcvs.values()) {
-          if (v > result.pcvs.get(id)) result.pcvs.set(id, v);
-        }
-        CallRec rec;
-        rec.method = ins.imm;
-        SiteMemo& memo = site_memo_[pc];
-        if (memo.ptr != nullptr && memo.ptr == outcome.case_label) {
-          rec.case_id = memo.case_id;
-          rec.token = memo.token;
-        } else {
-          rec.case_id = labels_->intern_case(ins.imm, outcome.case_label);
-          rec.token = labels_->case_token(ins.imm, rec.case_id);
-          memo = SiteMemo{outcome.case_label, rec.case_id, rec.token};
-        }
-        result.calls.push_back(rec);
+        record_call(ins.imm, outcome, site_memo_[pc], *labels_, result);
         break;
       }
       case Op::kBr:

@@ -95,6 +95,33 @@ struct RunResult {
   void clear();
 };
 
+/// Per-call-site case memo: a call that returns the label pointer its site
+/// returned last time resolves its case id and token by that identity.
+struct CallSiteMemo {
+  const char* ptr = nullptr;
+  std::uint32_t case_id = 0;
+  std::uint32_t token = 0;
+};
+
+/// What both engines do with a kCall's outcome: max-merge its PCVs into
+/// the packet's and append its CallRec, written in place, with the case
+/// resolved through the site's memo (interned in `labels` on a change).
+inline void record_call(std::int64_t method, const CallOutcome& outcome,
+                        CallSiteMemo& memo, RunLabels& labels,
+                        RunResult& result) {
+  outcome.pcvs.max_into(result.pcvs);
+  if (memo.ptr == nullptr || memo.ptr != outcome.case_label) {
+    const std::uint32_t case_id =
+        labels.intern_case(method, outcome.case_label);
+    memo = CallSiteMemo{outcome.case_label, case_id,
+                        labels.case_token(method, case_id)};
+  }
+  CallRec& rec = result.calls.emplace_back();
+  rec.method = method;
+  rec.case_id = memo.case_id;
+  rec.token = memo.token;
+}
+
 /// Which execution engine a runner should build. The reference interpreter
 /// remains the oracle; consumers that need the exact per-event trace (e.g.
 /// hw::RealisticSim) are routed to it automatically regardless of this
@@ -174,13 +201,7 @@ class Interpreter final : public PacketEngine {
   std::vector<std::uint64_t> locals_;
   std::vector<std::uint64_t> scratch_;
   std::vector<bool> from_load_;  ///< per-register load taint, reused per run
-  /// Per-call-site case memo: repeat labels resolve by pointer identity.
-  struct SiteMemo {
-    const char* ptr = nullptr;
-    std::uint32_t case_id = 0;
-    std::uint32_t token = 0;
-  };
-  std::vector<SiteMemo> site_memo_;  ///< indexed by pc of the kCall
+  std::vector<CallSiteMemo> site_memo_;  ///< indexed by pc of the kCall
 };
 
 }  // namespace bolt::ir

@@ -73,18 +73,34 @@ bool same_program(const NativeEntry& entry, const Program& p) {
          same_names(p.loops, entry.loops);
 }
 
-/// The mbuf-region lines that `accesses` 8-byte words at addr(0), addr(1),
-/// ... touch (each step's addresses repeat within 12 accesses).
-template <typename Addr>
-std::uint64_t mbuf_lines(std::uint64_t accesses, Addr addr) {
-  std::uint64_t lines = 0;
-  for (std::uint64_t i = 0; i < std::min<std::uint64_t>(accesses, 12); ++i) {
-    lines |= std::uint64_t{1} << support::line_of(addr(i) - kMbufBase);
-  }
-  return lines;
-}
-
 }  // namespace
+
+/// The step whose `accesses` 8-byte words sit at addr(0), addr(1), ...
+/// (each step's addresses repeat within 12 accesses, so the line mask
+/// needs no more).
+template <typename Addr>
+NativeEngine::FrameworkStep NativeEngine::framework_step(
+    std::uint64_t instructions, std::uint64_t accesses, Addr addr) {
+  FrameworkStep step;
+  step.instructions = instructions;
+  step.accesses = accesses;
+  for (std::uint64_t i = 0; i < accesses; ++i) {
+    const std::uint64_t a = addr(i);
+    const std::uint64_t line = support::line_of(a);
+    if (i < 12) {
+      step.lines |= std::uint64_t{1} << support::line_of(a - kMbufBase);
+    }
+    BOLT_CHECK(support::line_of(a + 7) == line,
+               "a framework access straddles two lines");
+    if (!step.runs.empty() &&
+        support::line_of(step.runs.back().addr) == line) {
+      ++step.runs.back().count;
+    } else {
+      step.runs.push_back({a, 1});
+    }
+  }
+  return step;
+}
 
 const NativeEntry* find_native(const Program& program) {
   const std::uint64_t fp = program_fingerprint(program);
@@ -106,12 +122,12 @@ NativeEngine::NativeEngine(const NativeEntry& entry, const Program& program,
   }
   fn_ = fast_meter_ != nullptr ? entry.metered : entry.plain;
   if (fast_meter_ != nullptr) first_touch_fn_ = entry.first_touch;
-  rx_ = {options_.rx_instructions, options_.rx_accesses,
-         mbuf_lines(options_.rx_accesses, rx_mbuf_addr)};
-  tx_ = {options_.tx_instructions, options_.tx_accesses,
-         mbuf_lines(options_.tx_accesses, tx_mbuf_addr)};
-  drop_ = {options_.drop_instructions, options_.drop_accesses,
-           mbuf_lines(options_.drop_accesses, drop_mbuf_addr)};
+  rx_ = framework_step(options_.rx_instructions, options_.rx_accesses,
+                       rx_mbuf_addr);
+  tx_ = framework_step(options_.tx_instructions, options_.tx_accesses,
+                       tx_mbuf_addr);
+  drop_ = framework_step(options_.drop_instructions, options_.drop_accesses,
+                         drop_mbuf_addr);
   if (binding.labels != nullptr) {
     labels_ = binding.labels;
     tag_base_ = binding.tag_base;
@@ -141,41 +157,39 @@ void NativeEngine::use_first_touch() {
   first_touch_ = true;
 }
 
+void NativeEngine::charge(const FrameworkStep& step) const {
+  if (fast_meter_ == nullptr) return;
+  fast_meter_->add_instructions(step.instructions);
+  for (const AccessRun& run : step.runs) {
+    fast_meter_->access_repeated(run.addr, 8, run.count);
+  }
+}
+
 void NativeEngine::run_into(net::Packet& packet, RunResult& result) {
   if (first_touch_ &&
       packet.size() <= ConservativeCycleMeter::kFirstTouchMaxBytes) {
     run_first_touch(packet, result);
     return;
   }
-  CostMeter meter(options_.sink);
+  CostMeter meter(options_.sink);  // the dslib calls' meter
   result.clear();
   result.labels = labels_;
   result.loop_trips.resize(labels_->loop_count(), 0);
-  // Framework rx cost: identical event stream to the reference engine.
-  meter.metered_instructions(options_.rx_instructions);
-  for (std::uint64_t i = 0; i < options_.rx_accesses; ++i) {
-    meter.mem_read(rx_mbuf_addr(i), 8);
-  }
-  // Stateless instruction cycles are order-independent sums, charged once;
-  // only memory accesses reach the meter in execution order.
+  // Accesses reach the meter in execution order: framework rx, the
+  // program's own and its calls', then tx or drop. Stateless instruction
+  // cycles are order-independent sums, charged once.
+  charge(rx_);
   const NativeCounts n = fn_(*this, meter, packet, result);
   if (fast_meter_ != nullptr) {
     fast_meter_->add_instructions(n.instructions, n.muls);
   }
-  // Framework tx/drop cost — same event stream as the reference engine.
-  if (result.verdict == net::NfVerdict::kForward) {
-    meter.metered_instructions(options_.tx_instructions);
-    for (std::uint64_t i = 0; i < options_.tx_accesses; ++i) {
-      meter.mem_write(tx_mbuf_addr(i), 8);
-    }
-  } else {
-    meter.metered_instructions(options_.drop_instructions);
-    for (std::uint64_t i = 0; i < options_.drop_accesses; ++i) {
-      meter.mem_write(drop_mbuf_addr(i), 8);
-    }
-  }
-  result.instructions = n.instructions + meter.instructions();
-  result.mem_accesses = n.accesses + meter.accesses();
+  const FrameworkStep& out =
+      result.verdict == net::NfVerdict::kForward ? tx_ : drop_;
+  charge(out);
+  result.instructions = n.instructions + meter.instructions() +
+                        rx_.instructions + out.instructions;
+  result.mem_accesses =
+      n.accesses + meter.accesses() + rx_.accesses + out.accesses;
   result.stateless_instructions = n.instructions;
   result.stateless_accesses = n.accesses;
 }
@@ -199,28 +213,14 @@ void NativeEngine::run_first_touch(net::Packet& packet, RunResult& result) {
   result.stateless_accesses = n.accesses;
 }
 
-CallOutcome NativeEngine::call(std::size_t site, std::int64_t method,
-                               std::uint64_t a0, std::uint64_t a1,
-                               net::Packet& packet, CostMeter& meter,
-                               RunResult& result) {
-  BOLT_CHECK(env_ != nullptr, name_ + ": kCall with no env");
-  CallOutcome outcome = env_->call(method, a0, a1, packet, meter);
-  for (const auto& [id, v] : outcome.pcvs.values()) {
-    if (v > result.pcvs.get(id)) result.pcvs.set(id, v);
-  }
-  CallRec rec;
-  rec.method = method;
-  SiteMemo& memo = site_memo_[site];
-  if (memo.ptr != nullptr && memo.ptr == outcome.case_label) {
-    rec.case_id = memo.case_id;
-    rec.token = memo.token;
-  } else {
-    rec.case_id = labels_->intern_case(method, outcome.case_label);
-    rec.token = labels_->case_token(method, rec.case_id);
-    memo = SiteMemo{outcome.case_label, rec.case_id, rec.token};
-  }
-  result.calls.push_back(rec);
-  return outcome;
+CallReturn NativeEngine::call(std::size_t site, std::int64_t method,
+                              std::uint64_t a0, std::uint64_t a1,
+                              net::Packet& packet, CostMeter& meter,
+                              RunResult& result) {
+  if (env_ == nullptr) fail("kCall with no env");
+  const CallOutcome outcome = env_->call(method, a0, a1, packet, meter);
+  record_call(method, outcome, site_memo_[site], *labels_, result);
+  return {outcome.v0, outcome.v1};
 }
 
 }  // namespace bolt::ir

@@ -62,6 +62,12 @@ struct NativeCounts {
 
 class NativeEngine;
 
+/// What the generated code keeps of a dslib call: its return values.
+struct CallReturn {
+  std::uint64_t v0 = 0;
+  std::uint64_t v1 = 0;
+};
+
 /// One packet of a native program.
 using NativeFn = NativeCounts (*)(NativeEngine& engine, CostMeter& meter,
                                   net::Packet& packet, RunResult& result);
@@ -192,12 +198,11 @@ class NativeEngine final : public PacketEngine {
     meter_word<M>(kScratchBase, slot, n.lines.scratch);
   }
 
-  /// A kCall at instruction index `site`: the dslib call, the per-packet
-  /// PCV max, and the call record (its case resolved through the site's
-  /// memo).
-  CallOutcome call(std::size_t site, std::int64_t method, std::uint64_t a0,
-                   std::uint64_t a1, net::Packet& packet, CostMeter& meter,
-                   RunResult& result);
+  /// A kCall at instruction index `site`: the dslib call, then
+  /// record_call (the per-packet PCV max and the call record).
+  CallReturn call(std::size_t site, std::int64_t method, std::uint64_t a0,
+                  std::uint64_t a1, net::Packet& packet, CostMeter& meter,
+                  RunResult& result);
 
   void class_tag(std::int64_t tag, RunResult& result) const {
     result.class_tags.push_back(tag_base_ + static_cast<std::uint32_t>(tag));
@@ -249,12 +254,29 @@ class NativeEngine final : public PacketEngine {
   /// keeps only a call on its failure paths.
   [[noreturn, gnu::cold, gnu::noinline]] void fail(const char* what) const;
 
-  /// One framework step's fixed cost (rx, tx or drop) and its mbuf lines.
+  /// `count` consecutive framework accesses of 8 bytes on one line, the
+  /// first at `addr`.
+  struct AccessRun {
+    std::uint64_t addr = 0;
+    std::uint64_t count = 0;
+  };
+
+  /// One framework step's fixed cost (rx, tx or drop): its mbuf lines for
+  /// first-touch packets, and for probed packets its accesses as runs of
+  /// consecutive same-line accesses (a line that recurs after another
+  /// starts a new run), each charged as one probe plus an MRU hit per
+  /// repeat. The reference interpreter issues the same accesses one by one.
   struct FrameworkStep {
     std::uint64_t instructions = 0;
     std::uint64_t accesses = 0;
     std::uint64_t lines = 0;  ///< mbuf region line mask
+    std::vector<AccessRun> runs;
   };
+  template <typename Addr>
+  static FrameworkStep framework_step(std::uint64_t instructions,
+                                      std::uint64_t accesses, Addr addr);
+  /// Charges `step` to the fast meter, if there is one.
+  void charge(const FrameworkStep& step) const;
 
   std::string name_;  ///< program name, for diagnostics
   StatefulEnv* env_;
@@ -263,7 +285,7 @@ class NativeEngine final : public PacketEngine {
   NativeFn fn_;
   NativeFn first_touch_fn_ = nullptr;  ///< entry's, if a sink is metered
   bool first_touch_ = false;           ///< use_first_touch() was called
-  FrameworkStep rx_, tx_, drop_;       ///< for first-touch packets
+  FrameworkStep rx_, tx_, drop_;
   std::shared_ptr<RunLabels> owned_labels_;  ///< when standalone
   RunLabels* labels_;
   std::uint32_t tag_base_ = 0;
@@ -272,12 +294,7 @@ class NativeEngine final : public PacketEngine {
   std::vector<std::uint64_t> locals_;
   std::vector<std::uint64_t> scratch_;
   /// Per-call-site case memo, indexed by instruction index of the kCall.
-  struct SiteMemo {
-    const char* ptr = nullptr;
-    std::uint32_t case_id = 0;
-    std::uint32_t token = 0;
-  };
-  std::vector<SiteMemo> site_memo_;
+  std::vector<CallSiteMemo> site_memo_;
 };
 
 }  // namespace bolt::ir

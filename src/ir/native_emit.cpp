@@ -269,7 +269,7 @@ class Emitter {
       case Op::kStoreMem:
         return "F.store_mem<M>(" + A() + ", " + B() + ", n);";
       case Op::kCall: {
-        std::string s = "{ const ir::CallOutcome o = F.call(" +
+        std::string s = "{ const ir::CallReturn o = F.call(" +
                         std::to_string(pc) + ", " + lit(i.imm) + ", " +
                         (i.a != kNoReg ? A() : "0") + ", " +
                         (i.b != kNoReg ? B() : "0") +

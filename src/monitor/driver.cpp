@@ -213,7 +213,11 @@ class ChunkDriver::PartitionTask {
   /// Evaluates the batch's compiled bounds, folds the rows into the open
   /// window's ClassAccum and empties the batch. Most rows repeat the row
   /// before them (a class's packets mostly take the same path through the
-  /// same state), and such runs fold as one (ClassAccum::add_rows).
+  /// same state). A bound is a function of its PCV row alone, so only the
+  /// first row of each run of equal rows is evaluated (the heads are packed
+  /// to the front of the slot matrix) and its prediction is copied down
+  /// the run; the rows' (measured, bound) runs then fold as one
+  /// (ClassAccum::add_rows).
   void validate(Batch& b) {
     const std::size_t rows = b.rows;
     const bool check_cycles = options_.check_cycles;
@@ -223,12 +227,32 @@ class ChunkDriver::PartitionTask {
       tel_.batch_rows += rows;
       tel_.batch_fill.add(rows);
     }
+    const std::size_t stride = cc_.slot_stride;
+    std::uint64_t* const slots = b.slots.data();
+    std::size_t heads = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint64_t* row = slots + r * stride;
+      std::uint64_t* const head = slots + heads * stride;
+      if (heads > 0 && std::equal(row, row + stride, head - stride)) {
+        run_end_[heads - 1] = r + 1;
+        continue;
+      }
+      if (heads != r) std::copy(row, row + stride, head);
+      run_end_[heads++] = r + 1;
+    }
     for (const perf::Metric m : perf::kAllMetrics) {
       if (m == perf::Metric::kCycles && !check_cycles) continue;
       const int mi = perf::metric_index(m);
-      cc_.bounds[b.entry][mi].eval_batch(b.slots.data(), cc_.slot_stride,
-                                         rows, predicted_[mi].data(),
+      std::int64_t* const predicted = predicted_[mi].data();
+      cc_.bounds[b.entry][mi].eval_batch(slots, stride, heads, predicted,
                                          scratch_);
+      // Back to front: run h lands at or after row h, so no head is
+      // overwritten before it is copied.
+      for (std::size_t h = heads; h-- > 0;) {
+        const std::int64_t bound = predicted[h];
+        std::fill(predicted + (h == 0 ? 0 : run_end_[h - 1]),
+                  predicted + run_end_[h], bound);
+      }
       if (tel) ++tel_.vm_batch_evals;
     }
     if (tel) tel_.rows_validated += rows;
@@ -248,6 +272,8 @@ class ChunkDriver::PartitionTask {
   std::vector<Batch> pending_;  ///< one open batch per entry
   perf::BatchScratch scratch_;
   std::array<std::vector<std::int64_t>, 3> predicted_;  ///< bound columns
+  /// validate(): one past the last row of each run of equal PCV rows.
+  std::array<std::size_t, kBatchRows> run_end_{};
   std::uint64_t window_ = kNoWindow;  ///< the open window, if any
   WindowAccum open_;
   /// Where a partly stepped share of a chunk resumes: the next position in

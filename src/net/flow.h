@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <tuple>
 
 #include "net/addresses.h"
+#include "net/headers.h"
 #include "net/packet.h"
 #include "support/hash.h"
 
@@ -54,9 +56,48 @@ struct FiveTuple {
 };
 
 /// Extracts the five-tuple of a TCP/UDP-over-IPv4 frame (no VLAN) by
-/// fixed-offset reads. Returns nullopt for anything else (non-IPv4, other
-/// protocols, truncated) — exactly where the parse_* composition fails.
-std::optional<FiveTuple> extract_five_tuple(const PacketView& packet);
+/// fixed-offset reads, with the bounds checks of parse_ethernet, parse_ipv4
+/// and parse_tcp/parse_udp and no allocation. Returns nullopt for anything
+/// else (non-IPv4, other protocols, truncated) — exactly where the parse_*
+/// composition fails. Inline: the NAT and LB methods parse every packet,
+/// and an out-of-line call hands the optional back through memory written
+/// field by field, which the caller reloads as whole words (a
+/// store-forwarding stall on every call).
+inline std::optional<FiveTuple> extract_five_tuple(const PacketView& packet) {
+  const auto be16 = [](const std::uint8_t* p) {
+    std::uint16_t v;
+    std::memcpy(&v, p, 2);
+    return __builtin_bswap16(v);
+  };
+  const auto be32 = [](const std::uint8_t* p) {
+    std::uint32_t v;
+    std::memcpy(&v, p, 4);
+    return __builtin_bswap32(v);
+  };
+  const std::uint8_t* b = packet.bytes().data();
+  const std::size_t n = packet.size();
+  constexpr std::size_t kIp = kEthernetHeaderSize;
+  if (n < kIp + kIpv4MinHeaderSize || be16(b + 12) != kEtherTypeIpv4) {
+    return std::nullopt;
+  }
+  const std::uint8_t vihl = b[kIp];
+  const std::size_t l4 = kIp + std::size_t(vihl & 0x0f) * 4;
+  const std::uint8_t proto = b[kIp + 9];
+  const std::size_t l4_size = proto == kIpProtoTcp   ? kTcpMinHeaderSize
+                              : proto == kIpProtoUdp ? kUdpHeaderSize
+                                                     : 0;
+  if ((vihl >> 4) != 4 || (vihl & 0x0f) < 5 || l4_size == 0 ||
+      l4 + l4_size > n) {
+    return std::nullopt;
+  }
+  FiveTuple t;
+  t.src_ip.value = be32(b + kIp + 12);
+  t.dst_ip.value = be32(b + kIp + 16);
+  t.src_port = be16(b + l4);
+  t.dst_port = be16(b + l4 + 2);
+  t.protocol = proto;
+  return t;
+}
 
 /// The public 64 -> 64 bit mixing function used by dslib hash tables:
 /// the splitmix64 finaliser the symbolic side also uses (support/hash.h;

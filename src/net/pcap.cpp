@@ -287,27 +287,43 @@ void PcapTail::finish() {
                /*base_index=*/consumed_records_, [](const PacketView&) {});
 }
 
-void write_pcap(const std::string& path, const std::vector<Packet>& packets) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  BOLT_CHECK(f != nullptr, "pcap: cannot open " + path + " for writing");
-  // Records go out through one fixed buffer, flushed whenever it holds
-  // kWriteBufferBytes, so writing needs no memory per packet.
-  constexpr std::size_t kWriteBufferBytes = std::size_t{1} << 16;
-  std::vector<std::uint8_t> buffer;
-  buffer.reserve(kWriteBufferBytes + kRecordHeaderSize + kMaxRecordBytes);
-  bool ok = true;
-  auto flush = [&] {
-    ok = ok && std::fwrite(buffer.data(), 1, buffer.size(), f) == buffer.size();
-    buffer.clear();
-  };
-  put_global_header(buffer);
-  for (const Packet& p : packets) {
-    put_record(buffer, p);
-    if (buffer.size() >= kWriteBufferBytes) flush();
-  }
+// Records go out through one fixed buffer, flushed whenever it holds
+// kWriteBufferBytes, so writing needs no memory per packet.
+constexpr std::size_t kWriteBufferBytes = std::size_t{1} << 16;
+
+PcapWriter::PcapWriter(const std::string& path)
+    : path_(path), file_(std::fopen(path.c_str(), "wb")) {
+  BOLT_CHECK(file_ != nullptr, "pcap: cannot open " + path + " for writing");
+  buffer_.reserve(kWriteBufferBytes + kRecordHeaderSize + kMaxRecordBytes);
+  put_global_header(buffer_);
+}
+
+PcapWriter::~PcapWriter() {
+  if (file_ != nullptr) close();
+}
+
+void PcapWriter::write(const Packet& packet) {
+  put_record(buffer_, packet);
+  if (buffer_.size() >= kWriteBufferBytes) flush();
+}
+
+void PcapWriter::flush() {
+  ok_ = ok_ &&
+        std::fwrite(buffer_.data(), 1, buffer_.size(), file_) == buffer_.size();
+  buffer_.clear();
+}
+
+void PcapWriter::close() {
   flush();
-  ok = std::fclose(f) == 0 && ok;
-  BOLT_CHECK(ok, "pcap: short write on " + path);
+  ok_ = std::fclose(file_) == 0 && ok_;
+  file_ = nullptr;
+  BOLT_CHECK(ok_, "pcap: short write on " + path_);
+}
+
+void write_pcap(const std::string& path, const std::vector<Packet>& packets) {
+  PcapWriter writer(path);
+  for (const Packet& p : packets) writer.write(p);
+  writer.close();
 }
 
 }  // namespace bolt::net

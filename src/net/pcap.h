@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +59,28 @@ std::vector<Packet> read_pcap(const std::string& path);
 
 /// Writes packets as a nanosecond-resolution PCAP file (link type EN10MB).
 void write_pcap(const std::string& path, const std::vector<Packet>& packets);
+
+/// write_pcap one packet at a time: records go out through one fixed
+/// buffer, so memory does not grow with the capture. close() flushes and
+/// aborts on a short write; the destructor closes a writer left open.
+class PcapWriter {
+ public:
+  explicit PcapWriter(const std::string& path);
+  ~PcapWriter();
+  PcapWriter(const PcapWriter&) = delete;
+  PcapWriter& operator=(const PcapWriter&) = delete;
+
+  void write(const Packet& packet);
+  void close();
+
+ private:
+  void flush();
+
+  std::string path_;
+  std::FILE* file_;
+  std::vector<std::uint8_t> buffer_;
+  bool ok_ = true;
+};
 
 /// In-memory variants used by tests.
 std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes);

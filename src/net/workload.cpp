@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <utility>
 
 #include "net/packet_builder.h"
 #include "support/assert.h"
@@ -46,21 +47,33 @@ Packet invalid_packet(TimestampNs ts) {
   return b.build();
 }
 
-std::vector<Packet> uniform_random_traffic(const UniformSpec& spec) {
-  support::Rng rng(spec.seed);
+namespace {
+
+/// The packets `generate` streams for `spec`, collected (`count` reserved).
+template <typename Spec>
+std::vector<Packet> collect(void (*generate)(const Spec&, const PacketSink&),
+                            const Spec& spec, std::size_t count) {
   std::vector<Packet> out;
-  out.reserve(spec.packet_count);
-  TimestampNs ts = spec.timing.start_ns;
-  for (std::size_t i = 0; i < spec.packet_count; ++i) {
-    const std::uint64_t flow = rng.below(spec.flow_pool);
-    out.push_back(packet_for_tuple(tuple_for_index(flow, spec.internal_side),
-                                   ts, spec.in_port));
-    ts += spec.timing.gap_ns;
-  }
+  out.reserve(count);
+  generate(spec, [&out](Packet&& p) { out.push_back(std::move(p)); });
   return out;
 }
 
-std::vector<Packet> zipf_traffic(const ZipfSpec& spec) {
+}  // namespace
+
+void uniform_random_traffic(const UniformSpec& spec,
+                            const PacketSink& sink) {
+  support::Rng rng(spec.seed);
+  TimestampNs ts = spec.timing.start_ns;
+  for (std::size_t i = 0; i < spec.packet_count; ++i) {
+    const std::uint64_t flow = rng.below(spec.flow_pool);
+    sink(packet_for_tuple(tuple_for_index(flow, spec.internal_side), ts,
+                          spec.in_port));
+    ts += spec.timing.gap_ns;
+  }
+}
+
+void zipf_traffic(const ZipfSpec& spec, const PacketSink& sink) {
   BOLT_CHECK(spec.flow_pool > 0, "zipf_traffic needs a non-empty flow pool");
   support::Rng rng(spec.seed);
 
@@ -81,8 +94,6 @@ std::vector<Packet> zipf_traffic(const ZipfSpec& spec) {
     std::swap(flow_of_rank[r - 1], flow_of_rank[rng.below(r)]);
   }
 
-  std::vector<Packet> out;
-  out.reserve(spec.packet_count);
   TimestampNs ts = spec.timing.start_ns;
   for (std::size_t i = 0; i < spec.packet_count; ++i) {
     const double u = rng.uniform() * total;
@@ -90,14 +101,13 @@ std::vector<Packet> zipf_traffic(const ZipfSpec& spec) {
         std::lower_bound(cumulative.begin(), cumulative.end(), u) -
         cumulative.begin());
     const std::uint64_t flow = flow_of_rank[std::min(rank, spec.flow_pool - 1)];
-    out.push_back(packet_for_tuple(tuple_for_index(flow, spec.internal_side),
-                                   ts, spec.in_port));
+    sink(packet_for_tuple(tuple_for_index(flow, spec.internal_side), ts,
+                          spec.in_port));
     ts += spec.timing.gap_ns;
   }
-  return out;
 }
 
-std::vector<Packet> long_run_traffic(const LongRunSpec& spec) {
+void long_run_traffic(const LongRunSpec& spec, const PacketSink& sink) {
   BOLT_CHECK(spec.flow_pool > 0, "long_run_traffic needs a non-empty pool");
   BOLT_CHECK(spec.bursts > 0, "long_run_traffic needs at least one burst");
   BOLT_CHECK(spec.rotation_bursts > 0,
@@ -119,8 +129,6 @@ std::vector<Packet> long_run_traffic(const LongRunSpec& spec) {
     cumulative[r] = total;
   }
 
-  std::vector<Packet> out;
-  out.reserve(spec.packet_count);
   for (std::size_t i = 0; i < spec.packet_count; ++i) {
     const std::size_t burst = i / per_burst;
     const std::size_t in_burst = i % per_burst;
@@ -138,20 +146,17 @@ std::vector<Packet> long_run_traffic(const LongRunSpec& spec) {
     const std::uint64_t flow = mix64(
         (generation << 32) ^ std::min<std::uint64_t>(rank, spec.flow_pool - 1) ^
         (spec.seed * 0x9E3779B97F4A7C15ULL));
-    out.push_back(packet_for_tuple(tuple_for_index(flow, spec.internal_side),
-                                   ts, spec.in_port));
+    sink(packet_for_tuple(tuple_for_index(flow, spec.internal_side), ts,
+                          spec.in_port));
   }
-  return out;
 }
 
-std::vector<Packet> churn_traffic(const ChurnSpec& spec) {
+void churn_traffic(const ChurnSpec& spec, const PacketSink& sink) {
   support::Rng rng(spec.seed);
   std::deque<std::uint64_t> active;
   std::uint64_t next_flow = 0;
   for (std::size_t i = 0; i < spec.active_flows; ++i) active.push_back(next_flow++);
 
-  std::vector<Packet> out;
-  out.reserve(spec.packet_count);
   TimestampNs ts = spec.timing.start_ns;
   for (std::size_t i = 0; i < spec.packet_count; ++i) {
     std::uint64_t flow;
@@ -163,16 +168,13 @@ std::vector<Packet> churn_traffic(const ChurnSpec& spec) {
     } else {
       flow = active[rng.below(active.size())];
     }
-    out.push_back(packet_for_tuple(tuple_for_index(flow), ts, spec.in_port));
+    sink(packet_for_tuple(tuple_for_index(flow), ts, spec.in_port));
     ts += spec.timing.gap_ns;
   }
-  return out;
 }
 
-std::vector<Packet> bridge_traffic(const BridgeSpec& spec) {
+void bridge_traffic(const BridgeSpec& spec, const PacketSink& sink) {
   support::Rng rng(spec.seed);
-  std::vector<Packet> out;
-  out.reserve(spec.packet_count);
   TimestampNs ts = spec.timing.start_ns;
   for (std::size_t i = 0; i < spec.packet_count; ++i) {
     const std::uint64_t src_station = rng.below(spec.stations);
@@ -194,10 +196,9 @@ std::vector<Packet> bridge_traffic(const BridgeSpec& spec) {
         .udp(4000, 4001)
         .timestamp_ns(ts)
         .in_port(static_cast<std::uint16_t>(src_station % 8));
-    out.push_back(b.build());
+    sink(b.build());
     ts += spec.timing.gap_ns;
   }
-  return out;
 }
 
 std::vector<std::uint64_t> colliding_keys(std::size_t count, std::size_t bucket,
@@ -233,15 +234,14 @@ std::vector<FiveTuple> colliding_tuples(std::size_t count, std::size_t bucket,
   return tuples;
 }
 
-std::vector<Packet> bridge_collision_attack(const BridgeAttackSpec& spec) {
+void bridge_collision_attack(const BridgeAttackSpec& spec,
+                             const PacketSink& sink) {
   support::Rng rng(spec.seed);
   // MAC-table keys are the 48-bit MAC as an integer; pick MACs in the
   // locally-administered range whose hash collides in bucket 0.
   const std::vector<std::uint64_t> macs = colliding_keys(
       spec.stations, /*bucket=*/0, spec.table_buckets, /*hash_key=*/0,
       /*start=*/0x020000200000ULL);
-  std::vector<Packet> out;
-  out.reserve(spec.packet_count);
   TimestampNs ts = spec.timing.start_ns;
   for (std::size_t i = 0; i < spec.packet_count; ++i) {
     const std::uint64_t src = macs[rng.below(macs.size())];
@@ -253,10 +253,9 @@ std::vector<Packet> bridge_collision_attack(const BridgeAttackSpec& spec) {
               Ipv4Address::from_octets(10, 0, 0, 2))
         .udp(4000, 4001)
         .timestamp_ns(ts);
-    out.push_back(b.build());
+    sink(b.build());
     ts += spec.timing.gap_ns;
   }
-  return out;
 }
 
 LpmWorkload lpm_traffic(const LpmSpec& spec) {
@@ -313,12 +312,10 @@ LpmWorkload lpm_traffic(const LpmSpec& spec) {
   return out;
 }
 
-std::vector<Packet> drift_traffic(const DriftSpec& spec) {
+void drift_traffic(const DriftSpec& spec, const PacketSink& sink) {
   BOLT_CHECK(spec.option_words <= 10,
              "drift_traffic: at most 10 option words fit an IPv4 header");
   support::Rng rng(spec.seed);
-  std::vector<Packet> out;
-  out.reserve(spec.windows * spec.packets_per_window);
   // Packets spread evenly inside each window, strictly before its end.
   const std::uint64_t gap = spec.window_ns / (spec.packets_per_window + 1);
   for (std::size_t w = 0; w < spec.windows; ++w) {
@@ -344,16 +341,13 @@ std::vector<Packet> drift_traffic(const DriftSpec& spec) {
       b.udp(t.src_port, t.dst_port);
       b.timestamp_ns(spec.start_ns + w * spec.window_ns + (i + 1) * gap);
       b.in_port(spec.in_port);
-      out.push_back(b.build());
+      sink(b.build());
     }
   }
-  return out;
 }
 
-std::vector<Packet> heartbeat_traffic(const HeartbeatSpec& spec) {
+void heartbeat_traffic(const HeartbeatSpec& spec, const PacketSink& sink) {
   support::Rng rng(spec.seed);
-  std::vector<Packet> out;
-  out.reserve(spec.packet_count);
   TimestampNs ts = spec.timing.start_ns;
   for (std::size_t i = 0; i < spec.packet_count; ++i) {
     const std::uint32_t backend =
@@ -365,10 +359,39 @@ std::vector<Packet> heartbeat_traffic(const HeartbeatSpec& spec) {
         .udp(static_cast<std::uint16_t>(30000 + backend), spec.heartbeat_port)
         .timestamp_ns(ts)
         .in_port(1);
-    out.push_back(b.build());
+    sink(b.build());
     ts += spec.timing.gap_ns;
   }
-  return out;
+}
+
+std::vector<Packet> uniform_random_traffic(const UniformSpec& spec) {
+  return collect<UniformSpec>(uniform_random_traffic, spec,
+                              spec.packet_count);
+}
+
+std::vector<Packet> zipf_traffic(const ZipfSpec& spec) {
+  return collect<ZipfSpec>(zipf_traffic, spec, spec.packet_count);
+}
+
+std::vector<Packet> long_run_traffic(const LongRunSpec& spec) {
+  return collect<LongRunSpec>(long_run_traffic, spec, spec.packet_count);
+}
+
+std::vector<Packet> churn_traffic(const ChurnSpec& spec) {
+  return collect<ChurnSpec>(churn_traffic, spec, spec.packet_count);
+}
+
+std::vector<Packet> bridge_traffic(const BridgeSpec& spec) {
+  return collect<BridgeSpec>(bridge_traffic, spec, spec.packet_count);
+}
+
+std::vector<Packet> drift_traffic(const DriftSpec& spec) {
+  return collect<DriftSpec>(drift_traffic, spec,
+                            spec.windows * spec.packets_per_window);
+}
+
+std::vector<Packet> heartbeat_traffic(const HeartbeatSpec& spec) {
+  return collect<HeartbeatSpec>(heartbeat_traffic, spec, spec.packet_count);
 }
 
 }  // namespace bolt::net

@@ -17,6 +17,13 @@
 
 namespace bolt::net {
 
+/// Receives a generator's packets one at a time, in order. Each generator
+/// below comes in two forms: one streams its packets into a sink, the
+/// other returns them as a vector (the same packets, collected). A caller
+/// that writes packets out as they come, as `bolt_cli gen` does, holds no
+/// memory per packet.
+using PacketSink = std::function<void(Packet&&)>;
+
 /// Timing knobs shared by all generators.
 struct TrafficTiming {
   TimestampNs start_ns = 1'000'000'000;  ///< first packet timestamp
@@ -33,6 +40,7 @@ struct UniformSpec {
   bool internal_side = true;  ///< NAT direction (internal -> external)
 };
 std::vector<Packet> uniform_random_traffic(const UniformSpec& spec);
+void uniform_random_traffic(const UniformSpec& spec, const PacketSink& sink);
 
 /// Heavy-tailed flow-popularity traffic: flow ranks are drawn from a Zipf
 /// distribution (P(rank r) ~ 1/r^skew), the regime where per-class hit
@@ -52,6 +60,7 @@ struct ZipfSpec {
   bool internal_side = true;
 };
 std::vector<Packet> zipf_traffic(const ZipfSpec& spec);
+void zipf_traffic(const ZipfSpec& spec, const PacketSink& sink);
 
 /// Long-running operator traffic: a simulated multi-day trace compressed
 /// into a bounded packet count. Traffic arrives in `bursts` evenly spaced
@@ -80,6 +89,7 @@ struct LongRunSpec {
   bool internal_side = true;
 };
 std::vector<Packet> long_run_traffic(const LongRunSpec& spec);
+void long_run_traffic(const LongRunSpec& spec, const PacketSink& sink);
 
 /// Flow-churn traffic: a working set of `active_flows` flows; with
 /// probability `churn` a packet retires the oldest flow and starts a fresh
@@ -93,6 +103,7 @@ struct ChurnSpec {
   std::uint16_t in_port = 0;
 };
 std::vector<Packet> churn_traffic(const ChurnSpec& spec);
+void churn_traffic(const ChurnSpec& spec, const PacketSink& sink);
 
 /// Ethernet traffic for the MAC bridge: a pool of source stations sending
 /// to known stations (unicast) or to ff:ff:ff:ff:ff:ff (broadcast).
@@ -104,6 +115,7 @@ struct BridgeSpec {
   TrafficTiming timing;
 };
 std::vector<Packet> bridge_traffic(const BridgeSpec& spec);
+void bridge_traffic(const BridgeSpec& spec, const PacketSink& sink);
 
 /// Adversarial bridge traffic (CASTAN-like): source MACs chosen so that
 /// *every* station hashes to the same bucket of a `table_buckets`-bucket
@@ -115,7 +127,8 @@ struct BridgeAttackSpec {
   std::size_t packet_count = 2'000;
   TrafficTiming timing;
 };
-std::vector<Packet> bridge_collision_attack(const BridgeAttackSpec& spec);
+void bridge_collision_attack(const BridgeAttackSpec& spec,
+                             const PacketSink& sink);
 
 /// Brute-force search for `count` distinct keys whose hash lands in bucket
 /// `bucket` of a power-of-two table (under mix64 ^ key0). Exposed separately
@@ -184,6 +197,7 @@ struct DriftSpec {
   std::uint16_t in_port = 0;
 };
 std::vector<Packet> drift_traffic(const DriftSpec& spec);
+void drift_traffic(const DriftSpec& spec, const PacketSink& sink);
 
 /// Maglev heartbeat datagrams from backend servers (LB5 class).
 struct HeartbeatSpec {
@@ -194,6 +208,7 @@ struct HeartbeatSpec {
   std::uint16_t heartbeat_port = 7000;  ///< UDP dst port the LB recognises
 };
 std::vector<Packet> heartbeat_traffic(const HeartbeatSpec& spec);
+void heartbeat_traffic(const HeartbeatSpec& spec, const PacketSink& sink);
 
 /// A single minimal non-IPv4 frame (the "invalid packet" class).
 Packet invalid_packet(TimestampNs ts = 1'000'000'000);

@@ -85,6 +85,24 @@ class PcvBinding {
   /// per-packet binding stays allocation-free.
   void clear() { size_ = 0; }
 
+  /// Raises `id` to `value` if that is more than get(id): the same as
+  /// `if (value > get(id)) set(id, value)`, so an unbound id stays unbound
+  /// for a zero value. Inline for an id already bound in the inline slots,
+  /// which is every call after a packet's first touch of that PCV.
+  void raise(PcvId id, std::uint64_t value) {
+    if (!spilled()) {
+      for (std::uint32_t i = 0; i < size_ && inline_[i].first <= id; ++i) {
+        if (inline_[i].first == id) {
+          if (value > inline_[i].second) inline_[i].second = value;
+          return;
+        }
+      }
+      if (value > 0) set(id, value);
+      return;
+    }
+    if (value > get(id)) set(id, value);
+  }
+
   /// Merge: entries in `other` overwrite entries here.
   void merge(const PcvBinding& other);
 

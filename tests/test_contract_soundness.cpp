@@ -37,11 +37,11 @@ class ContractChecker {
     if (!contract.has_case(out.case_label)) return out;
     const auto& exprs = contract.for_case(out.case_label);
     const std::int64_t pred_i =
-        exprs.get(Metric::kInstructions).eval(out.pcvs);
+        exprs.get(Metric::kInstructions).eval(out.pcvs.binding());
     const std::int64_t pred_m =
-        exprs.get(Metric::kMemoryAccesses).eval(out.pcvs);
+        exprs.get(Metric::kMemoryAccesses).eval(out.pcvs.binding());
     const std::int64_t unique =
-        contract.unique_lines(out.case_label).eval(out.pcvs);
+        contract.unique_lines(out.case_label).eval(out.pcvs.binding());
     EXPECT_GE(pred_i, static_cast<std::int64_t>(meter.instructions()))
         << methods_.at(method).name << "/" << out.case_label;
     EXPECT_GE(pred_m, static_cast<std::int64_t>(meter.accesses()))

@@ -7,7 +7,8 @@
 //  * every registered NF target and chain produces identical per-packet
 //    results, rewritten bytes and cycles under the native and reference
 //    engines, over its workloads, their trace mutations and the generation
-//    witnesses;
+//    witnesses, with no framework cost, the full one, and the full one
+//    inflated by 50% and 200%;
 //  * monitor reports are byte-identical fast-path-vs-reference for every
 //    registered target at every thread count;
 //  * first-touch metering charges the probing meter's cycles at its edges
@@ -160,10 +161,11 @@ enum class Engine { kNative, kReference };
 /// With `first_touch`, every native stage meters by first touch.
 struct StageEngines {
   StageEngines(const core::NfTarget& target, ir::TraceSink* sink, Engine kind,
-               bool first_touch = false)
+               bool first_touch = false,
+               const nf::FrameworkCosts& framework = nf::framework_full())
       : labels(std::make_unique<ir::RunLabels>(target.programs())) {
     ir::InterpreterOptions opts;
-    nf::apply_framework(opts, nf::framework_full());
+    nf::apply_framework(opts, framework);
     opts.sink = sink;
     ir::StatefulEnv* env =
         target.is_stateless ? nullptr : target.instance.env.get();
@@ -238,54 +240,70 @@ std::vector<net::Packet> identity_inputs(const std::string& name) {
   return out;
 }
 
-TEST(NativeDifferential, EveryRegisteredTargetMatchesTheReference) {
-  for (const std::string& name : core::named_targets()) {
-    // Independent instances per engine (stateful NFs mutate their state
-    // as they run, so the engines must not share one).
-    std::array<perf::PcvRegistry, 2> regs;
-    std::array<core::NfTarget, 2> targets;
-    std::array<hw::ConservativeModel, 2> sinks;
-    std::vector<StageEngines> engines;
-    for (std::size_t k = 0; k < 2; ++k) {
-      ASSERT_TRUE(core::make_named_target(name, regs[k], targets[k]));
-      engines.emplace_back(targets[k], &sinks[k], static_cast<Engine>(k));
-    }
-    // The runner's fast path is the native engine.
-    core::NfTarget runner_target;
-    perf::PcvRegistry runner_reg;
-    ASSERT_TRUE(core::make_named_target(name, runner_reg, runner_target));
-    hw::ConservativeModel runner_sink;
-    auto runner = runner_target.make_runner(nf::framework_full(), &runner_sink);
-    EXPECT_TRUE(runner->uses_fast_path()) << name;
+/// The framework settings the differential runs under: none, full, and
+/// full inflated by 50% and 200%. Inflated rx and tx steps wrap their mbuf
+/// addresses, so a line recurs after other lines (the native engine's
+/// framework runs must restart there).
+std::vector<std::pair<std::string, nf::FrameworkCosts>> framework_grid() {
+  return {{"none", nf::framework_none()},
+          {"full", nf::framework_full()},
+          {"inflated 50", nf::framework_inflated(nf::framework_full(), 50)},
+          {"inflated 200", nf::framework_inflated(nf::framework_full(), 200)}};
+}
 
-    const std::vector<net::Packet> packets = identity_inputs(name);
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      std::array<net::Packet, 2> pkts = {packets[i], packets[i]};
-      std::array<std::vector<RunResult>, 2> res;
+TEST(NativeDifferential, EveryRegisteredTargetMatchesTheReference) {
+  for (const auto& [fw_name, fw] : framework_grid()) {
+    for (const std::string& name : core::named_targets()) {
+      SCOPED_TRACE("framework " + fw_name);
+      // Independent instances per engine (stateful NFs mutate their state
+      // as they run, so the engines must not share one).
+      std::array<perf::PcvRegistry, 2> regs;
+      std::array<core::NfTarget, 2> targets;
+      std::array<hw::ConservativeModel, 2> sinks;
+      std::vector<StageEngines> engines;
       for (std::size_t k = 0; k < 2; ++k) {
-        sinks[k].begin_packet();
-        res[k] = engines[k].run(pkts[k]);
+        ASSERT_TRUE(core::make_named_target(name, regs[k], targets[k]));
+        engines.emplace_back(targets[k], &sinks[k], static_cast<Engine>(k),
+                             false, fw);
       }
-      net::Packet pr = packets[i];
-      runner_sink.begin_packet();
-      const RunResult merged = runner->process(pr);
-      const std::string ctx = name + " pkt=" + std::to_string(i);
-      ASSERT_EQ(res[0].size(), res[1].size()) << ctx;
-      for (std::size_t s = 0; s < res[0].size(); ++s) {
-        expect_equal_results(res[0][s], res[1][s],
-                             ctx + " stage=" + std::to_string(s));
+      // The runner's fast path is the native engine.
+      core::NfTarget runner_target;
+      perf::PcvRegistry runner_reg;
+      ASSERT_TRUE(core::make_named_target(name, runner_reg, runner_target));
+      hw::ConservativeModel runner_sink;
+      auto runner = runner_target.make_runner(fw, &runner_sink);
+      EXPECT_TRUE(runner->uses_fast_path()) << name;
+
+      const std::vector<net::Packet> packets = identity_inputs(name);
+      for (std::size_t i = 0; i < packets.size(); ++i) {
+        std::array<net::Packet, 2> pkts = {packets[i], packets[i]};
+        std::array<std::vector<RunResult>, 2> res;
+        for (std::size_t k = 0; k < 2; ++k) {
+          sinks[k].begin_packet();
+          res[k] = engines[k].run(pkts[k]);
+        }
+        net::Packet pr = packets[i];
+        runner_sink.begin_packet();
+        const RunResult merged = runner->process(pr);
+        const std::string ctx = name + " pkt=" + std::to_string(i);
+        ASSERT_EQ(res[0].size(), res[1].size()) << ctx;
+        for (std::size_t s = 0; s < res[0].size(); ++s) {
+          expect_equal_results(res[0][s], res[1][s],
+                               ctx + " stage=" + std::to_string(s));
+        }
+        EXPECT_EQ(bytes_of(pkts[0]), bytes_of(pkts[1])) << ctx;
+        EXPECT_EQ(sinks[0].packet_cycles(), sinks[1].packet_cycles()) << ctx;
+        EXPECT_EQ(bytes_of(pr), bytes_of(pkts[1])) << ctx;
+        EXPECT_EQ(runner_sink.packet_cycles(), sinks[1].packet_cycles())
+            << ctx;
+        EXPECT_EQ(merged.verdict, res[1].back().verdict) << ctx;
+        if (::testing::Test::HasFailure()) return;  // one dump is enough
       }
-      EXPECT_EQ(bytes_of(pkts[0]), bytes_of(pkts[1])) << ctx;
-      EXPECT_EQ(sinks[0].packet_cycles(), sinks[1].packet_cycles()) << ctx;
-      EXPECT_EQ(bytes_of(pr), bytes_of(pkts[1])) << ctx;
-      EXPECT_EQ(runner_sink.packet_cycles(), sinks[1].packet_cycles()) << ctx;
-      EXPECT_EQ(merged.verdict, res[1].back().verdict) << ctx;
-      if (::testing::Test::HasFailure()) return;  // one dump is enough
-    }
-    EXPECT_EQ(sinks[0].total_cycles(), sinks[1].total_cycles()) << name;
-    for (std::size_t s = 0; s < engines[1].stages.size(); ++s) {
-      EXPECT_EQ(engines[0].stages[s]->scratch(),
-                engines[1].stages[s]->scratch());
+      EXPECT_EQ(sinks[0].total_cycles(), sinks[1].total_cycles()) << name;
+      for (std::size_t s = 0; s < engines[1].stages.size(); ++s) {
+        EXPECT_EQ(engines[0].stages[s]->scratch(),
+                  engines[1].stages[s]->scratch());
+      }
     }
   }
 }

@@ -47,6 +47,9 @@ const GoldenCase kCases[] = {
     {"fw+router", "uniform", 0, 0, "report_fw_router.json", nullptr},
     {"nat", "zipf", 1, 50, "report_nat_inflated.json",
      "deltas_nat_inflated.jsonl"},
+    {"bridge", "", 0, 0, "report_bridge.json", nullptr},
+    {"lpm", "", 0, 0, "report_lpm.json", nullptr},
+    {"nat-b", "zipf", 0, 0, "report_nat_b.json", nullptr},
 };
 constexpr std::size_t kGoldenPackets = 20'000;
 

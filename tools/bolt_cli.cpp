@@ -1068,16 +1068,23 @@ int cmd_scenarios(std::size_t threads) {
 
 int cmd_gen(const std::string& kind, const std::string& out,
             std::size_t count) {
-  // The same traffic `monitor --workload KIND --packets COUNT` runs on.
-  const std::vector<net::Packet> packets =
-      core::monitor_workload("", kind, count);
-  if (packets.empty()) {
+  // The same traffic `monitor --workload KIND --packets COUNT` runs on,
+  // written as it is generated (constant memory). The file is created on
+  // the first packet, so a workload with none leaves no file behind.
+  std::optional<net::PcapWriter> writer;
+  std::size_t written = 0;
+  core::stream_workload("", kind, count, [&](net::Packet&& packet) {
+    if (!writer) writer.emplace(out);
+    writer->write(packet);
+    ++written;
+  });
+  if (written == 0) {
     std::fprintf(stderr, "error: no packets for workload '%s' x %zu\n",
                  kind.c_str(), count);
     return usage();
   }
-  net::write_pcap(out, packets);
-  std::printf("wrote %zu packets to %s\n", packets.size(), out.c_str());
+  writer->close();
+  std::printf("wrote %zu packets to %s\n", written, out.c_str());
   return 0;
 }
 

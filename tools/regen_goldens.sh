@@ -46,6 +46,10 @@ monitor fw+router --workload uniform --packets 20000 \
 monitor nat --workload zipf --packets 20000 --inflate 50 --delta-every 1 \
   --delta-out "$DATA/deltas_nat_inflated.jsonl" \
   --report "$DATA/report_nat_inflated.json"
+# The remaining dslib-calling targets; nat-b takes allocator B's add_flow.
+monitor bridge --packets 20000 --report "$DATA/report_bridge.json"
+monitor lpm --packets 20000 --report "$DATA/report_lpm.json"
+monitor nat-b --workload zipf --packets 20000 --report "$DATA/report_nat_b.json"
 
 # CLI help golden (tests/test_cli_help.cpp).
 "$CLI" --help > "$REPO_ROOT/tests/data/cli_usage.txt"
