@@ -1,42 +1,33 @@
 // bolt — command-line front end to the contract generator, the Distiller,
-// and the contract monitor.
+// the contract monitor and the adversarial traffic tools.
 //
-//   bolt contract <nf> [--json] [--out F]  generate + print (or store) an
-//                                    NF's contract artifact
-//   bolt paths <nf>                  per-path report (no coalescing)
-//   bolt distill <nf> <pcap>         run a PCAP through the NF, report PCVs
-//   bolt predict <nf> k=v [k=v...]   evaluate the contract at a PCV binding
-//   bolt monitor <nf> [...]          stream traffic through the NF and
-//                                    validate every packet against the
-//                                    contract (violations, headroom,
-//                                    quantile sketches, worst offenders).
-//                                    With --contract FILE.json the stored
-//                                    artifact is validated instead — the
-//                                    operator workflow, no symbex at all.
-//                                    --follow tails a growing pcap as a
-//                                    daemon; --fleet I/N + --spool DIR
-//                                    run one instance of a fleet.
-//   bolt merge <nf> --spool DIR      fold a fleet's spooled partials into
-//                                    the fleet-wide delta stream + report
-//                                    (byte-identical to a single monitor
-//                                    over the combined traffic)
-//   bolt hunt <nf> [...]             feedback-directed search for contract
-//                                    violations past the synthesised edge;
-//                                    a find is delta-debugged to a minimal
-//                                    witness trace and fails the gate
-//   bolt gen <kind> <out.pcap> [n]   write a workload PCAP
-//                                    (kind: uniform | churn | zipf | bridge
-//                                     | attack | heartbeat | longrun)
-//   bolt scenarios                   run the Figure-1 scenario sweep
+//   bolt contract <nf>    generate an NF's contract; print or store it
+//   bolt paths <nf>       per-path report (no coalescing)
+//   bolt distill <nf>     run a PCAP through the NF, report PCVs
+//   bolt predict <nf>     evaluate the contract at a PCV binding
+//   bolt monitor <nf>     validate every packet of a trace, or of a growing
+//                         pcap as a daemon, against the contract (generated
+//                         in-process, or a stored artifact); one instance
+//                         of a fleet with --fleet and --spool
+//   bolt merge <nf>       fold a fleet's spooled partials into the
+//                         fleet-wide delta stream and report
+//   bolt adversary <nf>   synthesise contract-guided worst-case traffic and
+//                         replay it through the monitor
+//   bolt hunt <nf>        feedback-directed search for contract violations;
+//                         a find is minimised to a witness trace
+//   bolt gen <kind>       write a workload PCAP
+//   bolt scenarios        run the Figure-1 scenario sweep
 //
-// <nf> is one of: bridge, nat, nat-b (allocator B), lb, lpm, lpm-simple,
-// firewall, router, fw+router (the chain).
+// `bolt --help` (core/cli_usage.cpp) lists each subcommand's flags, the NF
+// names and the workload kinds; kFlags below is the parser's side of it.
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -74,15 +65,227 @@ int usage() {
   return 2;
 }
 
-/// Parses a whole decimal argument; anything else ends the run with exit 2.
-std::uint64_t numeric_arg(const char* text, const char* what) {
+/// Parses a whole decimal number: digits only (no sign, no blank) that fit
+/// in 64 bits.
+bool parse_u64(const char* text, std::uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  errno = 0;
   char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
+  *out = std::strtoull(text, &end, 10);
+  return *end == '\0' && errno != ERANGE;
+}
+
+/// parse_u64, or the run ends with exit 2.
+std::uint64_t numeric_arg(const char* text, const char* what) {
+  std::uint64_t v = 0;
+  if (!parse_u64(text, &v)) {
     std::fprintf(stderr, "error: bad %s value '%s'\n", what, text);
     std::exit(2);
   }
   return v;
+}
+
+/// Every subcommand's options; kFlags sets them, `--help` documents them.
+struct CliArgs {
+  // The contract and the traffic.
+  std::string contract;  // stored artifact; empty = generate in-process
+  std::string pcap;      // the traffic when set (excludes the two below)
+  std::optional<std::string> workload;  // unset = target default
+  std::optional<std::size_t> packets;   // unset = 100'000
+  // Monitor semantics and execution.
+  std::size_t partitions = 8;
+  std::size_t threads = 0;  // 0 = one per hardware thread
+  std::uint64_t epoch_ns = 1'000'000'000;
+  std::uint64_t violation_threshold = 0;
+  std::uint64_t inflate_pct = 0;
+  bool cycles = true;
+  // Outputs.
+  bool json = false;
+  std::string out;     // contract artifact, or adversary/hunt trace prefix
+  std::string report;  // also write the report JSON here
+  // Telemetry layer (src/obs/).
+  std::size_t delta_every = 0;   // delta window width in epochs (0 = off)
+  std::string delta_out;         // write the delta JSONL stream here
+  std::string metrics_out;       // write the telemetry snapshot here
+  std::string metrics_format = "json";  // json | prom
+  bool watch = false;            // stream delta windows to stdout
+  // Fleet mode (monitor/follow.h + obs/fleet.h).
+  bool follow = false;           // daemon: tail --pcap as it grows
+  std::string spool;             // write fleet partials here (also: merge)
+  std::uint64_t idle_flush_ns = 0;   // follow: provisional flush after quiet
+  std::uint64_t idle_exit_ms = 0;    // follow: clean exit after quiet (0=run)
+  std::uint32_t fleet_instance = 0;  // --fleet I/N
+  std::uint32_t fleet_instances = 1;
+  // Adversarial synthesis and the hunt.
+  std::uint64_t seed = 1;
+  std::size_t probes = 12;
+  std::uint64_t min_reached_pct = 1;
+  std::size_t generations = 6;
+  std::size_t population = 4;
+  std::size_t budget = 0;       // 0 = generations * population + 1
+  std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
+  bool inject_straddle_bug = false;  // test-only measurement fault
+};
+
+/// One command-line flag: the subcommands it applies to (space-separated)
+/// and its setter, which gets the flag's value (nullptr for a switch) and
+/// ends the run with exit 2 on a bad one.
+struct Flag {
+  const char* name;
+  bool takes_value;
+  const char* commands;
+  void (*set)(CliArgs& args, const char* flag, const char* value);
+};
+
+// Short names keep each row of the table to two lines.
+using A = CliArgs;
+using V = const char*;
+const Flag kFlags[] = {
+    {"--json", false, "contract paths monitor merge adversary hunt",
+     [](A& a, V, V) { a.json = true; }},
+    {"--threads", true, "monitor adversary hunt scenarios",
+     [](A& a, V f, V v) { a.threads = numeric_arg(v, f); }},
+    {"--packets", true, "monitor",
+     [](A& a, V f, V v) { a.packets = numeric_arg(v, f); }},
+    {"--partitions", true, "monitor adversary hunt",
+     [](A& a, V f, V v) { a.partitions = numeric_arg(v, f); }},
+    {"--epoch-ns", true, "monitor adversary hunt",
+     [](A& a, V f, V v) { a.epoch_ns = numeric_arg(v, f); }},
+    {"--seed", true, "adversary hunt",
+     [](A& a, V f, V v) { a.seed = numeric_arg(v, f); }},
+    {"--probes", true, "adversary hunt",
+     [](A& a, V f, V v) { a.probes = numeric_arg(v, f); }},
+    {"--min-reached-pct", true, "adversary",
+     [](A& a, V f, V v) { a.min_reached_pct = numeric_arg(v, f); }},
+    {"--generations", true, "hunt",
+     [](A& a, V f, V v) { a.generations = numeric_arg(v, f); }},
+    {"--population", true, "hunt",
+     [](A& a, V f, V v) { a.population = numeric_arg(v, f); }},
+    {"--budget", true, "hunt",
+     [](A& a, V f, V v) { a.budget = numeric_arg(v, f); }},
+    {"--max-replays", true, "hunt",
+     [](A& a, V f, V v) { a.max_replays = numeric_arg(v, f); }},
+    // Test-only, so the help does not list it.
+    {"--inject-straddle-bug", false, "hunt",
+     [](A& a, V, V) { a.inject_straddle_bug = true; }},
+    {"--contract", true, "monitor adversary hunt",
+     [](A& a, V, V v) { a.contract = v; }},
+    {"--report", true, "monitor merge adversary hunt",
+     [](A& a, V, V v) { a.report = v; }},
+    {"--out", true, "contract adversary hunt",
+     [](A& a, V, V v) { a.out = v; }},
+    {"--violation-threshold", true, "monitor merge",
+     [](A& a, V f, V v) { a.violation_threshold = numeric_arg(v, f); }},
+    {"--inflate", true, "monitor",
+     [](A& a, V f, V v) { a.inflate_pct = numeric_arg(v, f); }},
+    {"--no-cycles", false, "monitor", [](A& a, V, V) { a.cycles = false; }},
+    {"--delta-every", true, "monitor",
+     [](A& a, V f, V v) { a.delta_every = numeric_arg(v, f); }},
+    {"--delta-out", true, "monitor merge",
+     [](A& a, V, V v) { a.delta_out = v; }},
+    {"--metrics-out", true, "monitor merge",
+     [](A& a, V, V v) { a.metrics_out = v; }},
+    {"--metrics-format", true, "monitor merge",
+     [](A& a, V, V v) {
+       if (std::strcmp(v, "json") != 0 && std::strcmp(v, "prom") != 0) {
+         std::fprintf(stderr,
+                      "error: bad --metrics-format value '%s' (json | prom)\n",
+                      v);
+         std::exit(2);
+       }
+       a.metrics_format = v;
+     }},
+    {"--watch", false, "monitor merge", [](A& a, V, V) { a.watch = true; }},
+    {"--follow", false, "monitor", [](A& a, V, V) { a.follow = true; }},
+    {"--spool", true, "monitor merge", [](A& a, V, V v) { a.spool = v; }},
+    {"--idle-flush-ns", true, "monitor",
+     [](A& a, V f, V v) { a.idle_flush_ns = numeric_arg(v, f); }},
+    {"--idle-exit-ms", true, "monitor",
+     [](A& a, V f, V v) { a.idle_exit_ms = numeric_arg(v, f); }},
+    {"--fleet", true, "monitor",
+     [](A& a, V, V v) {
+       const char* slash = std::strchr(v, '/');
+       std::uint64_t i = 0;
+       std::uint64_t n = 0;
+       if (slash == nullptr || !parse_u64(std::string(v, slash).c_str(), &i) ||
+           !parse_u64(slash + 1, &n) || i >= n || n > UINT32_MAX) {
+         std::fprintf(stderr,
+                      "error: bad --fleet value '%s' (want I/N with I < N)\n",
+                      v);
+         std::exit(2);
+       }
+       a.fleet_instance = static_cast<std::uint32_t>(i);
+       a.fleet_instances = static_cast<std::uint32_t>(n);
+     }},
+    {"--workload", true, "monitor", [](A& a, V, V v) { a.workload = v; }},
+    {"--pcap", true, "monitor", [](A& a, V, V v) { a.pcap = v; }},
+};
+
+/// Parses argv[2..] into `args`; 0, or the exit code after printing the
+/// error. Positionals (nf names, paths, counts, k=v bindings) pass through;
+/// a flag that is unknown, or known but not for `cmd`, ends the run: the
+/// monitor exit code is a CI gate, and a typo'd or misplaced flag would
+/// change what it gates on.
+int parse_flags(const std::string& cmd, int argc, char** argv, CliArgs& args) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& f) { return std::strcmp(f.name, argv[i]) == 0; });
+    if (flag == std::end(kFlags)) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      return usage();
+    }
+    if ((" " + std::string(flag->commands) + " ").find(" " + cmd + " ") ==
+        std::string::npos) {
+      std::fprintf(stderr, "error: flag '%s' does not apply to '%s'\n",
+                   flag->name, cmd.c_str());
+      return 2;
+    }
+    const char* value = nullptr;
+    if (flag->takes_value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s requires a value\n", flag->name);
+        return 2;
+      }
+      value = argv[++i];
+    }
+    flag->set(args, flag->name, value);
+  }
+  return 0;
+}
+
+/// The contract a run checks, its PCVs interned into `reg`: the stored
+/// artifact `file` (checked to have been generated for `nf`), or, when
+/// `file` is empty, one generated in-process, whose path reports go to
+/// `witnesses` (if given) for the adversarial synthesiser. nullopt, after
+/// printing the error, when the run must exit 2.
+std::optional<perf::Contract> load_contract(
+    const std::string& nf, const std::string& file, perf::PcvRegistry& reg,
+    std::vector<core::PathReport>* witnesses = nullptr) {
+  // A stored artifact needs no generation and no symbolic execution: the
+  // target is only built to name the contract it must match.
+  perf::PcvRegistry probe_reg;
+  core::NfTarget target;
+  if (!core::make_named_target(nf, file.empty() ? reg : probe_reg, target)) {
+    usage();
+    return std::nullopt;
+  }
+  if (file.empty()) {
+    core::GenerationResult generated =
+        core::ContractGenerator(reg).generate(target.analysis());
+    if (witnesses != nullptr) *witnesses = std::move(generated.path_reports);
+    return std::move(generated.contract);
+  }
+  perf::Contract contract = perf::load_contract(file, reg);
+  if (contract.nf_name() != target.contract_name()) {
+    std::fprintf(stderr,
+                 "error: contract '%s' was generated for nf '%s', not '%s'\n",
+                 file.c_str(), contract.nf_name().c_str(),
+                 target.contract_name().c_str());
+    return std::nullopt;
+  }
+  return contract;
 }
 
 int cmd_contract(const std::string& nf, bool per_path, bool as_json,
@@ -215,41 +418,21 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
   return 0;
 }
 
-struct MonitorCliArgs {
-  std::optional<std::string> workload;  // unset = target default
-  std::string pcap;      // the traffic when set (excludes the two above)
-  std::string contract;  // stored artifact; empty = regenerate in-process
-  std::string report;    // also write the report JSON here
-  std::optional<std::size_t> packets;   // unset = 100'000
-  std::size_t partitions = 8;
-  std::size_t threads = 0;
-  std::uint64_t epoch_ns = 1'000'000'000;
-  std::uint64_t violation_threshold = 0;
-  std::uint64_t inflate_pct = 0;
-  bool cycles = true;
-  bool json = false;
-  // Telemetry layer (src/obs/).
-  std::size_t delta_every = 0;   // delta window width in epochs (0 = off)
-  std::string delta_out;         // write the delta JSONL stream here
-  std::string metrics_out;       // write the telemetry snapshot here
-  std::string metrics_format = "json";  // json | prom
-  bool watch = false;            // stream delta windows to stdout
-  // Fleet mode (monitor/follow.h + obs/fleet.h).
-  bool follow = false;           // daemon: tail --pcap as it grows
-  std::string spool;             // write fleet partials here (also: merge)
-  std::uint64_t idle_flush_ns = 0;   // follow: provisional flush after quiet
-  std::uint64_t idle_exit_ms = 0;    // follow: clean exit after quiet (0=run)
-  std::uint32_t fleet_instance = 0;  // --fleet I/N
-  std::uint32_t fleet_instances = 1;
-};
-
 /// SIGINT/SIGTERM drain flag for --follow (sig_atomic_t: all a handler may
 /// touch). The loop finishes the current poll, then drains and reports.
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
 
-bool write_metrics_file(const MonitorCliArgs& args,
-                        const obs::MonitorTelemetry& tel,
+/// Writes a report JSON file atomically (support::write_file publishes by
+/// rename, so a failed or short write never leaves a truncated report for
+/// CI to archive as valid); false after printing the error.
+bool write_report(const std::string& path, const std::string& json) {
+  if (support::write_file(path, json + "\n")) return true;
+  std::fprintf(stderr, "error: cannot write report to '%s'\n", path.c_str());
+  return false;
+}
+
+bool write_metrics_file(const CliArgs& args, const obs::MonitorTelemetry& tel,
                         const std::string& nf) {
   const std::string metrics =
       args.metrics_format == "prom"
@@ -263,13 +446,13 @@ bool write_metrics_file(const MonitorCliArgs& args,
   return true;
 }
 
-/// The delta stream of 'monitor' (batch + streaming) and 'merge': one JSON
-/// line per window, written whole and flushed — to stdout with --watch, to
-/// the --delta-out file, or both — so a reader tailing either only ever
+/// The delta stream of 'monitor' and 'merge': one JSON line per window,
+/// written whole and flushed as the window closes — to stdout with --watch,
+/// to the --delta-out file, or both — so a reader tailing either only ever
 /// sees complete lines. Every file write is checked.
 class DeltaStream {
  public:
-  explicit DeltaStream(const MonitorCliArgs& args) : args_(args) {}
+  explicit DeltaStream(const CliArgs& args) : args_(args) {}
   ~DeltaStream() {
     if (file_ != nullptr) std::fclose(file_);
   }
@@ -311,25 +494,37 @@ class DeltaStream {
     return false;
   }
 
-  const MonitorCliArgs& args_;
+  const CliArgs& args_;
   std::FILE* file_ = nullptr;
   bool ok_ = true;  ///< every write to file_ so far succeeded
 };
 
-/// Writes a finished run's delta windows; false after printing the error.
-bool write_delta_stream(const MonitorCliArgs& args,
-                        const std::vector<obs::DeltaWindow>& windows) {
-  DeltaStream out(args);
-  if (!out.open()) return false;
-  for (const obs::DeltaWindow& w : windows) out.write(w);
-  return out.close();
-}
-
-/// Shared gate tail for 'monitor' (batch + streaming) and 'merge': exit 1
-/// on unattributed packets or over-threshold violations, 3 on drift alerts
-/// ("about to violate"), 0 clean.
-int monitor_exit_code(const monitor::MonitorReport& report,
-                      std::uint64_t violation_threshold, std::size_t alerts) {
+/// The end of a 'monitor' or 'merge' run, once its delta stream is closed.
+/// Writes --metrics-out and --report, prints the report (--json; else the
+/// table and `footer`, unless --watch keeps stdout a pure JSONL stream),
+/// then `note` on stderr, and returns the gate's exit code: 1 when `failed`
+/// (the output went wrong earlier), on unattributed packets or on
+/// over-threshold violations; 3 on drift alerts, so CI can tell "about to
+/// violate" from "violating"; 0 clean.
+int finish_run(const CliArgs& args, const monitor::MonitorReport& report,
+               const obs::RunObservations& observations,
+               const std::string& footer, const std::string& note,
+               bool failed) {
+  if (!args.metrics_out.empty() &&
+      !write_metrics_file(args, observations.telemetry, report.nf)) {
+    return 1;
+  }
+  const std::string json = args.json || !args.report.empty()
+                               ? monitor::report_to_json(report)
+                               : std::string();
+  if (!args.report.empty() && !write_report(args.report, json)) return 1;
+  if (args.json) {
+    std::printf("%s\n", json.c_str());
+  } else if (!args.watch) {
+    std::printf("%s%s", report.str().c_str(), footer.c_str());
+  }
+  std::fputs(note.c_str(), stderr);
+  if (failed) return 1;
   if (report.unattributed > 0) {
     std::fprintf(stderr,
                  "error: %llu packets not attributable to any contract "
@@ -339,32 +534,32 @@ int monitor_exit_code(const monitor::MonitorReport& report,
                      report.first_unattributed_packet));
     return 1;
   }
-  if (report.violations > violation_threshold) {
+  if (report.violations > args.violation_threshold) {
     std::fprintf(stderr, "error: %llu violations (threshold %llu)\n",
                  static_cast<unsigned long long>(report.violations),
-                 static_cast<unsigned long long>(violation_threshold));
+                 static_cast<unsigned long long>(args.violation_threshold));
     return 1;
   }
-  if (alerts > 0) {
+  if (!observations.alerts.empty()) {
     std::fprintf(stderr,
                  "warning: %zu contract-drift alert(s) raised (no violation "
                  "yet; details in the delta stream)\n",
-                 alerts);
+                 observations.alerts.size());
     return 3;
   }
   return 0;
 }
 
-/// Streaming/fleet monitor path: one StreamMonitor fed chunk by chunk from
-/// `next_chunk` (the generated trace, the windows of a finished --pcap, or
-/// in --follow mode the windows of a growing one), emitting
-/// delta lines, spool partials and metrics refreshes as windows close. The
-/// final report goes through the same gates as the batch path.
-int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
-                       const perf::PcvRegistry& reg,
-                       monitor::MonitorOptions options,
-                       const MonitorCliArgs& args,
-                       const monitor::MonitorEngine::ChunkSource& next_chunk) {
+/// Runs the monitor: one StreamMonitor fed chunk by chunk from `next_chunk`
+/// (the generated trace, the windows of a finished --pcap, or in --follow
+/// mode the windows of a growing one), emitting delta lines, spool partials
+/// and metrics refreshes as windows close. A run that owns every partition
+/// and spools nothing reports what MonitorEngine::run would: both run the
+/// one chunk driver (monitor/driver.h).
+int run_monitor(const std::string& nf, const perf::Contract& contract,
+                const perf::PcvRegistry& reg,
+                const monitor::MonitorOptions& options, const CliArgs& args,
+                const monitor::MonitorEngine::ChunkSource& next_chunk) {
   monitor::FleetOptions fleet;
   fleet.instance = args.fleet_instance;
   fleet.instances = args.fleet_instances;
@@ -390,51 +585,54 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   }
 
   bool spool_write_failed = false;
+  auto write_partial = [&](const std::string& path,
+                           const std::string& json) {
+    if (support::write_file(path, json + "\n")) return;
+    std::fprintf(stderr, "error: cannot write spool partial '%s'\n",
+                 path.c_str());
+    spool_write_failed = true;
+  };
   auto on_window = [&](const monitor::ClosedWindow& cw) {
     // Delta lines are authoritative-only (a provisional flush has no drift
     // pass and would duplicate the window).
     if (cw.has_delta && !cw.provisional) deltas.write(cw.delta);
     // Spool partials upsert by filename: a provisional emission is
     // overwritten by the authoritative close of the same window.
-    if (!args.spool.empty() && cw.stats->packets > 0) {
-      obs::WindowPartial wp;
-      wp.nf = contract.nf_name();
-      wp.instance = fleet.instance;
-      wp.instances = fleet.instances;
-      wp.window = cw.window;
-      wp.window_ns = cw.window_ns;
-      for (std::size_t e = 0; e < cw.accums->size(); ++e) {
-        const monitor::ClassAccum& acc = (*cw.accums)[e];
-        if (acc.packets == 0) continue;
-        wp.classes.push_back(entry_names[e]);
-        wp.accums.push_back(acc);
-      }
-      wp.packets = cw.stats->packets;
-      wp.unattributed = cw.stats->unattributed;
-      wp.first_unattributed = cw.stats->first_unattributed;
-      wp.any_unattributed = cw.stats->any_unattributed;
-      wp.epoch_sweeps = cw.stats->epoch_sweeps;
-      wp.expired_idle = cw.stats->expired_idle;
-      wp.high_water = cw.stats->high_water;
-      wp.late_packets = cw.stats->late_packets;
-      const std::string path =
-          obs::spool_window_path(args.spool, nf, fleet.instance, cw.window);
-      if (!support::write_file(path, obs::window_partial_to_json(wp) + "\n")) {
-        std::fprintf(stderr, "error: cannot write spool partial '%s'\n",
-                     path.c_str());
-        spool_write_failed = true;
-      }
+    if (args.spool.empty() || cw.stats->packets == 0) return;
+    obs::WindowPartial wp;
+    wp.nf = contract.nf_name();
+    wp.instance = fleet.instance;
+    wp.instances = fleet.instances;
+    wp.window = cw.window;
+    wp.window_ns = cw.window_ns;
+    for (std::size_t e = 0; e < cw.accums->size(); ++e) {
+      const monitor::ClassAccum& acc = (*cw.accums)[e];
+      if (acc.packets == 0) continue;
+      wp.classes.push_back(entry_names[e]);
+      wp.accums.push_back(acc);
     }
+    wp.packets = cw.stats->packets;
+    wp.unattributed = cw.stats->unattributed;
+    wp.first_unattributed = cw.stats->first_unattributed;
+    wp.any_unattributed = cw.stats->any_unattributed;
+    wp.epoch_sweeps = cw.stats->epoch_sweeps;
+    wp.expired_idle = cw.stats->expired_idle;
+    wp.high_water = cw.stats->high_water;
+    wp.late_packets = cw.stats->late_packets;
+    write_partial(
+        obs::spool_window_path(args.spool, nf, fleet.instance, cw.window),
+        obs::window_partial_to_json(wp));
   };
 
-  monitor::StreamMonitor sm(contract, reg, monitor::MonitorEngine::named_factory(nf),
+  monitor::StreamMonitor sm(contract, reg,
+                            monitor::MonitorEngine::named_factory(nf),
                             options, fleet, on_window);
 
   auto refresh_metrics = [&]() {
     // Mid-run refreshes are best-effort; the final write is the gated one.
     // The snapshot drains the chunks in flight, so with --metrics-out the
     // daemon steps each chunk before it reads the next.
-    if (options.telemetry && !args.metrics_out.empty()) {
+    if (options.telemetry) {
       write_metrics_file(args, sm.telemetry_snapshot(), contract.nf_name());
     }
   };
@@ -491,7 +689,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     }
   }
 
-  monitor::StreamResult result = sm.finish();
+  const monitor::StreamResult result = sm.finish();
   const double elapsed_ms = timer.elapsed_ms();
   const std::uint64_t fed = sm.packets_fed();
 
@@ -511,41 +709,21 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     fp.state_tracked = result.report.state_tracked;
     fp.has_telemetry = options.telemetry;
     fp.telemetry = result.observations.telemetry;
-    const std::string path = obs::spool_final_path(args.spool, nf, fleet.instance);
-    if (!support::write_file(path, obs::final_partial_to_json(fp) + "\n")) {
-      std::fprintf(stderr, "error: cannot write spool partial '%s'\n",
-                   path.c_str());
-      spool_write_failed = true;
-    }
+    write_partial(obs::spool_final_path(args.spool, nf, fleet.instance),
+                  obs::final_partial_to_json(fp));
   }
-  if (!args.metrics_out.empty() &&
-      !write_metrics_file(args, result.observations.telemetry,
-                          result.report.nf)) {
-    return 1;
-  }
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           monitor::report_to_json(result.report) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", monitor::report_to_json(result.report).c_str());
-  } else if (!args.watch) {
-    std::printf("%s", result.report.str().c_str());
-    const double pps = elapsed_ms > 0.0
-                           ? static_cast<double>(fed) / (elapsed_ms / 1000.0)
-                           : 0.0;
-    std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
+  const double pps =
+      elapsed_ms > 0.0 ? static_cast<double>(fed) / (elapsed_ms / 1000.0)
+                       : 0.0;
+  char footer[128];
+  std::snprintf(footer, sizeof footer,
+                "\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
                 static_cast<unsigned long long>(fed), elapsed_ms, pps / 1e6);
-  }
-  if (spool_write_failed) return 1;
-  return monitor_exit_code(result.report, args.violation_threshold,
-                           result.observations.alerts.size());
+  return finish_run(args, result.report, result.observations, footer, "",
+                    spool_write_failed);
 }
 
-int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
+int cmd_monitor(const std::string& nf, const CliArgs& args) {
   // A capture is the traffic: a traffic-generator flag next to it would be
   // ignored, so the pair is rejected.
   const char* generator_flag = args.packets  ? "--packets"
@@ -560,50 +738,21 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   }
 
   perf::PcvRegistry reg;
-  perf::Contract contract("");
-
-  if (!args.contract.empty()) {
-    // Operator mode: validate against the stored artifact. No generation,
-    // no symbolic execution — the target is only instantiated per
-    // partition for concrete measurement. Sanity-check that the artifact
-    // was generated for the target we're about to run.
-    core::NfTarget probe;
-    perf::PcvRegistry probe_reg;
-    if (!core::make_named_target(nf, probe_reg, probe)) return usage();
-    contract = perf::load_contract(args.contract, reg);
-    if (contract.nf_name() != probe.contract_name()) {
-      std::fprintf(stderr,
-                   "error: contract '%s' was generated for nf '%s', not "
-                   "'%s'\n",
-                   args.contract.c_str(), contract.nf_name().c_str(),
-                   probe.contract_name().c_str());
-      return 2;
-    }
-  } else {
-    // Developer mode: regenerate the artifact in-process.
-    core::NfTarget target;
-    if (!core::make_named_target(nf, reg, target)) return usage();
-    core::ContractGenerator generator(reg);
-    contract = generator.generate(target.analysis()).contract;
-  }
+  const std::optional<perf::Contract> contract =
+      load_contract(nf, args.contract, reg);
+  if (!contract) return 2;
 
   if (args.follow && args.pcap.empty()) {
     std::fprintf(stderr, "error: --follow requires --pcap FILE to tail\n");
     return 2;
   }
 
-  // Traffic side: one chunk source for every path. A --pcap is read
-  // through PcapTail's read windows, so memory does not grow with the
-  // capture; a finished file is checked for a clean end (finish()), while
-  // --follow keeps polling a growing one (it may not even exist yet), so
-  // nothing is read here. A generated workload is one chunk.
-  // Daemon / fleet runs go through the streaming monitor: it closes windows
-  // on packet timestamps and emits delta lines / spool partials as it goes,
-  // then drains through the same build_report path as the batch engine
-  // (byte-identical final report). Both run the one chunk driver, which
-  // keeps kChunksInFlight read windows in use.
-  const bool streaming =
-      args.follow || !args.spool.empty() || args.fleet_instances > 1;
+  // Traffic side: one chunk source. A --pcap is read through PcapTail's
+  // read windows, so memory does not grow with the capture; a finished file
+  // is checked for a clean end (finish()), while --follow keeps polling a
+  // growing one (it may not even exist yet), so nothing is read here. A
+  // generated workload is one chunk. The chunk driver keeps
+  // kChunksInFlight read windows in use.
   std::optional<net::PcapTail> tail;
   if (!args.pcap.empty()) {
     tail.emplace(args.pcap, monitor::MonitorEngine::kChunksInFlight);
@@ -650,54 +799,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   options.telemetry = !args.metrics_out.empty();
   options.framework =
       nf::framework_inflated(options.framework, args.inflate_pct);
-  if (streaming) {
-    return run_stream_monitor(nf, contract, reg, options, args, next_chunk);
-  }
-
-  monitor::MonitorEngine engine(contract, reg, options);
-
-  obs::RunObservations observations;
-  const bool want_obs = options.delta_every > 0 || options.telemetry;
-  support::BenchTimer timer;
-  const monitor::MonitorReport report =
-      engine.run(next_chunk, monitor::MonitorEngine::named_factory(nf),
-                 nullptr, want_obs ? &observations : nullptr);
-  const double elapsed_ms = timer.elapsed_ms();
-
-  if (!write_delta_stream(args, observations.deltas)) return 1;
-  if (!args.metrics_out.empty() &&
-      !write_metrics_file(args, observations.telemetry, report.nf)) {
-    return 1;
-  }
-
-  // Never leave a truncated report behind for CI to archive as valid
-  // (support::write_file publishes by rename, so a failed or short write
-  // never replaces the target).
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           monitor::report_to_json(report) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", monitor::report_to_json(report).c_str());
-  } else if (!args.watch) {
-    // Watch mode keeps stdout a pure JSONL stream (the deltas above);
-    // --json appends the report as one more JSON line.
-    std::printf("%s", report.str().c_str());
-    const double pps = elapsed_ms > 0.0
-                           ? static_cast<double>(report.packets) /
-                                 (elapsed_ms / 1000.0)
-                           : 0.0;
-    std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
-                static_cast<unsigned long long>(report.packets), elapsed_ms,
-                pps / 1e6);
-  }
-  // Drift alerts get their own exit code so CI can distinguish "about to
-  // violate" (3) from "violating" (1) and "clean" (0).
-  return monitor_exit_code(report, args.violation_threshold,
-                           observations.alerts.size());
+  return run_monitor(nf, *contract, reg, options, args, next_chunk);
 }
 
 /// 'bolt merge <nf> --spool DIR': fold a fleet's spooled partials into the
@@ -705,7 +807,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
 /// codes as 'monitor'; the result is byte-identical to a single monitor
 /// over the combined traffic, regardless of how many instances spooled or
 /// in what order their files land.
-int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
+int cmd_merge(const std::string& nf, const CliArgs& args) {
   if (args.spool.empty()) {
     std::fprintf(stderr, "error: 'merge' requires --spool DIR\n");
     return 2;
@@ -738,83 +840,35 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
   const obs::FleetMergeResult merged =
       obs::merge_partials(windows, finals, obs::DriftOptions{});
 
-  if (!write_delta_stream(args, merged.observations.deltas)) return 1;
-  if (!args.metrics_out.empty() &&
-      !write_metrics_file(args, merged.observations.telemetry,
-                          merged.report.nf)) {
-    return 1;
-  }
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           monitor::report_to_json(merged.report) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", monitor::report_to_json(merged.report).c_str());
-  } else if (!args.watch) {
-    std::printf("%s", merged.report.str().c_str());
-  }
-  std::fprintf(stderr, "merged %zu window partial(s) from %zu file(s) across "
-               "the fleet\n",
-               merged.observations.deltas.size(), windows.size() + finals.size());
-  return monitor_exit_code(merged.report, args.violation_threshold,
-                           merged.observations.alerts.size());
+  DeltaStream deltas(args);
+  if (!deltas.open()) return 1;
+  for (const obs::DeltaWindow& w : merged.observations.deltas) deltas.write(w);
+  if (!deltas.close()) return 1;
+  const std::string note =
+      "merged " + std::to_string(merged.observations.deltas.size()) +
+      " window partial(s) from " +
+      std::to_string(windows.size() + finals.size()) +
+      " file(s) across the fleet\n";
+  return finish_run(args, merged.report, merged.observations, "", note, false);
 }
 
-struct AdversaryCliArgs {
-  std::string contract;   // stored artifact; empty = generate in-process
-  std::string out;        // trace pair prefix
-  std::string report;     // gap-report JSON file
-  std::uint64_t seed = 1;
-  std::size_t probes = 12;
-  std::size_t partitions = 8;
-  std::size_t threads = 0;
-  std::uint64_t epoch_ns = 1'000'000'000;
-  std::uint64_t min_reached_pct = 1;
-  bool json = false;
-};
-
-int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
-  perf::PcvRegistry reg;
-  perf::Contract contract("");
-  core::NfTarget probe;
-  {
-    perf::PcvRegistry probe_reg;
-    if (!core::make_named_target(nf, probe_reg, probe)) return usage();
-  }
+int cmd_adversary(const std::string& nf, const CliArgs& args) {
   // In-process mode runs the generator once; its path reports double as
   // the synthesiser's witnesses. Stored mode leaves witness generation to
   // adversarial_traffic (bounds come from the artifact, witnesses can't).
-  core::GenerationResult generated;
-  const std::vector<core::PathReport>* witnesses = nullptr;
-  if (!args.contract.empty()) {
-    contract = perf::load_contract(args.contract, reg);
-    if (contract.nf_name() != probe.contract_name()) {
-      std::fprintf(stderr,
-                   "error: contract '%s' was generated for nf '%s', not "
-                   "'%s'\n",
-                   args.contract.c_str(), contract.nf_name().c_str(),
-                   probe.contract_name().c_str());
-      return 2;
-    }
-  } else {
-    core::NfTarget target;
-    if (!core::make_named_target(nf, reg, target)) return usage();
-    core::ContractGenerator generator(reg);
-    generated = generator.generate(target.analysis());
-    contract = generated.contract;
-    witnesses = &generated.path_reports;
-  }
+  perf::PcvRegistry reg;
+  std::vector<core::PathReport> witnesses;
+  const std::optional<perf::Contract> contract =
+      load_contract(nf, args.contract, reg, &witnesses);
+  if (!contract) return 2;
 
   adversary::AdversaryOptions opts;
   opts.seed = args.seed;
   opts.partitions = args.partitions;
   opts.epoch_ns = args.epoch_ns;
   opts.probes_per_class = args.probes;
-  const adversary::AdversarialTrace trace =
-      adversary::adversarial_traffic(nf, contract, reg, opts, witnesses);
+  const adversary::AdversarialTrace trace = adversary::adversarial_traffic(
+      nf, *contract, reg, opts, args.contract.empty() ? &witnesses : nullptr);
   if (!args.out.empty()) {
     if (!adversary::save_trace(args.out, trace)) {
       std::fprintf(stderr, "error: cannot write trace pair '%s.{pcap,json}'\n",
@@ -829,17 +883,12 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   monitor::MonitorOptions mopts;
   mopts.threads = args.threads;
   const adversary::GapReport gap =
-      adversary::replay(trace, contract, reg, mopts);
+      adversary::replay(trace, *contract, reg, mopts);
 
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           adversary::gap_report_to_json(gap) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
+  const std::string gap_json = adversary::gap_report_to_json(gap);
+  if (!args.report.empty() && !write_report(args.report, gap_json)) return 1;
   if (args.json) {
-    std::printf("%s\n", adversary::gap_report_to_json(gap).c_str());
+    std::printf("%s\n", gap_json.c_str());
   } else {
     std::printf("%s", gap.str().c_str());
   }
@@ -867,24 +916,7 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   return 0;
 }
 
-struct HuntCliArgs {
-  std::string contract;   // stored artifact; empty = generate in-process
-  std::string out;        // minimised-trace pair prefix (written on a find)
-  std::string report;     // hunt-report JSON file
-  std::uint64_t seed = 1;
-  std::size_t generations = 6;
-  std::size_t population = 4;
-  std::size_t budget = 0;       // 0 = generations * population + 1
-  std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
-  std::size_t probes = 12;
-  std::size_t partitions = 8;
-  std::size_t threads = 0;
-  std::uint64_t epoch_ns = 1'000'000'000;
-  bool inject_straddle_bug = false;  // test-only measurement fault
-  bool json = false;
-};
-
-std::string hunt_to_json(const std::string& nf, const HuntCliArgs& args,
+std::string hunt_to_json(const std::string& nf, const CliArgs& args,
                          const adversary::HunterResult& hunt,
                          const adversary::MinimizeResult* minimized) {
   using support::json_quote_into;
@@ -929,36 +961,14 @@ std::string hunt_to_json(const std::string& nf, const HuntCliArgs& args,
   return out;
 }
 
-int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
-  perf::PcvRegistry reg;
-  perf::Contract contract("");
-  core::NfTarget probe;
-  {
-    perf::PcvRegistry probe_reg;
-    if (!core::make_named_target(nf, probe_reg, probe)) return usage();
-  }
+int cmd_hunt(const std::string& nf, const CliArgs& args) {
   // Same contract conventions as 'adversary': stored artifact or in-process
   // generation, whose path reports double as seed-trace witnesses.
-  core::GenerationResult generated;
-  const std::vector<core::PathReport>* witnesses = nullptr;
-  if (!args.contract.empty()) {
-    contract = perf::load_contract(args.contract, reg);
-    if (contract.nf_name() != probe.contract_name()) {
-      std::fprintf(stderr,
-                   "error: contract '%s' was generated for nf '%s', not "
-                   "'%s'\n",
-                   args.contract.c_str(), contract.nf_name().c_str(),
-                   probe.contract_name().c_str());
-      return 2;
-    }
-  } else {
-    core::NfTarget target;
-    if (!core::make_named_target(nf, reg, target)) return usage();
-    core::ContractGenerator generator(reg);
-    generated = generator.generate(target.analysis());
-    contract = generated.contract;
-    witnesses = &generated.path_reports;
-  }
+  perf::PcvRegistry reg;
+  std::vector<core::PathReport> witnesses;
+  const std::optional<perf::Contract> contract =
+      load_contract(nf, args.contract, reg, &witnesses);
+  if (!contract) return 2;
 
   adversary::HunterOptions opts;
   opts.seed = args.seed;
@@ -972,8 +982,8 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
   opts.monitor.threads = args.threads;
   opts.monitor.inject_straddle_bug = args.inject_straddle_bug;
 
-  const adversary::HunterResult hunt =
-      adversary::hunt(nf, contract, reg, opts, witnesses);
+  const adversary::HunterResult hunt = adversary::hunt(
+      nf, *contract, reg, opts, args.contract.empty() ? &witnesses : nullptr);
   const bool found = hunt.violation_found || hunt.divergence_found;
 
   // A find is only actionable minimised: shrink it through the same oracle
@@ -986,7 +996,7 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
     mopts.monitor = opts.monitor;
     mopts.max_replays = args.max_replays;
     minimized =
-        adversary::minimize(nf, contract, reg, hunt.best.packets, mopts);
+        adversary::minimize(nf, *contract, reg, hunt.best.packets, mopts);
     if (!args.out.empty()) {
       if (!adversary::save_trace(args.out, minimized.trace)) {
         std::fprintf(stderr,
@@ -1004,12 +1014,7 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
 
   const std::string hunt_json =
       hunt_to_json(nf, args, hunt, found ? &minimized : nullptr);
-  if (!args.report.empty() &&
-      !support::write_file(args.report, hunt_json + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
+  if (!args.report.empty() && !write_report(args.report, hunt_json)) return 1;
   if (args.json) {
     std::printf("%s\n", hunt_json.c_str());
   } else {
@@ -1102,206 +1107,27 @@ int main(int argc, char** argv) {
   }
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  // Shared trailing flags: --json, --threads N (0 = hardware concurrency),
-  // plus the monitor's own knobs.
-  bool json = false;
-  MonitorCliArgs margs;
-  std::string out_file;
-  std::size_t threads = 0;
-  auto numeric = [&](int& i, const char* flag) -> std::uint64_t {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: %s requires a value\n", flag);
-      std::exit(2);
-    }
-    return numeric_arg(argv[++i], flag);
-  };
-  AdversaryCliArgs aargs;
-  HuntCliArgs hargs;
-  // Positionals (nf names, paths, counts, k=v bindings) pass through; a
-  // flag that is unknown — or known but inapplicable to this subcommand —
-  // must not be silently ignored: the monitor exit code is a CI gate, and
-  // a typo'd or misplaced flag would change what it gates on.
-  const bool is_monitor = cmd == "monitor";
-  const bool is_merge = cmd == "merge";
-  const bool is_adversary = cmd == "adversary";
-  const bool is_hunt = cmd == "hunt";
-  auto only_for = [&](bool applies, const char* flag) {
-    if (applies) return;
-    std::fprintf(stderr, "error: flag '%s' does not apply to '%s'\n", flag,
-                 cmd.c_str());
-    std::exit(2);
-  };
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      only_for(cmd == "contract" || cmd == "paths" || is_monitor ||
-                   is_merge || is_adversary || is_hunt,
-               "--json");
-      json = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      only_for(cmd == "scenarios" || is_monitor || is_adversary || is_hunt,
-               "--threads");
-      threads = numeric(i, "--threads");
-    } else if (std::strcmp(argv[i], "--packets") == 0) {
-      only_for(is_monitor, "--packets");
-      margs.packets = numeric(i, "--packets");
-    } else if (std::strcmp(argv[i], "--partitions") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--partitions");
-      margs.partitions = aargs.partitions = hargs.partitions =
-          numeric(i, "--partitions");
-    } else if (std::strcmp(argv[i], "--epoch-ns") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--epoch-ns");
-      margs.epoch_ns = aargs.epoch_ns = hargs.epoch_ns =
-          numeric(i, "--epoch-ns");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      only_for(is_adversary || is_hunt, "--seed");
-      aargs.seed = hargs.seed = numeric(i, "--seed");
-    } else if (std::strcmp(argv[i], "--probes") == 0) {
-      only_for(is_adversary || is_hunt, "--probes");
-      aargs.probes = hargs.probes = numeric(i, "--probes");
-    } else if (std::strcmp(argv[i], "--min-reached-pct") == 0) {
-      only_for(is_adversary, "--min-reached-pct");
-      aargs.min_reached_pct = numeric(i, "--min-reached-pct");
-    } else if (std::strcmp(argv[i], "--generations") == 0) {
-      only_for(is_hunt, "--generations");
-      hargs.generations = numeric(i, "--generations");
-    } else if (std::strcmp(argv[i], "--population") == 0) {
-      only_for(is_hunt, "--population");
-      hargs.population = numeric(i, "--population");
-    } else if (std::strcmp(argv[i], "--budget") == 0) {
-      only_for(is_hunt, "--budget");
-      hargs.budget = numeric(i, "--budget");
-    } else if (std::strcmp(argv[i], "--max-replays") == 0) {
-      only_for(is_hunt, "--max-replays");
-      hargs.max_replays = numeric(i, "--max-replays");
-    } else if (std::strcmp(argv[i], "--inject-straddle-bug") == 0) {
-      only_for(is_hunt, "--inject-straddle-bug");
-      hargs.inject_straddle_bug = true;
-    } else if (std::strcmp(argv[i], "--contract") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--contract");
-      if (i + 1 >= argc) return usage();
-      margs.contract = aargs.contract = hargs.contract = argv[++i];
-    } else if (std::strcmp(argv[i], "--report") == 0) {
-      only_for(is_monitor || is_merge || is_adversary || is_hunt, "--report");
-      if (i + 1 >= argc) return usage();
-      margs.report = aargs.report = hargs.report = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      only_for(cmd == "contract" || is_adversary || is_hunt, "--out");
-      if (i + 1 >= argc) return usage();
-      out_file = aargs.out = hargs.out = argv[++i];
-    } else if (std::strcmp(argv[i], "--violation-threshold") == 0) {
-      only_for(is_monitor || is_merge, "--violation-threshold");
-      margs.violation_threshold = numeric(i, "--violation-threshold");
-    } else if (std::strcmp(argv[i], "--inflate") == 0) {
-      only_for(is_monitor, "--inflate");
-      margs.inflate_pct = numeric(i, "--inflate");
-    } else if (std::strcmp(argv[i], "--no-cycles") == 0) {
-      only_for(is_monitor, "--no-cycles");
-      margs.cycles = false;
-    } else if (std::strcmp(argv[i], "--delta-every") == 0) {
-      only_for(is_monitor, "--delta-every");
-      margs.delta_every = numeric(i, "--delta-every");
-    } else if (std::strcmp(argv[i], "--delta-out") == 0) {
-      only_for(is_monitor || is_merge, "--delta-out");
-      if (i + 1 >= argc) return usage();
-      margs.delta_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      only_for(is_monitor || is_merge, "--metrics-out");
-      if (i + 1 >= argc) return usage();
-      margs.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-format") == 0) {
-      only_for(is_monitor || is_merge, "--metrics-format");
-      if (i + 1 >= argc) return usage();
-      const std::string fmt = argv[++i];
-      if (fmt != "json" && fmt != "prom") {
-        std::fprintf(stderr,
-                     "error: bad --metrics-format value '%s' (json | prom)\n",
-                     fmt.c_str());
-        return 2;
-      }
-      margs.metrics_format = fmt;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      only_for(is_monitor || is_merge, "--watch");
-      margs.watch = true;
-    } else if (std::strcmp(argv[i], "--follow") == 0) {
-      only_for(is_monitor, "--follow");
-      margs.follow = true;
-    } else if (std::strcmp(argv[i], "--spool") == 0) {
-      only_for(is_monitor || is_merge, "--spool");
-      if (i + 1 >= argc) return usage();
-      margs.spool = argv[++i];
-    } else if (std::strcmp(argv[i], "--idle-flush-ns") == 0) {
-      only_for(is_monitor, "--idle-flush-ns");
-      margs.idle_flush_ns = numeric(i, "--idle-flush-ns");
-    } else if (std::strcmp(argv[i], "--idle-exit-ms") == 0) {
-      only_for(is_monitor, "--idle-exit-ms");
-      margs.idle_exit_ms = numeric(i, "--idle-exit-ms");
-    } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      only_for(is_monitor, "--fleet");
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --fleet requires a value\n");
-        return 2;
-      }
-      const std::string spec = argv[++i];
-      const auto slash = spec.find('/');
-      bool ok = slash != std::string::npos && slash > 0 &&
-                slash + 1 < spec.size();
-      if (ok) {
-        char* end = nullptr;
-        margs.fleet_instance = static_cast<std::uint32_t>(
-            std::strtoul(spec.c_str(), &end, 10));
-        ok = end == spec.c_str() + slash;
-        if (ok) {
-          margs.fleet_instances = static_cast<std::uint32_t>(
-              std::strtoul(spec.c_str() + slash + 1, &end, 10));
-          ok = *end == '\0';
-        }
-      }
-      if (!ok || margs.fleet_instances == 0 ||
-          margs.fleet_instance >= margs.fleet_instances) {
-        std::fprintf(stderr,
-                     "error: bad --fleet value '%s' (want I/N with I < N)\n",
-                     spec.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--workload") == 0) {
-      only_for(is_monitor, "--workload");
-      if (i + 1 >= argc) return usage();
-      margs.workload = argv[++i];
-    } else if (std::strcmp(argv[i], "--pcap") == 0) {
-      only_for(is_monitor, "--pcap");
-      if (i + 1 >= argc) return usage();
-      margs.pcap = argv[++i];
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
-      return usage();
-    }
+  CliArgs args;
+  if (const int code = parse_flags(cmd, argc, argv, args); code != 0) {
+    return code;
   }
-  margs.threads = threads;
-  margs.json = json;
-  aargs.threads = threads;
-  aargs.json = json;
-  hargs.threads = threads;
-  hargs.json = json;
   if (cmd == "contract" && argc >= 3) {
-    return cmd_contract(argv[2], false, json, out_file);
+    return cmd_contract(argv[2], false, args.json, args.out);
   }
   if (cmd == "paths" && argc >= 3) {
-    return cmd_contract(argv[2], true, json, "");
+    return cmd_contract(argv[2], true, args.json, "");
   }
   if (cmd == "distill" && argc >= 4) return cmd_distill(argv[2], argv[3]);
   if (cmd == "predict" && argc >= 3) return cmd_predict(argv[2], argc, argv, 3);
-  if (cmd == "monitor" && argc >= 3) return cmd_monitor(argv[2], margs);
-  if (cmd == "merge" && argc >= 3) return cmd_merge(argv[2], margs);
-  if (cmd == "adversary" && argc >= 3) return cmd_adversary(argv[2], aargs);
-  if (cmd == "hunt" && argc >= 3) return cmd_hunt(argv[2], hargs);
+  if (cmd == "monitor" && argc >= 3) return cmd_monitor(argv[2], args);
+  if (cmd == "merge" && argc >= 3) return cmd_merge(argv[2], args);
+  if (cmd == "adversary" && argc >= 3) return cmd_adversary(argv[2], args);
+  if (cmd == "hunt" && argc >= 3) return cmd_hunt(argv[2], args);
   if (cmd == "gen" && argc >= 4) {
-    // The count is positional; don't mistake a trailing flag for it.
-    std::size_t count = 10'000;
-    if (argc >= 5 && argv[4][0] != '-') {
-      count = numeric_arg(argv[4], "count");
-    }
-    return cmd_gen(argv[2], argv[3], count);
+    // The count is positional; a flag there has already been refused.
+    return cmd_gen(argv[2], argv[3],
+                   argc >= 5 ? numeric_arg(argv[4], "count") : 10'000);
   }
-  if (cmd == "scenarios") return cmd_scenarios(threads);
+  if (cmd == "scenarios") return cmd_scenarios(args.threads);
   return usage();
 }
